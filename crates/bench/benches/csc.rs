@@ -33,7 +33,7 @@ fn bench_vme_read_sweep(c: &mut Criterion) {
         let options = sweep_opts(threads, prune);
         group.bench_function(id, |b| {
             b.iter(|| {
-                let sweep = insertion_sweep(&spec, stg::Backend::Explicit, &options);
+                let sweep = insertion_sweep(&spec, stg::Backend::Explicit, &options, None);
                 assert_eq!(sweep.stats.accepted, 6);
                 sweep.candidates.len()
             });
@@ -53,7 +53,7 @@ fn bench_micropipeline_prune(c: &mut Criterion) {
         let options = sweep_opts(1, prune);
         group.bench_function(id, |b| {
             b.iter(|| {
-                insertion_sweep(&spec, stg::Backend::Explicit, &options)
+                insertion_sweep(&spec, stg::Backend::Explicit, &options, None)
                     .stats
                     .evaluated
             });

@@ -1,7 +1,7 @@
 //! End-to-end synthesis benchmarks: the staged pipeline of §3 per
-//! architecture and per state-space backend on the paper's controllers.
+//! architecture on the paper's controllers.
 
-use asyncsynth::{Architecture, Backend, Synthesis};
+use asyncsynth::{Architecture, Synthesis};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use stg::StateGraph;
 
@@ -25,25 +25,6 @@ fn bench_flow(c: &mut Criterion) {
                     .passed()
             });
         });
-    }
-    // Backend comparison on the full pipeline.
-    for (name, backend) in [
-        ("explicit", Backend::Explicit),
-        ("symbolic", Backend::Symbolic),
-    ] {
-        group.bench_with_input(
-            BenchmarkId::new("backend", name),
-            &backend,
-            |b, &backend| {
-                b.iter(|| {
-                    Synthesis::new(read.clone())
-                        .backend(backend)
-                        .run()
-                        .unwrap()
-                        .num_states()
-                });
-            },
-        );
     }
     // State-graph generation scaling on micropipelines.
     for n in [1usize, 2, 3] {

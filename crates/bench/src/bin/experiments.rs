@@ -355,7 +355,10 @@ fn t_props() -> Result<(), Box<dyn std::error::Error>> {
         ("micropipeline-2", stg::examples::micropipeline(2)),
     ] {
         println!("--- {name} ---");
-        println!("{}", stg::properties::check_implementability(&spec));
+        println!(
+            "{}",
+            stg::properties::check_implementability(&spec, stg::Backend::Explicit)
+        );
     }
     Ok(())
 }

@@ -6,7 +6,7 @@
 //! * [`generators`] — parameterised, signal-labelled STG families
 //!   beyond the `stg::examples` zoo (arbiters, selector trees, ripple
 //!   counters, dispatchers, parallelisers);
-//! * [`families`] — the corpus itself: each [`families::Family`]
+//! * [`mod@families`] — the corpus itself: each [`families::Family`]
 //!   expands a deterministic parameter grid into uniquely-named specs,
 //!   including classic `.g` imports through [`gimport`];
 //! * [`ledger`] — one content-addressed

@@ -31,40 +31,12 @@ pub struct SymbolicReachability {
     pub iterations: usize,
 }
 
-/// Result of a symbolic reachability run inside a caller-owned manager
-/// (see [`symbolic_reachability_bounded_in`]): the same artifacts as
-/// [`SymbolicReachability`] minus the manager itself.
-#[derive(Debug, Clone, Copy)]
-pub struct SymbolicRun {
-    /// Characteristic function of the reachable markings, over the
-    /// current-state variables.
-    pub reached: Bdd,
-    /// Number of reachable markings.
-    pub num_markings: u128,
-    /// Number of image-computation iterations until the fixed point.
-    pub iterations: usize,
-}
-
 fn cur_var(p: PlaceId) -> VarId {
     2 * p.0
 }
 
 fn next_var(p: PlaceId) -> VarId {
     2 * p.0 + 1
-}
-
-/// The current-state BDD variable of a place. Part of the public encoding
-/// contract so other crates (e.g. the symbolic state-space backend in
-/// `stg`) can decode satisfying assignments of [`SymbolicReachability::reached`].
-#[must_use]
-pub fn current_var(p: PlaceId) -> VarId {
-    cur_var(p)
-}
-
-/// The next-state BDD variable of a place (see [`current_var`]).
-#[must_use]
-pub fn next_state_var(p: PlaceId) -> VarId {
-    next_var(p)
 }
 
 /// Computes the reachability set of a safe net symbolically.
@@ -96,34 +68,8 @@ pub fn symbolic_reachability_bounded(
     net: &PetriNet,
     max_markings: u128,
 ) -> Result<SymbolicReachability, crate::reach::ReachError> {
-    let mut m = Manager::new();
-    let run = symbolic_reachability_bounded_in(&mut m, net, max_markings)?;
-    Ok(SymbolicReachability {
-        manager: m,
-        reached: run.reached,
-        num_markings: run.num_markings,
-        iterations: run.iterations,
-    })
-}
-
-/// [`symbolic_reachability_bounded`] inside a caller-owned BDD manager,
-/// so repeated traversals of structurally similar nets (e.g. the CSC
-/// candidate sweep, where every candidate shares the base net's places)
-/// reuse the manager's unique table and operation caches instead of
-/// rebuilding every relation node from scratch.
-///
-/// The caller must only reuse a manager across nets with the **same
-/// place count** — the variable universe is `2 × places` and marking
-/// counts divide by it (`stg::BuildContext` enforces this).
-///
-/// # Errors
-///
-/// See [`symbolic_reachability_bounded`].
-pub fn symbolic_reachability_bounded_in(
-    m: &mut Manager,
-    net: &PetriNet,
-    max_markings: u128,
-) -> Result<SymbolicRun, crate::reach::ReachError> {
+    let mut manager = Manager::new();
+    let m = &mut manager;
     // Touch all variables to fix the universe.
     for p in net.places() {
         m.var(cur_var(p));
@@ -199,7 +145,8 @@ pub fn symbolic_reachability_bounded_in(
     }
 
     let num_markings = count_markings(&mut *m, reached);
-    Ok(SymbolicRun {
+    Ok(SymbolicReachability {
+        manager,
         reached,
         num_markings,
         iterations,
@@ -222,17 +169,10 @@ pub fn symbolic_reachability_bounded_in(
 #[must_use]
 pub fn unsafe_witness(net: &PetriNet, sym: &mut SymbolicReachability) -> Option<Marking> {
     let reached = sym.reached;
-    unsafe_witness_in(net, &mut sym.manager, reached)
-}
-
-/// [`unsafe_witness`] over a caller-owned manager (the shared-manager
-/// counterpart used with [`symbolic_reachability_bounded_in`]).
-#[must_use]
-pub fn unsafe_witness_in(net: &PetriNet, manager: &mut Manager, reached: Bdd) -> Option<Marking> {
     for t in net.transitions() {
         let pre = net.preset(t).to_vec();
         let post = net.postset(t).to_vec();
-        let m = &mut *manager;
+        let m = &mut sym.manager;
         let mut enabled = reached;
         for &p in &pre {
             let v = m.var(cur_var(p));

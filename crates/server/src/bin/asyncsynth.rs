@@ -23,7 +23,7 @@
 //!
 //! synth options:
 //!   --arch complex|celement|rs|decomposed   (default: complex)
-//!   --backend explicit|symbolic|symbolic-set  (default: explicit)
+//!   --backend explicit|symbolic-set         (default: explicit)
 //!   --csc auto|insertion|reduction|fail     (default: auto)
 //!   --csc-threads N                         CSC sweep workers (0 = per core)
 //!   --csc-bound N                           CSC per-candidate state bound
@@ -34,7 +34,6 @@
 //!   --trace FILE                            write the run's span-tree JSON
 //!   --no-verify                             skip exhaustive verification
 //!   --verify-bound N                        composed-state limit of the verifier
-//!   --verify-strategy explicit|composed     spec tracking (default: composed)
 //!   --verify-incremental                    memoising per-cone re-verification
 //!   --json                                  machine-readable output
 //! ```
@@ -47,8 +46,8 @@ use std::process::ExitCode;
 
 use asyncsynth::summary::report_to_json;
 use asyncsynth::{
-    flow_metrics, run_cached, run_cached_with, CacheOutcome, Json, ResultCache, Synthesis,
-    SynthesisSummary, TraceBuilder,
+    run_cached, run_cached_with, CacheOutcome, Json, ResultCache, Synthesis, SynthesisSummary,
+    TraceBuilder,
 };
 use server::flags::parse_flags;
 use server::protocol::Response;
@@ -204,7 +203,6 @@ fn synth(spec: &stg::Stg, opts: &[String]) -> Result<(), String> {
             "--trace",
             "--no-verify",
             "--verify-bound",
-            "--verify-strategy",
             "--verify-incremental",
             "--json",
         ],
@@ -229,7 +227,7 @@ fn synth(spec: &stg::Stg, opts: &[String]) -> Result<(), String> {
         let result = run_cached_with(&spec, &options, cache.as_ref(), &mut trace);
         let span = match &result {
             Ok(run) => trace.finish(run.summary.metrics.clone(), run.advisory.clone()),
-            Err(e) => trace.finish(flow_metrics(e.events()), telemetry::Counters::new()),
+            Err(e) => trace.finish_failed(e),
         };
         std::fs::write(trace_path, span.render() + "\n")
             .map_err(|e| format!("trace {}: {e}", trace_path.display()))?;
@@ -464,7 +462,6 @@ fn submit(spec_text: &str, opts: &[String]) -> Result<(), String> {
             "--fanin",
             "--no-verify",
             "--verify-bound",
-            "--verify-strategy",
             "--verify-incremental",
             "--events",
             "--priority",
@@ -556,7 +553,6 @@ fn submit_dir(dir: &str, opts: &[String]) -> Result<(), String> {
             "--fanin",
             "--no-verify",
             "--verify-bound",
-            "--verify-strategy",
             "--verify-incremental",
             "--priority",
             "--retries",

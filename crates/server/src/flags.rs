@@ -9,7 +9,6 @@ use std::path::PathBuf;
 
 use asyncsynth::{
     Architecture, Backend, CscStrategy, SweepOptions, SynthesisOptions, VerifyOptions,
-    VerifyStrategy,
 };
 
 use crate::client::ClientOptions;
@@ -18,7 +17,7 @@ use crate::protocol::Priority;
 /// Parsed common flags, with their defaults.
 #[derive(Debug, Clone)]
 pub struct CliFlags {
-    /// `--backend explicit|symbolic|symbolic-set`.
+    /// `--backend explicit|symbolic-set`.
     pub backend: Backend,
     /// `--json`: machine-readable output.
     pub json: bool,
@@ -42,9 +41,6 @@ pub struct CliFlags {
     /// `--verify-bound N`: composed-state limit of the verifier; a hit
     /// is reported as a bounded (inconclusive) run, never silently.
     pub verify_bound: Option<usize>,
-    /// `--verify-strategy explicit|composed`: spec-tracking strategy
-    /// (output-neutral; `composed` runs on any backend at any scale).
-    pub verify_strategy: Option<VerifyStrategy>,
     /// `--verify-incremental`: route re-verification through the
     /// memoising per-cone engine (the decomposed repair loop).
     pub verify_incremental: bool,
@@ -96,7 +92,6 @@ impl Default for CliFlags {
             fanin: None,
             no_verify: false,
             verify_bound: None,
-            verify_strategy: None,
             verify_incremental: false,
             assumptions: Vec::new(),
             cache_dir: None,
@@ -133,13 +128,9 @@ impl CliFlags {
             },
             max_fanin: self.fanin,
             skip_verification: self.no_verify,
-            verify: {
-                let defaults = VerifyOptions::default();
-                VerifyOptions {
-                    bound: self.verify_bound.unwrap_or(defaults.bound),
-                    strategy: self.verify_strategy.unwrap_or(defaults.strategy),
-                    incremental: self.verify_incremental,
-                }
+            verify: VerifyOptions {
+                bound: self.verify_bound.unwrap_or(VerifyOptions::default().bound),
+                incremental: self.verify_incremental,
             },
         }
     }
@@ -214,9 +205,6 @@ pub fn parse_flags(args: &[String], allowed: &[&str]) -> Result<CliFlags, String
                         .parse()
                         .map_err(|_| "bad --verify-bound value")?,
                 );
-            }
-            "--verify-strategy" => {
-                flags.verify_strategy = Some(value(args, &mut i, flag)?.parse()?);
             }
             "--verify-incremental" => flags.verify_incremental = true,
             "--assume" => {
@@ -296,12 +284,12 @@ mod tests {
 
     #[test]
     fn accepts_allowed_flags_and_rejects_others() {
-        let args: Vec<String> = ["--backend", "symbolic", "--json"]
+        let args: Vec<String> = ["--backend", "symbolic-set", "--json"]
             .iter()
             .map(ToString::to_string)
             .collect();
         let flags = parse_flags(&args, &["--backend", "--json"]).expect("parses");
-        assert_eq!(flags.backend, asyncsynth::Backend::Symbolic);
+        assert_eq!(flags.backend, asyncsynth::Backend::SymbolicSet);
         assert!(flags.json);
 
         let err = parse_flags(&args, &["--json"]).expect_err("backend not allowed");
@@ -339,48 +327,42 @@ mod tests {
 
     #[test]
     fn verify_flags_reach_the_options() {
-        let args: Vec<String> = [
-            "--verify-bound",
-            "25000",
-            "--verify-strategy",
-            "explicit",
-            "--verify-incremental",
-        ]
-        .iter()
-        .map(ToString::to_string)
-        .collect();
-        let flags = parse_flags(
-            &args,
-            &[
-                "--verify-bound",
-                "--verify-strategy",
-                "--verify-incremental",
-            ],
-        )
-        .expect("parses");
+        let args: Vec<String> = ["--verify-bound", "25000", "--verify-incremental"]
+            .iter()
+            .map(ToString::to_string)
+            .collect();
+        let flags =
+            parse_flags(&args, &["--verify-bound", "--verify-incremental"]).expect("parses");
         let options = flags.options();
         assert_eq!(options.verify.bound, 25_000);
-        assert_eq!(
-            options.verify.strategy,
-            asyncsynth::VerifyStrategy::ExplicitBfs
-        );
         assert!(options.verify.incremental);
 
-        // Defaults: composed strategy, monolithic engine, 500k bound.
+        // Defaults: monolithic engine, 500k bound.
         let defaults = parse_flags(&[], &[]).expect("parses").options();
         assert_eq!(defaults.verify, asyncsynth::VerifyOptions::default());
-        assert_eq!(
-            defaults.verify.strategy,
-            asyncsynth::VerifyStrategy::Composed
-        );
+    }
+
+    #[test]
+    fn removed_flag_values_are_usage_errors() {
+        let args = |a: &[&str]| -> Vec<String> { a.iter().map(ToString::to_string).collect() };
+        // The retired decoding backend's name: a value error naming the
+        // backends that remain.
+        let err = parse_flags(&args(&["--backend", "symbolic"]), &["--backend"])
+            .expect_err("symbolic backend rejected");
         assert!(
-            parse_flags(
-                &["--verify-strategy".into(), "magic".into()],
-                &["--verify-strategy"]
-            )
-            .is_err(),
-            "unknown strategy rejected"
+            err.contains("symbolic-set") && err.contains("explicit"),
+            "{err}"
         );
+        // The retired verify-strategy flag: unknown even where every
+        // verify flag is allowed, and with or without a value.
+        let verify_flags = ["--verify-bound", "--verify-incremental"];
+        for a in [
+            &["--verify-strategy", "composed"][..],
+            &["--verify-strategy"][..],
+        ] {
+            let err = parse_flags(&args(a), &verify_flags).expect_err("flag removed");
+            assert!(err.contains("--verify-strategy"), "{err}");
+        }
     }
 
     #[test]

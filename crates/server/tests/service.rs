@@ -340,6 +340,55 @@ fn malformed_requests_and_bad_specs_are_rejected_without_killing_the_server() {
 }
 
 #[test]
+fn removed_backend_name_is_an_error_and_the_connection_stays_usable() {
+    let server = boot("removed-backend", 1);
+    let (mut reader, mut stream) = raw_connect(&server.addr);
+    let text = spec_text(stg::examples::vme_read);
+
+    // The retired decoding backend's name: a request-level error that
+    // names the backends that remain.
+    let bad = Json::obj(vec![
+        ("op", Json::str("check")),
+        ("spec", Json::str(&text)),
+        ("backend", Json::str("symbolic")),
+    ]);
+    stream
+        .write_all(format!("{}\n", bad.render()).as_bytes())
+        .expect("send request");
+    match read_response(&mut reader) {
+        Response::Error { job: None, message } => {
+            assert!(
+                message.contains("explicit") && message.contains("symbolic-set"),
+                "{message}"
+            );
+        }
+        other => panic!("expected a request error, got {other:?}"),
+    }
+
+    // The same connection then serves a valid check.
+    let good = Request::Check {
+        spec_text: text,
+        options: SynthesisOptions {
+            backend: asyncsynth::Backend::SymbolicSet,
+            ..SynthesisOptions::default()
+        },
+        priority: Priority::Normal,
+    };
+    send_request(&mut stream, &good);
+    let report = loop {
+        match read_response(&mut reader) {
+            Response::Accepted { .. } => {}
+            Response::CheckResult { report, .. } => break report,
+            other => panic!("expected a check result, got {other:?}"),
+        }
+    };
+    assert_eq!(report.get("states").and_then(Json::as_usize), Some(14));
+
+    drop(stream);
+    server.shutdown();
+}
+
+#[test]
 fn corpus_batch_submission_warms_the_cache_and_reports_per_spec_failures() {
     let server = boot("batch", 2);
     // A miniature corpus directory: two synthesisable controllers plus

@@ -1,6 +1,6 @@
 //! State-encoding analysis: USC and CSC (§2.1, §3.1).
 //!
-//! *"Completeness of state encoding [checks] that there are no conflicts in
+//! *"Completeness of state encoding \[checks\] that there are no conflicts in
 //! definition of Boolean functions for each non-input signal."* Two states
 //! conflict if they carry the same binary code; the conflict matters for
 //! implementability (CSC) when the states disagree on the excitation of

@@ -14,7 +14,7 @@
 //! * [`StateSpace`] — the pluggable state-space abstraction every
 //!   analysis and synthesis stage consumes, with two engines selected by
 //!   [`Backend`]: the explicit [`StateGraph`] (§1.4, Fig. 4) and the
-//!   BDD-backed [`SymbolicStateSpace`] (§2.2);
+//!   resident-BDD [`SymbolicSetSpace`] (§2.2);
 //! * [`encoding`] — USC/CSC conflict detection (§2.1, §3.1);
 //! * [`persistency`] — output-persistency analysis (§2.1);
 //! * [`properties`] — the aggregated implementability report;
@@ -41,15 +41,13 @@ pub mod persistency;
 pub mod properties;
 mod state_graph;
 mod state_space;
-mod symbolic;
 mod symbolic_set;
 pub mod waveform;
 
 pub use model::{SignalEdge, SignalId, SignalKind, Stg, StgBuilder, TransitionLabel};
 pub use state_graph::{SgState, StateGraph, StgError};
 pub use state_space::{Backend, BuildContext, StateSet, StateSpace, DEFAULT_STATE_BOUND};
-pub use symbolic::{SymbolicStateSpace, SymbolicStats};
-pub use symbolic_set::{SymbolicSetSpace, MATERIALISE_LIMIT};
+pub use symbolic_set::{SymbolicSetSpace, SymbolicStats, MATERIALISE_LIMIT};
 
 #[cfg(test)]
 mod tests;

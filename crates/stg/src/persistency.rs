@@ -1,6 +1,6 @@
 //! Persistency analysis (§2.1).
 //!
-//! *"Persistency of the STG [verifies] that (a) no non-input signal
+//! *"Persistency of the STG \[verifies\] that (a) no non-input signal
 //! transition can be disabled by another signal transition and (b) no
 //! input signal transition can be disabled by a non-input signal
 //! transition. The former ensures that no short glitches, known as hazards,

@@ -8,7 +8,7 @@ use std::fmt;
 use crate::encoding::{csc_conflict_pair_count, has_usc};
 use crate::model::Stg;
 use crate::persistency::blocking_violation_count;
-use crate::state_graph::{StateGraph, StgError};
+use crate::state_graph::StgError;
 use crate::state_space::{Backend, StateSpace};
 
 /// The per-property outcome of the implementability analysis.
@@ -83,18 +83,9 @@ impl fmt::Display for ImplementabilityReport {
     }
 }
 
-/// Runs the full §2.1 property suite on an STG with the explicit backend.
-#[must_use]
-pub fn check_implementability(stg: &Stg) -> ImplementabilityReport {
-    match StateGraph::build(stg) {
-        Ok(sg) => report_from_sg(stg, &sg),
-        Err(e) => failure_report(e),
-    }
-}
-
 /// Runs the full §2.1 property suite with the chosen state-space backend.
 #[must_use]
-pub fn check_implementability_with(stg: &Stg, backend: Backend) -> ImplementabilityReport {
+pub fn check_implementability(stg: &Stg, backend: Backend) -> ImplementabilityReport {
     match backend.build(stg) {
         Ok(space) => report_from_sg(stg, &*space),
         Err(e) => failure_report(e),

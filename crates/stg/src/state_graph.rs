@@ -218,25 +218,6 @@ impl StateGraph {
         StateSpace::states_with_code(self, code)
     }
 
-    /// Materialises any state space as an explicit `StateGraph` by
-    /// copying its states and transition structure — no reachability
-    /// re-exploration (used by the legacy `run_flow` shim).
-    #[must_use]
-    pub fn from_space(space: &dyn StateSpace) -> StateGraph {
-        StateGraph {
-            states: (0..space.num_states())
-                .map(|i| SgState {
-                    marking: space.marking(i).clone(),
-                    code: space.code(i).to_vec(),
-                })
-                .collect(),
-            ts: space.ts().clone(),
-            initial_values: space.initial_values().to_vec(),
-            num_signals: space.num_signals(),
-            code_index: OnceLock::new(),
-        }
-    }
-
     /// The code → states index, built on first use. One hash map build
     /// replaces the linear scans that used to serve every
     /// `states_with_code` call (hot in CSC conflict detection).
@@ -248,9 +229,8 @@ impl StateGraph {
 
 /// Infers initial signal values from first-edge polarities (a signal whose
 /// first reachable edge is rising starts at 0; falling starts at 1;
-/// never-switching signals default to 0). Shared by every state-space
-/// backend.
-pub(crate) fn infer_initial_values(stg: &Stg, ts: &TransitionSystem<TransitionId>) -> Vec<bool> {
+/// never-switching signals default to 0).
+fn infer_initial_values(stg: &Stg, ts: &TransitionSystem<TransitionId>) -> Vec<bool> {
     let n = stg.num_signals();
     let mut first_edge: Vec<Option<SignalEdge>> = vec![None; n];
     // BFS over the transition structure; the first edge of each signal
@@ -289,7 +269,7 @@ pub(crate) fn infer_initial_values(stg: &Stg, ts: &TransitionSystem<TransitionId
 /// validating consistency (§2.1) along the way. Shared by every
 /// state-space backend: each backend supplies its own reachable-state
 /// structure; the signal interpretation is identical.
-pub(crate) fn propagate_codes(
+fn propagate_codes(
     stg: &Stg,
     ts: &TransitionSystem<TransitionId>,
     initial_values: &[bool],
@@ -332,9 +312,9 @@ pub(crate) fn propagate_codes(
         .collect())
 }
 
-/// Builds the code → states index every enumerating backend shares
-/// (state indices per code, in ascending order).
-pub(crate) fn build_code_index(states: &[SgState]) -> HashMap<Vec<bool>, Vec<usize>> {
+/// Builds the code → states index (state indices per code, in
+/// ascending order).
+fn build_code_index(states: &[SgState]) -> HashMap<Vec<bool>, Vec<usize>> {
     let mut map: HashMap<Vec<bool>, Vec<usize>> = HashMap::new();
     for (i, s) in states.iter().enumerate() {
         map.entry(s.code.clone()).or_default().push(i);

@@ -2,14 +2,11 @@
 //!
 //! Every synthesis and verification stage consumes a [`StateSpace`] — the
 //! abstract "binary-coded reachable states + transition structure" view —
-//! instead of a concrete [`StateGraph`]. Three implementations exist:
+//! instead of a concrete [`StateGraph`]. Two implementations exist:
 //!
 //! * [`StateGraph`] — the explicit breadth-first token-game construction
 //!   of §1.4 (the seed implementation);
-//! * [`crate::SymbolicStateSpace`] — BDD-based symbolic traversal in the
-//!   spirit of §2.2, backed by `petri::symbolic`; the traversal is
-//!   symbolic but every reachable marking is still decoded afterwards;
-//! * [`crate::SymbolicSetSpace`] — the resident-BDD backend: the
+//! * [`crate::SymbolicSetSpace`] — the resident-BDD backend (§2.2): the
 //!   characteristic function of the reachable (marking, code) pairs stays
 //!   in the manager and queries are answered as cube intersections and
 //!   satisfying-assignment counts, never by enumerating states.
@@ -38,13 +35,11 @@ use petri::{Marking, TransitionId, TransitionSystem};
 
 use crate::model::{SignalEdge, SignalId, Stg};
 use crate::state_graph::{StateGraph, StgError};
-use crate::symbolic::SymbolicStateSpace;
 use crate::symbolic_set::SymbolicSetSpace;
 
 /// The default state bound of every unbounded `build` entry point
-/// ([`Backend::build`], [`StateGraph::build`],
-/// [`SymbolicStateSpace::build`], [`SymbolicSetSpace::build`]): builds
-/// that exceed it fail with `StgError::Reach(ReachError::StateLimit)`.
+/// ([`Backend::build`], [`StateGraph::build`], [`SymbolicSetSpace::build`]):
+/// builds that exceed it fail with `StgError::Reach(ReachError::StateLimit)`.
 ///
 /// The CSC candidate sweeps deliberately use a *tighter* default
 /// (`synth::csc::DEFAULT_SWEEP_BOUND`, 200 000): a sweep builds hundreds
@@ -126,7 +121,7 @@ pub trait StateSpace: fmt::Debug + Send + Sync {
     fn backend(&self) -> Backend;
 
     /// BDD nodes allocated in the manager backing this space, for the
-    /// symbolic backends. Advisory telemetry only: the value varies by
+    /// resident-BDD backend. Advisory telemetry only: the value varies by
     /// backend and by what else shared the manager, so it must never
     /// join the deterministic (drift-gated) metric set.
     fn bdd_node_count(&self) -> Option<usize> {
@@ -535,9 +530,6 @@ pub enum Backend {
     /// Explicit breadth-first reachability ([`StateGraph`], §1.4).
     #[default]
     Explicit,
-    /// BDD-based symbolic traversal with post-hoc decoding
-    /// ([`SymbolicStateSpace`], §2.2).
-    Symbolic,
     /// Resident-BDD symbolic state space answering set-level queries
     /// without enumeration ([`SymbolicSetSpace`]).
     SymbolicSet,
@@ -549,7 +541,6 @@ impl Backend {
     pub fn name(self) -> &'static str {
         match self {
             Backend::Explicit => "explicit",
-            Backend::Symbolic => "symbolic",
             Backend::SymbolicSet => "symbolic-set",
         }
     }
@@ -583,7 +574,7 @@ impl Backend {
     ///
     /// Repeated builds of structurally similar STGs (the CSC candidate
     /// sweep: every candidate shares the base net's place layout) pass
-    /// the same [`BuildContext`] so the symbolic backends keep one BDD
+    /// the same [`BuildContext`] so the resident-BDD backend keeps one BDD
     /// manager — unique table and operation caches included — across
     /// the whole sweep. The produced space is identical to a
     /// fresh-context build; the explicit backend has no scratch and
@@ -600,20 +591,11 @@ impl Backend {
     ) -> Result<Box<dyn StateSpace>, StgError> {
         match self {
             Backend::Explicit => Ok(Box::new(StateGraph::build_bounded(stg, max_states)?)),
-            Backend::Symbolic => {
-                let shared = ctx.manager_for(stg.net().num_places());
-                let mut manager = shared.lock().expect("BDD manager poisoned");
-                Ok(Box::new(SymbolicStateSpace::build_bounded_in(
-                    stg,
-                    max_states,
-                    &mut manager,
-                )?))
-            }
             Backend::SymbolicSet => {
                 // The resident backend's counting is robust to leftover
                 // variables from other shapes, so one manager serves the
                 // whole sweep regardless of candidate shape.
-                let shared = ctx.any_manager();
+                let shared = ctx.manager();
                 Ok(Box::new(SymbolicSetSpace::build_bounded_in(
                     stg, max_states, shared,
                 )?))
@@ -622,24 +604,12 @@ impl Backend {
     }
 }
 
-/// Reusable scratch for repeated [`Backend::build_bounded_in`] calls.
-///
-/// Today this is the symbolic backends' shared BDD manager. The
-/// `petri::symbolic` encoding counts markings by dividing out the whole
-/// variable universe, so [`Backend::Symbolic`] reuse is only sound across
-/// nets with the same place count — the context checks and transparently
-/// starts a fresh manager when the shape changes, and a manager the
-/// resident backend has used (which adds signal variables to the
-/// universe) is never handed back to the decoding backend. The
-/// resident-BDD backend brings its own per-build variable map and
-/// shape-robust counting, so it shares one manager unconditionally.
+/// Reusable scratch for repeated [`Backend::build_bounded_in`] calls:
+/// the resident-BDD backend's shared BDD manager. That backend brings
+/// its own per-build variable map and shape-robust counting, so one
+/// manager serves every build regardless of net shape.
 #[derive(Debug, Default)]
 pub struct BuildContext {
-    /// The key the held manager is reusable under: `Some(num_places)`
-    /// for the decoding backend's shape-keyed reuse, `None` once the
-    /// resident backend has grown the variable universe beyond what
-    /// `petri::symbolic`'s counting tolerates.
-    key: Option<usize>,
     manager: Option<Arc<Mutex<bdd::Manager>>>,
     /// Largest node count observed across every manager this context
     /// has held, including ones already retired by the reset policy.
@@ -647,27 +617,13 @@ pub struct BuildContext {
 }
 
 impl BuildContext {
-    /// The shared manager for nets with `num_places` places, creating or
-    /// replacing it when the held one was built for a different shape
-    /// (or was contaminated by the resident backend's variable map).
-    fn manager_for(&mut self, num_places: usize) -> Arc<Mutex<bdd::Manager>> {
-        if self.key != Some(num_places) || self.manager.is_none() {
-            self.note_peak();
-            self.manager = Some(Arc::new(Mutex::new(bdd::Manager::new())));
-        }
-        self.key = Some(num_places);
-        Arc::clone(self.manager.as_ref().expect("manager just ensured"))
-    }
-
-    /// The held manager regardless of shape, creating one if necessary
-    /// (the resident-BDD backend's entry point). Marks the manager as
-    /// unusable for the shape-keyed decoding backend, and starts fresh
+    /// The held manager, creating one if necessary, and starting fresh
     /// once the table has grown past [`MANAGER_RESET_NODES`] — the node
     /// store never garbage-collects, so a long sweep of rejected
     /// candidates would otherwise accumulate dead nodes without bound.
     /// (Spaces already built keep their own `Arc` to the old manager,
     /// so their handles stay valid.)
-    fn any_manager(&mut self) -> Arc<Mutex<bdd::Manager>> {
+    fn manager(&mut self) -> Arc<Mutex<bdd::Manager>> {
         let oversized = self.manager.as_ref().is_some_and(|m| {
             m.lock().expect("BDD manager poisoned").node_count() > MANAGER_RESET_NODES
         });
@@ -675,7 +631,6 @@ impl BuildContext {
             self.note_peak();
             self.manager = Some(Arc::new(Mutex::new(bdd::Manager::new())));
         }
-        self.key = None;
         Arc::clone(self.manager.as_ref().expect("manager just ensured"))
     }
 
@@ -725,10 +680,9 @@ impl FromStr for Backend {
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s {
             "explicit" => Ok(Backend::Explicit),
-            "symbolic" => Ok(Backend::Symbolic),
             "symbolic-set" | "symbolic_set" => Ok(Backend::SymbolicSet),
             other => Err(format!(
-                "unknown backend {other:?} (expected \"explicit\", \"symbolic\" or \"symbolic-set\")"
+                "unknown backend {other:?} (expected \"explicit\" or \"symbolic-set\")"
             )),
         }
     }

@@ -1,11 +1,8 @@
-//! The resident-BDD state-space backend.
+//! The resident-BDD state-space backend (§2.2).
 //!
-//! Where [`crate::SymbolicStateSpace`] runs the §2.2 fixed point and then
-//! *decodes every marking* out of the characteristic function — paying
-//! O(states) memory and time after a traversal whose whole point was to
-//! avoid exactly that — this backend keeps the characteristic function
-//! resident in its BDD manager and answers the synthesis queries
-//! symbolically:
+//! The reachable states are computed by a BDD fixed point and the
+//! characteristic function stays resident in its BDD manager; the
+//! synthesis queries are answered symbolically:
 //!
 //! * the state vector is the **joint** (marking, signal code) pair: one
 //!   BDD variable pair per place *and* per signal, interleaved by a
@@ -26,10 +23,9 @@
 //!   [`MATERIALISE_LIMIT`] those accessors panic — by then every
 //!   supported flow runs set-level.
 //!
-//! State numbering matches [`crate::SymbolicStateSpace`]: index 0 is the
-//! initial marking, the rest follow the lexicographic order of the BDD
-//! enumeration (with the initial marking's slot swapped), so witnesses
-//! are stable and reproducible.
+//! State numbering: index 0 is the initial marking, the rest follow the
+//! lexicographic order of the BDD enumeration (with the initial
+//! marking's slot swapped), so witnesses are stable and reproducible.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
@@ -41,7 +37,17 @@ use petri::{Marking, PetriNet, TransitionId, TransitionSystem};
 use crate::model::{SignalEdge, SignalId, Stg};
 use crate::state_graph::{SgState, StgError};
 use crate::state_space::{Backend, StateSet, StateSpace, DEFAULT_STATE_BOUND};
-use crate::symbolic::SymbolicStats;
+
+/// Statistics of the symbolic traversal that produced a state space.
+#[derive(Debug, Clone, Copy)]
+pub struct SymbolicStats {
+    /// Number of reachable markings counted on the BDD.
+    pub num_markings: u128,
+    /// Image-computation iterations until the fixed point.
+    pub iterations: usize,
+    /// Nodes allocated in the BDD manager.
+    pub bdd_nodes: usize,
+}
 
 /// Largest space the legacy per-state reference API (`code`/`marking`/
 /// `ts`) will materialise an explicit view for. Set-level queries and the
@@ -214,9 +220,9 @@ impl SymbolicSetSpace {
     /// Like [`SymbolicSetSpace::build_bounded`] inside a caller-owned
     /// shared manager: the space keeps the `Arc` and serves every later
     /// query from it, so a sweep's candidate spaces share one unique
-    /// table and operation cache. Unlike the decoding backend, reuse is
-    /// sound across *any* net shapes — all counting here divides out the
-    /// manager's full variable universe.
+    /// table and operation cache. Reuse is sound across *any* net
+    /// shapes — all counting here divides out the manager's full
+    /// variable universe.
     ///
     /// # Errors
     ///

@@ -9,6 +9,7 @@ use crate::parse::{parse_g, write_g};
 use crate::persistency::{is_persistent, persistency_violations, ViolationKind};
 use crate::properties::check_implementability;
 use crate::state_graph::{StateGraph, StgError};
+use crate::state_space::Backend;
 use crate::waveform::{canonical_cycle, render_waveforms};
 
 #[test]
@@ -60,7 +61,7 @@ fn vme_read_csc_conflict_code_10110() {
 #[test]
 fn vme_read_is_persistent_but_lacks_csc() {
     let stg = vme_read();
-    let report = check_implementability(&stg);
+    let report = check_implementability(&stg, Backend::Explicit);
     assert!(report.bounded);
     assert!(report.consistent);
     assert!(report.persistent, "Fig. 3 is a marked graph: no disabling");
@@ -76,7 +77,7 @@ fn vme_read_csc_fig7() {
     // Fig. 7: inserting csc0 yields 16 states and restores CSC.
     assert_eq!(sg.num_states(), 16);
     assert!(has_csc(&stg, &sg));
-    let report = check_implementability(&stg);
+    let report = check_implementability(&stg, Backend::Explicit);
     assert!(report.is_implementable(), "{report}");
 }
 
@@ -96,13 +97,13 @@ fn vme_read_write_fig5() {
         .any(|v| v.kind == ViolationKind::InputChoice));
     assert!(is_persistent(&stg, &sg), "input choice is allowed");
     // Consistent and bounded.
-    let report = check_implementability(&stg);
+    let report = check_implementability(&stg, Backend::Explicit);
     assert!(report.bounded && report.consistent, "{report}");
 }
 
 #[test]
 fn toggle_is_fully_implementable() {
-    let report = check_implementability(&toggle());
+    let report = check_implementability(&toggle(), Backend::Explicit);
     assert!(report.is_implementable(), "{report}");
     assert_eq!(report.num_states, 4);
 }
@@ -310,7 +311,7 @@ x- a+
     // 4 signal edges + 1 dummy = 5 states in the cycle.
     assert_eq!(sg.num_states(), 5);
     // The dummy does not change any code.
-    let report = check_implementability(&stg);
+    let report = check_implementability(&stg, Backend::Explicit);
     assert!(report.consistent);
 }
 
@@ -327,16 +328,26 @@ fn excitations_and_regions_of_initial_state() {
 
 mod state_space_backends {
     use super::*;
-    use crate::state_space::{Backend, StateSpace};
-    use crate::symbolic::SymbolicStateSpace;
+    use crate::state_space::StateSpace;
+    use crate::symbolic_set::SymbolicSetSpace;
 
     #[test]
     fn backend_parses_and_displays() {
         assert_eq!("explicit".parse::<Backend>().unwrap(), Backend::Explicit);
-        assert_eq!("symbolic".parse::<Backend>().unwrap(), Backend::Symbolic);
+        assert_eq!(
+            "symbolic-set".parse::<Backend>().unwrap(),
+            Backend::SymbolicSet
+        );
         assert!("bdd".parse::<Backend>().is_err());
-        assert_eq!(Backend::Symbolic.to_string(), "symbolic");
+        assert_eq!(Backend::SymbolicSet.to_string(), "symbolic-set");
         assert_eq!(Backend::default(), Backend::Explicit);
+        // The retired decoding backend's name is rejected with the list
+        // of the names that remain.
+        let err = "symbolic".parse::<Backend>().unwrap_err();
+        assert!(
+            err.contains("\"explicit\"") && err.contains("\"symbolic-set\""),
+            "{err}"
+        );
     }
 
     #[test]
@@ -348,7 +359,7 @@ mod state_space_backends {
             micropipeline(2),
         ] {
             let explicit = StateGraph::build(&spec).unwrap();
-            let symbolic = SymbolicStateSpace::build(&spec).unwrap();
+            let symbolic = SymbolicSetSpace::build(&spec).unwrap();
             assert_eq!(StateSpace::num_states(&explicit), symbolic.num_states());
             assert_eq!(
                 symbolic.stats().num_markings,
@@ -379,7 +390,7 @@ mod state_space_backends {
     fn property_checks_are_backend_independent() {
         for spec in [vme_read(), vme_read_csc(), vme_read_write()] {
             let explicit = Backend::Explicit.build(&spec).unwrap();
-            let symbolic = Backend::Symbolic.build(&spec).unwrap();
+            let symbolic = Backend::SymbolicSet.build(&spec).unwrap();
             assert_eq!(
                 csc_conflicts(&spec, &*explicit).len(),
                 csc_conflicts(&spec, &*symbolic).len()
@@ -396,10 +407,10 @@ mod state_space_backends {
     fn symbolic_space_respects_the_state_limit() {
         let spec = micropipeline(3); // 500 states
         assert!(matches!(
-            SymbolicStateSpace::build_bounded(&spec, 100),
+            SymbolicSetSpace::build_bounded(&spec, 100),
             Err(StgError::Reach(petri::reach::ReachError::StateLimit(100)))
         ));
-        assert!(SymbolicStateSpace::build_bounded(&spec, 500).is_ok());
+        assert!(SymbolicSetSpace::build_bounded(&spec, 500).is_ok());
     }
 
     #[test]
@@ -421,7 +432,7 @@ mod state_space_backends {
             Err(StgError::Reach(petri::reach::ReachError::BoundExceeded(_)))
         ));
         assert!(matches!(
-            SymbolicStateSpace::build(&spec),
+            SymbolicSetSpace::build(&spec),
             Err(StgError::Reach(petri::reach::ReachError::BoundExceeded(_)))
         ));
     }

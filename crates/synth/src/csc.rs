@@ -3,15 +3,16 @@
 //! The paper gives two methods for eliminating CSC conflicts:
 //!
 //! 1. *"inserting an additional state signal whose value should
-//!    distinguish two conflict states"* — [`resolve_by_signal_insertion`]
-//!    searches transition-splitting insertions of a fresh internal signal
-//!    (Fig. 7 inserts `csc0+` right before `LDS+` and `csc0-` right before
-//!    `D-`);
-//! 2. *"concurrency reduction"* — [`resolve_by_concurrency_reduction`]
-//!    adds an ordering arc that removes the conflicting state (the paper
-//!    delays `DTACK-` until `LDS-` fires). *"The environment should
-//!    usually stay untouched ... therefore delaying input signals is not
-//!    allowed."*
+//!    distinguish two conflict states"* — [`insertion_sweep`] searches
+//!    transition-splitting insertions of a fresh internal signal (Fig. 7
+//!    inserts `csc0+` right before `LDS+` and `csc0-` right before `D-`);
+//! 2. *"concurrency reduction"* — [`concurrency_reduction_sweep`] adds an
+//!    ordering arc that removes the conflicting state (the paper delays
+//!    `DTACK-` until `LDS-` fires). *"The environment should usually stay
+//!    untouched ... therefore delaying input signals is not allowed."*
+//!
+//! [`resolve_mixed_sweep`] combines both greedily, one move per step, for
+//! controllers that need several transformations.
 //!
 //! # The candidate sweep engine
 //!
@@ -25,14 +26,14 @@
 //!   the output is byte-identical to a serial sweep at any thread count;
 //! * **prunes** by conflict locality: a pair `(t⁺, t⁻)` whose inserted
 //!   signal provably cannot distinguish a CSC-conflicting state pair is
-//!   skipped before any space is built (see [`ConflictPruner`]'s
+//!   skipped before any space is built (see `ConflictPruner`'s
 //!   internal docs for the soundness argument — pruning never changes
 //!   the result set, only the work);
 //! * **memoises** across candidates: the base specification's state
-//!   space seeds the pruner instead of being rebuilt, the symbolic
+//!   space seeds the pruner instead of being rebuilt, the resident-BDD
 //!   backend shares one BDD manager per worker across all of its
-//!   candidate builds ([`stg::BuildContext`]), and the greedy loops
-//!   carry the winning candidate's space into the next step instead of
+//!   candidate builds ([`stg::BuildContext`]), and the greedy loop
+//!   carries the winning candidate's space into the next step instead of
 //!   rebuilding it;
 //! * **diagnoses** instead of dropping: candidates whose space exceeds
 //!   [`SweepOptions::bound`] are counted in
@@ -49,26 +50,14 @@ use stg::{Backend, BuildContext, SignalEdge, SignalKind, StateSpace, Stg, StgErr
 
 use crate::par;
 
-/// Outcome of a successful CSC resolution.
-#[derive(Debug, Clone)]
-pub struct CscResolution {
-    /// The transformed STG (CSC holds on its state graph).
-    pub stg: Stg,
-    /// Human-readable description of the applied transformation.
-    pub description: String,
-    /// State count of the new state graph.
-    pub num_states: usize,
-}
-
-/// Outcome of a successful CSC resolution that carries the candidate's
+/// Outcome of a successful CSC resolution, carrying the candidate's
 /// already-built state space through to synthesis.
 ///
 /// The search routines build and validate a full state space for every
-/// candidate they rank; [`CscResolution`] used to drop that space, forcing
-/// the flow driver to rebuild the winner's space from scratch before
-/// synthesis. This sibling is deliberately **not** `Clone` (a
-/// `Box<dyn StateSpace>` has no useful copy) so the space is moved, not
-/// duplicated, on its way downstream.
+/// candidate they rank; keeping it saves the flow driver a rebuild before
+/// synthesis. Deliberately **not** `Clone` (a `Box<dyn StateSpace>` has
+/// no useful copy) so the space is moved, not duplicated, on its way
+/// downstream.
 #[derive(Debug)]
 pub struct CscResolutionWithSpace {
     /// The transformed STG (CSC holds on its state space).
@@ -81,27 +70,6 @@ pub struct CscResolutionWithSpace {
     /// (the ranking sweeps keep the spaces of the top
     /// [`SweepOptions::keep_spaces`] candidates to bound memory).
     pub space: Option<Box<dyn StateSpace>>,
-}
-
-impl From<CscResolutionWithSpace> for CscResolution {
-    fn from(r: CscResolutionWithSpace) -> Self {
-        CscResolution {
-            stg: r.stg,
-            description: r.description,
-            num_states: r.num_states,
-        }
-    }
-}
-
-impl From<CscResolution> for CscResolutionWithSpace {
-    fn from(r: CscResolution) -> Self {
-        CscResolutionWithSpace {
-            stg: r.stg,
-            description: r.description,
-            num_states: r.num_states,
-            space: None,
-        }
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -195,8 +163,8 @@ impl SweepStats {
 /// engine's diagnostics.
 #[derive(Debug)]
 pub struct Sweep {
-    /// Acceptable insertions, best first (see [`insertion_candidates`]
-    /// for the ranking).
+    /// Acceptable insertions, best first (see [`insertion_sweep`] for the
+    /// ranking).
     pub candidates: Vec<CscResolutionWithSpace>,
     /// What the engine did to the grid.
     pub stats: SweepStats,
@@ -341,7 +309,7 @@ impl<'a> ConflictPruner<'a> {
     }
 
     /// *Every* conflict survives `(tp, tm)` — the insertion cannot even
-    /// reduce the conflict count, so the greedy progress-seeking loops
+    /// reduce the conflict count, so the greedy progress-seeking loop
     /// may skip it.
     fn all_unseparated(
         &self,
@@ -359,90 +327,34 @@ impl<'a> ConflictPruner<'a> {
 // Signal-insertion sweep
 // ---------------------------------------------------------------------
 
-/// Attempts to restore CSC by inserting one internal state signal.
+/// The single-signal insertion sweep: all acceptable insertions of one
+/// internal state signal, best first.
 ///
 /// The search space is pairs `(t⁺, t⁻)` of non-input transitions: the new
 /// signal's rising edge is inserted *before* `t⁺` (splitting all of its
 /// input arcs) and its falling edge before `t⁻`. A candidate is accepted
 /// when the transformed STG is consistent, safe, CSC, deadlock-free and
-/// output-persistent. Among acceptable candidates the one with the fewest
-/// states is returned (deterministic tie-break on transition ids).
+/// output-persistent. Candidates are ranked by `(state count, synthesised
+/// literal cost, transition ids)`: among equally small state graphs the
+/// insertion with the cheapest logic wins. Several rankings can tie up to
+/// signal polarity (the paper's `csc0` and its complement are both
+/// returned); downstream architecture-specific validation picks between
+/// them (see the flow driver).
 ///
-/// Returns `None` when no single-signal insertion of this shape works —
-/// larger controllers may need multiple signals; apply repeatedly.
-#[must_use]
-pub fn resolve_by_signal_insertion(stg: &Stg) -> Option<CscResolution> {
-    resolve_by_signal_insertion_with(stg, Backend::Explicit).map(Into::into)
-}
-
-/// [`resolve_by_signal_insertion`] over a chosen state-space backend.
+/// The best [`SweepOptions::keep_spaces`] candidates carry their
+/// validated state space ([`CscResolutionWithSpace::space`]) so the flow
+/// driver does not rebuild it before synthesis; the rest carry `None`
+/// (keeping every swept space alive would be O(T²) memory).
 ///
-/// The winning candidate carries its validated state space
-/// ([`CscResolutionWithSpace::space`]), as does the no-op resolution
-/// when CSC already holds — callers never need to rebuild it.
-#[must_use]
-pub fn resolve_by_signal_insertion_with(
-    stg: &Stg,
-    backend: Backend,
-) -> Option<CscResolutionWithSpace> {
-    let sg = backend.build(stg).ok()?;
-    if stg::encoding::has_csc(stg, &*sg) {
-        return Some(CscResolutionWithSpace {
-            stg: stg.clone(),
-            description: "CSC already holds; no insertion needed".to_owned(),
-            num_states: sg.num_states(),
-            space: Some(sg),
-        });
-    }
-    insertion_sweep_from(stg, backend, &SweepOptions::default(), Some(&*sg))
-        .candidates
-        .into_iter()
-        .next()
-}
-
-/// All acceptable single-signal insertions, best first.
-///
-/// Candidates are ranked by `(state count, synthesised literal cost,
-/// transition ids)`: among equally small state graphs the insertion with
-/// the cheapest logic wins. Several rankings can tie up to signal
-/// polarity (the paper's `csc0` and its complement are both returned);
-/// downstream architecture-specific validation picks between them (see
-/// the flow driver).
-#[must_use]
-pub fn insertion_candidates(stg: &Stg) -> Vec<CscResolution> {
-    insertion_candidates_with(stg, Backend::Explicit)
-        .into_iter()
-        .map(Into::into)
-        .collect()
-}
-
-/// [`insertion_candidates`] over a chosen state-space backend.
-///
-/// The best candidate carries its validated state space
-/// ([`CscResolutionWithSpace::space`]) so the flow driver does not
-/// rebuild it before synthesis; runner-up candidates beyond
-/// [`SweepOptions::keep_spaces`] carry `None` (keeping every swept space
-/// alive would be O(T²) memory).
-#[must_use]
-pub fn insertion_candidates_with(stg: &Stg, backend: Backend) -> Vec<CscResolutionWithSpace> {
-    insertion_sweep(stg, backend, &SweepOptions::default()).candidates
-}
-
-/// The full candidate sweep with explicit engine configuration; builds
-/// the base state space itself when pruning needs it.
-#[must_use]
-pub fn insertion_sweep(stg: &Stg, backend: Backend, options: &SweepOptions) -> Sweep {
-    insertion_sweep_from(stg, backend, options, None)
-}
-
-/// [`insertion_sweep`] seeded with the base specification's already-built
-/// state space (the memoising entry point used by the flow driver: the
-/// check stage's space feeds the pruner instead of being rebuilt).
+/// `base` is the already-built state space of `stg` when the caller has
+/// one (the flow driver passes the check stage's space): it feeds the
+/// pruner instead of being rebuilt. Without it the sweep builds the base
+/// itself when pruning needs it.
 ///
 /// Output is byte-identical for any `threads` setting and for pruned vs
 /// unpruned runs; see [`SweepOptions`].
 #[must_use]
-pub fn insertion_sweep_from(
+pub fn insertion_sweep(
     stg: &Stg,
     backend: Backend,
     options: &SweepOptions,
@@ -663,38 +575,11 @@ fn next_csc_name(stg: &Stg) -> String {
 // Concurrency-reduction sweep
 // ---------------------------------------------------------------------
 
-/// Attempts to restore CSC by concurrency reduction: adding one causal arc
+/// The concurrency-reduction sweep: restores CSC by adding one causal arc
 /// `a → b` (with `b` non-input, so the environment is untouched) that
-/// removes the conflicting states.
-///
-/// Accepts the first candidate (in deterministic transition order) whose
+/// removes the conflicting states. A candidate is acceptable when its
 /// transformed STG is consistent, safe, CSC, deadlock-free,
-/// output-persistent and whose state count shrinks.
-#[must_use]
-pub fn resolve_by_concurrency_reduction(stg: &Stg) -> Option<CscResolution> {
-    resolve_by_concurrency_reduction_with(stg, Backend::Explicit).map(Into::into)
-}
-
-/// [`resolve_by_concurrency_reduction`] over a chosen state-space
-/// backend; the accepted candidate carries its validated state space.
-#[must_use]
-pub fn resolve_by_concurrency_reduction_with(
-    stg: &Stg,
-    backend: Backend,
-) -> Option<CscResolutionWithSpace> {
-    let sg = backend.build(stg).ok()?;
-    if stg::encoding::has_csc(stg, &*sg) {
-        return Some(CscResolutionWithSpace {
-            stg: stg.clone(),
-            description: "CSC already holds; no reduction needed".to_owned(),
-            num_states: sg.num_states(),
-            space: Some(sg),
-        });
-    }
-    concurrency_reduction_sweep(stg, backend, &SweepOptions::default(), Some(&*sg)).0
-}
-
-/// The ordering-arc sweep with explicit engine configuration.
+/// output-persistent and its state count shrinks.
 ///
 /// Returns the first acceptable candidate in grid order — the same
 /// winner the serial scan finds — along with deterministic sweep
@@ -852,126 +737,19 @@ pub fn add_ordering_arc(stg: &Stg, a: TransitionId, b_t: TransitionId) -> Stg {
 }
 
 // ---------------------------------------------------------------------
-// Greedy multi-step searches
+// Greedy multi-step search
 // ---------------------------------------------------------------------
 
-/// Iterative multi-signal CSC resolution: inserts state signals one at a
-/// time, each step picking the insertion that most reduces the number of
-/// CSC-conflicting state pairs (ties broken by state count and synthesised
-/// literal cost), until CSC holds or `max_signals` insertions were made.
-///
-/// Controllers like the READ+WRITE specification of Fig. 5 need more than
-/// one state signal; this is the standard greedy loop around the
-/// single-signal search.
-#[must_use]
-pub fn resolve_iteratively(stg: &Stg, max_signals: usize) -> Option<CscResolution> {
-    resolve_iteratively_with(stg, max_signals, Backend::Explicit)
-}
-
-/// [`resolve_iteratively`] over a chosen state-space backend.
-#[must_use]
-pub fn resolve_iteratively_with(
-    stg: &Stg,
-    max_signals: usize,
-    backend: Backend,
-) -> Option<CscResolution> {
-    resolve_iteratively_sweep(stg, max_signals, backend, &SweepOptions::default())
-        .0
-        .map(Into::into)
-}
-
-/// [`resolve_iteratively`] through the sweep engine: each greedy step
-/// evaluates its insertion grid in parallel (pruned by conflict
-/// locality) and carries the chosen candidate's state space into the
-/// next step instead of rebuilding it.
-#[must_use]
-pub fn resolve_iteratively_sweep(
-    stg: &Stg,
-    max_signals: usize,
-    backend: Backend,
-    options: &SweepOptions,
-) -> (Option<CscResolutionWithSpace>, SweepStats) {
-    let mut stats = SweepStats::default();
-    let mut current = stg.clone();
-    let mut descriptions: Vec<String> = Vec::new();
-    let mut carried: Option<Box<dyn StateSpace>> = None;
-    let mut base_ctx = BuildContext::default();
-    for _ in 0..=max_signals {
-        let sg: Box<dyn StateSpace> = match carried.take() {
-            Some(sg) => sg,
-            None => match backend.build_bounded_in(&current, options.bound, &mut base_ctx) {
-                Ok(sg) => sg,
-                Err(e) => {
-                    // A base specification over the bound is itself a
-                    // bound skip — report it, don't silently give up.
-                    if matches!(e, StgError::Reach(ReachError::StateLimit(_))) {
-                        stats.skipped_by_bound += 1;
-                    }
-                    return (None, stats);
-                }
-            },
-        };
-        let conflicts = stg::encoding::csc_conflict_pair_count(&current, &*sg);
-        if conflicts == 0 {
-            return (
-                Some(CscResolutionWithSpace {
-                    num_states: sg.num_states(),
-                    space: Some(sg),
-                    stg: current,
-                    description: if descriptions.is_empty() {
-                        "CSC already holds; no insertion needed".to_owned()
-                    } else {
-                        descriptions.join("; ")
-                    },
-                }),
-                stats,
-            );
-        }
-        if descriptions.len() == max_signals {
-            return (None, stats);
-        }
-        // Each step's move is keyed `(remaining conflicts, states,
-        // tie-break on transition ids)` — a total order, so the parallel
-        // minimum equals the serial scan's choice.
-        type Key = (usize, usize, usize);
-        let step = greedy_insertion_step::<Key>(
-            &current,
-            backend,
-            options,
-            &*sg,
-            conflicts,
-            |remaining, states, tp, tm| (remaining, states, tp.index() * 1000 + tm.index()),
-        );
-        stats.absorb(step.stats);
-        let Some((_, _, cand, desc, space)) = step.best else {
-            return (None, stats);
-        };
-        descriptions.push(desc);
-        current = cand;
-        carried = Some(space);
-    }
-    (None, stats)
-}
-
-/// The per-step insertion-grid evaluation shared by the greedy searches:
-/// evaluates every `(t⁺, t⁻)` move in parallel (pruned: a move that
-/// provably cannot separate *any* conflict cannot reduce the conflict
-/// count — see [`ConflictPruner::all_unseparated`]) and returns the
-/// progress-making move with the smallest key.
-struct GreedyStep<K> {
-    /// The winning move, when one exists.
-    best: BestMove<K>,
-    stats: SweepStats,
-}
+/// A greedy move's score: `(remaining conflicts, states)`.
+type MoveKey = (usize, usize);
 
 /// The best greedy move seen so far: `(key, grid index, transformed
 /// STG, move description, the move's validated state space)`.
-type BestMove<K> = Option<(K, usize, Stg, String, Box<dyn StateSpace>)>;
+type BestMove = Option<(MoveKey, usize, Stg, String, Box<dyn StateSpace>)>;
 
-/// Keeps the move with the smallest `(key, grid index)` — the one
-/// tie-break every greedy merge shares, so the parallel minimum always
-/// reproduces the serial scan's choice.
-fn merge_best_move<K: Ord + Copy>(best: &mut BestMove<K>, other: BestMove<K>) {
+/// Keeps the move with the smallest `(key, grid index)`, so the parallel
+/// minimum always reproduces the serial scan's choice.
+fn merge_best_move(best: &mut BestMove, other: BestMove) {
     if let Some(b) = other {
         if best
             .as_ref()
@@ -982,106 +760,6 @@ fn merge_best_move<K: Ord + Copy>(best: &mut BestMove<K>, other: BestMove<K>) {
     }
 }
 
-fn greedy_insertion_step<K: Ord + Copy + Send>(
-    current: &Stg,
-    backend: Backend,
-    options: &SweepOptions,
-    sg: &dyn StateSpace,
-    conflicts: usize,
-    key_of: impl Fn(usize, usize, TransitionId, TransitionId) -> K + Sync,
-) -> GreedyStep<K> {
-    let splittable: Vec<TransitionId> = current
-        .net()
-        .transitions()
-        .filter(|&t| {
-            current
-                .label(t)
-                .is_some_and(|l| current.signal_kind(l.signal).is_non_input())
-        })
-        .collect();
-    let mut pairs: Vec<(TransitionId, TransitionId)> = Vec::new();
-    for &tp in &splittable {
-        for &tm in &splittable {
-            if tp != tm {
-                pairs.push((tp, tm));
-            }
-        }
-    }
-    let pruner = if options.prune {
-        ConflictPruner::new(current, sg)
-    } else {
-        None
-    };
-
-    struct Acc<K> {
-        best: BestMove<K>,
-        ctx: BuildContext,
-        scratch: PruneScratch,
-        stats: SweepStats,
-    }
-    let accs = par::par_fold(
-        &pairs,
-        options.threads,
-        || Acc::<K> {
-            best: None,
-            ctx: BuildContext::default(),
-            scratch: PruneScratch::default(),
-            stats: SweepStats::default(),
-        },
-        |acc, i, &(tp, tm)| {
-            if let Some(pruner) = &pruner {
-                if pruner.all_unseparated(&mut acc.scratch, tp, tm) {
-                    acc.stats.pruned += 1;
-                    return;
-                }
-            }
-            acc.stats.evaluated += 1;
-            let candidate = insert_state_signal(current, tp, tm);
-            let csg = match backend.build_bounded_in(&candidate, options.bound, &mut acc.ctx) {
-                Ok(csg) => csg,
-                Err(StgError::Reach(ReachError::StateLimit(_))) => {
-                    acc.stats.skipped_by_bound += 1;
-                    return;
-                }
-                Err(_) => return,
-            };
-            if csg.has_deadlock() {
-                return;
-            }
-            if !stg::persistency::is_persistent(&candidate, &*csg) {
-                return;
-            }
-            let remaining = stg::encoding::csc_conflict_pair_count(&candidate, &*csg);
-            if remaining >= conflicts {
-                return; // must make progress
-            }
-            acc.stats.accepted += 1;
-            let key = key_of(remaining, csg.num_states(), tp, tm);
-            if acc
-                .best
-                .as_ref()
-                .is_none_or(|(bk, bi, ..)| (key, i) < (*bk, *bi))
-            {
-                let desc = format!(
-                    "inserted csc signal: + before {}, - before {}",
-                    current.label_string(tp),
-                    current.label_string(tm)
-                );
-                acc.best = Some((key, i, candidate, desc, csg));
-            }
-        },
-    );
-
-    let mut stats = SweepStats::default();
-    let mut best: BestMove<K> = None;
-    for acc in accs {
-        stats.absorb(acc.stats);
-        merge_best_move(&mut best, acc.best);
-    }
-    stats.grid = pairs.len();
-    GreedyStep { best, stats }
-}
-
 /// Mixed greedy CSC resolution: at every step considers both concurrency
 /// reductions (ordering arcs) and state-signal insertions, applies the
 /// candidate that removes the most CSC-conflicting pairs, and repeats
@@ -1090,29 +768,13 @@ fn greedy_insertion_step<K: Ord + Copy + Send>(
 /// This combines the paper's two §2.1 methods; controllers with choice
 /// (the READ+WRITE specification of Fig. 5) typically need a reduction
 /// for the cross-branch conflicts and an insertion for the in-branch one.
-#[must_use]
-pub fn resolve_mixed(stg: &Stg, max_steps: usize) -> Option<CscResolution> {
-    resolve_mixed_with(stg, max_steps, Backend::Explicit).map(Into::into)
-}
-
-/// [`resolve_mixed`] over a chosen state-space backend; the final
-/// conflict-free specification carries its validated state space.
-#[must_use]
-pub fn resolve_mixed_with(
-    stg: &Stg,
-    max_steps: usize,
-    backend: Backend,
-) -> Option<CscResolutionWithSpace> {
-    resolve_mixed_sweep(stg, max_steps, backend, &SweepOptions::default(), None).0
-}
-
-/// [`resolve_mixed`] through the sweep engine: every step's combined
-/// move grid (ordering arcs first, then insertions — the serial scan
-/// order) is evaluated in parallel, insertion moves are pruned by
-/// conflict locality, and the chosen move's state space is carried into
-/// the next step instead of being rebuilt. `base`, when given, is the
-/// already-built state space of `stg` (moved in — it seeds the first
-/// step the same way).
+///
+/// Every step's combined move grid (ordering arcs first, then
+/// insertions — the serial scan order) is evaluated in parallel,
+/// insertion moves are pruned by conflict locality, and the chosen
+/// move's state space is carried into the next step instead of being
+/// rebuilt. `base`, when given, is the already-built state space of
+/// `stg` (moved in — it seeds the first step the same way).
 #[must_use]
 pub fn resolve_mixed_sweep(
     stg: &Stg,
@@ -1199,12 +861,11 @@ pub fn resolve_mixed_sweep(
             None
         };
 
-        // Moves are scored `(remaining conflicts, states)`; ties fall to
-        // the earliest move in scan order, so the parallel minimum over
-        // `(key, grid index)` reproduces the serial scan exactly.
-        type Key = (usize, usize);
+        // Ties in the move score fall to the earliest move in scan order,
+        // so the parallel minimum over `(key, grid index)` reproduces the
+        // serial scan exactly.
         struct Acc {
-            best: BestMove<Key>,
+            best: BestMove,
             ctx: BuildContext,
             scratch: PruneScratch,
             stats: SweepStats,
@@ -1277,7 +938,7 @@ pub fn resolve_mixed_sweep(
             },
         );
 
-        let mut best: BestMove<Key> = None;
+        let mut best: BestMove = None;
         let mut step_stats = SweepStats::default();
         for acc in accs {
             step_stats.absorb(acc.stats);

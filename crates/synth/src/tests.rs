@@ -1,10 +1,10 @@
 //! Unit tests for the synthesis crate, anchored to §3 of the paper.
 
 use stg::examples::{toggle, vme_read, vme_read_csc};
-use stg::StateGraph;
+use stg::{Backend, StateGraph};
 
 use crate::complex_gate::{circuit_matches_sg, synthesize_complex_gates};
-use crate::csc::{resolve_by_concurrency_reduction, resolve_by_signal_insertion};
+use crate::csc::{concurrency_reduction_sweep, insertion_sweep, resolve_mixed_sweep, SweepOptions};
 use crate::decompose::decompose;
 use crate::latch_arch::{
     monotonic_violations, set_reset_covers, synthesize_latch_circuit, LatchStyle,
@@ -101,7 +101,12 @@ fn synthesis_rejects_csc_conflicts() {
 #[test]
 fn csc_insertion_fixes_vme_read() {
     let stg = vme_read();
-    let res = resolve_by_signal_insertion(&stg).expect("a single csc signal suffices");
+    let sweep = insertion_sweep(&stg, Backend::Explicit, &SweepOptions::default(), None);
+    let res = sweep
+        .candidates
+        .into_iter()
+        .next()
+        .expect("a single csc signal suffices");
     let sg = StateGraph::build(&res.stg).unwrap();
     assert!(stg::encoding::has_csc(&res.stg, &sg));
     assert_eq!(res.num_states, 16, "Fig. 7's SG has 16 states");
@@ -114,7 +119,9 @@ fn csc_insertion_fixes_vme_read() {
 fn concurrency_reduction_fixes_vme_read() {
     // §2.1: "signal transition DTACK- can be delayed until LDS- fires".
     let stg = vme_read();
-    let res = resolve_by_concurrency_reduction(&stg).expect("a reduction exists");
+    let (res, _) =
+        concurrency_reduction_sweep(&stg, Backend::Explicit, &SweepOptions::default(), None);
+    let res = res.expect("a reduction exists");
     let sg = StateGraph::build(&res.stg).unwrap();
     assert!(stg::encoding::has_csc(&res.stg, &sg));
     assert!(res.num_states < 14, "reduction removes states");
@@ -128,9 +135,13 @@ fn concurrency_reduction_fixes_vme_read() {
 #[test]
 fn csc_resolution_on_already_clean_stg_is_identity() {
     let stg = vme_read_csc();
-    let res = resolve_by_signal_insertion(&stg).unwrap();
+    let (res, stats) =
+        resolve_mixed_sweep(&stg, 0, Backend::Explicit, &SweepOptions::default(), None);
+    let res = res.expect("a clean spec resolves without a step");
     assert!(res.description.contains("already holds"));
     assert_eq!(res.num_states, 16);
+    assert_eq!(res.space.map(|s| s.num_states()), Some(16), "space carried");
+    assert_eq!(stats.grid, 0, "no move grid was swept");
 }
 
 #[test]
@@ -267,9 +278,10 @@ fn all_equations_cover_every_non_input() {
 #[test]
 fn mixed_resolution_handles_choice_spec() {
     // The READ+WRITE controller (Fig. 5) needs a concurrency reduction
-    // plus a state signal; resolve_mixed finds both greedily.
+    // plus a state signal; the mixed sweep finds both greedily.
     let spec = stg::examples::vme_read_write();
-    let r = crate::csc::resolve_mixed(&spec, 5).expect("mixed strategy resolves Fig. 5");
+    let (r, _) = resolve_mixed_sweep(&spec, 5, Backend::Explicit, &SweepOptions::default(), None);
+    let r = r.expect("mixed strategy resolves Fig. 5");
     let sg = StateGraph::build(&r.stg).unwrap();
     assert!(stg::encoding::has_csc(&r.stg, &sg));
     assert!(
@@ -282,23 +294,16 @@ fn mixed_resolution_handles_choice_spec() {
 #[test]
 fn mixed_resolution_identity_on_clean_spec() {
     let spec = vme_read_csc();
-    let r = crate::csc::resolve_mixed(&spec, 3).unwrap();
+    let (r, _) = resolve_mixed_sweep(&spec, 3, Backend::Explicit, &SweepOptions::default(), None);
+    let r = r.unwrap();
     assert!(r.description.contains("already holds"));
 }
 
 #[test]
-fn iterative_resolution_on_read_cycle() {
+fn insertion_sweep_candidates_are_ranked_and_valid() {
     let spec = vme_read();
-    let r = crate::csc::resolve_iteratively(&spec, 3).expect("one signal suffices");
-    let sg = StateGraph::build(&r.stg).unwrap();
-    assert!(stg::encoding::has_csc(&r.stg, &sg));
-    assert_eq!(r.stg.num_signals(), 6, "exactly one signal added");
-}
-
-#[test]
-fn insertion_candidates_are_ranked_and_valid() {
-    let spec = vme_read();
-    let candidates = crate::csc::insertion_candidates(&spec);
+    let candidates =
+        insertion_sweep(&spec, Backend::Explicit, &SweepOptions::default(), None).candidates;
     assert!(candidates.len() >= 2, "both polarities of csc0 exist");
     // Best-first by state count.
     for w in candidates.windows(2) {

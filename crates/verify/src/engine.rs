@@ -3,31 +3,21 @@
 //! One breadth-first core explores the Muller-model composition of a
 //! gate netlist with its STG environment over a *packed* state
 //! representation — bit-packed net values plus an interned spec-state
-//! id — and two interchangeable spec trackers decide how the
-//! specification side of each composed state is followed:
+//! id. The specification side of each composed state is tracked as a
+//! `(marking, code)` pair: markings are interned on the fly and
+//! successors come from replaying the Petri-net token game, so the
+//! engine runs against *any* backend — including resident
+//! [`stg::SymbolicSetSpace`] spaces far above the materialise limit,
+//! which only contribute their [`StateSpace::initial_marking`] and
+//! [`StateSpace::initial_values`]. (The code half of the pair needs no
+//! storage of its own: along every composed path the values of the
+//! signal nets *are* the spec code, by the consistency invariant.)
 //!
-//! * [`VerifyStrategy::ExplicitBfs`] — the seed behaviour: the spec is
-//!   tracked by its dense state-graph id through the per-state
-//!   [`StateSpace::ts`] transition structure. Requires a materialising
-//!   backend.
-//! * [`VerifyStrategy::Composed`] — the spec is tracked as a
-//!   `(marking, code)` pair: markings are interned on the fly and
-//!   successors come from replaying the Petri-net token game, so the
-//!   strategy runs against *any* backend — including resident
-//!   [`stg::SymbolicSetSpace`] spaces far above the materialise limit,
-//!   which only contribute their [`StateSpace::initial_marking`] and
-//!   [`StateSpace::initial_values`]. (The code half of the pair needs
-//!   no storage of its own: along every composed path the values of the
-//!   signal nets *are* the spec code, by the consistency invariant.)
-//!
-//! Both strategies enumerate events in transition-id order, so they
-//! explore the identical composed space in the identical order: reports
-//! and `states_explored` are byte-for-byte equal (asserted by
-//! `tests/verify_parity.rs`).
+//! Events are enumerated in transition-id order, so reports and
+//! `states_explored` are deterministic; `tests/verify_parity.rs` pins
+//! them against the seed's explicit state-graph walk.
 
 use std::collections::{HashMap, VecDeque};
-use std::fmt;
-use std::str::FromStr;
 
 use petri::{Marking, TransitionId};
 use stg::{SignalId, SignalKind, StateSpace, Stg};
@@ -45,50 +35,6 @@ type SpecArcs = Box<[(TransitionId, u32)]>;
 /// key).
 pub const DEFAULT_VERIFY_BOUND: usize = 500_000;
 
-/// How the specification side of the composed exploration is tracked.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum VerifyStrategy {
-    /// Track the spec by explicit state-graph ids over
-    /// [`StateSpace::ts`] (the seed behaviour; needs a materialising
-    /// backend).
-    ExplicitBfs,
-    /// Track the spec as interned `(marking, code)` pairs via the token
-    /// game — backend-agnostic, the default.
-    #[default]
-    Composed,
-}
-
-impl VerifyStrategy {
-    /// The strategy's canonical CLI/protocol name.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            VerifyStrategy::ExplicitBfs => "explicit",
-            VerifyStrategy::Composed => "composed",
-        }
-    }
-}
-
-impl fmt::Display for VerifyStrategy {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-impl FromStr for VerifyStrategy {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "explicit" | "explicit-bfs" => Ok(VerifyStrategy::ExplicitBfs),
-            "composed" => Ok(VerifyStrategy::Composed),
-            other => Err(format!(
-                "unknown verify strategy {other:?} (expected \"explicit\" or \"composed\")"
-            )),
-        }
-    }
-}
-
 /// Configuration of one verification run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VerifyOptions {
@@ -97,17 +43,13 @@ pub struct VerifyOptions {
     /// bounded-verification `FlowEvent`, so an inconclusive bounded run
     /// is never conflated with a real failure).
     pub bound: usize,
-    /// Spec-tracking strategy. Output-neutral (parity-tested), so it
-    /// stays out of result-cache keys, like the CSC sweep's thread
-    /// count.
-    pub strategy: VerifyStrategy,
     /// Route the flow's verification through the memoising
     /// [`crate::IncrementalVerifier`]: identical circuits are served
     /// from a digest-keyed report cache, and the spec tracker plus the
     /// settled-internal initial fixed point are reused across circuit
     /// variants. Reports are byte-identical to the monolithic engine's
-    /// (parity-tested), so this flag — like the strategy — stays out of
-    /// result-cache keys.
+    /// (parity-tested), so this flag stays out of result-cache keys,
+    /// like the CSC sweep's thread count.
     pub incremental: bool,
 }
 
@@ -115,7 +57,6 @@ impl Default for VerifyOptions {
     fn default() -> Self {
         VerifyOptions {
             bound: DEFAULT_VERIFY_BOUND,
-            strategy: VerifyStrategy::default(),
             incremental: false,
         }
     }
@@ -126,13 +67,6 @@ impl VerifyOptions {
     #[must_use]
     pub fn with_bound(mut self, bound: usize) -> Self {
         self.bound = bound;
-        self
-    }
-
-    /// This configuration with a different strategy.
-    #[must_use]
-    pub fn with_strategy(mut self, strategy: VerifyStrategy) -> Self {
-        self.strategy = strategy;
         self
     }
 
@@ -154,10 +88,7 @@ impl VerifyOptions {
 ///
 /// # Panics
 ///
-/// Panics if `signal_nets` is shorter than the STG's signal count, and
-/// — for [`VerifyStrategy::ExplicitBfs`] only — when the backend cannot
-/// serve the per-state `ts()` view (resident spaces above the
-/// materialise limit).
+/// Panics if `signal_nets` is shorter than the STG's signal count.
 #[must_use]
 pub fn verify_with<S: StateSpace + ?Sized>(
     stg: &Stg,
@@ -169,8 +100,8 @@ pub fn verify_with<S: StateSpace + ?Sized>(
     let Some(init) = settle_initial(stg, sg, netlist, signal_nets) else {
         return unsettled_report();
     };
-    let mut tracker = SpecTracker::new(options.strategy, sg);
-    explore(stg, sg, netlist, signal_nets, options, &mut tracker, init)
+    let mut tracker = SpecTracker::new(sg.initial_marking());
+    explore(stg, netlist, signal_nets, options, &mut tracker, init)
 }
 
 /// The report of a circuit whose internal nets oscillate before any
@@ -227,9 +158,8 @@ enum RawViolation {
 /// (possibly reused) spec tracker. Spec-driven (environment) events are
 /// the input-signal transitions; every other signal must be driven by a
 /// gate of `netlist`.
-pub(crate) fn explore<S: StateSpace + ?Sized>(
+pub(crate) fn explore(
     stg: &Stg,
-    sg: &S,
     netlist: &Netlist,
     signal_nets: &[NetId],
     options: &VerifyOptions,
@@ -250,14 +180,14 @@ pub(crate) fn explore<S: StateSpace + ?Sized>(
         .collect();
 
     let mut arena = StateArena::new(netlist.num_nets());
-    let start = arena.intern(tracker.initial(), &init);
+    let start = arena.intern(0, &init);
     debug_assert_eq!(start, 0);
     let mut queue: VecDeque<u32> = VecDeque::new();
     queue.push_back(0);
 
     'bfs: while let Some(si) = queue.pop_front() {
         let (spec, values) = arena.unpack(si);
-        let arcs = tracker.arcs(stg, sg, spec);
+        let arcs = tracker.arcs(stg, spec);
         let excited = netlist.excited_gates(&values);
 
         // Conformance: stability vs expected (gate-tracked) activity.
@@ -299,7 +229,7 @@ pub(crate) fn explore<S: StateSpace + ?Sized>(
         };
 
         // Environment events first, then gates — both in id order, so
-        // the two strategies discover states identically.
+        // states are discovered in a deterministic order.
         for &(t, succ) in arcs {
             let Some(label) = stg.label(t) else { continue };
             if !env[label.signal.index()] {
@@ -330,7 +260,7 @@ pub(crate) fn explore<S: StateSpace + ?Sized>(
                 None => spec,
                 Some(sig) => {
                     // The spec must allow this edge here (first matching
-                    // transition in id order — both trackers agree).
+                    // transition in id order).
                     let arc = arcs.iter().find(|&&(t, _)| {
                         stg.label(t)
                             .is_some_and(|l| l.signal == sig && l.edge.value_after() == new_value)
@@ -555,109 +485,63 @@ impl StateArena {
 }
 
 // ---------------------------------------------------------------------
-// Spec trackers
+// Spec tracker
 // ---------------------------------------------------------------------
 
 /// The specification side of the composed exploration: dense spec-state
-/// ids plus, per id, the enabled `(transition, successor)` arcs sorted
-/// by transition id.
+/// ids interning reachable markings in discovery order (id 0 is the
+/// initial marking) plus, per id, the enabled `(transition, successor)`
+/// arcs sorted by transition id, replayed from the token game lazily,
+/// one spec state at a time.
 #[derive(Debug)]
-pub(crate) enum SpecTracker {
-    /// Ids are the materialised backend's own state indices; arcs come
-    /// from its `ts()` view.
-    Explicit { arcs: HashMap<u32, SpecArcs> },
-    /// Ids intern reachable markings in discovery order; arcs come from
-    /// replaying the token game, lazily, one spec state at a time.
-    Marking {
-        index: HashMap<Marking, u32>,
-        markings: Vec<Marking>,
-        arcs: Vec<Option<SpecArcs>>,
-    },
+pub(crate) struct SpecTracker {
+    index: HashMap<Marking, u32>,
+    markings: Vec<Marking>,
+    arcs: Vec<Option<SpecArcs>>,
 }
 
 impl SpecTracker {
-    /// A fresh tracker for one strategy over one space. Trackers are
+    /// A fresh tracker anchored at the initial marking. Trackers are
     /// circuit-independent — [`crate::IncrementalVerifier`] keeps one
     /// per specification and reuses it across every circuit variant it
     /// verifies, so the spec side of the composition is derived once.
-    pub(crate) fn new<S: StateSpace + ?Sized>(strategy: VerifyStrategy, sg: &S) -> Self {
-        match strategy {
-            VerifyStrategy::ExplicitBfs => SpecTracker::explicit(),
-            VerifyStrategy::Composed => SpecTracker::marking(sg.initial_marking()),
-        }
-    }
-
-    fn explicit() -> Self {
-        SpecTracker::Explicit {
-            arcs: HashMap::new(),
-        }
-    }
-
-    fn marking(initial: Marking) -> Self {
+    pub(crate) fn new(initial: Marking) -> Self {
         let mut index = HashMap::new();
         index.insert(initial.clone(), 0);
-        SpecTracker::Marking {
+        SpecTracker {
             index,
             markings: vec![initial],
             arcs: vec![None],
         }
     }
 
-    fn initial(&mut self) -> u32 {
-        0
-    }
-
     /// The enabled arcs of spec state `s`, sorted by transition id
     /// (computed once per spec state, then served from the cache).
-    fn arcs<S: StateSpace + ?Sized>(
-        &mut self,
-        stg: &Stg,
-        sg: &S,
-        s: u32,
-    ) -> &[(TransitionId, u32)] {
-        match self {
-            SpecTracker::Explicit { arcs } => arcs.entry(s).or_insert_with(|| {
-                let mut out: Vec<(TransitionId, u32)> = sg
-                    .ts()
-                    .successors(s as usize)
-                    .map(|(&t, to)| (t, u32::try_from(to).expect("spec state fits u32")))
-                    .collect();
-                out.sort_by_key(|&(t, _)| t);
-                out.dedup_by_key(|&mut (t, _)| t);
-                out.into_boxed_slice()
-            }),
-            SpecTracker::Marking {
-                index,
-                markings,
-                arcs,
-            } => {
-                if arcs[s as usize].is_none() {
-                    let net = stg.net();
-                    let marking = markings[s as usize].clone();
-                    let mut out = Vec::new();
-                    for t in net.transitions() {
-                        // The canonical firing rule — the same token game
-                        // every other consumer replays.
-                        let Some(next) = net.fire(&marking, t) else {
-                            continue;
-                        };
-                        let succ = match index.get(&next) {
-                            Some(&id) => id,
-                            None => {
-                                let id =
-                                    u32::try_from(markings.len()).expect("spec state fits u32");
-                                index.insert(next.clone(), id);
-                                markings.push(next);
-                                arcs.push(None);
-                                id
-                            }
-                        };
-                        out.push((t, succ));
+    fn arcs(&mut self, stg: &Stg, s: u32) -> &[(TransitionId, u32)] {
+        if self.arcs[s as usize].is_none() {
+            let net = stg.net();
+            let marking = self.markings[s as usize].clone();
+            let mut out = Vec::new();
+            for t in net.transitions() {
+                // The canonical firing rule — the same token game every
+                // other consumer replays.
+                let Some(next) = net.fire(&marking, t) else {
+                    continue;
+                };
+                let succ = match self.index.get(&next) {
+                    Some(&id) => id,
+                    None => {
+                        let id = u32::try_from(self.markings.len()).expect("spec state fits u32");
+                        self.index.insert(next.clone(), id);
+                        self.markings.push(next);
+                        self.arcs.push(None);
+                        id
                     }
-                    arcs[s as usize] = Some(out.into_boxed_slice());
-                }
-                arcs[s as usize].as_ref().expect("just filled")
+                };
+                out.push((t, succ));
             }
+            self.arcs[s as usize] = Some(out.into_boxed_slice());
         }
+        self.arcs[s as usize].as_ref().expect("just filled")
     }
 }

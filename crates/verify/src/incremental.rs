@@ -14,8 +14,7 @@
 //!   service traffic) returns the cached report without exploring
 //!   anything;
 //! * **the spec side of the composition** — the engine's spec tracker
-//!   (interned markings or explicit ids, plus each spec state's sorted
-//!   enabled arcs) depends only on the specification, so one tracker
+//!   (interned markings plus each spec state's sorted enabled arcs) depends only on the specification, so one tracker
 //!   per spec serves every circuit variant: re-verification after a
 //!   gate change re-explores the composed product but never re-derives
 //!   the token game;
@@ -107,15 +106,7 @@ impl IncrementalVerifier {
 
         // Whole-circuit verdict.
         let circuit_text = netlist.canonical_text() + &binding;
-        let full_key = keyed_digest(
-            stg,
-            &[
-                "verify-full",
-                options.strategy.name(),
-                &bound,
-                &circuit_text,
-            ],
-        );
+        let full_key = keyed_digest(stg, &["verify-full", &bound, &circuit_text]);
         if let Some(report) = self.fulls.get(&full_key) {
             self.stats.full_hits += 1;
             return report.clone();
@@ -157,28 +148,21 @@ impl IncrementalVerifier {
             return report;
         };
 
-        // Spec tracker: one per (spec, strategy, backend) — the spec
-        // side of the composition is derived once per flow, not once
-        // per circuit variant.
-        let tracker_key = keyed_digest(
-            stg,
-            &[
-                "verify-tracker",
-                options.strategy.name(),
-                sg.backend().name(),
-            ],
-        );
+        // Spec tracker: one per (spec, backend) — the spec side of the
+        // composition is derived once per flow, not once per circuit
+        // variant.
+        let tracker_key = keyed_digest(stg, &["verify-tracker", sg.backend().name()]);
         let tracker = match self.trackers.entry(tracker_key) {
             std::collections::hash_map::Entry::Occupied(e) => {
                 self.stats.tracker_reuses += 1;
                 e.into_mut()
             }
             std::collections::hash_map::Entry::Vacant(e) => {
-                e.insert(SpecTracker::new(options.strategy, sg))
+                e.insert(SpecTracker::new(sg.initial_marking()))
             }
         };
 
-        let report = explore(stg, sg, netlist, signal_nets, options, tracker, init);
+        let report = explore(stg, netlist, signal_nets, options, tracker, init);
         self.fulls.insert(full_key, report.clone());
         report
     }

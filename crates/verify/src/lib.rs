@@ -18,13 +18,11 @@
 //! environment. The Fig. 9 experiment (accepting decomposition (a),
 //! rejecting (b)) runs on this checker.
 //!
-//! The checker is an [`engine`] over packed composed states with two
-//! spec-tracking strategies ([`VerifyStrategy`]): the explicit
-//! state-graph walk of the seed, and a backend-agnostic `(marking,
-//! code)` composition that runs against resident symbolic state spaces
-//! far above the materialise limit. [`IncrementalVerifier`] adds the
-//! memoising per-cone mode the decomposed repair loop re-verifies
-//! through.
+//! The checker is an engine over packed composed states that tracks
+//! the specification as backend-agnostic `(marking, code)` pairs, so it
+//! runs against resident symbolic state spaces far above the
+//! materialise limit. [`IncrementalVerifier`] adds the memoising mode
+//! the decomposed repair loop re-verifies through.
 
 mod circuit;
 mod engine;
@@ -34,7 +32,7 @@ pub use circuit::{
     verify_circuit, verify_circuit_bounded, HazardWitness, VerificationReport, Violation,
     WitnessState,
 };
-pub use engine::{verify_with, VerifyOptions, VerifyStrategy, DEFAULT_VERIFY_BOUND};
+pub use engine::{verify_with, VerifyOptions, DEFAULT_VERIFY_BOUND};
 pub use incremental::{IncrementalStats, IncrementalVerifier};
 
 #[cfg(test)]

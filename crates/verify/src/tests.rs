@@ -145,32 +145,33 @@ fn correct_toggle_accepted() {
 }
 
 // ---------------------------------------------------------------------
-// Engine strategies and the incremental per-cone verifier
+// Verification strategies (monolithic, incremental) across backends
 // ---------------------------------------------------------------------
 
-use crate::{verify_with, IncrementalVerifier, VerifyOptions, VerifyStrategy};
+use crate::{verify_with, IncrementalVerifier, VerifyOptions};
 
-fn both_strategies(
+/// Every way to verify `netlist`: the monolithic engine and the
+/// memoising incremental layer (cold, then a pure cache hit), each on
+/// the explicit state graph and on the resident-BDD space of `stg`.
+fn every_strategy(
     stg: &stg::Stg,
     netlist: &Netlist,
     nets: &[NetId],
-) -> (crate::VerificationReport, crate::VerificationReport) {
-    let sg = StateGraph::build(stg).unwrap();
-    let explicit = verify_with(
-        stg,
-        &sg,
-        netlist,
-        nets,
-        &VerifyOptions::default().with_strategy(VerifyStrategy::ExplicitBfs),
-    );
-    let composed = verify_with(
-        stg,
-        &sg,
-        netlist,
-        nets,
-        &VerifyOptions::default().with_strategy(VerifyStrategy::Composed),
-    );
-    (explicit, composed)
+    options: &VerifyOptions,
+) -> Vec<crate::VerificationReport> {
+    let explicit = StateGraph::build(stg).unwrap();
+    let resident = stg::SymbolicSetSpace::build(stg).unwrap();
+    let spaces: [&dyn stg::StateSpace; 2] = [&explicit, &resident];
+    let mut reports = Vec::new();
+    for space in spaces {
+        reports.push(verify_with(stg, space, netlist, nets, options));
+        let mut verifier = IncrementalVerifier::new();
+        for _ in 0..2 {
+            reports.push(verifier.verify(stg, space, netlist, nets, options));
+        }
+        assert_eq!(verifier.stats().full_hits, 1, "the repeat is a cache hit");
+    }
+    reports
 }
 
 #[test]
@@ -182,15 +183,20 @@ fn strategies_explore_identically_on_passing_and_failing_circuits() {
     let sg = StateGraph::build(&stg).unwrap();
     let circuit = synthesize_complex_gates(&stg, &sg).unwrap();
     let nets = signal_nets_of(&stg, |s| circuit.signal_net(s), &circuit);
-    let (explicit, composed) = both_strategies(&stg, circuit.netlist(), &nets);
-    assert!(explicit.is_speed_independent());
-    assert_eq!(explicit, composed, "passing circuit");
+    let options = VerifyOptions::default();
+    let reports = every_strategy(&stg, circuit.netlist(), &nets, &options);
+    assert!(reports[0].is_speed_independent());
+    for r in &reports[1..] {
+        assert_eq!(r, &reports[0], "passing circuit");
+    }
 
     let dec = decompose(&stg, &circuit, 2);
     let dnets = signal_nets_of(&stg, |s| dec.signal_net(s), &dec);
-    let (explicit, composed) = both_strategies(&stg, dec.netlist(), &dnets);
-    assert!(!explicit.is_speed_independent());
-    assert_eq!(explicit, composed, "failing circuit");
+    let reports = every_strategy(&stg, dec.netlist(), &dnets, &options);
+    assert!(!reports[0].is_speed_independent());
+    for r in &reports[1..] {
+        assert_eq!(r, &reports[0], "failing circuit");
+    }
 }
 
 #[test]
@@ -199,26 +205,17 @@ fn bound_hit_is_reported_identically_by_both_strategies() {
     let sg = StateGraph::build(&stg).unwrap();
     let circuit = synthesize_complex_gates(&stg, &sg).unwrap();
     let nets = signal_nets_of(&stg, |s| circuit.signal_net(s), &circuit);
-    for strategy in [VerifyStrategy::ExplicitBfs, VerifyStrategy::Composed] {
-        let report = verify_with(
-            &stg,
-            &sg,
-            circuit.netlist(),
-            &nets,
-            &VerifyOptions::default()
-                .with_bound(5)
-                .with_strategy(strategy),
-        );
-        assert!(report.hit_state_limit(), "{strategy}: bound must be hit");
-        assert_eq!(report.states_explored, 5, "{strategy}");
-        assert!(
-            report
-                .violations
-                .iter()
-                .any(|v| matches!(v, crate::Violation::StateLimit(5))),
-            "{strategy}"
-        );
+    let options = VerifyOptions::default().with_bound(5);
+    let reports = every_strategy(&stg, circuit.netlist(), &nets, &options);
+    for r in &reports[1..] {
+        assert_eq!(r, &reports[0]);
     }
+    assert!(reports[0].hit_state_limit(), "bound must be hit");
+    assert_eq!(reports[0].states_explored, 5);
+    assert!(reports[0]
+        .violations
+        .iter()
+        .any(|v| matches!(v, crate::Violation::StateLimit(5))));
 }
 
 #[test]

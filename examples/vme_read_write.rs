@@ -23,7 +23,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let sg = StateGraph::build(&spec)?;
     println!("state graph: {} states", sg.num_states());
-    println!("\n{}", stg::properties::check_implementability(&spec));
+    println!(
+        "\n{}",
+        stg::properties::check_implementability(&spec, stg::Backend::Explicit)
+    );
 
     // Fig. 6: linear reductions shrink the net drastically.
     let (reduced, stats) = reduce_linear(spec.net().clone());
@@ -69,10 +72,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Synthesise the full controller through the staged pipeline on the
-    // symbolic backend: the two CSC conflicts of Fig. 5 are resolved
+    // resident-BDD backend: the two CSC conflicts of Fig. 5 are resolved
     // automatically (a concurrency reduction plus a state signal).
-    println!("\n== synthesis (symbolic backend) ==");
-    let result = Synthesis::new(spec).backend(Backend::Symbolic).run()?;
+    println!("\n== synthesis (symbolic-set backend) ==");
+    let result = Synthesis::new(spec).backend(Backend::SymbolicSet).run()?;
     if let Some(t) = &result.transformation {
         println!("csc resolution: {t}");
     }

@@ -12,9 +12,9 @@
 //! | crate | role |
 //! |-------|------|
 //! | [`petri`] | net kernel: token game, reachability, invariants, reductions, unfoldings, BDD traversal |
-//! | [`bdd`] | hash-consed ROBDD package |
+//! | `bdd` | hash-consed ROBDD package |
 //! | [`boolmin`] | two-level logic: covers, exact/heuristic minimisation, factoring |
-//! | [`stg`] | Signal Transition Graphs: `.g` parsing, pluggable state spaces ([`stg::StateSpace`]: explicit [`stg::StateGraph`] and BDD-backed [`stg::SymbolicStateSpace`]), consistency, CSC, persistency |
+//! | [`stg`] | Signal Transition Graphs: `.g` parsing, pluggable state spaces ([`stg::StateSpace`]: explicit [`stg::StateGraph`] and resident-BDD [`stg::SymbolicSetSpace`]), consistency, CSC, persistency |
 //! | [`synth`] | logic synthesis: regions, next-state functions, CSC resolution, latch architectures, decomposition, mapping |
 //! | `regions` | theory of regions: PN extraction / back-annotation |
 //! | [`timing`] | time separation of events, cycle time, relative-timing optimisation |
@@ -29,10 +29,9 @@
 //! → [`Synthesized`] → [`Verified`], each stage exposing its artifacts
 //! for inspection, caching and rerouting. Every stage runs on a
 //! pluggable state-space [`Backend`]: `Explicit` breadth-first
-//! reachability or `Symbolic` BDD traversal. [`run_batch`] synthesises
-//! many controllers concurrently; [`FlowEvent`] gives structured
-//! diagnostics. The legacy one-shot [`flow::run_flow`] remains as a
-//! deprecated shim.
+//! reachability or `SymbolicSet` resident-BDD traversal. [`run_batch`]
+//! synthesises many controllers concurrently; [`FlowEvent`] gives
+//! structured diagnostics.
 //!
 //! The flow is deterministic in its inputs, so results are
 //! content-addressable: [`run_cached`] consults an on-disk
@@ -50,7 +49,7 @@
 //!
 //! // Stage by stage: inspect the implementability report, then let the
 //! // pipeline resolve CSC, synthesise and verify.
-//! let checked = Synthesis::new(spec).backend(Backend::Symbolic).check()?;
+//! let checked = Synthesis::new(spec).backend(Backend::SymbolicSet).check()?;
 //! assert!(!checked.report().complete_state_coding, "Fig. 3 lacks CSC");
 //! let result = checked.resolve_csc()?.synthesize()?.verify()?;
 //! assert!(result.verification.passed(), "speed-independent");
@@ -73,7 +72,6 @@
 //! ```
 
 pub mod cache;
-pub mod flow;
 pub mod json;
 pub mod pipeline;
 pub mod summary;
@@ -91,7 +89,7 @@ pub use pipeline::{
     CacheOutcome, CacheStage, CachedRun, Checked, Circuit, CscCandidate, CscKind, CscResolved,
     CscStrategy, CscTransformation, FlowEvent, FlowObserver, NullObserver, PipelineError,
     SweepOptions, SweepStats, Synthesis, SynthesisOptions, Synthesized, Verification, Verified,
-    VerifyOptions, VerifyStrategy,
+    VerifyOptions,
 };
 pub use summary::SynthesisSummary;
 pub use trace::TraceBuilder;

@@ -9,7 +9,7 @@
 //! use asyncsynth::{Backend, Synthesis};
 //!
 //! let checked = Synthesis::new(stg::examples::vme_read_csc())
-//!     .backend(Backend::Symbolic)
+//!     .backend(Backend::SymbolicSet)
 //!     .check()?;
 //! assert!(checked.report().is_implementable());
 //! let verified = checked.resolve_csc()?.synthesize()?.verify()?;
@@ -39,8 +39,8 @@ use synth::decompose::{decompose, resubstitute, DecomposedCircuit};
 use synth::latch_arch::{synthesize_latch_circuit, LatchCircuit, LatchStyle};
 use synth::library::{map_to_library, Library, Mapping};
 use synth::NetId;
+pub use verify::VerifyOptions;
 use verify::{IncrementalVerifier, VerificationReport};
-pub use verify::{VerifyOptions, VerifyStrategy};
 
 pub use stg::Backend;
 
@@ -164,11 +164,10 @@ pub struct SynthesisOptions {
     /// Skip the final speed-independence verification (it is exhaustive).
     pub skip_verification: bool,
     /// Verification engine configuration (composed-state bound,
-    /// spec-tracking strategy, memoising incremental mode). The
-    /// strategy and the incremental flag never change the flow's output
-    /// (`tests/verify_parity.rs` asserts byte-identical flows) and stay
-    /// out of cache keys; the bound (a limit hit changes results)
-    /// participates.
+    /// memoising incremental mode). The incremental flag never changes
+    /// the flow's output (`tests/verify_parity.rs` asserts
+    /// byte-identical flows) and stays out of cache keys; the bound (a
+    /// limit hit changes results) participates.
     pub verify: VerifyOptions,
 }
 
@@ -370,8 +369,7 @@ impl Verification {
     }
 }
 
-/// Structured diagnostics emitted by the pipeline stages, replacing the
-/// ad-hoc strings of the legacy `run_flow` API.
+/// Structured diagnostics emitted by the pipeline stages.
 #[derive(Debug, Clone)]
 pub enum FlowEvent {
     /// A state space was built.
@@ -693,8 +691,7 @@ impl Synthesis {
         self
     }
 
-    /// Configures the verification engine (bound, strategy,
-    /// incremental mode).
+    /// Configures the verification engine (bound, incremental mode).
     #[must_use]
     pub fn verify_options(mut self, verify: VerifyOptions) -> Self {
         self.options.verify = verify;
@@ -828,7 +825,7 @@ impl Checked {
                 // The check stage's space seeds the sweep's pruner —
                 // the base is never rebuilt.
                 let sweep =
-                    synth::csc::insertion_sweep_from(&spec, backend, &sweep_options, Some(&*space));
+                    synth::csc::insertion_sweep(&spec, backend, &sweep_options, Some(&*space));
                 events.push(FlowEvent::CscSweep {
                     kind: CscKind::SignalInsertion,
                     stats: sweep.stats,
@@ -984,10 +981,10 @@ impl CscResolved {
                     self.events.append(&mut events);
                     synthesized.events = self.events;
                     // Memoisation counters are advisory telemetry: they
-                    // depend on the verify strategy and incremental
-                    // flag, which the parity suite proves output-neutral
-                    // — so they ride outside the events/summary and
-                    // never reach the cache or the drift-gated set.
+                    // depend on the incremental flag, which the parity
+                    // suite proves output-neutral — so they ride outside
+                    // the events/summary and never reach the cache or
+                    // the drift-gated set.
                     if let Some(v) = &verifier {
                         let s = v.stats();
                         let adv = &mut synthesized.advisory;
@@ -1094,17 +1091,15 @@ fn synthesize_candidate(
     // (`ts()`/`code()`), which the resident-BDD backend only serves
     // through its small-space materialised view — refuse with a clean
     // error instead of letting the view's size assertion abort the
-    // process mid-flow. Verification itself no longer needs the view:
-    // the composed strategy runs set-level against any backend (only
-    // the legacy explicit-BFS strategy still walks `ts()`).
-    let needs_per_state = !matches!(options.architecture, Architecture::ComplexGate)
-        || (!options.skip_verification && options.verify.strategy == VerifyStrategy::ExplicitBfs);
+    // process mid-flow. Verification itself never needs the view: it
+    // runs set-level against any backend.
+    let needs_per_state = !matches!(options.architecture, Architecture::ComplexGate);
     if needs_per_state && space.set_level_native() && space.num_states() > stg::MATERIALISE_LIMIT {
         return fail(
             PipelineError::Synthesis(format!(
                 "state space has {} states — too large for the resident-BDD backend's \
                  per-state architecture paths (limit {}); re-run under the complex-gate \
-                 architecture with the composed verify strategy, or an enumerating backend",
+                 architecture, or on the explicit backend",
                 space.num_states(),
                 stg::MATERIALISE_LIMIT
             )),
@@ -1431,8 +1426,7 @@ impl Verified {
 
     /// Advisory operation counters for this run: BDD nodes, lazily
     /// decoded states, incremental-verifier memo hits. Unlike
-    /// [`flow_metrics`] these vary by backend, verify strategy and
-    /// incremental mode, so they never enter the summary, the cache or
+    /// [`flow_metrics`] these vary by backend and incremental mode, so they never enter the summary, the cache or
     /// any drift-gated artifact.
     #[must_use]
     pub fn advisory_metrics(&self) -> &telemetry::Counters {
@@ -1536,11 +1530,10 @@ pub fn cache_key(spec: &Stg, options: &SynthesisOptions, stage: CacheStage) -> D
         });
     }
     // The verify bound salts the Full key: a bounded run can fail where
-    // a bigger budget would pass. The spec-tracking strategy and the
-    // incremental flag are output-neutral — `verify_parity.rs` asserts
-    // byte-identical flows across both — so, like the sweep's thread
-    // count, they stay out and a cache warmed under one configuration
-    // serves the others.
+    // a bigger budget would pass. The incremental flag is
+    // output-neutral — `verify_parity.rs` asserts byte-identical flows
+    // with and without it — so, like the sweep's thread count, it stays
+    // out and a cache warmed under one configuration serves the other.
     let verify_bound = options.verify.bound.to_string();
     if matches!(stage, CacheStage::Full) {
         extras.push(options.architecture.name());

@@ -6,7 +6,9 @@
 //! folds the log into one [`telemetry::Span`] tree — a `flow` root with
 //! one child per stage (`check`, `csc`, `synthesize`, `verify`, or a
 //! single `cache` stage on a full hit) and, under `synthesize`, one
-//! grandchild per CSC candidate tried.
+//! grandchild per CSC candidate tried. A failed run
+//! ([`TraceBuilder::finish_failed`]) ends with a span for the stage that
+//! failed, so its work never lands on the root alone.
 //!
 //! Every span carries the deterministic [`flow_metrics`] counters of its
 //! event slice; wall times and advisory counters ride alongside but are
@@ -18,7 +20,10 @@ use std::time::Instant;
 
 use telemetry::{Counters, Span};
 
-use crate::pipeline::{flow_metrics, FlowEvent, FlowObserver};
+use crate::pipeline::{flow_metrics, FlowEvent, FlowObserver, PipelineError};
+
+/// The pipeline's stages in run order (the names observers see).
+const STAGES: [&str; 4] = ["check", "csc", "synthesize", "verify"];
 
 /// Builds a span tree from an observed flow run.
 #[derive(Debug)]
@@ -49,11 +54,10 @@ impl TraceBuilder {
         }
     }
 
-    /// Folds the observed stages into the final span tree. `counters`
-    /// and `advisory` become the root's metric sets — pass the
-    /// summary's deterministic metrics and the run's advisory counters
-    /// on success, or `flow_metrics(error.events())` and an empty set
-    /// on failure.
+    /// Folds the observed stages of a successful run into the final
+    /// span tree. `counters` and `advisory` become the root's metric
+    /// sets: the summary's deterministic metrics and the run's advisory
+    /// counters.
     #[must_use]
     pub fn finish(self, counters: Counters, advisory: Counters) -> Span {
         let mut root = Span::new("flow");
@@ -72,6 +76,37 @@ impl TraceBuilder {
             root.push_child(stage);
         }
         root
+    }
+
+    /// Folds a failed run into the span tree. The stage that failed was
+    /// never reported to the observer, so its span is built here: it is
+    /// the stage after the last observed one, its events are the part of
+    /// the error's log past the observed stages, and its wall time runs
+    /// from the last observed stage to now. The root carries the whole
+    /// log's counters.
+    #[must_use]
+    pub fn finish_failed(mut self, error: &PipelineError) -> Span {
+        let events = error.events();
+        // A failed checkpoint resume reruns the stages from `check`, so
+        // only the stages of the last pass cover the error's log.
+        let pass = self
+            .stages
+            .iter()
+            .rposition(|(name, ..)| name == "check")
+            .unwrap_or(0);
+        let seen: usize = self.stages[pass..].iter().map(|(_, e, _)| e.len()).sum();
+        let failed = self.stages.last().map_or(0, |(last, ..)| {
+            STAGES
+                .iter()
+                .position(|s| s == last)
+                .map_or(STAGES.len(), |i| i + 1)
+        });
+        if let Some(name) = STAGES.get(failed) {
+            let wall_ms = to_ms(self.last.elapsed());
+            let tail = events.get(seen..).unwrap_or_default().to_vec();
+            self.stages.push(((*name).to_owned(), tail, wall_ms));
+        }
+        self.finish(flow_metrics(events), Counters::new())
     }
 }
 
@@ -114,7 +149,40 @@ fn candidate_spans(events: &[FlowEvent]) -> Vec<Span> {
 #[cfg(test)]
 mod tests {
     use super::TraceBuilder;
-    use crate::pipeline::{run_cached_with, SynthesisOptions};
+    use crate::pipeline::{flow_metrics, run_cached_with, SynthesisOptions};
+
+    #[test]
+    fn failed_run_traces_the_failing_stage() {
+        // selector-1 has CSC conflicts no candidate resolves: the flow
+        // fails inside the CSC stage, after the sweep did its work.
+        let (_, spec) = corpus::all_specs()
+            .into_iter()
+            .find(|(_, s)| s.name() == "selector-1")
+            .expect("corpus spec");
+        let mut trace = TraceBuilder::new();
+        let error = run_cached_with(&spec, &SynthesisOptions::default(), None, &mut trace)
+            .expect_err("selector-1 has no CSC resolution");
+        assert!(
+            matches!(error, crate::PipelineError::CscUnresolved { .. }),
+            "{error}"
+        );
+        let span = trace.finish_failed(&error);
+        let names: Vec<&str> = span.children.iter().map(|c| c.name.as_str()).collect();
+        assert_eq!(names, ["check", "csc"]);
+        let csc = &span.children[1];
+        for counter in ["sweep_grid", "sweep_evaluated"] {
+            assert!(
+                csc.counters.get(counter).is_some_and(|n| n > 0),
+                "the failing csc stage carries {counter}: {}",
+                csc.counters.render()
+            );
+        }
+        assert!(
+            span.children[0].counters.get("sweep_grid").is_none(),
+            "sweep counters belong to the csc span, not the check span"
+        );
+        assert_eq!(span.counters, flow_metrics(error.events()));
+    }
 
     #[test]
     fn trace_tree_covers_every_stage_with_counters() {

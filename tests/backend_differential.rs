@@ -1,7 +1,7 @@
 //! The differential property-test harness: random safe STGs are run
-//! through all three state-space backends — explicit breadth-first
-//! ([`stg::StateGraph`]), decoding symbolic ([`stg::SymbolicStateSpace`])
-//! and resident-BDD ([`stg::SymbolicSetSpace`]) — and every observable
+//! through both state-space backends — explicit breadth-first
+//! ([`stg::StateGraph`]) and resident-BDD ([`stg::SymbolicSetSpace`]) —
+//! and every observable
 //! artifact is required to agree: state counts, code sets, region
 //! partitions, USC/CSC verdicts and conflict-pair counts, persistency,
 //! deadlock-freedom, and the final next-state equations. Error paths are
@@ -27,7 +27,7 @@ fn cases() -> u32 {
         .unwrap_or(32)
 }
 
-const BACKENDS: [Backend; 3] = [Backend::Explicit, Backend::Symbolic, Backend::SymbolicSet];
+const BACKENDS: [Backend; 2] = [Backend::Explicit, Backend::SymbolicSet];
 
 // ---------------------------------------------------------------------
 // Spec generators — the corpus families (`crates/corpus`), which
@@ -389,6 +389,4 @@ fn cache_keys_shard_per_backend() {
         })
         .collect();
     assert_ne!(keys[0], keys[1]);
-    assert_ne!(keys[1], keys[2]);
-    assert_ne!(keys[0], keys[2]);
 }

@@ -1,17 +1,12 @@
-//! Backend parity: the explicit, decoding-symbolic and resident-BDD
-//! state-space engines must be observationally identical through every
-//! pipeline stage — same implementability verdicts, same state counts,
+//! Backend parity: the explicit and resident-BDD state-space engines
+//! must be observationally identical through every pipeline stage — same implementability verdicts, same state counts,
 //! same synthesised equations — on all three VME-bus controllers of the
 //! paper plus the two-stage micropipeline.
 
 use asyncsynth::{Backend, Synthesis};
 use stg::examples::{micropipeline, vme_read, vme_read_csc, vme_read_write};
-use stg::properties::check_implementability_with;
-use stg::{StateGraph, StateSpace, Stg, SymbolicStateSpace};
-
-/// The non-explicit backends, each compared against the explicit
-/// reference.
-const SYMBOLIC_BACKENDS: [Backend; 2] = [Backend::Symbolic, Backend::SymbolicSet];
+use stg::properties::check_implementability;
+use stg::{StateGraph, StateSpace, Stg};
 
 fn specs() -> Vec<(&'static str, Stg)> {
     vec![
@@ -25,44 +20,42 @@ fn specs() -> Vec<(&'static str, Stg)> {
 #[test]
 fn implementability_verdicts_agree() {
     for (name, spec) in specs() {
-        let explicit = check_implementability_with(&spec, Backend::Explicit);
-        for backend in SYMBOLIC_BACKENDS {
-            let symbolic = check_implementability_with(&spec, backend);
-            assert_eq!(
-                explicit.is_implementable(),
-                symbolic.is_implementable(),
-                "{name}: implementability verdict"
-            );
-            assert_eq!(explicit.bounded, symbolic.bounded, "{name}: bounded");
-            assert_eq!(
-                explicit.consistent, symbolic.consistent,
-                "{name}: consistent"
-            );
-            assert_eq!(
-                explicit.unique_state_coding, symbolic.unique_state_coding,
-                "{name}: USC"
-            );
-            assert_eq!(
-                explicit.complete_state_coding, symbolic.complete_state_coding,
-                "{name}: CSC"
-            );
-            assert_eq!(
-                explicit.csc_conflict_pairs, symbolic.csc_conflict_pairs,
-                "{name}: CSC conflict pairs"
-            );
-            assert_eq!(
-                explicit.persistent, symbolic.persistent,
-                "{name}: persistent"
-            );
-            assert_eq!(
-                explicit.deadlock_free, symbolic.deadlock_free,
-                "{name}: deadlock-free"
-            );
-            assert_eq!(
-                explicit.num_states, symbolic.num_states,
-                "{name}: state count"
-            );
-        }
+        let explicit = check_implementability(&spec, Backend::Explicit);
+        let symbolic = check_implementability(&spec, Backend::SymbolicSet);
+        assert_eq!(
+            explicit.is_implementable(),
+            symbolic.is_implementable(),
+            "{name}: implementability verdict"
+        );
+        assert_eq!(explicit.bounded, symbolic.bounded, "{name}: bounded");
+        assert_eq!(
+            explicit.consistent, symbolic.consistent,
+            "{name}: consistent"
+        );
+        assert_eq!(
+            explicit.unique_state_coding, symbolic.unique_state_coding,
+            "{name}: USC"
+        );
+        assert_eq!(
+            explicit.complete_state_coding, symbolic.complete_state_coding,
+            "{name}: CSC"
+        );
+        assert_eq!(
+            explicit.csc_conflict_pairs, symbolic.csc_conflict_pairs,
+            "{name}: CSC conflict pairs"
+        );
+        assert_eq!(
+            explicit.persistent, symbolic.persistent,
+            "{name}: persistent"
+        );
+        assert_eq!(
+            explicit.deadlock_free, symbolic.deadlock_free,
+            "{name}: deadlock-free"
+        );
+        assert_eq!(
+            explicit.num_states, symbolic.num_states,
+            "{name}: state count"
+        );
     }
 }
 
@@ -70,7 +63,6 @@ fn implementability_verdicts_agree() {
 fn state_spaces_carry_identical_codes() {
     for (name, spec) in specs() {
         let explicit = StateGraph::build(&spec).unwrap_or_else(|e| panic!("{name}: {e}"));
-        let symbolic = SymbolicStateSpace::build(&spec).unwrap_or_else(|e| panic!("{name}: {e}"));
         let resident =
             stg::SymbolicSetSpace::build(&spec).unwrap_or_else(|e| panic!("{name}: {e}"));
         assert_eq!(
@@ -83,34 +75,19 @@ fn state_spaces_carry_identical_codes() {
             .collect();
         resident_codes.sort();
         assert_eq!(
-            StateSpace::num_states(&explicit),
-            symbolic.num_states(),
-            "{name}: state count"
-        );
-        assert_eq!(
-            symbolic.stats().num_markings,
+            resident.stats().num_markings,
             StateSpace::num_states(&explicit) as u128,
             "{name}: BDD marking count"
         );
         let mut explicit_codes: Vec<String> = (0..StateSpace::num_states(&explicit))
             .map(|i| StateSpace::plain_code_string(&explicit, i))
             .collect();
-        let mut symbolic_codes: Vec<String> = (0..symbolic.num_states())
-            .map(|i| symbolic.plain_code_string(i))
-            .collect();
         explicit_codes.sort();
-        symbolic_codes.sort();
-        assert_eq!(explicit_codes, symbolic_codes, "{name}: code multiset");
         assert_eq!(
             explicit_codes, resident_codes,
             "{name}: resident code multiset"
         );
         // Initial state parity, not just the multiset.
-        assert_eq!(
-            StateSpace::plain_code_string(&explicit, 0),
-            symbolic.plain_code_string(0),
-            "{name}: initial code"
-        );
         assert_eq!(
             StateSpace::plain_code_string(&explicit, 0),
             StateSpace::plain_code_string(&resident, 0),
@@ -126,30 +103,28 @@ fn synthesised_equations_agree() {
             .backend(Backend::Explicit)
             .run()
             .unwrap_or_else(|e| panic!("{name} (explicit): {e}"));
-        for backend in SYMBOLIC_BACKENDS {
-            let symbolic = Synthesis::new(spec.clone())
-                .backend(backend)
-                .run()
-                .unwrap_or_else(|e| panic!("{name} ({backend}): {e}"));
-            assert_eq!(
-                explicit.equations_text, symbolic.equations_text,
-                "{name}: equations"
-            );
-            assert_eq!(
-                explicit.num_states(),
-                symbolic.num_states(),
-                "{name}: final state count"
-            );
-            assert_eq!(
-                explicit
-                    .transformation
-                    .as_ref()
-                    .map(|t| t.description.clone()),
-                symbolic.transformation.map(|t| t.description),
-                "{name}: csc transformation"
-            );
-            assert!(explicit.verification.passed() && symbolic.verification.passed());
-        }
+        let symbolic = Synthesis::new(spec.clone())
+            .backend(Backend::SymbolicSet)
+            .run()
+            .unwrap_or_else(|e| panic!("{name} (symbolic-set): {e}"));
+        assert_eq!(
+            explicit.equations_text, symbolic.equations_text,
+            "{name}: equations"
+        );
+        assert_eq!(
+            explicit.num_states(),
+            symbolic.num_states(),
+            "{name}: final state count"
+        );
+        assert_eq!(
+            explicit
+                .transformation
+                .as_ref()
+                .map(|t| t.description.clone()),
+            symbolic.transformation.map(|t| t.description),
+            "{name}: csc transformation"
+        );
+        assert!(explicit.verification.passed() && symbolic.verification.passed());
     }
 }
 
@@ -168,10 +143,8 @@ fn unsafe_nets_fail_boundedness_on_both_backends() {
     b.arc_pt(q, xm);
     b.arc_tp(xm, p);
     let spec = b.build();
-    let explicit = check_implementability_with(&spec, Backend::Explicit);
-    let symbolic = check_implementability_with(&spec, Backend::Symbolic);
-    let resident = check_implementability_with(&spec, Backend::SymbolicSet);
+    let explicit = check_implementability(&spec, Backend::Explicit);
+    let resident = check_implementability(&spec, Backend::SymbolicSet);
     assert!(!explicit.bounded, "explicit backend flags the unsafe net");
-    assert!(!symbolic.bounded, "symbolic backend flags the unsafe net");
     assert!(!resident.bounded, "resident backend flags the unsafe net");
 }

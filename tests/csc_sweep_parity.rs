@@ -10,10 +10,7 @@
 use asyncsynth::{
     run_cached_with, Backend, FlowEvent, FlowObserver, SweepOptions, Synthesis, SynthesisOptions,
 };
-use synth::csc::{
-    concurrency_reduction_sweep, insertion_sweep, resolve_by_signal_insertion_with,
-    resolve_mixed_sweep, Sweep,
-};
+use synth::csc::{concurrency_reduction_sweep, insertion_sweep, resolve_mixed_sweep, Sweep};
 
 /// Specs with CSC conflicts — the raw candidate-grid parity matrix.
 /// (The CSC-clean `vme_read_csc` is covered by the flow-level parity
@@ -67,11 +64,11 @@ fn fingerprint(sweep: &Sweep, spec_name: &str) -> Vec<(String, usize)> {
 #[test]
 fn parallel_sweep_is_byte_identical_to_serial() {
     for (name, spec) in sweep_specs() {
-        for backend in [Backend::Explicit, Backend::Symbolic] {
-            let serial = insertion_sweep(&spec, backend, &opts(1, false));
+        for backend in [Backend::Explicit, Backend::SymbolicSet] {
+            let serial = insertion_sweep(&spec, backend, &opts(1, false), None);
             let baseline = fingerprint(&serial, name);
             for threads in [2, 0] {
-                let parallel = insertion_sweep(&spec, backend, &opts(threads, false));
+                let parallel = insertion_sweep(&spec, backend, &opts(threads, false), None);
                 assert_eq!(
                     fingerprint(&parallel, name),
                     baseline,
@@ -90,10 +87,10 @@ fn parallel_sweep_is_byte_identical_to_serial() {
 fn pruned_sweep_is_identical_and_actually_prunes() {
     let mut pruned_somewhere = false;
     for (name, spec) in sweep_specs() {
-        for backend in [Backend::Explicit, Backend::Symbolic] {
-            let unpruned = insertion_sweep(&spec, backend, &opts(1, false));
+        for backend in [Backend::Explicit, Backend::SymbolicSet] {
+            let unpruned = insertion_sweep(&spec, backend, &opts(1, false), None);
             for threads in [1, 2] {
-                let pruned = insertion_sweep(&spec, backend, &opts(threads, true));
+                let pruned = insertion_sweep(&spec, backend, &opts(threads, true), None);
                 assert_eq!(
                     fingerprint(&pruned, name),
                     fingerprint(&unpruned, name),
@@ -124,7 +121,7 @@ fn flow_output_is_byte_identical_across_sweep_configurations() {
     // comparison strips both; the cache-key test below is the flip
     // side: pruning splits cache entries for exactly this reason.
     for (name, spec) in flow_specs() {
-        for backend in [Backend::Explicit, Backend::Symbolic] {
+        for backend in [Backend::Explicit, Backend::SymbolicSet] {
             let run = |threads: usize, prune: bool| {
                 let mut options = SynthesisOptions {
                     backend,
@@ -203,15 +200,15 @@ fn trace_counters_are_byte_identical_across_sweep_threads() {
 #[test]
 fn reduction_and_mixed_sweeps_are_deterministic_across_threads() {
     // vme_read has reduction candidates; vme_read_write needs the mixed
-    // search (a reduction plus a state signal). The symbolic backend is
-    // exercised on the small controller — a debug-mode symbolic sweep
+    // search (a reduction plus a state signal). The resident-BDD backend
+    // is exercised on the small controller — a debug-mode symbolic sweep
     // of the full Fig. 5 move grid would dominate the suite's runtime.
     let read = stg::examples::vme_read();
     let read_write = stg::examples::vme_read_write();
     let describe = |r: &Option<synth::csc::CscResolutionWithSpace>| {
         r.as_ref().map(|r| (r.description.clone(), r.num_states))
     };
-    for backend in [Backend::Explicit, Backend::Symbolic] {
+    for backend in [Backend::Explicit, Backend::SymbolicSet] {
         let reduction_baseline = concurrency_reduction_sweep(&read, backend, &opts(1, false), None);
         for threads in [2, 0] {
             for prune in [false, true] {
@@ -253,9 +250,11 @@ fn reduction_and_mixed_sweeps_are_deterministic_across_threads() {
         winner.space.is_some(),
         "mixed resolution carries its validated space"
     );
-    // Symbolic mixed parity on the single-conflict controller.
-    let symbolic_serial = resolve_mixed_sweep(&read, 5, Backend::Symbolic, &opts(1, false), None);
-    let symbolic_parallel = resolve_mixed_sweep(&read, 5, Backend::Symbolic, &opts(0, true), None);
+    // Resident-BDD mixed parity on the single-conflict controller.
+    let symbolic_serial =
+        resolve_mixed_sweep(&read, 5, Backend::SymbolicSet, &opts(1, false), None);
+    let symbolic_parallel =
+        resolve_mixed_sweep(&read, 5, Backend::SymbolicSet, &opts(0, true), None);
     assert_eq!(
         describe(&symbolic_parallel.0),
         describe(&symbolic_serial.0),
@@ -265,16 +264,17 @@ fn reduction_and_mixed_sweeps_are_deterministic_across_threads() {
 
 #[test]
 fn insertion_resolution_carries_its_space() {
-    // Regression: `resolve_by_signal_insertion_with` used to convert the
-    // winner via `Into`, dropping the validated space and forcing
-    // callers to rebuild it.
-    for spec in [stg::examples::vme_read(), stg::examples::vme_read_csc()] {
-        for backend in [Backend::Explicit, Backend::Symbolic] {
-            let r = resolve_by_signal_insertion_with(&spec, backend)
-                .expect("resolution exists (or CSC already holds)");
-            let space = r.space.as_ref().expect("resolution carries its space");
-            assert_eq!(r.num_states, space.num_states());
-        }
+    // Regression: the insertion winner once lost its validated space on
+    // the way out of the search, forcing callers to rebuild it.
+    let spec = stg::examples::vme_read();
+    for backend in [Backend::Explicit, Backend::SymbolicSet] {
+        let sweep = insertion_sweep(&spec, backend, &SweepOptions::default(), None);
+        let r = sweep
+            .candidates
+            .first()
+            .expect("an insertion resolves vme_read");
+        let space = r.space.as_ref().expect("the winner carries its space");
+        assert_eq!(r.num_states, space.num_states());
     }
 }
 
@@ -330,7 +330,7 @@ fn bound_skipped_candidates_are_reported_never_silent() {
         bound: 4,
         ..SweepOptions::default()
     };
-    let sweep = insertion_sweep(&spec, Backend::Explicit, &tight);
+    let sweep = insertion_sweep(&spec, Backend::Explicit, &tight, None);
     assert!(sweep.candidates.is_empty(), "nothing fits 4 states");
     assert!(
         sweep.stats.skipped_by_bound > 0,

@@ -53,7 +53,7 @@ proptest! {
         let sg = StateGraph::build(&spec).unwrap();
         // A sequential cycle over 2k edges has exactly 2k states.
         prop_assert_eq!(sg.num_states(), 2 * k);
-        let report = stg::properties::check_implementability(&spec);
+        let report = stg::properties::check_implementability(&spec, stg::Backend::Explicit);
         prop_assert!(report.bounded && report.consistent);
         if report.is_implementable() {
             let circuit = synth::complex_gate::synthesize_complex_gates(&spec, &sg).unwrap();
@@ -96,7 +96,7 @@ proptest! {
     ) {
         let spec = handshake_chain(k, &[true, false]);
         let sg = StateGraph::build(&spec).unwrap();
-        let report = stg::properties::check_implementability(&spec);
+        let report = stg::properties::check_implementability(&spec, stg::Backend::Explicit);
         prop_assume!(report.is_implementable());
         let circuit = synth::complex_gate::synthesize_complex_gates(&spec, &sg).unwrap();
         let nets: Vec<synth::NetId> = spec.signals().map(|s| circuit.signal_net(s)).collect();

@@ -1,19 +1,24 @@
-//! Verification-engine parity: the explicit-BFS and composed
-//! spec-tracking strategies — and the memoising incremental layer —
-//! must be observationally identical on every backend, and the
-//! composed strategy must run set-level on resident symbolic spaces
-//! above the materialise limit, where the pipeline previously refused
-//! per-state verification outright.
+//! Verification-engine parity across the two verification strategies —
+//! the monolithic composed engine and its memoising incremental layer —
+//! and both state-space backends: reports must reproduce the seed
+//! engine's recorded output, the flow output must be byte-identical
+//! across strategies and backends, and the engine must run set-level on
+//! resident symbolic spaces above the materialise limit.
 
-use asyncsynth::{Backend, Synthesis, SynthesisOptions, SynthesisSummary};
+use asyncsynth::{Architecture, Backend, Circuit, Synthesis, SynthesisOptions, SynthesisSummary};
 use stg::examples::{micropipeline, vme_read, vme_read_csc, vme_read_write};
 use stg::{SignalEdge, SignalKind, StateSpace, Stg, StgBuilder};
-use synth::complex_gate::synthesize_complex_gates;
 use synth::{GateKind, NetId, Netlist};
-use verify::{verify_with, IncrementalVerifier, VerifyOptions, VerifyStrategy};
+use verify::{verify_with, IncrementalVerifier, VerificationReport, VerifyOptions};
 
-const BACKENDS: [Backend; 3] = [Backend::Explicit, Backend::Symbolic, Backend::SymbolicSet];
-const STRATEGIES: [VerifyStrategy; 2] = [VerifyStrategy::ExplicitBfs, VerifyStrategy::Composed];
+const BACKENDS: [Backend; 2] = [Backend::Explicit, Backend::SymbolicSet];
+
+const ARCHITECTURES: [Architecture; 4] = [
+    Architecture::ComplexGate,
+    Architecture::CElement,
+    Architecture::RsLatch,
+    Architecture::Decomposed,
+];
 
 fn specs() -> Vec<(&'static str, Stg)> {
     vec![
@@ -24,64 +29,221 @@ fn specs() -> Vec<(&'static str, Stg)> {
     ]
 }
 
-/// Direct engine parity: identical reports — hazards, violations,
-/// decoded witnesses and `states_explored` — across both strategies,
-/// all three backends, and the incremental layer.
+/// One recorded verification: spec, architecture, `states_explored`,
+/// the report's summary line, and the SHA-256 of [`render`]'s full
+/// rendering (every hazard and violation with its decoded witness).
+type SeedReference = (
+    &'static str,
+    Architecture,
+    usize,
+    &'static str,
+    &'static str,
+);
+
+/// What the seed engine — the explicit state-graph walk over the
+/// explicit backend's `ts()` view, since retired — reported for each
+/// spec's circuit in each architecture (synthesised on the explicit
+/// backend with verification skipped, so failing circuits are covered
+/// too). The remaining engine must reproduce it byte for byte.
+const SEED_REFERENCE: [SeedReference; 16] = [
+    (
+        "vme_read",
+        Architecture::ComplexGate,
+        16,
+        OK_16,
+        OK_16_DIGEST,
+    ),
+    ("vme_read", Architecture::CElement, 16, OK_16, OK_16_DIGEST),
+    ("vme_read", Architecture::RsLatch, 16, OK_16, OK_16_DIGEST),
+    (
+        "vme_read",
+        Architecture::Decomposed,
+        20,
+        OK_20,
+        OK_20_DIGEST,
+    ),
+    (
+        "vme_read_csc",
+        Architecture::ComplexGate,
+        16,
+        OK_16,
+        OK_16_DIGEST,
+    ),
+    (
+        "vme_read_csc",
+        Architecture::CElement,
+        16,
+        OK_16,
+        OK_16_DIGEST,
+    ),
+    (
+        "vme_read_csc",
+        Architecture::RsLatch,
+        16,
+        OK_16,
+        OK_16_DIGEST,
+    ),
+    (
+        "vme_read_csc",
+        Architecture::Decomposed,
+        20,
+        OK_20,
+        OK_20_DIGEST,
+    ),
+    (
+        "vme_read_write",
+        Architecture::ComplexGate,
+        24,
+        OK_24,
+        OK_24_DIGEST,
+    ),
+    (
+        "vme_read_write",
+        Architecture::CElement,
+        24,
+        OK_24,
+        OK_24_DIGEST,
+    ),
+    (
+        "vme_read_write",
+        Architecture::RsLatch,
+        24,
+        OK_24,
+        OK_24_DIGEST,
+    ),
+    (
+        "vme_read_write",
+        Architecture::Decomposed,
+        13240,
+        "FAILED: 25 hazard(s), 12368 conformance violation(s) over 13240 states",
+        "268cde0238509cf16bc9eda42d3b44c96a817fbabde2efafe84feb6a80cea23a",
+    ),
+    (
+        "micropipeline2",
+        Architecture::ComplexGate,
+        23,
+        OK_23,
+        OK_23_DIGEST,
+    ),
+    (
+        "micropipeline2",
+        Architecture::CElement,
+        23,
+        OK_23,
+        OK_23_DIGEST,
+    ),
+    (
+        "micropipeline2",
+        Architecture::RsLatch,
+        23,
+        OK_23,
+        OK_23_DIGEST,
+    ),
+    (
+        "micropipeline2",
+        Architecture::Decomposed,
+        188,
+        "FAILED: 7 hazard(s), 64 conformance violation(s) over 188 states",
+        "dc06161854e7430888a9b429342f32979c801ae435fe60aed8f364d447bec17b",
+    ),
+];
+
+const OK_16: &str = "speed-independent: OK (16 composed states)";
+const OK_16_DIGEST: &str = "3fee71db041e5777e502f1b0783c4fff8226be9dab401de8a778bc9cd5493032";
+const OK_20: &str = "speed-independent: OK (20 composed states)";
+const OK_20_DIGEST: &str = "1e69d189575bb1a9d88a8f87556f8837d42d9f765ab0ddf5efbc514eb07cee05";
+const OK_23: &str = "speed-independent: OK (23 composed states)";
+const OK_23_DIGEST: &str = "c81e5953fc130214b2ba07b78ffbda24d814e9ef257131ac18715b2b55f05085";
+const OK_24: &str = "speed-independent: OK (24 composed states)";
+const OK_24_DIGEST: &str = "0908a105e85d647a44358b1e0b2a7e9761eb07af722aaa30d65643db5be49f27";
+
+/// The report as text: the summary line, then one line per hazard and
+/// per violation, each with its decoded witness state.
+fn render(report: &VerificationReport) -> String {
+    let mut lines = vec![report.summary()];
+    for h in &report.hazards {
+        lines.push(format!(
+            "hazard {} by {} in {} ({})",
+            h.gate_output, h.caused_by, h.state, h.witness
+        ));
+    }
+    lines.extend(report.violations.iter().map(ToString::to_string));
+    lines.join("\n")
+}
+
+fn seed_reference(name: &str, architecture: Architecture) -> SeedReference {
+    *SEED_REFERENCE
+        .iter()
+        .find(|r| r.0 == name && r.1 == architecture)
+        .unwrap_or_else(|| panic!("no seed reference for {name}/{architecture}"))
+}
+
+fn assert_matches_seed(report: &VerificationReport, seed: SeedReference, context: &str) {
+    let (_, _, states_explored, summary, digest) = seed;
+    assert_eq!(report.states_explored, states_explored, "{context}");
+    assert_eq!(report.summary(), summary, "{context}");
+    assert_eq!(
+        stg::canon::digest_bytes(render(report).as_bytes()).to_hex(),
+        digest,
+        "{context}: rendered report"
+    );
+}
+
+/// Engine-level reference check: every spec's circuit in every
+/// architecture verifies to the seed's recorded report on both
+/// backends, monolithically and through the incremental layer (cold,
+/// then a pure cache hit).
 #[test]
 fn reports_identical_across_strategies_and_backends() {
     for (name, spec) in specs() {
-        // Synthesise once on the explicit backend; CSC-clean specs only
-        // (the others go through the flow-level test below).
-        let space = Backend::Explicit.build(&spec).unwrap();
-        let Ok(circuit) = synthesize_complex_gates(&spec, &*space) else {
-            continue;
-        };
-        let nets: Vec<NetId> = spec.signals().map(|s| circuit.signal_net(s)).collect();
-        let reference = verify_with(
-            &spec,
-            &*space,
-            circuit.netlist(),
-            &nets,
-            &VerifyOptions::default().with_strategy(VerifyStrategy::ExplicitBfs),
-        );
-        for backend in BACKENDS {
-            let space = backend.build(&spec).unwrap();
-            for strategy in STRATEGIES {
+        for architecture in ARCHITECTURES {
+            let options = SynthesisOptions {
+                architecture,
+                skip_verification: true,
+                ..Default::default()
+            };
+            let synthesized = Synthesis::with_options(spec.clone(), options)
+                .run()
+                .unwrap_or_else(|e| panic!("{name}/{architecture}: {e}"));
+            let final_spec = &synthesized.spec;
+            let (netlist, nets) = match &synthesized.circuit {
+                Circuit::Latch(latch) => latch.atomic_netlist(final_spec),
+                circuit => (circuit.netlist().clone(), circuit.signal_nets(final_spec)),
+            };
+            let seed = seed_reference(name, architecture);
+            for backend in BACKENDS {
+                let space = backend.build(final_spec).unwrap();
+                let context = format!("{name}/{architecture} on {backend}");
                 let report = verify_with(
-                    &spec,
+                    final_spec,
                     &*space,
-                    circuit.netlist(),
+                    &netlist,
                     &nets,
-                    &VerifyOptions::default().with_strategy(strategy),
+                    &VerifyOptions::default(),
                 );
-                assert_eq!(
-                    report, reference,
-                    "{name}: {backend}/{strategy} diverges from the reference"
-                );
+                assert_matches_seed(&report, seed, &context);
+                let mut verifier = IncrementalVerifier::new();
+                for _ in 0..2 {
+                    let report = verifier.verify(
+                        final_spec,
+                        &*space,
+                        &netlist,
+                        &nets,
+                        &VerifyOptions::default().with_incremental(true),
+                    );
+                    assert_matches_seed(&report, seed, &format!("{context}, incremental"));
+                }
+                assert_eq!(verifier.stats().full_hits, 1, "{context}: repeat is a hit");
             }
-            let mut verifier = IncrementalVerifier::new();
-            for _ in 0..2 {
-                // Cold, then a pure cache hit: both byte-identical.
-                let report = verifier.verify(
-                    &spec,
-                    &*space,
-                    circuit.netlist(),
-                    &nets,
-                    &VerifyOptions::default().with_incremental(true),
-                );
-                assert_eq!(report, reference, "{name}: incremental on {backend}");
-            }
-            assert_eq!(verifier.stats().full_hits, 1, "{name}: repeat is a hit");
         }
     }
 }
 
 /// The backends the flow-level byte-parity matrix covers. Debug builds
-/// stick to the explicit backend — the symbolic backends' CSC sweeps
+/// stick to the explicit backend — the resident backend's CSC sweeps
 /// take minutes unoptimised, and the `verify-differential` CI job runs
-/// the full three-backend matrix in release — while the cheap
-/// *verify-report* parity above covers all three backends in every
-/// profile.
+/// the full matrix in release — while the cheap engine-level reference
+/// check above covers both backends in every profile.
 fn flow_backends() -> &'static [Backend] {
     if cfg!(debug_assertions) {
         &[Backend::Explicit]
@@ -92,22 +254,29 @@ fn flow_backends() -> &'static [Backend] {
 
 /// Flow-level byte parity: the rendered `SynthesisSummary` JSON —
 /// equations, netlist, verification, the whole event log — is identical
-/// whatever the backend, the spec-tracking strategy, or the incremental
-/// flag (which is why strategy and incremental stay out of cache keys).
+/// whatever the backend or the verification strategy (the incremental
+/// flag, which is why it stays out of cache keys), and its verification
+/// matches the seed's recorded complex-gate report.
 #[test]
 fn pipeline_output_byte_identical_across_strategies_and_backends() {
     for (name, spec) in specs() {
-        let run = |backend: Backend, strategy: VerifyStrategy, incremental: bool| -> String {
+        let run = |backend: Backend, incremental: bool| -> String {
             let options = SynthesisOptions {
                 backend,
-                verify: VerifyOptions::default()
-                    .with_strategy(strategy)
-                    .with_incremental(incremental),
+                verify: VerifyOptions::default().with_incremental(incremental),
                 ..Default::default()
             };
             let verified = Synthesis::with_options(spec.clone(), options.clone())
                 .run()
-                .unwrap_or_else(|e| panic!("{name} ({backend}/{strategy}): {e}"));
+                .unwrap_or_else(|e| panic!("{name} ({backend}): {e}"));
+            if !incremental {
+                let report = verified.verification.report().expect("verification ran");
+                assert_matches_seed(
+                    report,
+                    seed_reference(name, Architecture::ComplexGate),
+                    &format!("{name} flow on {backend}"),
+                );
+            }
             SynthesisSummary::from_verified(&verified, &options)
                 .to_json()
                 .render()
@@ -123,77 +292,63 @@ fn pipeline_output_byte_identical_across_strategies_and_backends() {
             )
             .replace(&format!("({})", backend.name()), "(*)")
         };
-        let reference = neutral(
-            &run(Backend::Explicit, VerifyStrategy::ExplicitBfs, false),
-            Backend::Explicit,
-        );
+        let reference = neutral(&run(Backend::Explicit, false), Backend::Explicit);
         for &backend in flow_backends() {
-            for strategy in STRATEGIES {
+            for incremental in [false, true] {
                 assert_eq!(
-                    neutral(&run(backend, strategy, false), backend),
+                    neutral(&run(backend, incremental), backend),
                     reference,
-                    "{name}: {backend}/{strategy} flow bytes"
+                    "{name}: {backend} (incremental: {incremental}) flow bytes"
                 );
             }
-            assert_eq!(
-                neutral(&run(backend, VerifyStrategy::Composed, true), backend),
-                reference,
-                "{name}: {backend}/incremental flow bytes"
-            );
         }
     }
 }
 
 /// The telemetry split: the deterministic metric set of the summary is
-/// byte-identical across verify strategies, the incremental flag and
-/// (in release, where the flow matrix runs) all three backends — while
-/// the advisory counters legitimately vary and ride outside the
-/// summary, on [`asyncsynth::Verified::advisory_metrics`].
+/// byte-identical across the incremental flag and (in release, where
+/// the flow matrix runs) both backends — while the advisory counters
+/// legitimately vary and ride outside the summary, on
+/// [`asyncsynth::Verified::advisory_metrics`].
 #[test]
 fn deterministic_metrics_identical_while_advisory_counters_ride_outside() {
     for (name, spec) in specs() {
-        let run = |backend: Backend, strategy: VerifyStrategy, incremental: bool| {
+        let run = |backend: Backend, incremental: bool| {
             let options = SynthesisOptions {
                 backend,
-                verify: VerifyOptions::default()
-                    .with_strategy(strategy)
-                    .with_incremental(incremental),
+                verify: VerifyOptions::default().with_incremental(incremental),
                 ..Default::default()
             };
             let verified = Synthesis::with_options(spec.clone(), options.clone())
                 .run()
-                .unwrap_or_else(|e| panic!("{name} ({backend}/{strategy}): {e}"));
+                .unwrap_or_else(|e| panic!("{name} ({backend}): {e}"));
             let summary = SynthesisSummary::from_verified(&verified, &options);
             (
                 summary.metrics.render(),
                 verified.advisory_metrics().clone(),
             )
         };
-        let (reference, baseline_advisory) =
-            run(Backend::Explicit, VerifyStrategy::ExplicitBfs, false);
+        let (reference, baseline_advisory) = run(Backend::Explicit, false);
         assert!(
             baseline_advisory.get("incremental_full_misses").is_none(),
             "{name}: no memo counters without the incremental engine"
         );
         for &backend in flow_backends() {
-            for strategy in STRATEGIES {
-                let (metrics, _) = run(backend, strategy, false);
-                assert_eq!(metrics, reference, "{name}: {backend}/{strategy} metrics");
+            let (metrics, advisory) = run(backend, false);
+            assert_eq!(metrics, reference, "{name}: {backend} metrics");
+            if backend != Backend::Explicit {
+                assert!(
+                    advisory.get("bdd_nodes").is_some(),
+                    "{name}: the resident backend reports its BDD size: {advisory:?}"
+                );
             }
-            let (metrics, advisory) = run(backend, VerifyStrategy::Composed, true);
+            let (metrics, advisory) = run(backend, true);
             assert_eq!(metrics, reference, "{name}: {backend}/incremental metrics");
             assert!(
                 advisory.get("incremental_full_misses").is_some(),
                 "{name}: the incremental engine surfaces its memo counters \
                  as advisory telemetry: {advisory:?}"
             );
-            if backend != Backend::Explicit {
-                let (_, advisory) = run(backend, VerifyStrategy::Composed, false);
-                assert!(
-                    advisory.get("bdd_nodes").is_some(),
-                    "{name}: symbolic backends report their BDD size: {advisory:?}"
-                );
-            }
         }
     }
 }
@@ -259,11 +414,9 @@ fn wide_circuit(spec: &Stg) -> (Netlist, Vec<NetId>) {
     (n, nets)
 }
 
-/// The probe the tentpole is named for: a resident `SymbolicSet` space
-/// with 131 072 states — double the 2^16 materialise limit — verifies
-/// set-level through the composed strategy, decoding *zero* states and
-/// never materialising a per-state view. Before this engine the
-/// pipeline refused any per-state verification on such spaces.
+/// A resident `SymbolicSet` space with 131 072 states — double the 2^16
+/// materialise limit — verifies set-level, decoding *zero* states and
+/// never materialising a per-state view.
 #[test]
 fn verification_runs_on_resident_space_above_materialise_limit() {
     let spec = wide_handshakes(8);
@@ -273,13 +426,7 @@ fn verification_runs_on_resident_space_above_materialise_limit() {
         "probe space must exceed the materialise limit"
     );
     let (netlist, nets) = wide_circuit(&spec);
-    let report = verify_with(
-        &spec,
-        &space,
-        &netlist,
-        &nets,
-        &VerifyOptions::default(), // composed strategy is the default
-    );
+    let report = verify_with(&spec, &space, &netlist, &nets, &VerifyOptions::default());
     assert!(report.is_speed_independent(), "{}", report.summary());
     assert_eq!(report.states_explored, 2 * 4usize.pow(8));
     assert_eq!(

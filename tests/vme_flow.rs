@@ -172,18 +172,6 @@ fn run_batch_reports_per_spec_failures() {
 }
 
 #[test]
-#[allow(deprecated)]
-fn legacy_run_flow_shim_matches_pipeline() {
-    use asyncsynth::flow::{run_flow, FlowOptions};
-    let legacy = run_flow(&vme_read(), &FlowOptions::default()).expect("shim works");
-    assert!(legacy.verified);
-    assert!(legacy.csc_transformation.is_some());
-    assert_eq!(legacy.state_graph.num_states(), 16);
-    let new = Synthesis::new(vme_read()).run().unwrap();
-    assert_eq!(legacy.equations_text, new.equations_text);
-}
-
-#[test]
 fn state_graph_codes_match_paper_initial_state() {
     let spec = vme_read();
     let sg = StateGraph::build(&spec).unwrap();
@@ -194,14 +182,14 @@ fn state_graph_codes_match_paper_initial_state() {
 #[test]
 fn backend_is_threaded_through_every_stage() {
     let result = Synthesis::new(vme_read())
-        .backend(Backend::Symbolic)
+        .backend(Backend::SymbolicSet)
         .run()
-        .expect("symbolic pipeline succeeds");
+        .expect("symbolic-set pipeline succeeds");
     assert!(result.verification.passed());
-    assert_eq!(result.state_space().backend(), Backend::Symbolic);
+    assert_eq!(result.state_space().backend(), Backend::SymbolicSet);
     assert!(result.events().iter().all(|e| {
         if let FlowEvent::StateSpaceBuilt { backend, .. } = e {
-            *backend == Backend::Symbolic
+            *backend == Backend::SymbolicSet
         } else {
             true
         }
