@@ -8,9 +8,20 @@
 //! extra cores: pairs that provably cannot separate a conflicting state
 //! pair are skipped before any state space is built. The micropipeline
 //! group shows pruning on a controller whose whole grid is refutable.
+//!
+//! `csc-candidate` times one candidate state graph two ways over the
+//! first greedy step of `resolve_mixed_sweep` (every ordering-arc and
+//! insertion move) on counter-4 and micropipeline-3: `token-game` edits
+//! the STG and replays reachability, as every sweep did before
+//! candidates were derived; `derive` computes the same graph from the
+//! base graph ([`stg::StateGraph::derive`]). Each iteration covers the
+//! whole step; the per-candidate figure is printed alongside.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use synth::csc::{insertion_sweep, SweepOptions};
+use stg::{StateGraph, StgEdit};
+use synth::csc::{
+    apply_edit, greedy_moves, insertion_labels, insertion_sweep, SweepOptions, DEFAULT_SWEEP_BOUND,
+};
 
 fn sweep_opts(threads: usize, prune: bool) -> SweepOptions {
     SweepOptions {
@@ -62,5 +73,50 @@ fn bench_micropipeline_prune(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_vme_read_sweep, bench_micropipeline_prune);
+fn bench_candidate_build(c: &mut Criterion) {
+    let mut group = c.benchmark_group("csc-candidate");
+    group.sample_size(10);
+    for (name, spec) in [
+        ("counter-4", corpus::generators::ripple_counter(4)),
+        ("micropipeline-3", stg::examples::micropipeline(3)),
+    ] {
+        let base = StateGraph::build(&spec).expect("base builds");
+        let insertion = insertion_labels(&spec);
+        let moves = greedy_moves(&spec);
+        println!("csc-candidate/{name}: {} moves per step", moves.len());
+        group.bench_function(format!("{name}/token-game"), |b| {
+            b.iter(|| {
+                moves
+                    .iter()
+                    .filter(|&&edit| {
+                        StateGraph::build_bounded(&apply_edit(&spec, edit), DEFAULT_SWEEP_BOUND)
+                            .is_ok()
+                    })
+                    .count()
+            });
+        });
+        group.bench_function(format!("{name}/derive"), |b| {
+            b.iter(|| {
+                moves
+                    .iter()
+                    .filter(|&&edit| {
+                        let labels = match edit {
+                            StgEdit::OrderingArc(..) => &spec,
+                            StgEdit::Insertion(..) => &insertion,
+                        };
+                        StateGraph::derive(&base, labels, edit, DEFAULT_SWEEP_BOUND).is_ok()
+                    })
+                    .count()
+            });
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_vme_read_sweep,
+    bench_micropipeline_prune,
+    bench_candidate_build
+);
 criterion_main!(benches);

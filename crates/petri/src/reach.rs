@@ -137,6 +137,13 @@ impl ReachabilityGraph {
         &self.markings
     }
 
+    /// The markings (in state order) and the transition system, without
+    /// copying either.
+    #[must_use]
+    pub fn into_parts(self) -> (Vec<Marking>, TransitionSystem<TransitionId>) {
+        (self.markings, self.ts)
+    }
+
     /// The state index of a marking, if reachable.
     #[must_use]
     pub fn state_of(&self, m: &Marking) -> Option<usize> {

@@ -26,9 +26,18 @@ pub struct TransitionSystem<L> {
     num_states: usize,
     initial: usize,
     arcs: Vec<(usize, L, usize)>,
-    /// Outgoing arc indices per state.
-    out: Vec<Vec<usize>>,
+    /// Outgoing arcs per state as a list threaded through the arcs, in
+    /// insertion order: the state's first and last arc ([`NO_ARC`] when
+    /// it has none) and, per arc, the state's next one. No per-state
+    /// allocation, which keeps building a system as cheap as pushing
+    /// its arcs.
+    first_out: Vec<usize>,
+    last_out: Vec<usize>,
+    next_out: Vec<usize>,
 }
+
+/// End of an outgoing-arc list.
+const NO_ARC: usize = usize::MAX;
 
 impl<L: Clone + Eq + Hash> TransitionSystem<L> {
     /// Creates a system with `num_states` states and no arcs.
@@ -43,13 +52,16 @@ impl<L: Clone + Eq + Hash> TransitionSystem<L> {
             num_states,
             initial,
             arcs: Vec::new(),
-            out: vec![Vec::new(); num_states],
+            first_out: vec![NO_ARC; num_states],
+            last_out: vec![NO_ARC; num_states],
+            next_out: Vec::new(),
         }
     }
 
     /// Adds a state, returning its index.
     pub fn add_state(&mut self) -> usize {
-        self.out.push(Vec::new());
+        self.first_out.push(NO_ARC);
+        self.last_out.push(NO_ARC);
         self.num_states += 1;
         self.num_states - 1
     }
@@ -63,7 +75,12 @@ impl<L: Clone + Eq + Hash> TransitionSystem<L> {
         assert!(from < self.num_states && to < self.num_states);
         let idx = self.arcs.len();
         self.arcs.push((from, label, to));
-        self.out[from].push(idx);
+        self.next_out.push(NO_ARC);
+        match self.last_out[from] {
+            NO_ARC => self.first_out[from] = idx,
+            last => self.next_out[last] = idx,
+        }
+        self.last_out[from] = idx;
     }
 
     /// Number of states.
@@ -92,9 +109,15 @@ impl<L: Clone + Eq + Hash> TransitionSystem<L> {
 
     /// Outgoing arcs of a state as `(label, target)` pairs.
     pub fn successors(&self, state: usize) -> impl Iterator<Item = (&L, usize)> + '_ {
-        self.out[state].iter().map(move |&i| {
+        let mut next = self.first_out[state];
+        std::iter::from_fn(move || {
+            let i = next;
+            if i == NO_ARC {
+                return None;
+            }
+            next = self.next_out[i];
             let (_, ref l, to) = self.arcs[i];
-            (l, to)
+            Some((l, to))
         })
     }
 
@@ -116,10 +139,10 @@ impl<L: Clone + Eq + Hash> TransitionSystem<L> {
     /// Labels enabled (outgoing) at a state, deduplicated.
     #[must_use]
     pub fn enabled_labels(&self, state: usize) -> Vec<L> {
-        let mut seen = HashSet::new();
-        let mut out = Vec::new();
+        // Out-degrees are small: a linear scan beats hashing.
+        let mut out: Vec<L> = Vec::new();
         for (l, _) in self.successors(state) {
-            if seen.insert(l.clone()) {
+            if !out.contains(l) {
                 out.push(l.clone());
             }
         }
@@ -144,7 +167,7 @@ impl<L: Clone + Eq + Hash> TransitionSystem<L> {
     #[must_use]
     pub fn deadlocks(&self) -> Vec<usize> {
         (0..self.num_states)
-            .filter(|&s| self.out[s].is_empty())
+            .filter(|&s| self.first_out[s] == NO_ARC)
             .collect()
     }
 

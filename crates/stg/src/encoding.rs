@@ -107,20 +107,13 @@ fn excitation_classes<S: StateSpace + ?Sized>(stg: &Stg, sg: &S, s: SignalId) ->
 /// unexcited) contain states with a common code.
 #[must_use]
 pub fn has_csc<S: StateSpace + ?Sized>(stg: &Stg, sg: &S) -> bool {
+    if !sg.set_level_native() {
+        return shared_code_groups(stg, sg)
+            .iter()
+            .all(|groups| groups.len() == 1);
+    }
     if has_usc(stg, sg) {
         return true;
-    }
-    if !sg.set_level_native() {
-        // Enumerating backends: one indexed pass over the duplicated
-        // classes beats per-signal full-space scans (this verdict sits
-        // in the CSC sweeps' per-candidate hot path).
-        let non_inputs = stg.non_input_signals();
-        return sg.duplicate_code_classes().iter().all(|(_, states)| {
-            let first = excitation_profile(stg, sg, states[0], &non_inputs);
-            states[1..]
-                .iter()
-                .all(|&b| excitation_profile(stg, sg, b, &non_inputs) == first)
-        });
     }
     for s in stg.non_input_signals() {
         let [rise, fall, none] = excitation_classes(stg, sg, s);
@@ -134,26 +127,6 @@ pub fn has_csc<S: StateSpace + ?Sized>(stg: &Stg, sg: &S) -> bool {
     true
 }
 
-/// The non-input excitation profile of one state (the equivalence whose
-/// disagreement on a shared code *is* a CSC conflict).
-fn excitation_profile<S: StateSpace + ?Sized>(
-    stg: &Stg,
-    sg: &S,
-    state: usize,
-    non_inputs: &[SignalId],
-) -> Vec<Option<SignalEdge>> {
-    let excitations = sg.excitations(stg, state);
-    non_inputs
-        .iter()
-        .map(|&s| {
-            excitations
-                .iter()
-                .find(|&&(_, sig, _)| sig == s)
-                .map(|&(_, _, e)| e)
-        })
-        .collect()
-}
-
 /// Number of CSC-violating state pairs: same-code pairs disagreeing on
 /// some non-input excitation.
 ///
@@ -161,36 +134,32 @@ fn excitation_profile<S: StateSpace + ?Sized>(
 /// excitation classes of every non-input signal: pairs inside one
 /// refined part agree everywhere, so `C(total, 2) − Σ C(part, 2)` is the
 /// conflict count — set counts only, witnesses are never materialised.
+/// Enumerating spaces find the same parts with one sort of their states.
 #[must_use]
 pub fn csc_conflict_pair_count<S: StateSpace + ?Sized>(stg: &Stg, sg: &S) -> usize {
+    if !sg.set_level_native() {
+        let pairs_of = |n: usize| n * n.saturating_sub(1) / 2;
+        return shared_code_groups(stg, sg)
+            .iter()
+            .map(|groups| {
+                let agreeing: usize = groups.iter().map(|&g| pairs_of(g)).sum();
+                pairs_of(groups.iter().sum()) - agreeing
+            })
+            .sum();
+    }
     if has_usc(stg, sg) {
         return 0;
     }
     let non_inputs = stg.non_input_signals();
-    if !sg.set_level_native() {
-        // Enumerating backends: group each duplicated class by profile.
-        let pairs_of = |n: usize| n * n.saturating_sub(1) / 2;
-        let mut conflicts = 0usize;
-        for (_, states) in sg.duplicate_code_classes() {
-            let mut groups: std::collections::HashMap<Vec<Option<SignalEdge>>, usize> =
-                std::collections::HashMap::new();
-            for &s in &states {
-                *groups
-                    .entry(excitation_profile(stg, sg, s, &non_inputs))
-                    .or_default() += 1;
-            }
-            let agreeing: usize = groups.values().map(|&n| pairs_of(n)).sum();
-            conflicts += pairs_of(states.len()) - agreeing;
-        }
-        return conflicts;
-    }
     let classes: Vec<[StateSet; 3]> = non_inputs
         .iter()
         .map(|&s| excitation_classes(stg, sg, s))
         .collect();
     let pairs_of = |n: u128| n * n.saturating_sub(1) / 2;
     let mut conflicts = 0u128;
-    for code in duplicate_codes(sg) {
+    // Codes come from the projection and only the duplicated ones are
+    // refined — states stay symbolic.
+    for code in sg.set_codes(&sg.all_states()) {
         let set = sg.states_with_code_set(&code);
         let total = sg.set_count(&set);
         if total < 2 {
@@ -220,21 +189,47 @@ pub fn csc_conflict_pair_count<S: StateSpace + ?Sized>(stg: &Stg, sg: &S) -> usi
     usize::try_from(conflicts).expect("conflict pair count fits usize")
 }
 
-/// The duplicated codes of a space, without state materialisation.
-fn duplicate_codes<S: StateSpace + ?Sized>(sg: &S) -> Vec<Vec<bool>> {
-    if sg.set_level_native() {
-        // Enumerate codes from the projection and keep the duplicated
-        // ones by count — states stay symbolic.
-        sg.set_codes(&sg.all_states())
-            .into_iter()
-            .filter(|c| sg.set_count(&sg.states_with_code_set(c)) > 1)
-            .collect()
-    } else {
-        sg.duplicate_code_classes()
-            .into_iter()
-            .map(|(c, _)| c)
-            .collect()
+/// For every code two or more states of an enumerating space share, the
+/// sizes of its states' groups by excited non-input signals.
+///
+/// Codes are consistent along arcs (a [`StateSpace`] invariant), so a
+/// signal excited in a state has the edge its code allows: states with one
+/// code agree on every non-input excitation exactly when they excite the
+/// same non-input signals. One sort of the states by packed (code, excited
+/// signals) bit words finds every group, where hashing each state's code
+/// and excitation profile used to (the CSC sweeps ask this of every
+/// candidate).
+fn shared_code_groups<S: StateSpace + ?Sized>(stg: &Stg, sg: &S) -> Vec<Vec<usize>> {
+    let words = sg.num_signals().div_ceil(64).max(1);
+    let ts = sg.ts();
+    // Per state: `words` code words, then `words` excited-signal words.
+    let mut keys = vec![0u64; sg.num_states() * 2 * words];
+    for (i, key) in keys.chunks_mut(2 * words).enumerate() {
+        for (k, _) in sg.code(i).iter().enumerate().filter(|(_, &v)| v) {
+            key[k / 64] |= 1 << (k % 64);
+        }
+        for (&t, _) in ts.successors(i) {
+            if let Some(l) = stg.label(t) {
+                if stg.signal_kind(l.signal).is_non_input() {
+                    let k = l.signal.index();
+                    key[words + k / 64] |= 1 << (k % 64);
+                }
+            }
+        }
     }
+    let key = |i: usize| &keys[i * 2 * words..(i + 1) * 2 * words];
+    let mut order: Vec<usize> = (0..sg.num_states()).collect();
+    order.sort_unstable_by(|&a, &b| key(a).cmp(key(b)));
+    order
+        .chunk_by(|&a, &b| key(a)[..words] == key(b)[..words])
+        .filter(|class| class.len() > 1)
+        .map(|class| {
+            class
+                .chunk_by(|&a, &b| key(a) == key(b))
+                .map(<[usize]>::len)
+                .collect()
+        })
+        .collect()
 }
 
 /// Only the CSC-violating conflicts (witness-producing; see

@@ -104,9 +104,25 @@ pub fn is_persistent<S: StateSpace + ?Sized>(stg: &Stg, sg: &S) -> bool {
         }
         return true;
     }
-    persistency_violations(stg, sg)
-        .iter()
-        .all(|v| v.kind == ViolationKind::InputChoice)
+    // Enumerating backends: stop at the first blocking disabling (the
+    // CSC sweeps ask this of every candidate; most fail early).
+    let ts = sg.ts();
+    let mut enabled: Vec<(TransitionId, usize)> = Vec::new();
+    for s in 0..sg.num_states() {
+        enabled.clear();
+        enabled.extend(ts.successors(s).map(|(&t, to)| (t, to)));
+        for &(u, next) in &enabled {
+            for &(t, _) in &enabled {
+                if t != u
+                    && sg.successor(next, t).is_none()
+                    && classify(stg, t, u) != ViolationKind::InputChoice
+                {
+                    return false;
+                }
+            }
+        }
+    }
+    true
 }
 
 /// Number of blocking disabling occurrences (`(state, disabled, by)`

@@ -3,12 +3,12 @@
 //! are of primary importance since they form the basis of logic
 //! synthesis."*).
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::fmt;
 use std::sync::OnceLock;
 
 use petri::reach::{ReachError, ReachabilityGraph};
-use petri::{Marking, TransitionId, TransitionSystem};
+use petri::{Marking, PlaceId, TransitionId, TransitionSystem};
 
 use crate::model::{SignalEdge, SignalId, Stg};
 use crate::state_space::StateSpace;
@@ -65,6 +65,23 @@ impl From<ReachError> for StgError {
     }
 }
 
+/// A structural edit of an STG whose state graph [`StateGraph::derive`]
+/// computes from the unedited STG's graph: the two CSC repairs of
+/// §2.1/§3.1.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum StgEdit {
+    /// A causal place `a → b`, initially empty, appended after the base
+    /// places: `b` now also waits for `a` (concurrency reduction).
+    OrderingArc(TransitionId, TransitionId),
+    /// A fresh internal signal `x` whose rising edge precedes `t⁺` and
+    /// whose falling edge precedes `t⁻`. Each edge takes over the input
+    /// places of its transition that have no other consumer and marks a
+    /// link place the transition then consumes. With `T` transitions and
+    /// `P` places in the base, `x⁺`/`x⁻` are transitions `T`/`T + 1` and
+    /// their link places are `P`/`P + 1`.
+    Insertion(TransitionId, TransitionId),
+}
+
 /// One state of a [`StateGraph`]: a marking plus the binary code of all
 /// signals.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -106,25 +123,206 @@ impl StateGraph {
     ///
     /// See [`StateGraph::build`].
     pub fn build_bounded(stg: &Stg, max_states: usize) -> Result<Self, StgError> {
-        let rg = ReachabilityGraph::build_bounded(stg.net(), 1, max_states)?;
+        let (markings, ts) =
+            ReachabilityGraph::build_bounded(stg.net(), 1, max_states)?.into_parts();
+        Self::from_reachability(stg, markings, ts)
+    }
+
+    /// The state graph of `base`'s STG after `edit`, computed from `base`
+    /// alone in O(|SG|): no STG is built, no transition fired and no
+    /// marking hashed.
+    ///
+    /// `labels` carries the edited STG's signals and transition labels
+    /// over the *base* net: for [`StgEdit::OrderingArc`] it is the base
+    /// STG itself; for [`StgEdit::Insertion`] it is the base net with the
+    /// new signal's two edges appended as unconnected transitions
+    /// (`synth::csc::insertion_labels`).
+    ///
+    /// The candidate's reachable markings are the base markings times the
+    /// edit's extra tokens. An ordering arc adds one place bit: `a` sets
+    /// it, `b` needs and clears it, and a second `a` overflows it. An
+    /// insertion adds a pending flag per inserted edge: `x±` fires once
+    /// the input places it takes over from `t±` (those with no other
+    /// consumer) are marked, and `t±` then fires only from the pending
+    /// copy. States are numbered in the token game's breadth-first order
+    /// (base successors by transition id, then `x⁺`, `x⁻`), and the build
+    /// ends in the same initial-value inference and code propagation as
+    /// [`StateGraph::build_bounded`], so the result — markings, codes, arc
+    /// order, and the error on failure — equals building the edited STG
+    /// with the same `max_states`.
+    ///
+    /// # Errors
+    ///
+    /// As [`StateGraph::build_bounded`] on the edited STG.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an insertion's `t⁺` equals its `t⁻`.
+    pub fn derive(
+        base: &StateGraph,
+        labels: &Stg,
+        edit: StgEdit,
+        max_states: usize,
+    ) -> Result<Self, StgError> {
+        /// The edit resolved against the base net. A product state is a
+        /// base state plus `extra`: the arc place's token count, or the
+        /// insertion's pending flags (bit `i` for inserted edge `i`).
+        enum Product {
+            Arc(TransitionId, TransitionId),
+            Insertion {
+                split: [TransitionId; 2],
+                edges: [TransitionId; 2],
+                taken_over: [Vec<PlaceId>; 2],
+            },
+        }
+        let net = labels.net();
+        let product = match edit {
+            StgEdit::OrderingArc(a, b) => Product::Arc(a, b),
+            StgEdit::Insertion(plus, minus) => {
+                assert_ne!(plus, minus, "an insertion splits two distinct transitions");
+                let taken_over = |t: TransitionId| -> Vec<PlaceId> {
+                    net.preset(t)
+                        .iter()
+                        .copied()
+                        .filter(|&p| net.place_postset(p).len() <= 1)
+                        .collect()
+                };
+                let first = net.num_transitions() - 2;
+                Product::Insertion {
+                    split: [plus, minus],
+                    edges: [
+                        TransitionId::from_index(first),
+                        TransitionId::from_index(first + 1),
+                    ],
+                    taken_over: [taken_over(plus), taken_over(minus)],
+                }
+            }
+        };
+        let copies = match product {
+            Product::Arc(..) => 2,
+            Product::Insertion { .. } => 4,
+        };
+        let marking = |s: usize, extra: u32| -> Marking {
+            let mut counts = base.states[s].marking.as_counts().to_vec();
+            match &product {
+                Product::Arc(..) => counts.push(extra),
+                Product::Insertion { taken_over, .. } => {
+                    for (bit, places) in taken_over.iter().enumerate() {
+                        if extra >> bit & 1 == 1 {
+                            for p in places {
+                                counts[p.index()] -= 1;
+                            }
+                        }
+                    }
+                    counts.extend([extra & 1, extra >> 1]);
+                }
+            }
+            Marking::from_counts(counts)
+        };
+        let unsafe_at = |s: usize, extra: u32, place: usize| -> StgError {
+            let mut counts = marking(s, extra).as_counts().to_vec();
+            counts[place] = 2;
+            ReachError::BoundExceeded(Marking::from_counts(counts)).into()
+        };
+
+        // Breadth-first over the product, numbering each state on first
+        // sight as the token game does.
+        let mut states: Vec<(usize, u32)> = vec![(0, 0)];
+        let mut index = vec![u32::MAX; base.num_states() * copies];
+        index[0] = 0;
+        let mut ts = TransitionSystem::new(1, 0);
+        let mut visit = |states: &mut Vec<(usize, u32)>,
+                         from: usize,
+                         t: TransitionId,
+                         s: usize,
+                         extra: u32|
+         -> Result<(), StgError> {
+            let slot = &mut index[s * copies + extra as usize];
+            if *slot == u32::MAX {
+                if states.len() >= max_states {
+                    return Err(ReachError::StateLimit(max_states).into());
+                }
+                *slot = u32::try_from(ts.add_state()).expect("state count fits u32");
+                states.push((s, extra));
+            }
+            ts.add_arc(from, t, *slot as usize);
+            Ok(())
+        };
+        let mut from = 0;
+        while from < states.len() {
+            let (s, extra) = states[from];
+            match &product {
+                &Product::Arc(a, b) => {
+                    for (&t, to) in base.ts.successors(s) {
+                        if t == b && extra == 0 {
+                            continue;
+                        }
+                        let tokens = extra - u32::from(t == b) + u32::from(t == a);
+                        if tokens > 1 {
+                            return Err(unsafe_at(to, extra, net.num_places()));
+                        }
+                        visit(&mut states, from, t, to, tokens)?;
+                    }
+                }
+                Product::Insertion {
+                    split,
+                    edges,
+                    taken_over,
+                } => {
+                    for (&t, to) in base.ts.successors(s) {
+                        let pending = match split.iter().position(|&u| u == t) {
+                            Some(bit) => 1 << bit,
+                            None => 0,
+                        };
+                        if extra & pending == pending {
+                            visit(&mut states, from, t, to, extra & !pending)?;
+                        }
+                    }
+                    for bit in 0..2 {
+                        let flag = 1 << bit;
+                        let m = &base.states[s].marking;
+                        if extra & flag == 0 {
+                            if taken_over[bit].iter().all(|&p| m.is_marked(p)) {
+                                visit(&mut states, from, edges[bit], s, extra | flag)?;
+                            }
+                        } else if taken_over[bit].is_empty() {
+                            // The pending edge has no input place: it fires
+                            // again, putting a second token on its link.
+                            return Err(unsafe_at(s, extra, net.num_places() + bit));
+                        }
+                    }
+                }
+            }
+            from += 1;
+        }
+        let markings = states.iter().map(|&(s, extra)| marking(s, extra));
+        Self::from_reachability(labels, markings, ts)
+    }
+
+    /// The build's tail shared by the token game and [`StateGraph::derive`]:
+    /// initial values (the STG's, or inferred) and consistent codes over
+    /// the reachable markings.
+    /// The markings are only drawn once the codes are consistent.
+    fn from_reachability(
+        stg: &Stg,
+        markings: impl IntoIterator<Item = Marking>,
+        ts: TransitionSystem<TransitionId>,
+    ) -> Result<Self, StgError> {
         let initial_values = match stg.initial_values() {
             Some(v) => v.to_vec(),
-            None => infer_initial_values(stg, rg.ts()),
+            None => infer_initial_values(stg, &ts),
         };
-        let n = stg.num_signals();
-        let codes = propagate_codes(stg, rg.ts(), &initial_values)?;
-        let states: Vec<SgState> = rg
-            .markings()
-            .iter()
-            .cloned()
+        let codes = propagate_codes(stg, &ts, &initial_values)?;
+        let states: Vec<SgState> = markings
+            .into_iter()
             .zip(codes)
             .map(|(marking, code)| SgState { marking, code })
             .collect();
         Ok(StateGraph {
             states,
-            ts: rg.ts().clone(),
+            ts,
             initial_values,
-            num_signals: n,
+            num_signals: stg.num_signals(),
             code_index: OnceLock::new(),
         })
     }
@@ -230,29 +428,26 @@ impl StateGraph {
 /// Infers initial signal values from first-edge polarities (a signal whose
 /// first reachable edge is rising starts at 0; falling starts at 1;
 /// never-switching signals default to 0).
+///
+/// The first edge of each signal in breadth-first order from state 0
+/// decides. `ts` is numbered in breadth-first discovery order with each
+/// state's arcs in exploration order (the token game and
+/// [`StateGraph::derive`] both build it so), so its arc list already is
+/// that order. A genuinely contradictory STG then fails the consistency
+/// propagation in `propagate_codes`, which re-validates everything, so
+/// the order cannot smuggle in a wrong answer silently.
 fn infer_initial_values(stg: &Stg, ts: &TransitionSystem<TransitionId>) -> Vec<bool> {
-    let n = stg.num_signals();
-    let mut first_edge: Vec<Option<SignalEdge>> = vec![None; n];
-    // BFS over the transition structure; the first edge of each signal
-    // seen in BFS order decides. A genuinely contradictory STG will then
-    // fail the consistency propagation in `propagate_codes`, which
-    // re-validates everything, so BFS order cannot smuggle in a wrong
-    // answer silently.
-    let mut visited = vec![false; ts.num_states()];
-    let mut queue = VecDeque::new();
-    visited[0] = true;
-    queue.push_back(0usize);
-    while let Some(s) = queue.pop_front() {
-        for (&t, to) in ts.successors(s) {
-            if let Some(l) = stg.label(t) {
-                let slot = &mut first_edge[l.signal.index()];
-                if slot.is_none() {
-                    *slot = Some(l.edge);
-                }
-            }
-            if !visited[to] {
-                visited[to] = true;
-                queue.push_back(to);
+    let mut first_edge: Vec<Option<SignalEdge>> = vec![None; stg.num_signals()];
+    let mut unseen = first_edge.len();
+    for &(_, t, _) in ts.arcs() {
+        if unseen == 0 {
+            break;
+        }
+        if let Some(l) = stg.label(t) {
+            let slot = &mut first_edge[l.signal.index()];
+            if slot.is_none() {
+                *slot = Some(l.edge);
+                unseen -= 1;
             }
         }
     }
@@ -265,50 +460,57 @@ fn infer_initial_values(stg: &Stg, ts: &TransitionSystem<TransitionId>) -> Vec<b
         .collect()
 }
 
-/// Propagates binary codes from state `0` over the transition structure,
-/// validating consistency (§2.1) along the way. Shared by every
-/// state-space backend: each backend supplies its own reachable-state
-/// structure; the signal interpretation is identical.
+/// Propagates binary codes from state `0` over the transition structure in
+/// breadth-first order (the arc order, as for `infer_initial_values`),
+/// validating consistency (§2.1) along the way: the first violating arc
+/// in that order is the one reported.
 fn propagate_codes(
     stg: &Stg,
     ts: &TransitionSystem<TransitionId>,
     initial_values: &[bool],
 ) -> Result<Vec<Vec<bool>>, StgError> {
-    let mut codes: Vec<Option<Vec<bool>>> = vec![None; ts.num_states()];
-    codes[0] = Some(initial_values.to_vec());
-    let mut queue = VecDeque::new();
-    queue.push_back(0usize);
-    while let Some(s) = queue.pop_front() {
-        let code = codes[s].clone().expect("queued states are coded");
-        for (&t, to) in ts.successors(s) {
-            let mut next = code.clone();
-            if let Some(label) = stg.label(t) {
-                let idx = label.signal.index();
-                let expected_before = !label.edge.value_after();
-                if next[idx] != expected_before {
-                    return Err(StgError::InconsistentEdge {
-                        transition: stg.label_string(t),
-                        state: s,
-                    });
-                }
-                next[idx] = label.edge.value_after();
+    let width = initial_values.len();
+    let n = ts.num_states();
+    let mut codes = vec![false; n * width];
+    let mut coded = vec![false; n];
+    codes[..width].copy_from_slice(initial_values);
+    coded[0] = true;
+    for &(s, t, to) in ts.arcs() {
+        debug_assert!(coded[s], "arcs leave states already reached");
+        // The edge `t` sets signal `idx` to `after`.
+        let mut edge = None;
+        if let Some(label) = stg.label(t) {
+            let idx = label.signal.index();
+            let after = label.edge.value_after();
+            if codes[s * width + idx] == after {
+                return Err(StgError::InconsistentEdge {
+                    transition: stg.label_string(t),
+                    state: s,
+                });
             }
-            match &codes[to] {
-                Some(existing) => {
-                    if *existing != next {
-                        return Err(StgError::InconsistentCode { state: to });
-                    }
-                }
-                None => {
-                    codes[to] = Some(next);
-                    queue.push_back(to);
-                }
+            edge = Some((idx, after));
+        }
+        if coded[to] {
+            let agrees = (0..width).all(|i| {
+                let value = match edge {
+                    Some((idx, after)) if idx == i => after,
+                    _ => codes[s * width + i],
+                };
+                codes[to * width + i] == value
+            });
+            if !agrees {
+                return Err(StgError::InconsistentCode { state: to });
             }
+        } else {
+            codes.copy_within(s * width..(s + 1) * width, to * width);
+            if let Some((idx, after)) = edge {
+                codes[to * width + idx] = after;
+            }
+            coded[to] = true;
         }
     }
-    Ok(codes
-        .into_iter()
-        .map(|c| c.expect("state spaces are connected from state 0"))
+    Ok((0..n)
+        .map(|i| codes[i * width..(i + 1) * width].to_vec())
         .collect())
 }
 

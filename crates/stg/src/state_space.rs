@@ -120,6 +120,12 @@ pub trait StateSpace: fmt::Debug + Send + Sync {
     /// Which backend produced this space.
     fn backend(&self) -> Backend;
 
+    /// This space as an explicit [`StateGraph`], when it is one (the CSC
+    /// sweeps derive their candidates' graphs from it).
+    fn as_state_graph(&self) -> Option<&StateGraph> {
+        None
+    }
+
     /// BDD nodes allocated in the manager backing this space, for the
     /// resident-BDD backend. Advisory telemetry only: the value varies by
     /// backend and by what else shared the manager, so it must never
@@ -500,6 +506,10 @@ impl StateSpace for StateGraph {
 
     fn backend(&self) -> Backend {
         Backend::Explicit
+    }
+
+    fn as_state_graph(&self) -> Option<&StateGraph> {
+        Some(self)
     }
 
     fn states_with_code(&self, code: &[bool]) -> Vec<usize> {

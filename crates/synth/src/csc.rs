@@ -17,10 +17,17 @@
 //! # The candidate sweep engine
 //!
 //! Every search here is a sweep over a candidate grid — `(t⁺, t⁻)`
-//! insertion pairs, `a → b` ordering arcs — where each candidate builds
-//! and validates a full state space. That makes the sweeps the flow's
-//! dominant cost, so they run through one engine ([`SweepOptions`]) that
+//! insertion pairs, `a → b` ordering arcs — where each candidate's state
+//! space is validated in full. That makes the sweeps the flow's dominant
+//! cost, so they run through one engine ([`SweepOptions`]) that
 //!
+//! * **derives** candidate spaces on the explicit backend: a candidate's
+//!   state graph is computed from the base graph in O(|SG|)
+//!   ([`StateGraph::derive`]) and checked against a label template (the
+//!   base STG for arcs, [`insertion_labels`] for insertions), so no
+//!   candidate STG is built and no token game replayed until a candidate
+//!   is accepted. The resident-BDD backend builds each candidate STG and
+//!   its space from scratch;
 //! * **parallelises** the grid on scoped work-stealing workers
 //!   ([`crate::par`]), merging per-worker rankings deterministically so
 //!   the output is byte-identical to a serial sweep at any thread count;
@@ -30,9 +37,9 @@
 //!   internal docs for the soundness argument — pruning never changes
 //!   the result set, only the work);
 //! * **memoises** across candidates: the base specification's state
-//!   space seeds the pruner instead of being rebuilt, the resident-BDD
-//!   backend shares one BDD manager per worker across all of its
-//!   candidate builds ([`stg::BuildContext`]), and the greedy loop
+//!   space seeds the pruner and the derivations instead of being rebuilt,
+//!   the resident-BDD backend shares one BDD manager per worker across all
+//!   of its candidate builds ([`stg::BuildContext`]), and the greedy loop
 //!   carries the winning candidate's space into the next step instead of
 //!   rebuilding it;
 //! * **diagnoses** instead of dropping: candidates whose space exceeds
@@ -43,18 +50,21 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 use petri::reach::ReachError;
 use petri::TransitionId;
-use stg::{Backend, BuildContext, SignalEdge, SignalKind, StateSpace, Stg, StgError};
+use stg::{
+    Backend, BuildContext, SignalEdge, SignalKind, StateGraph, StateSpace, Stg, StgEdit, StgError,
+};
 
 use crate::par;
 
 /// Outcome of a successful CSC resolution, carrying the candidate's
 /// already-built state space through to synthesis.
 ///
-/// The search routines build and validate a full state space for every
-/// candidate they rank; keeping it saves the flow driver a rebuild before
+/// The search routines validate a full state space for every candidate
+/// they rank; keeping it saves the flow driver a rebuild before
 /// synthesis. Deliberately **not** `Clone` (a `Box<dyn StateSpace>` has
 /// no useful copy) so the space is moved, not duplicated, on its way
 /// downstream.
@@ -324,6 +334,100 @@ impl<'a> ConflictPruner<'a> {
 }
 
 // ---------------------------------------------------------------------
+// Candidate state spaces
+// ---------------------------------------------------------------------
+
+/// Builds the state spaces of one base specification's candidates.
+///
+/// When the base space is an explicit [`StateGraph`], every candidate's
+/// graph is derived from it ([`StateGraph::derive`]) and checked against
+/// the step's label template: arc candidates share the base STG's labels,
+/// insertion candidates share [`insertion_labels`]. The candidate STG is
+/// built only for moves that pass. Otherwise (the resident-BDD backend,
+/// or no base graph at hand) each candidate STG and its space are built
+/// from scratch.
+struct Candidates<'a> {
+    stg: &'a Stg,
+    backend: Backend,
+    bound: usize,
+    derive_from: Option<&'a StateGraph>,
+    insertion_labels: OnceLock<Stg>,
+}
+
+/// One candidate's space, with its STG when it had to be built for it.
+struct Candidate {
+    space: Box<dyn StateSpace>,
+    stg: Option<Stg>,
+}
+
+impl<'a> Candidates<'a> {
+    fn new(stg: &'a Stg, backend: Backend, bound: usize, base: Option<&'a dyn StateSpace>) -> Self {
+        let derive_from = match backend {
+            Backend::Explicit => base.and_then(StateSpace::as_state_graph),
+            Backend::SymbolicSet => None,
+        };
+        Candidates {
+            stg,
+            backend,
+            bound,
+            derive_from,
+            insertion_labels: OnceLock::new(),
+        }
+    }
+
+    /// The candidate's state space; a `StateLimit` error means it exceeds
+    /// the sweep bound.
+    fn space(&self, edit: StgEdit, ctx: &mut BuildContext) -> Result<Candidate, StgError> {
+        if let Some(base) = self.derive_from {
+            let labels = self.template(edit);
+            let sg = StateGraph::derive(base, labels, edit, self.bound)?;
+            return Ok(Candidate {
+                space: Box::new(sg),
+                stg: None,
+            });
+        }
+        let stg = apply_edit(self.stg, edit);
+        let space = self.backend.build_bounded_in(&stg, self.bound, ctx)?;
+        Ok(Candidate {
+            space,
+            stg: Some(stg),
+        })
+    }
+
+    fn template(&self, edit: StgEdit) -> &Stg {
+        match edit {
+            StgEdit::OrderingArc(..) => self.stg,
+            StgEdit::Insertion(..) => self
+                .insertion_labels
+                .get_or_init(|| insertion_labels(self.stg)),
+        }
+    }
+
+    /// The STG whose labels the candidate's checks read.
+    fn labels<'c>(&'c self, edit: StgEdit, candidate: &'c Candidate) -> &'c Stg {
+        match &candidate.stg {
+            Some(stg) => stg,
+            None => self.template(edit),
+        }
+    }
+
+    /// The candidate's STG: the one its space was built from, or built
+    /// now if the space was derived.
+    fn edited(&self, edit: StgEdit, built: Option<Stg>) -> Stg {
+        built.unwrap_or_else(|| apply_edit(self.stg, edit))
+    }
+}
+
+/// The STG `edit` turns `stg` into.
+#[must_use]
+pub fn apply_edit(stg: &Stg, edit: StgEdit) -> Stg {
+    match edit {
+        StgEdit::OrderingArc(a, b) => add_ordering_arc(stg, a, b),
+        StgEdit::Insertion(plus, minus) => insert_state_signal(stg, plus, minus),
+    }
+}
+
+// ---------------------------------------------------------------------
 // Signal-insertion sweep
 // ---------------------------------------------------------------------
 
@@ -360,33 +464,24 @@ pub fn insertion_sweep(
     options: &SweepOptions,
     base: Option<&dyn StateSpace>,
 ) -> Sweep {
-    let splittable: Vec<TransitionId> = stg
-        .net()
-        .transitions()
-        .filter(|&t| {
-            stg.label(t)
-                .is_some_and(|l| stg.signal_kind(l.signal).is_non_input())
+    let pairs: Vec<(TransitionId, TransitionId)> = greedy_moves(stg)
+        .into_iter()
+        .filter_map(|edit| match edit {
+            StgEdit::Insertion(tp, tm) => Some((tp, tm)),
+            StgEdit::OrderingArc(..) => None,
         })
         .collect();
-    let mut pairs: Vec<(TransitionId, TransitionId)> =
-        Vec::with_capacity(splittable.len() * splittable.len().saturating_sub(1));
-    for &tp in &splittable {
-        for &tm in &splittable {
-            if tp != tm {
-                pairs.push((tp, tm));
-            }
-        }
-    }
 
-    // The pruner wants the base space; reuse the caller's, build one
-    // only when pruning is on and nothing was supplied. A base that
-    // fails to build simply disables pruning (the sweep itself never
-    // needed it).
-    let owned_base: Option<Box<dyn StateSpace>> = match (&base, options.prune) {
-        (None, true) => backend.build(stg).ok(),
+    // The pruner and the explicit backend's derivations want the base
+    // space; reuse the caller's, build one only when nothing was
+    // supplied. A base that fails to build simply disables pruning and
+    // derivation (the sweep itself never needed them).
+    let owned_base: Option<Box<dyn StateSpace>> = match base {
+        None if options.prune || backend == Backend::Explicit => backend.build(stg).ok(),
         _ => None,
     };
     let base_ref: Option<&dyn StateSpace> = base.or(owned_base.as_deref());
+    let candidates = Candidates::new(stg, backend, options.bound, base_ref);
     let pruner = if options.prune {
         base_ref.and_then(|space| ConflictPruner::new(stg, space))
     } else {
@@ -421,36 +516,38 @@ pub fn insertion_sweep(
                 }
             }
             acc.stats.evaluated += 1;
-            let candidate = insert_state_signal(stg, tp, tm);
-            let csg = match backend.build_bounded_in(&candidate, options.bound, &mut acc.ctx) {
-                Ok(csg) => csg,
+            let edit = StgEdit::Insertion(tp, tm);
+            let candidate = match candidates.space(edit, &mut acc.ctx) {
+                Ok(candidate) => candidate,
                 Err(StgError::Reach(ReachError::StateLimit(_))) => {
                     acc.stats.skipped_by_bound += 1;
                     return;
                 }
                 Err(_) => return,
             };
-            if !stg::encoding::has_csc(&candidate, &*csg) {
+            let (labels, csg) = (candidates.labels(edit, &candidate), &*candidate.space);
+            if !stg::encoding::has_csc(labels, csg) {
                 return;
             }
             if csg.has_deadlock() {
                 return;
             }
-            if !stg::persistency::is_persistent(&candidate, &*csg) {
+            if !stg::persistency::is_persistent(labels, csg) {
                 return;
             }
             let states = csg.num_states();
-            let Ok(equations) = crate::nextstate::all_equations(&candidate, &*csg) else {
+            let Ok(equations) = crate::nextstate::all_equations(labels, csg) else {
                 return;
             };
             let cost: usize = equations.iter().map(|e| e.cover.literal_count()).sum();
             let key = (states, cost, tp, tm);
             acc.stats.accepted += 1;
-            acc.ranked.push((key, candidate));
+            let Candidate { space, stg: built } = candidate;
+            acc.ranked.push((key, candidates.edited(edit, built)));
             if keep > 0 {
                 let at = acc.spaces.partition_point(|(k, _)| *k < key);
                 if at < keep {
-                    acc.spaces.insert(at, (key, csg));
+                    acc.spaces.insert(at, (key, space));
                     acc.spaces.truncate(keep);
                 }
             }
@@ -500,13 +597,30 @@ pub fn insertion_sweep(
 
 /// Builds the STG with a fresh internal signal whose rising edge precedes
 /// `before_plus` and whose falling edge precedes `before_minus` (the
-/// transition-splitting insertion of §2.1/§3.1).
+/// transition-splitting insertion of §2.1/§3.1, [`StgEdit::Insertion`]).
+/// The link places from the inserted edges to the split transitions are
+/// named after the new signal (`csc1_plus_link`, `csc1_minus_link`), so
+/// repeated insertions keep place names unique.
 #[must_use]
 pub fn insert_state_signal(
     stg: &Stg,
     before_plus: TransitionId,
     before_minus: TransitionId,
 ) -> Stg {
+    build_insertion(stg, Some((before_plus, before_minus)))
+}
+
+/// The label template shared by every insertion into `stg`: the signals
+/// and transition labels of [`insert_state_signal`]'s result (whichever
+/// transitions it splits) over `stg`'s own net, with the new signal's
+/// two edges appended as unconnected transitions. This is the `labels`
+/// argument of [`StateGraph::derive`] for an [`StgEdit::Insertion`].
+#[must_use]
+pub fn insertion_labels(stg: &Stg) -> Stg {
+    build_insertion(stg, None)
+}
+
+fn build_insertion(stg: &Stg, split: Option<(TransitionId, TransitionId)>) -> Stg {
     // Rebuild the STG from scratch, mirroring nets and labels, adding the
     // new signal. Rebuilding keeps `StgBuilder` the only mutation path.
     let mut b = stg::StgBuilder::new(format!("{}-csc", stg.name()));
@@ -515,7 +629,8 @@ pub fn insert_state_signal(
     for s in stg.signals() {
         signal_map.push(b.add_signal(stg.signal_name(s), stg.signal_kind(s)));
     }
-    let csc = b.add_signal(next_csc_name(stg), SignalKind::Internal);
+    let name = next_csc_name(stg);
+    let csc = b.add_signal(name.as_str(), SignalKind::Internal);
     // Transitions.
     let net = stg.net();
     let mut t_map = Vec::with_capacity(net.num_transitions());
@@ -540,23 +655,23 @@ pub fn insert_state_signal(
             b.arc_tp(t_map[t.index()], np);
         }
         for &t in net.place_postset(p) {
-            let target = if t == before_plus && !shared {
-                csc_plus
-            } else if t == before_minus && !shared {
-                csc_minus
-            } else {
-                t_map[t.index()]
+            let target = match split {
+                Some((plus, _)) if t == plus && !shared => csc_plus,
+                Some((_, minus)) if t == minus && !shared => csc_minus,
+                _ => t_map[t.index()],
             };
             b.arc_pt(np, target);
         }
     }
     // Link the inserted edges to the originals.
-    let link_p = b.add_place("csc_plus_link", 0);
-    b.arc_tp(csc_plus, link_p);
-    b.arc_pt(link_p, t_map[before_plus.index()]);
-    let link_m = b.add_place("csc_minus_link", 0);
-    b.arc_tp(csc_minus, link_m);
-    b.arc_pt(link_m, t_map[before_minus.index()]);
+    if let Some((plus, minus)) = split {
+        let link_p = b.add_place(format!("{name}_plus_link"), 0);
+        b.arc_tp(csc_plus, link_p);
+        b.arc_pt(link_p, t_map[plus.index()]);
+        let link_m = b.add_place(format!("{name}_minus_link"), 0);
+        b.arc_tp(csc_minus, link_m);
+        b.arc_pt(link_m, t_map[minus.index()]);
+    }
     b.build()
 }
 
@@ -606,23 +721,15 @@ pub fn concurrency_reduction_sweep(
         return (None, SweepStats::default());
     };
     let base_states = base_ref.num_states();
+    let candidates = Candidates::new(stg, backend, options.bound, Some(base_ref));
 
-    let transitions: Vec<TransitionId> = stg.net().transitions().collect();
-    let mut pairs: Vec<(TransitionId, TransitionId)> = Vec::new();
-    for &a in &transitions {
-        for &b_t in &transitions {
-            if a == b_t {
-                continue;
-            }
-            // Only non-input transitions may be delayed.
-            let delayable = stg
-                .label(b_t)
-                .is_some_and(|l| stg.signal_kind(l.signal).is_non_input());
-            if delayable {
-                pairs.push((a, b_t));
-            }
-        }
-    }
+    let pairs: Vec<(TransitionId, TransitionId)> = greedy_moves(stg)
+        .into_iter()
+        .filter_map(|edit| match edit {
+            StgEdit::OrderingArc(a, b_t) => Some((a, b_t)),
+            StgEdit::Insertion(..) => None,
+        })
+        .collect();
 
     /// How one evaluated grid index ended (for deterministic counting).
     #[derive(Clone, Copy, PartialEq, Eq)]
@@ -657,9 +764,9 @@ pub fn concurrency_reduction_sweep(
             if i > best_seen.load(Ordering::Relaxed) {
                 return; // a better candidate is already accepted
             }
-            let candidate = add_ordering_arc(stg, a, b_t);
-            let csg = match backend.build_bounded_in(&candidate, options.bound, &mut acc.ctx) {
-                Ok(csg) => csg,
+            let edit = StgEdit::OrderingArc(a, b_t);
+            let candidate = match candidates.space(edit, &mut acc.ctx) {
+                Ok(candidate) => candidate,
                 Err(StgError::Reach(ReachError::StateLimit(_))) => {
                     acc.outcomes.push((i, Outcome::SkippedByBound));
                     return;
@@ -669,9 +776,10 @@ pub fn concurrency_reduction_sweep(
                     return;
                 }
             };
-            let acceptable = stg::encoding::has_csc(&candidate, &*csg)
+            let (labels, csg) = (candidates.labels(edit, &candidate), &*candidate.space);
+            let acceptable = stg::encoding::has_csc(labels, csg)
                 && !csg.has_deadlock()
-                && stg::persistency::is_persistent(&candidate, &*csg)
+                && stg::persistency::is_persistent(labels, csg)
                 && csg.num_states() < base_states; // must be a reduction
             if !acceptable {
                 acc.outcomes.push((i, Outcome::Rejected));
@@ -680,6 +788,7 @@ pub fn concurrency_reduction_sweep(
             acc.outcomes.push((i, Outcome::Accepted));
             best_seen.fetch_min(i, Ordering::Relaxed);
             if acc.best.as_ref().is_none_or(|(bi, _)| i < *bi) {
+                let Candidate { space, stg: built } = candidate;
                 acc.best = Some((
                     i,
                     CscResolutionWithSpace {
@@ -688,9 +797,9 @@ pub fn concurrency_reduction_sweep(
                             stg.label_string(b_t),
                             stg.label_string(a)
                         ),
-                        num_states: csg.num_states(),
-                        stg: candidate,
-                        space: Some(csg),
+                        num_states: space.num_states(),
+                        stg: candidates.edited(edit, built),
+                        space: Some(space),
                     },
                 ));
             }
@@ -726,9 +835,9 @@ pub fn concurrency_reduction_sweep(
     (best.map(|(_, r)| r), stats)
 }
 
-/// Adds a causal place `a → b`, marked so the *first* firing of `b` is
-/// already permitted when `a` precedes it in the initial marking's future
-/// (heuristic: unmarked; candidates that deadlock are rejected upstream).
+/// Adds an initially empty causal place `a → b`, so every firing of `b`
+/// waits for a firing of `a`. Candidates that deadlock under the empty
+/// place (`b` must fire before `a` can) are rejected upstream.
 #[must_use]
 pub fn add_ordering_arc(stg: &Stg, a: TransitionId, b_t: TransitionId) -> Stg {
     let mut b = stg.clone().into_builder();
@@ -743,9 +852,9 @@ pub fn add_ordering_arc(stg: &Stg, a: TransitionId, b_t: TransitionId) -> Stg {
 /// A greedy move's score: `(remaining conflicts, states)`.
 type MoveKey = (usize, usize);
 
-/// The best greedy move seen so far: `(key, grid index, transformed
-/// STG, move description, the move's validated state space)`.
-type BestMove = Option<(MoveKey, usize, Stg, String, Box<dyn StateSpace>)>;
+/// The best greedy move seen so far: `(key, grid index, the move, its
+/// validated candidate)`.
+type BestMove = Option<(MoveKey, usize, StgEdit, Candidate)>;
 
 /// Keeps the move with the smallest `(key, grid index)`, so the parallel
 /// minimum always reproduces the serial scan's choice.
@@ -760,6 +869,40 @@ fn merge_best_move(best: &mut BestMove, other: BestMove) {
     }
 }
 
+/// The candidate grid on `stg`, in scan order: every ordering arc
+/// `a → b` with `b` non-input (the environment is never delayed), then
+/// every insertion pair `(t⁺, t⁻)` of distinct non-input transitions.
+/// One greedy step of [`resolve_mixed_sweep`] scans all of it; the
+/// insertion and concurrency-reduction sweeps scan their half.
+#[must_use]
+pub fn greedy_moves(stg: &Stg) -> Vec<StgEdit> {
+    let transitions: Vec<TransitionId> = stg.net().transitions().collect();
+    let splittable: Vec<TransitionId> = transitions
+        .iter()
+        .copied()
+        .filter(|&t| {
+            stg.label(t)
+                .is_some_and(|l| stg.signal_kind(l.signal).is_non_input())
+        })
+        .collect();
+    let mut moves: Vec<StgEdit> = Vec::new();
+    for &a in &transitions {
+        for &b_t in &splittable {
+            if a != b_t {
+                moves.push(StgEdit::OrderingArc(a, b_t));
+            }
+        }
+    }
+    for &tp in &splittable {
+        for &tm in &splittable {
+            if tp != tm {
+                moves.push(StgEdit::Insertion(tp, tm));
+            }
+        }
+    }
+    moves
+}
+
 /// Mixed greedy CSC resolution: at every step considers both concurrency
 /// reductions (ordering arcs) and state-signal insertions, applies the
 /// candidate that removes the most CSC-conflicting pairs, and repeats
@@ -771,9 +914,9 @@ fn merge_best_move(best: &mut BestMove, other: BestMove) {
 ///
 /// Every step's combined move grid (ordering arcs first, then
 /// insertions — the serial scan order) is evaluated in parallel,
-/// insertion moves are pruned by conflict locality, and the chosen
-/// move's state space is carried into the next step instead of being
-/// rebuilt. `base`, when given, is the already-built state space of
+/// insertion moves are pruned by conflict locality, explicit-backend
+/// moves are derived from the step's base graph, and the chosen move's
+/// state space is carried into the next step instead of being rebuilt. `base`, when given, is the already-built state space of
 /// `stg` (moved in — it seeds the first step the same way).
 #[must_use]
 pub fn resolve_mixed_sweep(
@@ -783,13 +926,6 @@ pub fn resolve_mixed_sweep(
     options: &SweepOptions,
     base: Option<Box<dyn StateSpace>>,
 ) -> (Option<CscResolutionWithSpace>, SweepStats) {
-    /// One move of the combined grid, in serial scan order.
-    #[derive(Clone, Copy)]
-    enum Move {
-        Arc(TransitionId, TransitionId),
-        Insert(TransitionId, TransitionId),
-    }
-
     let mut stats = SweepStats::default();
     let mut current = stg.clone();
     let mut descriptions: Vec<String> = Vec::new();
@@ -830,36 +966,13 @@ pub fn resolve_mixed_sweep(
             return (None, stats);
         }
 
-        let transitions: Vec<TransitionId> = current.net().transitions().collect();
-        let splittable: Vec<TransitionId> = transitions
-            .iter()
-            .copied()
-            .filter(|&t| {
-                current
-                    .label(t)
-                    .is_some_and(|l| current.signal_kind(l.signal).is_non_input())
-            })
-            .collect();
-        let mut moves: Vec<Move> = Vec::new();
-        for &a in &transitions {
-            for &b_t in &splittable {
-                if a != b_t {
-                    moves.push(Move::Arc(a, b_t));
-                }
-            }
-        }
-        for &tp in &splittable {
-            for &tm in &splittable {
-                if tp != tm {
-                    moves.push(Move::Insert(tp, tm));
-                }
-            }
-        }
+        let moves = greedy_moves(&current);
         let pruner = if options.prune {
             ConflictPruner::new(&current, &*sg)
         } else {
             None
         };
+        let candidates = Candidates::new(&current, backend, options.bound, Some(&*sg));
 
         // Ties in the move score fall to the earliest move in scan order,
         // so the parallel minimum over `(key, grid index)` reproduces the
@@ -870,7 +983,6 @@ pub fn resolve_mixed_sweep(
             scratch: PruneScratch,
             stats: SweepStats,
         }
-        let current_ref = &current;
         let accs = par::par_fold(
             &moves,
             options.threads,
@@ -880,49 +992,30 @@ pub fn resolve_mixed_sweep(
                 scratch: PruneScratch::default(),
                 stats: SweepStats::default(),
             },
-            |acc, i, m| {
-                let (cand, desc) = match *m {
-                    Move::Arc(a, b_t) => (
-                        add_ordering_arc(current_ref, a, b_t),
-                        format!(
-                            "concurrency reduction: {} waits for {}",
-                            current_ref.label_string(b_t),
-                            current_ref.label_string(a)
-                        ),
-                    ),
-                    Move::Insert(tp, tm) => {
-                        if let Some(pruner) = &pruner {
-                            if pruner.all_unseparated(&mut acc.scratch, tp, tm) {
-                                acc.stats.pruned += 1;
-                                return;
-                            }
-                        }
-                        (
-                            insert_state_signal(current_ref, tp, tm),
-                            format!(
-                                "inserted csc signal: + before {}, - before {}",
-                                current_ref.label_string(tp),
-                                current_ref.label_string(tm)
-                            ),
-                        )
+            |acc, i, &edit| {
+                if let (StgEdit::Insertion(tp, tm), Some(pruner)) = (edit, &pruner) {
+                    if pruner.all_unseparated(&mut acc.scratch, tp, tm) {
+                        acc.stats.pruned += 1;
+                        return;
                     }
-                };
+                }
                 acc.stats.evaluated += 1;
-                let csg = match backend.build_bounded_in(&cand, options.bound, &mut acc.ctx) {
-                    Ok(csg) => csg,
+                let candidate = match candidates.space(edit, &mut acc.ctx) {
+                    Ok(candidate) => candidate,
                     Err(StgError::Reach(ReachError::StateLimit(_))) => {
                         acc.stats.skipped_by_bound += 1;
                         return;
                     }
                     Err(_) => return,
                 };
+                let (labels, csg) = (candidates.labels(edit, &candidate), &*candidate.space);
                 if csg.has_deadlock() {
                     return;
                 }
-                if !stg::persistency::is_persistent(&cand, &*csg) {
+                if !stg::persistency::is_persistent(labels, csg) {
                     return;
                 }
-                let rem = stg::encoding::csc_conflict_pair_count(&cand, &*csg);
+                let rem = stg::encoding::csc_conflict_pair_count(labels, csg);
                 if rem >= conflicts {
                     return;
                 }
@@ -933,7 +1026,7 @@ pub fn resolve_mixed_sweep(
                     .as_ref()
                     .is_none_or(|(bk, bi, ..)| (key, i) < (*bk, *bi))
                 {
-                    acc.best = Some((key, i, cand, desc, csg));
+                    acc.best = Some((key, i, edit, candidate));
                 }
             },
         );
@@ -946,11 +1039,22 @@ pub fn resolve_mixed_sweep(
         }
         step_stats.grid = moves.len();
         stats.absorb(step_stats);
-        let Some((_, _, next, desc, space)) = best else {
+        let Some((_, _, edit, Candidate { space, stg: built })) = best else {
             return (None, stats);
         };
-        descriptions.push(desc);
-        current = next;
+        descriptions.push(match edit {
+            StgEdit::OrderingArc(a, b_t) => format!(
+                "concurrency reduction: {} waits for {}",
+                current.label_string(b_t),
+                current.label_string(a)
+            ),
+            StgEdit::Insertion(tp, tm) => format!(
+                "inserted csc signal: + before {}, - before {}",
+                current.label_string(tp),
+                current.label_string(tm)
+            ),
+        });
+        current = candidates.edited(edit, built);
         carried = Some(space);
     }
     (None, stats)

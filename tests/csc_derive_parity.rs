@@ -1,0 +1,298 @@
+//! Differential gate for `StateGraph::derive`: a CSC candidate's state
+//! graph derived from its base graph must equal the token game on the
+//! edited STG — markings, codes, initial values and arcs in order — or
+//! fail with the same error.
+//!
+//! The corpus replay re-runs every greedy step of `resolve_mixed_sweep`
+//! on every corpus spec without CSC and compares every arc and insertion
+//! move of the step (pruned ones included). The generator cases drive
+//! edits the sweeps never try — input transitions, insertions whose
+//! rising edge has no input place of its own, tiny state bounds — through
+//! the same comparison.
+
+use proptest::prelude::*;
+use stg::{StateGraph, Stg, StgEdit, StgError};
+use synth::csc::{
+    apply_edit, greedy_moves, insertion_labels, resolve_mixed_sweep, SweepOptions,
+    DEFAULT_SWEEP_BOUND,
+};
+
+use petri::reach::ReachError;
+use petri::TransitionId;
+
+/// Greedy steps the flow allows `resolve_mixed_sweep`.
+const MAX_STEPS: usize = 5;
+
+/// Derives `edit`'s graph and replays the token game on the edited STG;
+/// `Err` describes the first difference.
+fn compare(
+    base_stg: &Stg,
+    base: &StateGraph,
+    labels: &Stg,
+    edit: StgEdit,
+    bound: usize,
+) -> (Result<StateGraph, StgError>, Result<(), String>) {
+    let derived = StateGraph::derive(base, labels, edit, bound);
+    let built = StateGraph::build_bounded(&apply_edit(base_stg, edit), bound);
+    let verdict = match (&derived, &built) {
+        (Ok(d), Ok(b)) => {
+            if d.states() != b.states() {
+                Err("states (markings or codes) differ".to_owned())
+            } else if d.ts().arcs() != b.ts().arcs() {
+                Err("arcs differ".to_owned())
+            } else if d.initial_values() != b.initial_values() {
+                Err("initial values differ".to_owned())
+            } else {
+                Ok(())
+            }
+        }
+        (Err(d), Err(b)) if d == b => Ok(()),
+        (d, b) => Err(format!(
+            "derive gave {:?}, the token game {:?}",
+            d.as_ref().map(StateGraph::num_states),
+            b.as_ref().map(StateGraph::num_states)
+        )),
+    };
+    (derived, verdict)
+}
+
+/// The labels `derive` reads for `edit` on `stg`.
+fn labels_for(stg: &Stg, insertion: &Stg, edit: StgEdit) -> Stg {
+    match edit {
+        StgEdit::OrderingArc(..) => stg.clone(),
+        StgEdit::Insertion(..) => insertion.clone(),
+    }
+}
+
+/// Replays the greedy search on `spec`, comparing every move of every
+/// step; returns `(moves compared, mismatches, final STG)`.
+fn replay(spec: &Stg) -> (usize, Vec<String>, Option<Stg>) {
+    let mut compared = 0;
+    let mut mismatches = Vec::new();
+    let mut current = spec.clone();
+    let Ok(mut base) = StateGraph::build_bounded(&current, DEFAULT_SWEEP_BOUND) else {
+        return (0, mismatches, None);
+    };
+    for step in 0..=MAX_STEPS {
+        let conflicts = stg::encoding::csc_conflict_pair_count(&current, &base);
+        if conflicts == 0 {
+            return (compared, mismatches, Some(current));
+        }
+        if step == MAX_STEPS {
+            break;
+        }
+        let insertion = insertion_labels(&current);
+        let mut best: Option<((usize, usize), StgEdit, StateGraph)> = None;
+        for edit in greedy_moves(&current) {
+            let labels = labels_for(&current, &insertion, edit);
+            let (derived, verdict) = compare(&current, &base, &labels, edit, DEFAULT_SWEEP_BOUND);
+            compared += 1;
+            if let Err(why) = verdict {
+                mismatches.push(format!("{} step {step} {edit:?}: {why}", spec.name()));
+            }
+            let Ok(sg) = derived else { continue };
+            if sg.ts().deadlocks().is_empty() && stg::persistency::is_persistent(&labels, &sg) {
+                let rem = stg::encoding::csc_conflict_pair_count(&labels, &sg);
+                let key = (rem, sg.num_states());
+                if rem < conflicts && best.as_ref().is_none_or(|(k, ..)| key < *k) {
+                    best = Some((key, edit, sg));
+                }
+            }
+        }
+        let Some((_, edit, sg)) = best else { break };
+        current = apply_edit(&current, edit);
+        base = sg;
+    }
+    (compared, mismatches, None)
+}
+
+#[test]
+fn corpus_greedy_steps_derive_like_the_token_game() {
+    let specs: Vec<(&str, Stg)> = corpus::all_specs()
+        .into_iter()
+        .filter(|(_, spec)| {
+            StateGraph::build(spec).is_ok_and(|sg| !stg::encoding::has_csc(spec, &sg))
+        })
+        .collect();
+    assert!(specs.len() >= 10, "the corpus has specs without CSC");
+    let options = SweepOptions {
+        threads: 1,
+        ..SweepOptions::default()
+    };
+    let results: Vec<(usize, Vec<String>)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = specs
+            .iter()
+            .map(|(family, spec)| {
+                let options = &options;
+                scope.spawn(move || {
+                    let (compared, mut mismatches, resolved) = replay(spec);
+                    // The replay must be the search it claims to replay.
+                    let (swept, _) =
+                        resolve_mixed_sweep(spec, MAX_STEPS, stg::Backend::Explicit, options, None);
+                    let digest = |s: &Stg| stg::canon::stg_digest(s).to_hex();
+                    if resolved.as_ref().map(digest) != swept.as_ref().map(|r| digest(&r.stg)) {
+                        mismatches.push(format!(
+                            "{family}/{}: the replay ends elsewhere than resolve_mixed_sweep",
+                            spec.name()
+                        ));
+                    }
+                    (compared, mismatches)
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("replay"))
+            .collect()
+    });
+    let compared: usize = results.iter().map(|r| r.0).sum();
+    let mismatches: Vec<&String> = results.iter().flat_map(|r| &r.1).collect();
+    println!(
+        "csc_derive_parity: {} specs, {compared} candidates, {} mismatches",
+        specs.len(),
+        mismatches.len()
+    );
+    assert!(
+        compared > 10_000,
+        "the replay covers the corpus's sweeps ({compared})"
+    );
+    assert!(mismatches.is_empty(), "derive diverges: {mismatches:#?}");
+}
+
+/// How an edit's build ended, for the coverage tally.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum Outcome {
+    Built,
+    StateLimit,
+    UnsafeArc,
+    UnsafeSourceInsertion,
+    Inconsistent,
+    OtherError,
+}
+
+fn outcome(stg: &Stg, edit: StgEdit, result: &Result<StateGraph, StgError>) -> Outcome {
+    let net = stg.net();
+    match (result, edit) {
+        (Ok(_), _) => Outcome::Built,
+        (Err(StgError::Reach(ReachError::StateLimit(_))), _) => Outcome::StateLimit,
+        (Err(StgError::Reach(ReachError::BoundExceeded(_))), StgEdit::OrderingArc(..)) => {
+            Outcome::UnsafeArc
+        }
+        (Err(StgError::Reach(ReachError::BoundExceeded(_))), StgEdit::Insertion(plus, _))
+            if net
+                .preset(plus)
+                .iter()
+                .all(|&p| net.place_postset(p).len() > 1) =>
+        {
+            Outcome::UnsafeSourceInsertion
+        }
+        (Err(StgError::InconsistentEdge { .. } | StgError::InconsistentCode { .. }), _) => {
+            Outcome::Inconsistent
+        }
+        (Err(_), _) => Outcome::OtherError,
+    }
+}
+
+/// Small generator specs: sequential cycles, choice places (dispatcher,
+/// arbiter, selector tree) and fork/join concurrency.
+fn small_specs() -> Vec<Stg> {
+    use corpus::generators::*;
+    vec![
+        handshake_chain(3, &[true, false]),
+        dispatcher(2, true),
+        dispatcher(2, false),
+        arbiter(2),
+        selector_tree(1),
+        ripple_counter(2),
+        paralleliser(2, false),
+        paralleliser(2, true),
+    ]
+}
+
+/// Every edit of every transition pair (inputs included) on the small
+/// specs, at a bound of three states and at the sweep bound.
+#[test]
+fn every_edit_of_small_specs_derives_like_the_token_game() {
+    let mut seen = std::collections::HashSet::new();
+    let mut choice_places = 0;
+    for spec in small_specs() {
+        let net = spec.net();
+        choice_places += net
+            .places()
+            .filter(|&p| net.place_postset(p).len() > 1)
+            .count();
+        let base = StateGraph::build(&spec).expect("generator specs build");
+        let insertion = insertion_labels(&spec);
+        let transitions: Vec<TransitionId> = net.transitions().collect();
+        for &a in &transitions {
+            for &b in &transitions {
+                let mut edits = vec![StgEdit::OrderingArc(a, b)];
+                if a != b {
+                    edits.push(StgEdit::Insertion(a, b));
+                }
+                for edit in edits {
+                    for bound in [3, DEFAULT_SWEEP_BOUND] {
+                        let labels = labels_for(&spec, &insertion, edit);
+                        let (derived, verdict) = compare(&spec, &base, &labels, edit, bound);
+                        if let Err(why) = verdict {
+                            panic!("{} {edit:?} bound {bound}: {why}", spec.name());
+                        }
+                        seen.insert(outcome(&spec, edit, &derived));
+                    }
+                }
+            }
+        }
+    }
+    assert!(choice_places > 0, "the specs have choice places");
+    for wanted in [
+        Outcome::Built,
+        Outcome::StateLimit,
+        Outcome::UnsafeArc,
+        Outcome::UnsafeSourceInsertion,
+        Outcome::Inconsistent,
+    ] {
+        assert!(
+            seen.contains(&wanted),
+            "no edit ended {wanted:?} (saw {seen:?})"
+        );
+    }
+}
+
+fn generated(kind: usize, size: usize, flag: bool) -> Stg {
+    use corpus::generators::*;
+    match kind {
+        0 => handshake_chain(size + 2, &[flag, !flag, false]),
+        1 => dispatcher(size + 1, flag),
+        2 => arbiter(size + 2),
+        3 => selector_tree(size % 2 + 1),
+        4 => ripple_counter(size % 2 + 2),
+        _ => paralleliser(size + 2, flag),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn random_edits_derive_like_the_token_game(
+        kind in 0usize..6,
+        size in 0usize..3,
+        flag in any::<bool>(),
+        insert in any::<bool>(),
+        a in 0usize..64,
+        b in 0usize..64,
+        bound in 1usize..12,
+    ) {
+        let spec = generated(kind, size, flag);
+        let base = StateGraph::build(&spec).expect("generator specs build");
+        let n = spec.net().num_transitions();
+        let (a, b) = (TransitionId::from_index(a % n), TransitionId::from_index(b % n));
+        prop_assume!(!insert || a != b);
+        let edit = if insert { StgEdit::Insertion(a, b) } else { StgEdit::OrderingArc(a, b) };
+        let labels = labels_for(&spec, &insertion_labels(&spec), edit);
+        // A bound under 12 states, or none that binds.
+        let bound = if bound == 11 { DEFAULT_SWEEP_BOUND } else { bound };
+        let (_, verdict) = compare(&spec, &base, &labels, edit, bound);
+        prop_assert!(verdict.is_ok(), "{} {:?} bound {}: {:?}", spec.name(), edit, bound, verdict);
+    }
+}

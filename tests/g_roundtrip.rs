@@ -87,6 +87,49 @@ fn absent_initial_values_stay_absent() {
     assert!(back.initial_values().is_none());
 }
 
+/// A specification the default flow resolves with two or more state
+/// signals reads back from its `.g` text with CSC and the same state
+/// count: every insertion names its link places after its own signal
+/// (`csc0_plus_link`, `csc1_plus_link`, …), so no two places share a
+/// name and merge on re-parse.
+#[test]
+fn multi_insertion_resolutions_read_back_csc_clean() {
+    let mut checked = Vec::new();
+    for (family, spec) in corpus::all_specs() {
+        let Ok(verified) = asyncsynth::Synthesis::new(spec.clone()).run() else {
+            continue;
+        };
+        if verified.spec.num_signals() < spec.num_signals() + 2 {
+            continue;
+        }
+        let name = format!("{family}/{}", spec.name());
+        let text = write_g(&verified.spec);
+        let back = parse_g(&text).unwrap_or_else(|e| panic!("{name}: re-parse fails: {e}"));
+        assert_eq!(
+            back.net().num_places(),
+            verified.spec.net().num_places(),
+            "{name}: places merged on re-parse"
+        );
+        let checked_back = asyncsynth::Synthesis::new(back)
+            .check()
+            .unwrap_or_else(|e| panic!("{name}: re-parsed spec fails its check: {e}"));
+        assert!(
+            checked_back.report().complete_state_coding,
+            "{name}: re-parsed spec lost CSC"
+        );
+        assert_eq!(
+            checked_back.state_space().num_states(),
+            verified.num_states(),
+            "{name}: re-parsed state count"
+        );
+        checked.push(name);
+    }
+    assert!(
+        checked.len() >= 2,
+        "the corpus has multi-insertion resolutions: {checked:?}"
+    );
+}
+
 /// Malformed `.initial` lines are rejected with a line number.
 #[test]
 fn malformed_initial_directives_are_rejected() {
