@@ -44,7 +44,7 @@ fn bench_vme_read_sweep(c: &mut Criterion) {
         let options = sweep_opts(threads, prune);
         group.bench_function(id, |b| {
             b.iter(|| {
-                let sweep = insertion_sweep(&spec, stg::Backend::Explicit, &options, None);
+                let sweep = insertion_sweep(&spec, &options, None);
                 assert_eq!(sweep.stats.accepted, 6);
                 sweep.candidates.len()
             });
@@ -63,11 +63,7 @@ fn bench_micropipeline_prune(c: &mut Criterion) {
     ] {
         let options = sweep_opts(1, prune);
         group.bench_function(id, |b| {
-            b.iter(|| {
-                insertion_sweep(&spec, stg::Backend::Explicit, &options, None)
-                    .stats
-                    .evaluated
-            });
+            b.iter(|| insertion_sweep(&spec, &options, None).stats.evaluated);
         });
     }
     group.finish();

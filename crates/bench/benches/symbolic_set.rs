@@ -71,7 +71,6 @@ fn bench_resident_queries(c: &mut Criterion) {
         });
     });
     assert_eq!(space.decoded_states(), 0, "queries never decode states");
-    assert!(!space.is_materialised());
     group.finish();
 }
 

@@ -4,7 +4,7 @@
 //! ```text
 //! asyncsynth check  <file.g> [--backend B] [--json]     # §2.1 implementability report
 //! asyncsynth synth  <file.g> [options]                  # full flow, prints equations+netlist
-//! asyncsynth wave   <file.g> [--backend B] [--json]     # one canonical cycle as waveforms
+//! asyncsynth wave   <file.g> [--json]                   # one canonical cycle as waveforms
 //! asyncsynth reduce <file.g> [--backend B] [--json]     # structural reductions + invariants
 //! asyncsynth serve  [--port N | --stdio] [--workers N] [--cache DIR]
 //!                   [--queue-capacity N] [--max-jobs-per-client N] [--idle-timeout-ms N]
@@ -49,7 +49,7 @@ use asyncsynth::{
     run_cached, run_cached_with, CacheOutcome, Json, ResultCache, Synthesis, SynthesisSummary,
     TraceBuilder,
 };
-use server::flags::parse_flags;
+use server::flags::{parse_flags, WAVE_FLAGS};
 use server::protocol::Response;
 use server::service::{serve_stdio, Server, ServerConfig};
 use stg::parse::parse_g;
@@ -301,29 +301,19 @@ fn print_summary(summary: &SynthesisSummary, outcome: CacheOutcome) {
 // -------------------------------------------------------------------
 
 fn wave(spec: &stg::Stg, opts: &[String]) -> Result<(), String> {
-    let flags = parse_flags(opts, &["--backend", "--json"])?;
-    let space = flags.backend.build(spec).map_err(|e| e.to_string())?;
-    // Waveform extraction walks the transition structure per state; the
-    // resident backend only serves that through its small-space view.
-    if space.set_level_native() && space.num_states() > stg::MATERIALISE_LIMIT {
-        return Err(format!(
-            "state space has {} states — too large for per-state waveform \
-             rendering on the resident-BDD backend (limit {}); use an \
-             enumerating backend",
-            space.num_states(),
-            stg::MATERIALISE_LIMIT
-        ));
-    }
-    let cycle = stg::waveform::canonical_cycle(&*space, 1000);
+    let flags = parse_flags(opts, WAVE_FLAGS)?;
+    // Waveform extraction walks the transition system state by state, so
+    // it always renders from the explicit state graph.
+    let sg = stg::StateGraph::build(spec).map_err(|e| e.to_string())?;
+    let cycle = stg::waveform::canonical_cycle(&sg, 1000);
     if cycle.is_empty() {
         return Err("no cycle through the initial state".to_owned());
     }
     let header = stg::waveform::render_trace_header(spec, &cycle);
-    let waves = stg::waveform::render_waveforms(spec, &*space, &cycle);
+    let waves = stg::waveform::render_waveforms(spec, &sg, &cycle);
     if flags.json {
         let out = Json::obj(vec![
             ("model", Json::str(spec.name())),
-            ("backend", Json::str(flags.backend.name())),
             ("trace", Json::str(&header)),
             (
                 "waveforms",

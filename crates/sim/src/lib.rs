@@ -230,14 +230,10 @@ impl<'a> Simulator<'a> {
         // Inputs.
         let enabled: Vec<petri::TransitionId> = self
             .sg
-            .ts()
-            .enabled_labels(self.spec_state)
+            .excitations(self.stg, self.spec_state)
             .into_iter()
-            .filter(|&t| {
-                self.stg
-                    .label(t)
-                    .is_some_and(|l| self.stg.signal_kind(l.signal) == SignalKind::Input)
-            })
+            .filter(|&(_, sig, _)| self.stg.signal_kind(sig) == SignalKind::Input)
+            .map(|(t, _, _)| t)
             .collect();
         for t in 0..self.input_pending.len() {
             let tid = petri::TransitionId::from_index(t);
@@ -321,15 +317,10 @@ impl<'a> Simulator<'a> {
     fn advance_spec(&mut self, sig: stg::SignalId, new_value: bool) {
         let arc = self
             .sg
-            .ts()
-            .enabled_labels(self.spec_state)
+            .excitations(self.stg, self.spec_state)
             .into_iter()
-            .find(|&t| {
-                self.stg
-                    .label(t)
-                    .is_some_and(|l| l.signal == sig && l.edge.value_after() == new_value)
-            });
-        if let Some(t) = arc {
+            .find(|&(_, s, e)| s == sig && e.value_after() == new_value);
+        if let Some((t, _, _)) = arc {
             let next = self.sg.successor(self.spec_state, t).expect("enabled");
             self.set_spec_state(next);
         }

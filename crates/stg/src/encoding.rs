@@ -15,6 +15,7 @@
 //! that are actually duplicated.
 
 use crate::model::{SignalEdge, SignalId, Stg};
+use crate::state_graph::StateGraph;
 use crate::state_space::{StateSet, StateSpace};
 
 /// A pair of states with identical binary codes.
@@ -107,7 +108,7 @@ fn excitation_classes<S: StateSpace + ?Sized>(stg: &Stg, sg: &S, s: SignalId) ->
 /// unexcited) contain states with a common code.
 #[must_use]
 pub fn has_csc<S: StateSpace + ?Sized>(stg: &Stg, sg: &S) -> bool {
-    if !sg.set_level_native() {
+    if let Some(sg) = sg.as_state_graph() {
         return shared_code_groups(stg, sg)
             .iter()
             .all(|groups| groups.len() == 1);
@@ -134,10 +135,10 @@ pub fn has_csc<S: StateSpace + ?Sized>(stg: &Stg, sg: &S) -> bool {
 /// excitation classes of every non-input signal: pairs inside one
 /// refined part agree everywhere, so `C(total, 2) − Σ C(part, 2)` is the
 /// conflict count — set counts only, witnesses are never materialised.
-/// Enumerating spaces find the same parts with one sort of their states.
+/// An explicit graph finds the same parts with one sort of its states.
 #[must_use]
 pub fn csc_conflict_pair_count<S: StateSpace + ?Sized>(stg: &Stg, sg: &S) -> usize {
-    if !sg.set_level_native() {
+    if let Some(sg) = sg.as_state_graph() {
         let pairs_of = |n: usize| n * n.saturating_sub(1) / 2;
         return shared_code_groups(stg, sg)
             .iter()
@@ -189,23 +190,23 @@ pub fn csc_conflict_pair_count<S: StateSpace + ?Sized>(stg: &Stg, sg: &S) -> usi
     usize::try_from(conflicts).expect("conflict pair count fits usize")
 }
 
-/// For every code two or more states of an enumerating space share, the
+/// For every code two or more states of an explicit graph share, the
 /// sizes of its states' groups by excited non-input signals.
 ///
-/// Codes are consistent along arcs (a [`StateSpace`] invariant), so a
+/// Codes are consistent along arcs (a [`StateGraph`] invariant), so a
 /// signal excited in a state has the edge its code allows: states with one
 /// code agree on every non-input excitation exactly when they excite the
 /// same non-input signals. One sort of the states by packed (code, excited
 /// signals) bit words finds every group, where hashing each state's code
 /// and excitation profile used to (the CSC sweeps ask this of every
 /// candidate).
-fn shared_code_groups<S: StateSpace + ?Sized>(stg: &Stg, sg: &S) -> Vec<Vec<usize>> {
+fn shared_code_groups(stg: &Stg, sg: &StateGraph) -> Vec<Vec<usize>> {
     let words = sg.num_signals().div_ceil(64).max(1);
     let ts = sg.ts();
     // Per state: `words` code words, then `words` excited-signal words.
     let mut keys = vec![0u64; sg.num_states() * 2 * words];
     for (i, key) in keys.chunks_mut(2 * words).enumerate() {
-        for (k, _) in sg.code(i).iter().enumerate().filter(|(_, &v)| v) {
+        for (k, _) in sg.state(i).code.iter().enumerate().filter(|(_, &v)| v) {
             key[k / 64] |= 1 << (k % 64);
         }
         for (&t, _) in ts.successors(i) {

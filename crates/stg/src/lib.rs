@@ -46,8 +46,8 @@ pub mod waveform;
 
 pub use model::{SignalEdge, SignalId, SignalKind, Stg, StgBuilder, TransitionLabel};
 pub use state_graph::{SgState, StateGraph, StgEdit, StgError};
-pub use state_space::{Backend, BuildContext, StateSet, StateSpace, DEFAULT_STATE_BOUND};
-pub use symbolic_set::{SymbolicSetSpace, SymbolicStats, MATERIALISE_LIMIT};
+pub use state_space::{Backend, StateSet, StateSpace, DEFAULT_STATE_BOUND};
+pub use symbolic_set::{SymbolicSetSpace, SymbolicStats};
 
 #[cfg(test)]
 mod tests;

@@ -10,6 +10,7 @@
 use petri::TransitionId;
 
 use crate::model::{SignalKind, Stg};
+use crate::state_graph::StateGraph;
 use crate::state_space::StateSpace;
 
 /// Classification of a disabling event.
@@ -43,10 +44,7 @@ pub struct PersistencyViolation {
 /// Dummy (unlabelled) transitions are treated as non-input: disabling
 /// internal sequencing is just as hazardous as disabling an output.
 #[must_use]
-pub fn persistency_violations<S: StateSpace + ?Sized>(
-    stg: &Stg,
-    sg: &S,
-) -> Vec<PersistencyViolation> {
+pub fn persistency_violations(stg: &Stg, sg: &StateGraph) -> Vec<PersistencyViolation> {
     let mut out = Vec::new();
     for s in 0..sg.num_states() {
         let enabled: Vec<TransitionId> = sg.ts().enabled_labels(s);
@@ -91,21 +89,16 @@ fn classify(stg: &Stg, disabled: TransitionId, by: TransitionId) -> ViolationKin
 /// `true` if the STG is persistent in the paper's sense: the only
 /// disabling events are input-versus-input choices.
 ///
-/// On set-level-native backends this never enumerates states: each
-/// blocking-classified transition pair is refuted by one symbolic
+/// An explicit graph is scanned state by state, stopping at the first
+/// blocking disabling (the CSC sweeps ask this of every candidate; most
+/// fail early). Other backends never enumerate states: each
+/// blocking-classified transition pair is refuted by one set-level
 /// disabling query, with an early exit on the first violation.
 #[must_use]
 pub fn is_persistent<S: StateSpace + ?Sized>(stg: &Stg, sg: &S) -> bool {
-    if sg.set_level_native() {
-        for (t, u) in blocking_pairs(stg) {
-            if sg.disabling_count(t, u) > 0 {
-                return false;
-            }
-        }
-        return true;
-    }
-    // Enumerating backends: stop at the first blocking disabling (the
-    // CSC sweeps ask this of every candidate; most fail early).
+    let Some(sg) = sg.as_state_graph() else {
+        return blocking_pairs(stg).all(|(t, u)| sg.disabling_count(t, u) == 0);
+    };
     let ts = sg.ts();
     let mut enabled: Vec<(TransitionId, usize)> = Vec::new();
     for s in 0..sg.num_states() {
@@ -131,14 +124,13 @@ pub fn is_persistent<S: StateSpace + ?Sized>(stg: &Stg, sg: &S) -> bool {
 /// counting, never by materialising states.
 #[must_use]
 pub fn blocking_violation_count<S: StateSpace + ?Sized>(stg: &Stg, sg: &S) -> usize {
-    if sg.set_level_native() {
-        let total: u128 = blocking_pairs(stg)
-            .map(|(t, u)| sg.disabling_count(t, u))
-            .sum();
-        usize::try_from(total).expect("violation count fits usize")
-    } else {
-        blocking_violations(stg, sg).len()
+    if let Some(sg) = sg.as_state_graph() {
+        return blocking_violations(stg, sg).len();
     }
+    let total: u128 = blocking_pairs(stg)
+        .map(|(t, u)| sg.disabling_count(t, u))
+        .sum();
+    usize::try_from(total).expect("violation count fits usize")
 }
 
 /// The ordered transition pairs whose disabling would block
@@ -156,7 +148,7 @@ fn blocking_pairs(stg: &Stg) -> impl Iterator<Item = (TransitionId, TransitionId
 /// The subset of violations that block implementability (everything except
 /// input choices).
 #[must_use]
-pub fn blocking_violations<S: StateSpace + ?Sized>(stg: &Stg, sg: &S) -> Vec<PersistencyViolation> {
+pub fn blocking_violations(stg: &Stg, sg: &StateGraph) -> Vec<PersistencyViolation> {
     persistency_violations(stg, sg)
         .into_iter()
         .filter(|v| v.kind != ViolationKind::InputChoice)

@@ -367,23 +367,31 @@ impl StateGraph {
         &self.initial_values
     }
 
-    // The query helpers below delegate to the `StateSpace` defaults so
-    // the logic exists exactly once and every backend renders/answers
-    // identically; the inherent copies survive only so callers need not
-    // import the trait.
-
     /// Value of signal `sig` in state `i`.
     #[must_use]
     pub fn value(&self, i: usize, sig: SignalId) -> bool {
-        StateSpace::value(self, i, sig)
+        self.states[i].code[sig.index()]
     }
 
     /// The signal edges enabled (excited) in state `i`, as
-    /// `(transition, signal, edge)` triples; dummies are skipped.
+    /// `(transition, signal, edge)` triples sorted by transition; dummies
+    /// are skipped.
     #[must_use]
     pub fn excitations(&self, stg: &Stg, i: usize) -> Vec<(TransitionId, SignalId, SignalEdge)> {
-        StateSpace::excitations(self, stg, i)
+        let mut out: Vec<(TransitionId, SignalId, SignalEdge)> = self
+            .ts
+            .successors(i)
+            .filter_map(|(&t, _)| stg.label(t).map(|l| (t, l.signal, l.edge)))
+            .collect();
+        out.sort_by_key(|&(t, _, _)| t);
+        out.dedup();
+        out
     }
+
+    // The rendering helpers delegate to the `StateSpace` defaults so the
+    // logic exists exactly once and every backend renders identically;
+    // the inherent copies survive only so callers need not import the
+    // trait.
 
     /// `true` if signal `sig` is excited (has an enabled edge) in state `i`.
     #[must_use]
@@ -407,13 +415,15 @@ impl StateGraph {
     /// Successor state along a given transition, if enabled.
     #[must_use]
     pub fn successor(&self, state: usize, t: TransitionId) -> Option<usize> {
-        StateSpace::successor(self, state, t)
+        self.ts.successor_by_label(state, &t)
     }
 
-    /// States whose code equals `code`.
+    /// States whose code equals `code`, ascending (one lazily built
+    /// code → states map instead of a linear scan per call — hot in CSC
+    /// conflict detection).
     #[must_use]
     pub fn states_with_code(&self, code: &[bool]) -> Vec<usize> {
-        StateSpace::states_with_code(self, code)
+        self.code_index().get(code).cloned().unwrap_or_default()
     }
 
     /// The code → states index, built on first use. One hash map build

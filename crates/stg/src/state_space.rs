@@ -1,11 +1,15 @@
 //! Pluggable state-space backends.
 //!
 //! Every synthesis and verification stage consumes a [`StateSpace`] — the
-//! abstract "binary-coded reachable states + transition structure" view —
-//! instead of a concrete [`StateGraph`]. Two implementations exist:
+//! set-level view of the binary-coded reachable states — instead of a
+//! concrete [`StateGraph`]. Two implementations exist:
 //!
 //! * [`StateGraph`] — the explicit breadth-first token-game construction
-//!   of §1.4 (the seed implementation);
+//!   of §1.4, and the only representation with per-state structure
+//!   (markings by reference, the transition system). Consumers that scan
+//!   every arc (waveforms, the monotonous-cover check, persistency
+//!   witnesses, the CSC sweeps) take `&StateGraph` and reach it from a
+//!   space through [`StateSpace::as_state_graph`];
 //! * [`crate::SymbolicSetSpace`] — the resident-BDD backend (§2.2): the
 //!   characteristic function of the reachable (marking, code) pairs stays
 //!   in the manager and queries are answered as cube intersections and
@@ -16,22 +20,19 @@
 //!
 //! # The set-level API
 //!
-//! Consumers that used to iterate `0..num_states()` now phrase their
-//! queries over [`StateSet`] handles: excitation and quiescent regions,
-//! code lookups, counts, unions/intersections. Every set-level method has
-//! a default implementation in terms of the per-state accessors, so
-//! explicit backends ([`StateGraph`]) work unchanged; the resident-BDD
-//! backend overrides them with BDD operations and only falls back to
-//! per-state decode ([`StateSpace::decode_code`] /
-//! [`StateSpace::decode_marking`], served from a small LRU of materialised
-//! blocks) where a *witness* state is genuinely needed.
+//! Queries are phrased over [`StateSet`] handles: excitation and quiescent
+//! regions, code lookups, counts, unions/intersections. Each backend
+//! implements them natively — the explicit graph over sorted index lists,
+//! the resident-BDD backend with BDD operations. Per-state queries
+//! ([`StateSpace::decode_code`], [`StateSpace::decode_marking`],
+//! [`StateSpace::successor`], [`StateSpace::excitations`]) work on both;
+//! the resident backend serves them by decoding single witness states
+//! through a small LRU of unranked blocks.
 
-use std::collections::HashMap;
 use std::fmt;
 use std::str::FromStr;
-use std::sync::{Arc, Mutex};
 
-use petri::{Marking, TransitionId, TransitionSystem};
+use petri::{Marking, TransitionId};
 
 use crate::model::{SignalEdge, SignalId, Stg};
 use crate::state_graph::{StateGraph, StgError};
@@ -83,19 +84,13 @@ impl StateSet {
 }
 
 /// The state space of an STG: binary-coded reachable states over a
-/// labelled transition structure.
+/// labelled transition structure, queried at set level.
 ///
 /// States are dense indices `0..num_states()` with state `0` initial.
 /// Implementations must satisfy the same invariants the explicit
 /// [`StateGraph`] establishes: every state is reachable from state `0`,
 /// codes are consistent along arcs, and arcs are labelled with net
 /// transitions.
-///
-/// The per-state reference accessors (`code`, `marking`, `ts`) are only
-/// guaranteed on *materialising* backends; the resident-BDD backend
-/// serves them from a lazily materialised view for small spaces and
-/// panics beyond its materialisation limit — scale-conscious consumers
-/// use the set-level methods and the owned decode accessors instead.
 pub trait StateSpace: fmt::Debug + Send + Sync {
     /// Number of states (saturated at `usize::MAX`; see
     /// [`StateSpace::marking_count`] for the exact count).
@@ -104,32 +99,23 @@ pub trait StateSpace: fmt::Debug + Send + Sync {
     /// Number of signals in each binary code.
     fn num_signals(&self) -> usize;
 
-    /// The binary code of state `i`, indexed by [`SignalId`].
-    fn code(&self, i: usize) -> &[bool];
-
-    /// The net marking of state `i`.
-    fn marking(&self, i: usize) -> &Marking;
-
-    /// The transition structure (state `0` initial, arcs labelled with net
-    /// transitions).
-    fn ts(&self) -> &TransitionSystem<TransitionId>;
-
     /// The (possibly inferred) initial signal values.
     fn initial_values(&self) -> &[bool];
 
     /// Which backend produced this space.
     fn backend(&self) -> Backend;
 
-    /// This space as an explicit [`StateGraph`], when it is one (the CSC
-    /// sweeps derive their candidates' graphs from it).
+    /// This space as an explicit [`StateGraph`], when it is one — the
+    /// only way to reach per-state structure (markings by reference, the
+    /// transition system).
     fn as_state_graph(&self) -> Option<&StateGraph> {
         None
     }
 
     /// BDD nodes allocated in the manager backing this space, for the
     /// resident-BDD backend. Advisory telemetry only: the value varies by
-    /// backend and by what else shared the manager, so it must never
-    /// join the deterministic (drift-gated) metric set.
+    /// backend, so it must never join the deterministic (drift-gated)
+    /// metric set.
     fn bdd_node_count(&self) -> Option<usize> {
         None
     }
@@ -141,32 +127,21 @@ pub trait StateSpace: fmt::Debug + Send + Sync {
     }
 
     // -----------------------------------------------------------------
-    // Per-state queries (defaults in terms of the accessors above)
+    // Per-state queries
     // -----------------------------------------------------------------
 
     /// Value of signal `sig` in state `i`.
     fn value(&self, i: usize, sig: SignalId) -> bool {
-        self.code(i)[sig.index()]
+        self.decode_code(i)[sig.index()]
     }
 
     /// Successor state along a given transition, if enabled.
-    fn successor(&self, state: usize, t: TransitionId) -> Option<usize> {
-        self.ts().successor_by_label(state, &t)
-    }
+    fn successor(&self, state: usize, t: TransitionId) -> Option<usize>;
 
     /// The signal edges enabled (excited) in state `i`, as
-    /// `(transition, signal, edge)` triples; dummies are skipped.
-    fn excitations(&self, stg: &Stg, i: usize) -> Vec<(TransitionId, SignalId, SignalEdge)> {
-        let mut out = Vec::new();
-        for (&t, _) in self.ts().successors(i) {
-            if let Some(l) = stg.label(t) {
-                out.push((t, l.signal, l.edge));
-            }
-        }
-        out.sort_by_key(|&(t, _, _)| t);
-        out.dedup();
-        out
-    }
+    /// `(transition, signal, edge)` triples sorted by transition; dummies
+    /// are skipped.
+    fn excitations(&self, stg: &Stg, i: usize) -> Vec<(TransitionId, SignalId, SignalEdge)>;
 
     /// `true` if signal `sig` is excited (has an enabled edge) in state `i`.
     fn is_excited(&self, stg: &Stg, i: usize, sig: SignalId) -> bool {
@@ -200,32 +175,20 @@ pub trait StateSpace: fmt::Debug + Send + Sync {
             .collect()
     }
 
-    /// The binary code of state `i`, by value. Unlike [`StateSpace::code`]
-    /// this never requires materialised per-state storage — the
-    /// resident-BDD backend decodes it on demand (through its LRU).
-    fn decode_code(&self, i: usize) -> Vec<bool> {
-        self.code(i).to_vec()
-    }
+    /// The binary code of state `i`, indexed by [`SignalId`].
+    fn decode_code(&self, i: usize) -> Vec<bool>;
 
-    /// The marking of state `i`, by value (see [`StateSpace::decode_code`]).
-    fn decode_marking(&self, i: usize) -> Marking {
-        self.marking(i).clone()
-    }
+    /// The net marking of state `i`.
+    fn decode_marking(&self, i: usize) -> Marking;
 
-    /// The initial marking (state `0`'s marking). Unlike
-    /// [`StateSpace::marking`] this never requires materialised
-    /// per-state storage — the resident-BDD backend serves it from the
-    /// net, so the composed verification engine can anchor its
-    /// marking-tracked exploration on any backend at any scale.
+    /// The initial marking (state `0`'s marking).
     fn initial_marking(&self) -> Marking {
-        self.marking(0).clone()
+        self.decode_marking(0)
     }
 
-    /// States whose code equals `code`.
+    /// States whose code equals `code`, ascending.
     fn states_with_code(&self, code: &[bool]) -> Vec<usize> {
-        (0..self.num_states())
-            .filter(|&i| self.code(i) == code)
-            .collect()
+        self.set_states(&self.states_with_code_set(code), usize::MAX)
     }
 
     // -----------------------------------------------------------------
@@ -238,14 +201,10 @@ pub trait StateSpace: fmt::Debug + Send + Sync {
     }
 
     /// The set of all states.
-    fn all_states(&self) -> StateSet {
-        StateSet::Indices((0..self.num_states()).collect())
-    }
+    fn all_states(&self) -> StateSet;
 
     /// Number of states in a set.
-    fn set_count(&self, set: &StateSet) -> u128 {
-        set.as_indices().len() as u128
-    }
+    fn set_count(&self, set: &StateSet) -> u128;
 
     /// `true` when the set is empty.
     fn set_is_empty(&self, set: &StateSet) -> bool {
@@ -253,198 +212,56 @@ pub trait StateSpace: fmt::Debug + Send + Sync {
     }
 
     /// Union of two sets.
-    fn set_union(&self, a: &StateSet, b: &StateSet) -> StateSet {
-        let (a, b) = (a.as_indices(), b.as_indices());
-        let mut out = Vec::with_capacity(a.len() + b.len());
-        merge_sorted(a, b, &mut out);
-        StateSet::Indices(out)
-    }
+    fn set_union(&self, a: &StateSet, b: &StateSet) -> StateSet;
 
     /// Intersection of two sets.
-    fn set_intersect(&self, a: &StateSet, b: &StateSet) -> StateSet {
-        let (a, b) = (a.as_indices(), b.as_indices());
-        let mut out = Vec::new();
-        let mut j = 0;
-        for &x in a {
-            while j < b.len() && b[j] < x {
-                j += 1;
-            }
-            if j < b.len() && b[j] == x {
-                out.push(x);
-            }
-        }
-        StateSet::Indices(out)
-    }
+    fn set_intersect(&self, a: &StateSet, b: &StateSet) -> StateSet;
 
     /// Difference `a ∖ b`.
-    fn set_minus(&self, a: &StateSet, b: &StateSet) -> StateSet {
-        let (a, b) = (a.as_indices(), b.as_indices());
-        let mut out = Vec::new();
-        let mut j = 0;
-        for &x in a {
-            while j < b.len() && b[j] < x {
-                j += 1;
-            }
-            if j >= b.len() || b[j] != x {
-                out.push(x);
-            }
-        }
-        StateSet::Indices(out)
-    }
+    fn set_minus(&self, a: &StateSet, b: &StateSet) -> StateSet;
 
     /// Materialises up to `limit` state indices of a set, ascending. This
     /// is the witness extractor: set-level consumers only call it on sets
     /// already known (or expected) to be small.
-    fn set_states(&self, set: &StateSet, limit: usize) -> Vec<usize> {
-        let idx = set.as_indices();
-        idx[..idx.len().min(limit)].to_vec()
-    }
+    fn set_states(&self, set: &StateSet, limit: usize) -> Vec<usize>;
 
     /// The distinct binary codes of a set's states. Explicit backends
     /// report them in order of first occurrence (ascending state index);
     /// the resident-BDD backend in lexicographic code order. Consumers
     /// needing a canonical order sort the result.
-    fn set_codes(&self, set: &StateSet) -> Vec<Vec<bool>> {
-        let mut seen = std::collections::HashSet::new();
-        let mut out = Vec::new();
-        for &i in set.as_indices() {
-            let code = self.code(i).to_vec();
-            if seen.insert(code.clone()) {
-                out.push(code);
-            }
-        }
-        out
-    }
+    fn set_codes(&self, set: &StateSet) -> Vec<Vec<bool>>;
 
     /// Number of distinct codes across the whole space.
-    fn distinct_code_count(&self) -> u128 {
-        let mut seen = std::collections::HashSet::new();
-        for i in 0..self.num_states() {
-            seen.insert(self.code(i).to_vec());
-        }
-        seen.len() as u128
-    }
+    fn distinct_code_count(&self) -> u128;
 
     /// `true` when some code occurs in both sets (the CSC-conflict
     /// primitive: two states with equal codes in different excitation
     /// classes).
-    fn sets_share_code(&self, a: &StateSet, b: &StateSet) -> bool {
-        let codes: std::collections::HashSet<Vec<bool>> = a
-            .as_indices()
-            .iter()
-            .map(|&i| self.code(i).to_vec())
-            .collect();
-        b.as_indices().iter().any(|&i| codes.contains(self.code(i)))
-    }
+    fn sets_share_code(&self, a: &StateSet, b: &StateSet) -> bool;
 
     /// States whose code equals `code`, as a set.
-    fn states_with_code_set(&self, code: &[bool]) -> StateSet {
-        StateSet::Indices(self.states_with_code(code))
-    }
+    fn states_with_code_set(&self, code: &[bool]) -> StateSet;
 
     /// Codes shared by two or more states, each with its (ascending)
     /// state list, sorted by code — the grist of USC/CSC conflict
     /// reporting. The resident-BDD backend only decodes witnesses for
     /// the (typically few) genuinely duplicated codes.
-    fn duplicate_code_classes(&self) -> Vec<(Vec<bool>, Vec<usize>)> {
-        let mut by_code: HashMap<Vec<bool>, Vec<usize>> = HashMap::new();
-        for i in 0..self.num_states() {
-            by_code.entry(self.code(i).to_vec()).or_default().push(i);
-        }
-        let mut out: Vec<(Vec<bool>, Vec<usize>)> = by_code
-            .into_iter()
-            .filter(|(_, states)| states.len() > 1)
-            .collect();
-        out.sort();
-        out
-    }
+    fn duplicate_code_classes(&self) -> Vec<(Vec<bool>, Vec<usize>)>;
 
     /// The excitation region of `(signal, edge)`: states where some
     /// transition labelled with that edge is enabled.
-    fn excitation_region(&self, stg: &Stg, signal: SignalId, edge: SignalEdge) -> StateSet {
-        let mut out = Vec::new();
-        for i in 0..self.num_states() {
-            if self
-                .excitations(stg, i)
-                .iter()
-                .any(|&(_, s, e)| s == signal && e == edge)
-            {
-                out.push(i);
-            }
-        }
-        StateSet::Indices(out)
-    }
+    fn excitation_region(&self, stg: &Stg, signal: SignalId, edge: SignalEdge) -> StateSet;
 
     /// The states where `signal` has the given value (`ON`/`OFF` sets).
-    fn value_region(&self, signal: SignalId, value: bool) -> StateSet {
-        StateSet::Indices(
-            (0..self.num_states())
-                .filter(|&i| self.code(i)[signal.index()] == value)
-                .collect(),
-        )
-    }
+    fn value_region(&self, signal: SignalId, value: bool) -> StateSet;
 
     /// `true` when some reachable state enables no transition.
-    fn has_deadlock(&self) -> bool {
-        !self.ts().deadlocks().is_empty()
-    }
+    fn has_deadlock(&self) -> bool;
 
     /// Number of states where `t` and `u` are both enabled and firing `u`
     /// disables `t` — the persistency primitive, counted per ordered
     /// transition pair so the report never enumerates states.
-    fn disabling_count(&self, t: TransitionId, u: TransitionId) -> u128 {
-        if t == u {
-            return 0;
-        }
-        let mut count = 0u128;
-        for s in 0..self.num_states() {
-            let Some(next) = self.successor(s, u) else {
-                continue;
-            };
-            if self.successor(s, t).is_some() && self.successor(next, t).is_none() {
-                count += 1;
-            }
-        }
-        count
-    }
-
-    /// `true` if some path `from → to` (of length ≥ 1) fires neither
-    /// avoided transition — the CSC sweep pruner's reachability probe.
-    fn reaches_avoiding(
-        &self,
-        from: usize,
-        to: usize,
-        avoid: (TransitionId, TransitionId),
-    ) -> bool {
-        let ts = self.ts();
-        let mut visited = vec![false; ts.num_states()];
-        let mut queue = std::collections::VecDeque::new();
-        visited[from] = true;
-        queue.push_back(from);
-        while let Some(s) = queue.pop_front() {
-            for (&t, succ) in ts.successors(s) {
-                if t == avoid.0 || t == avoid.1 {
-                    continue;
-                }
-                if succ == to {
-                    return true;
-                }
-                if !visited[succ] {
-                    visited[succ] = true;
-                    queue.push_back(succ);
-                }
-            }
-        }
-        false
-    }
-
-    /// `true` when this backend answers the set-level queries natively
-    /// (resident symbolic representation) rather than by enumerating
-    /// states. Dispatch hint for consumers that keep a specialised
-    /// enumeration path for explicit backends.
-    fn set_level_native(&self) -> bool {
-        false
-    }
+    fn disabling_count(&self, t: TransitionId, u: TransitionId) -> u128;
 }
 
 /// Merges two sorted, deduplicated index slices.
@@ -488,18 +305,6 @@ impl StateSpace for StateGraph {
         StateGraph::num_signals(self)
     }
 
-    fn code(&self, i: usize) -> &[bool] {
-        &self.state(i).code
-    }
-
-    fn marking(&self, i: usize) -> &Marking {
-        &self.state(i).marking
-    }
-
-    fn ts(&self) -> &TransitionSystem<TransitionId> {
-        StateGraph::ts(self)
-    }
-
     fn initial_values(&self) -> &[bool] {
         StateGraph::initial_values(self)
     }
@@ -512,10 +317,109 @@ impl StateSpace for StateGraph {
         Some(self)
     }
 
+    fn value(&self, i: usize, sig: SignalId) -> bool {
+        StateGraph::value(self, i, sig)
+    }
+
+    fn successor(&self, state: usize, t: TransitionId) -> Option<usize> {
+        StateGraph::successor(self, state, t)
+    }
+
+    fn excitations(&self, stg: &Stg, i: usize) -> Vec<(TransitionId, SignalId, SignalEdge)> {
+        StateGraph::excitations(self, stg, i)
+    }
+
+    fn decode_code(&self, i: usize) -> Vec<bool> {
+        self.state(i).code.clone()
+    }
+
+    fn decode_marking(&self, i: usize) -> Marking {
+        self.state(i).marking.clone()
+    }
+
     fn states_with_code(&self, code: &[bool]) -> Vec<usize> {
-        // Indexed override: one lazily built code → states map instead of
-        // a linear scan per call (hot in CSC conflict detection).
-        self.code_index().get(code).cloned().unwrap_or_default()
+        StateGraph::states_with_code(self, code)
+    }
+
+    fn all_states(&self) -> StateSet {
+        StateSet::Indices((0..self.num_states()).collect())
+    }
+
+    fn set_count(&self, set: &StateSet) -> u128 {
+        set.as_indices().len() as u128
+    }
+
+    fn set_union(&self, a: &StateSet, b: &StateSet) -> StateSet {
+        let (a, b) = (a.as_indices(), b.as_indices());
+        let mut out = Vec::with_capacity(a.len() + b.len());
+        merge_sorted(a, b, &mut out);
+        StateSet::Indices(out)
+    }
+
+    fn set_intersect(&self, a: &StateSet, b: &StateSet) -> StateSet {
+        let (a, b) = (a.as_indices(), b.as_indices());
+        let mut out = Vec::new();
+        let mut j = 0;
+        for &x in a {
+            while j < b.len() && b[j] < x {
+                j += 1;
+            }
+            if j < b.len() && b[j] == x {
+                out.push(x);
+            }
+        }
+        StateSet::Indices(out)
+    }
+
+    fn set_minus(&self, a: &StateSet, b: &StateSet) -> StateSet {
+        let (a, b) = (a.as_indices(), b.as_indices());
+        let mut out = Vec::new();
+        let mut j = 0;
+        for &x in a {
+            while j < b.len() && b[j] < x {
+                j += 1;
+            }
+            if j >= b.len() || b[j] != x {
+                out.push(x);
+            }
+        }
+        StateSet::Indices(out)
+    }
+
+    fn set_states(&self, set: &StateSet, limit: usize) -> Vec<usize> {
+        let idx = set.as_indices();
+        idx[..idx.len().min(limit)].to_vec()
+    }
+
+    fn set_codes(&self, set: &StateSet) -> Vec<Vec<bool>> {
+        let mut seen = std::collections::HashSet::new();
+        let mut out = Vec::new();
+        for &i in set.as_indices() {
+            let code = &self.state(i).code;
+            if seen.insert(code) {
+                out.push(code.clone());
+            }
+        }
+        out
+    }
+
+    fn distinct_code_count(&self) -> u128 {
+        self.code_index().len() as u128
+    }
+
+    fn sets_share_code(&self, a: &StateSet, b: &StateSet) -> bool {
+        let codes: std::collections::HashSet<&[bool]> = a
+            .as_indices()
+            .iter()
+            .map(|&i| self.state(i).code.as_slice())
+            .collect();
+        b.as_indices()
+            .iter()
+            .any(|&i| codes.contains(self.state(i).code.as_slice()))
+    }
+
+    fn states_with_code_set(&self, code: &[bool]) -> StateSet {
+        StateSet::Indices(StateGraph::states_with_code(self, code))
     }
 
     fn duplicate_code_classes(&self) -> Vec<(Vec<bool>, Vec<usize>)> {
@@ -529,8 +433,45 @@ impl StateSpace for StateGraph {
         out
     }
 
-    fn distinct_code_count(&self) -> u128 {
-        self.code_index().len() as u128
+    fn excitation_region(&self, stg: &Stg, signal: SignalId, edge: SignalEdge) -> StateSet {
+        StateSet::Indices(
+            (0..self.num_states())
+                .filter(|&i| {
+                    self.ts().successors(i).any(|(&t, _)| {
+                        stg.label(t)
+                            .is_some_and(|l| l.signal == signal && l.edge == edge)
+                    })
+                })
+                .collect(),
+        )
+    }
+
+    fn value_region(&self, signal: SignalId, value: bool) -> StateSet {
+        StateSet::Indices(
+            (0..self.num_states())
+                .filter(|&i| self.state(i).code[signal.index()] == value)
+                .collect(),
+        )
+    }
+
+    fn has_deadlock(&self) -> bool {
+        !self.ts().deadlocks().is_empty()
+    }
+
+    fn disabling_count(&self, t: TransitionId, u: TransitionId) -> u128 {
+        if t == u {
+            return 0;
+        }
+        let mut count = 0u128;
+        for s in 0..self.num_states() {
+            let Some(next) = self.successor(s, u) else {
+                continue;
+            };
+            if self.successor(s, t).is_some() && self.successor(next, t).is_none() {
+                count += 1;
+            }
+        }
+        count
     }
 }
 
@@ -577,106 +518,12 @@ impl Backend {
         stg: &Stg,
         max_states: usize,
     ) -> Result<Box<dyn StateSpace>, StgError> {
-        self.build_bounded_in(stg, max_states, &mut BuildContext::default())
-    }
-
-    /// Like [`Backend::build_bounded`] with reusable cross-build scratch.
-    ///
-    /// Repeated builds of structurally similar STGs (the CSC candidate
-    /// sweep: every candidate shares the base net's place layout) pass
-    /// the same [`BuildContext`] so the resident-BDD backend keeps one BDD
-    /// manager — unique table and operation caches included — across
-    /// the whole sweep. The produced space is identical to a
-    /// fresh-context build; the explicit backend has no scratch and
-    /// ignores the context.
-    ///
-    /// # Errors
-    ///
-    /// See [`Backend::build`].
-    pub fn build_bounded_in(
-        self,
-        stg: &Stg,
-        max_states: usize,
-        ctx: &mut BuildContext,
-    ) -> Result<Box<dyn StateSpace>, StgError> {
-        match self {
-            Backend::Explicit => Ok(Box::new(StateGraph::build_bounded(stg, max_states)?)),
-            Backend::SymbolicSet => {
-                // The resident backend's counting is robust to leftover
-                // variables from other shapes, so one manager serves the
-                // whole sweep regardless of candidate shape.
-                let shared = ctx.manager();
-                Ok(Box::new(SymbolicSetSpace::build_bounded_in(
-                    stg, max_states, shared,
-                )?))
-            }
-        }
+        Ok(match self {
+            Backend::Explicit => Box::new(StateGraph::build_bounded(stg, max_states)?),
+            Backend::SymbolicSet => Box::new(SymbolicSetSpace::build_bounded(stg, max_states)?),
+        })
     }
 }
-
-/// Reusable scratch for repeated [`Backend::build_bounded_in`] calls:
-/// the resident-BDD backend's shared BDD manager. That backend brings
-/// its own per-build variable map and shape-robust counting, so one
-/// manager serves every build regardless of net shape.
-#[derive(Debug, Default)]
-pub struct BuildContext {
-    manager: Option<Arc<Mutex<bdd::Manager>>>,
-    /// Largest node count observed across every manager this context
-    /// has held, including ones already retired by the reset policy.
-    peak_nodes: usize,
-}
-
-impl BuildContext {
-    /// The held manager, creating one if necessary, and starting fresh
-    /// once the table has grown past [`MANAGER_RESET_NODES`] — the node
-    /// store never garbage-collects, so a long sweep of rejected
-    /// candidates would otherwise accumulate dead nodes without bound.
-    /// (Spaces already built keep their own `Arc` to the old manager,
-    /// so their handles stay valid.)
-    fn manager(&mut self) -> Arc<Mutex<bdd::Manager>> {
-        let oversized = self.manager.as_ref().is_some_and(|m| {
-            m.lock().expect("BDD manager poisoned").node_count() > MANAGER_RESET_NODES
-        });
-        if self.manager.is_none() || oversized {
-            self.note_peak();
-            self.manager = Some(Arc::new(Mutex::new(bdd::Manager::new())));
-        }
-        Arc::clone(self.manager.as_ref().expect("manager just ensured"))
-    }
-
-    /// Fold the held manager's current size into the peak.
-    fn note_peak(&mut self) {
-        if let Some(m) = &self.manager {
-            let n = m.lock().expect("BDD manager poisoned").node_count();
-            self.peak_nodes = self.peak_nodes.max(n);
-        }
-    }
-
-    /// Node count of the currently held shared manager (0 when the
-    /// context holds none, e.g. pure explicit-backend use).
-    #[must_use]
-    pub fn bdd_nodes(&self) -> usize {
-        self.manager
-            .as_ref()
-            .map_or(0, |m| m.lock().expect("BDD manager poisoned").node_count())
-    }
-
-    /// Peak node count over every manager this context has held —
-    /// retired managers included — so resident-backend memory growth is
-    /// visible per stage even across the reset policy. Advisory
-    /// telemetry: depends on backend and sweep partitioning.
-    #[must_use]
-    pub fn peak_bdd_nodes(&mut self) -> usize {
-        self.note_peak();
-        self.peak_nodes
-    }
-}
-
-/// Node count past which [`BuildContext`] retires a shared resident-BDD
-/// manager instead of handing it to the next build (~tens of MB of
-/// never-collected nodes; memoisation across candidates is a win well
-/// below this).
-const MANAGER_RESET_NODES: usize = 4_000_000;
 
 impl fmt::Display for Backend {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {

@@ -15,27 +15,24 @@
 //!   is ever enumerated;
 //! * when a consumer genuinely needs a *witness* (a conflict pair, an
 //!   error state, a trace), individual states are decoded on demand by
-//!   BDD unranking, served from a small LRU of materialised blocks;
-//! * spaces small enough to enumerate cheaply can still serve the legacy
-//!   per-state reference API (`code`/`marking`/`ts`) through a lazily
-//!   materialised explicit view, so verification and waveform rendering
-//!   keep working on controller-sized inputs. Beyond
-//!   [`MATERIALISE_LIMIT`] those accessors panic — by then every
-//!   supported flow runs set-level.
+//!   BDD unranking, served from a small LRU of materialised blocks —
+//!   that is how the per-state queries (`decode_code`, `decode_marking`,
+//!   `successor`, `excitations`) work at any scale. Work that scans
+//!   every arc runs on a [`crate::StateGraph`] instead.
 //!
 //! State numbering: index 0 is the initial marking, the rest follow the
 //! lexicographic order of the BDD enumeration (with the initial
 //! marking's slot swapped), so witnesses are stable and reproducible.
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use bdd::{Bdd, Manager, VarId};
 use petri::reach::ReachError;
-use petri::{Marking, PetriNet, TransitionId, TransitionSystem};
+use petri::{Marking, PetriNet, TransitionId};
 
 use crate::model::{SignalEdge, SignalId, Stg};
-use crate::state_graph::{SgState, StgError};
+use crate::state_graph::StgError;
 use crate::state_space::{Backend, StateSet, StateSpace, DEFAULT_STATE_BOUND};
 
 /// Statistics of the symbolic traversal that produced a state space.
@@ -48,11 +45,6 @@ pub struct SymbolicStats {
     /// Nodes allocated in the BDD manager.
     pub bdd_nodes: usize,
 }
-
-/// Largest space the legacy per-state reference API (`code`/`marking`/
-/// `ts`) will materialise an explicit view for. Set-level queries and the
-/// owned decode accessors work at any size.
-pub const MATERIALISE_LIMIT: usize = 1 << 16;
 
 /// States decoded together when a witness block is materialised.
 const DECODE_BLOCK: usize = 256;
@@ -149,8 +141,6 @@ struct QueryCache {
     /// ON marking sets per signal index (OFF is the complement within
     /// the reached markings).
     on: HashMap<usize, Bdd>,
-    /// Place-only transition relations (avoid-path fixpoints).
-    place_rels: Option<Vec<Bdd>>,
     /// Per-node satisfying-assignment counts over place-variable
     /// suffixes (the unranking tables). Valid for any BDD whose support
     /// is the current place variables.
@@ -166,17 +156,10 @@ struct QueryCache {
     deadlock: Option<bool>,
 }
 
-/// The fully materialised fallback view (small spaces only).
-#[derive(Debug)]
-struct ExplicitView {
-    states: Vec<SgState>,
-    ts: TransitionSystem<TransitionId>,
-}
-
 /// A state space kept resident in its BDD manager; see the module docs.
 #[derive(Debug)]
 pub struct SymbolicSetSpace {
-    manager: Arc<Mutex<Manager>>,
+    manager: Mutex<Manager>,
     net: PetriNet,
     vars: VarMap,
     /// Characteristic function of the reachable (marking, code) pairs,
@@ -191,7 +174,6 @@ pub struct SymbolicSetSpace {
     num_signals: usize,
     stats: SymbolicStats,
     cache: Mutex<QueryCache>,
-    view: OnceLock<ExplicitView>,
 }
 
 impl SymbolicSetSpace {
@@ -214,24 +196,6 @@ impl SymbolicSetSpace {
     ///
     /// See [`SymbolicSetSpace::build`].
     pub fn build_bounded(stg: &Stg, max_states: usize) -> Result<Self, StgError> {
-        Self::build_bounded_in(stg, max_states, Arc::new(Mutex::new(Manager::new())))
-    }
-
-    /// Like [`SymbolicSetSpace::build_bounded`] inside a caller-owned
-    /// shared manager: the space keeps the `Arc` and serves every later
-    /// query from it, so a sweep's candidate spaces share one unique
-    /// table and operation cache. Reuse is sound across *any* net
-    /// shapes — all counting here divides out the manager's full
-    /// variable universe.
-    ///
-    /// # Errors
-    ///
-    /// See [`SymbolicSetSpace::build`].
-    pub fn build_bounded_in(
-        stg: &Stg,
-        max_states: usize,
-        manager: Arc<Mutex<Manager>>,
-    ) -> Result<Self, StgError> {
         let net = stg.net().clone();
         let m0 = net.initial_marking();
         if !m0.is_safe() {
@@ -241,8 +205,8 @@ impl SymbolicSetSpace {
         let num_places = net.num_places();
         let num_signals = stg.num_signals();
 
-        let mut mgr = manager.lock().expect("BDD manager poisoned");
-        let m = &mut *mgr;
+        let mut mgr = Manager::new();
+        let m = &mut mgr;
         for &v in vars
             .place_cur
             .iter()
@@ -464,9 +428,8 @@ impl SymbolicSetSpace {
             iterations,
             bdd_nodes: m.node_count(),
         };
-        drop(mgr);
         Ok(SymbolicSetSpace {
-            manager,
+            manager: Mutex::new(mgr),
             net,
             vars,
             reached,
@@ -478,10 +441,8 @@ impl SymbolicSetSpace {
             stats,
             cache: Mutex::new(QueryCache {
                 suffix_counts: counts,
-                place_rels: Some(place_rels),
                 ..QueryCache::default()
             }),
-            view: OnceLock::new(),
         })
     }
 
@@ -503,13 +464,6 @@ impl SymbolicSetSpace {
     #[must_use]
     pub fn decoded_states(&self) -> u64 {
         self.cache.lock().expect("cache poisoned").decoded_states
-    }
-
-    /// Probe: whether the legacy per-state reference API has forced a
-    /// full explicit materialisation of this space.
-    #[must_use]
-    pub fn is_materialised(&self) -> bool {
-        self.view.get().is_some()
     }
 
     fn mgr(&self) -> MutexGuard<'_, Manager> {
@@ -583,21 +537,6 @@ impl SymbolicSetSpace {
         }
         cache.excitation.insert(key, b);
         b
-    }
-
-    /// Place-only transition relations (lazily built; used by the
-    /// avoid-path fixpoint).
-    fn place_relations(&self, m: &mut Manager, cache: &mut QueryCache) -> Vec<Bdd> {
-        if let Some(rels) = &cache.place_rels {
-            return rels.clone();
-        }
-        let rels: Vec<Bdd> = self
-            .net
-            .transitions()
-            .map(|t| place_clauses(m, &self.net, &self.vars, t))
-            .collect();
-        cache.place_rels = Some(rels.clone());
-        rels
     }
 
     /// Count of markings in a place-variable set.
@@ -677,68 +616,6 @@ impl SymbolicSetSpace {
         }
         on_sets.iter().map(|&b| m.eval(b, &assignment)).collect()
     }
-
-    /// The small-space explicit fallback view.
-    ///
-    /// # Panics
-    ///
-    /// Panics beyond [`MATERIALISE_LIMIT`] — the per-state reference API
-    /// is not available on spaces that large; use the set-level queries.
-    fn view(&self) -> &ExplicitView {
-        self.view.get_or_init(|| {
-            assert!(
-                self.num_markings <= MATERIALISE_LIMIT as u128,
-                "the resident-BDD space has {} states — too large to materialise; \
-                 use the set-level StateSpace queries or decode_code/decode_marking",
-                self.num_markings
-            );
-            let n = usize::try_from(self.num_markings).expect("bounded by the limit");
-            let mut cache = self.cache.lock().expect("cache poisoned");
-            let mut m = self.mgr();
-            let on_sets: Vec<Bdd> = (0..self.num_signals)
-                .map(|j| self.on_set_bdd(&mut m, &mut cache, j))
-                .collect();
-            let mut markings = Vec::with_capacity(n);
-            enumerate_markings(
-                &m,
-                self.markings,
-                &self.vars,
-                self.num_places(),
-                &mut markings,
-            );
-            let m0 = self.net.initial_marking();
-            let pos = markings
-                .iter()
-                .position(|mk| *mk == m0)
-                .expect("initial marking is reachable");
-            markings.swap(0, pos);
-            let index: HashMap<Marking, usize> = markings
-                .iter()
-                .cloned()
-                .enumerate()
-                .map(|(i, mk)| (mk, i))
-                .collect();
-            let mut ts = TransitionSystem::new(markings.len(), 0);
-            for (i, mk) in markings.iter().enumerate() {
-                for t in self.net.transitions() {
-                    if let Some(next) = self.net.fire(mk, t) {
-                        let j = *index
-                            .get(&next)
-                            .expect("successor of a reachable marking is reachable");
-                        ts.add_arc(i, t, j);
-                    }
-                }
-            }
-            let states: Vec<SgState> = markings
-                .into_iter()
-                .map(|mk| {
-                    let code = self.code_of_marking(&m, &on_sets, &mk);
-                    SgState { marking: mk, code }
-                })
-                .collect();
-            ExplicitView { states, ts }
-        })
-    }
 }
 
 impl StateSpace for SymbolicSetSpace {
@@ -748,18 +625,6 @@ impl StateSpace for SymbolicSetSpace {
 
     fn num_signals(&self) -> usize {
         self.num_signals
-    }
-
-    fn code(&self, i: usize) -> &[bool] {
-        &self.view().states[i].code
-    }
-
-    fn marking(&self, i: usize) -> &Marking {
-        &self.view().states[i].marking
-    }
-
-    fn ts(&self) -> &TransitionSystem<TransitionId> {
-        &self.view().ts
     }
 
     fn initial_values(&self) -> &[bool] {
@@ -778,10 +643,6 @@ impl StateSpace for SymbolicSetSpace {
         Some(self.decoded_states())
     }
 
-    fn set_level_native(&self) -> bool {
-        true
-    }
-
     fn value(&self, i: usize, sig: SignalId) -> bool {
         self.decode(i).1[sig.index()]
     }
@@ -795,7 +656,7 @@ impl StateSpace for SymbolicSetSpace {
     }
 
     fn initial_marking(&self) -> Marking {
-        // Straight from the net — no view materialisation, no decode:
+        // Straight from the net — no decode:
         // this is what lets composed verification anchor on a resident
         // space of any size.
         self.net.initial_marking()
@@ -820,11 +681,6 @@ impl StateSpace for SymbolicSetSpace {
             }
         }
         out
-    }
-
-    fn states_with_code(&self, code: &[bool]) -> Vec<usize> {
-        let set = self.states_with_code_set(code);
-        self.set_states(&set, usize::MAX)
     }
 
     fn marking_count(&self) -> u128 {
@@ -1049,55 +905,6 @@ impl StateSpace for SymbolicSetSpace {
         both = m.diff(both, after);
         self.count_markings(&m, both)
     }
-
-    fn reaches_avoiding(
-        &self,
-        from: usize,
-        to: usize,
-        avoid: (TransitionId, TransitionId),
-    ) -> bool {
-        let from_m = self.decode(from);
-        let to_m = self.decode(to);
-        let mut cache = self.cache.lock().expect("cache poisoned");
-        let mut m = self.mgr();
-        let rels = self.place_relations(&mut m, &mut cache);
-        let active: Vec<Bdd> = self
-            .net
-            .transitions()
-            .filter(|&t| t != avoid.0 && t != avoid.1)
-            .map(|t| rels[t.index()])
-            .collect();
-        let literals: Vec<(VarId, bool)> = self
-            .net
-            .places()
-            .map(|p| (self.vars.place_cur[p.index()], from_m.0.is_marked(p)))
-            .collect();
-        let start = m.cube(&literals);
-        let target: Vec<(VarId, bool)> = self
-            .net
-            .places()
-            .map(|p| (self.vars.place_cur[p.index()], to_m.0.is_marked(p)))
-            .collect();
-        let target = m.cube(&target);
-        let place_cur = self.vars.place_cur.clone();
-        let place_next = self.vars.place_next.clone();
-        let mut reached = start;
-        let mut frontier = start;
-        while !frontier.is_zero() {
-            let mut image_next = Manager::zero();
-            for &rel in &active {
-                let img = m.and_exists(frontier, rel, &place_cur);
-                image_next = m.or(image_next, img);
-            }
-            let image = m.rename(image_next, &place_next, &place_cur);
-            if !m.and(image, target).is_zero() {
-                return true;
-            }
-            frontier = m.diff(image, reached);
-            reached = m.or(reached, frontier);
-        }
-        false
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -1137,9 +944,8 @@ fn place_clauses(m: &mut Manager, net: &PetriNet, vars: &VarMap, t: TransitionId
 /// variable list, which must cover `f`'s support. Counting walks the
 /// diagram against the list directly — no full-universe `sat_count`
 /// followed by a shift, which would silently overflow `u128` once the
-/// shared manager's variable universe grows past 128 variables (state
-/// vectors of ~60+ places/signals, exactly the scale this backend
-/// exists for).
+/// manager's variable universe grows past 128 variables (state vectors
+/// of ~60+ places/signals, exactly the scale this backend exists for).
 fn count_over(m: &Manager, f: Bdd, vars: &[VarId]) -> u128 {
     let mut memo = HashMap::new();
     count_vars_from(m, f, vars, 0, &mut memo)
@@ -1413,22 +1219,6 @@ fn state_index_of_rank_u128(
 fn state_index_of_rank(rank: u128, initial_rank: u128, marking: &Marking, m0: &Marking) -> usize {
     usize::try_from(state_index_of_rank_u128(rank, initial_rank, marking, m0))
         .expect("witness index fits usize")
-}
-
-/// Enumerates every marking of a place-variable set in lexicographic
-/// order (free variables branch both ways).
-fn enumerate_markings(
-    m: &Manager,
-    f: Bdd,
-    vars: &VarMap,
-    num_places: usize,
-    out: &mut Vec<Marking>,
-) {
-    let mut counts = vec![0u32; num_places];
-    descend_markings(m, f, vars, num_places, 0, &mut counts, &mut |mk| {
-        out.push(mk);
-        true
-    });
 }
 
 /// Shared recursive descent for the enumerators; returns `false` to

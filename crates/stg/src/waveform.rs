@@ -5,7 +5,7 @@
 use petri::TransitionId;
 
 use crate::model::Stg;
-use crate::state_space::StateSpace;
+use crate::state_graph::StateGraph;
 
 /// Renders the signal waveforms along a transition sequence starting at
 /// the initial state, one row per signal, two characters per step:
@@ -18,11 +18,7 @@ use crate::state_space::StateSpace;
 ///
 /// Transitions not enabled where expected stop the rendering early.
 #[must_use]
-pub fn render_waveforms<S: StateSpace + ?Sized>(
-    stg: &Stg,
-    sg: &S,
-    trace: &[TransitionId],
-) -> String {
+pub fn render_waveforms(stg: &Stg, sg: &StateGraph, trace: &[TransitionId]) -> String {
     let width = stg
         .signals()
         .map(|s| stg.signal_name(s).len())
@@ -73,7 +69,7 @@ pub fn render_trace_header(stg: &Stg, trace: &[TransitionId]) -> String {
 /// result is deterministic). Returns an empty trace if no cycle through
 /// the initial state exists within `max_steps` arcs.
 #[must_use]
-pub fn canonical_cycle<S: StateSpace + ?Sized>(sg: &S, max_steps: usize) -> Vec<TransitionId> {
+pub fn canonical_cycle(sg: &StateGraph, max_steps: usize) -> Vec<TransitionId> {
     use std::collections::VecDeque;
     // BFS over states, remembering the arc that discovered each state.
     let n = sg.num_states();

@@ -17,10 +17,22 @@ fn smoke_vme_read() {
     a.sort();
     b.sort();
     assert_eq!(a, b);
-    for i in 0..set.num_states() {
-        assert_eq!(set.decode_code(i), set.code(i).to_vec(), "state {i}");
-        assert_eq!(&set.decode_marking(i), set.marking(i), "state {i}");
-    }
+    // The BDD decoder against an independent reference: every index
+    // decodes to a (marking, code) pair of the explicit graph, each pair
+    // exactly once, and index 0 is the initial state on both.
+    let graph = explicit.as_state_graph().expect("explicit backend");
+    let mut decoded: Vec<(petri::Marking, Vec<bool>)> = (0..set.num_states())
+        .map(|i| (set.decode_marking(i), set.decode_code(i)))
+        .collect();
+    let mut reference: Vec<(petri::Marking, Vec<bool>)> = graph
+        .states()
+        .iter()
+        .map(|s| (s.marking.clone(), s.code.clone()))
+        .collect();
+    assert_eq!(decoded[0], reference[0], "initial state");
+    decoded.sort();
+    reference.sort();
+    assert_eq!(decoded, reference, "decoded states");
     for s in spec.signals() {
         for value in [false, true] {
             let sym = set.set_count(&set.value_region(s, value));

@@ -21,13 +21,13 @@
 //! space is validated in full. That makes the sweeps the flow's dominant
 //! cost, so they run through one engine ([`SweepOptions`]) that
 //!
-//! * **derives** candidate spaces on the explicit backend: a candidate's
-//!   state graph is computed from the base graph in O(|SG|)
+//! * **derives** candidate state graphs: every candidate is an explicit
+//!   [`StateGraph`] computed from the base graph in O(|SG|)
 //!   ([`StateGraph::derive`]) and checked against a label template (the
 //!   base STG for arcs, [`insertion_labels`] for insertions), so no
 //!   candidate STG is built and no token game replayed until a candidate
-//!   is accepted. The resident-BDD backend builds each candidate STG and
-//!   its space from scratch;
+//!   is accepted. The sweeps take no backend: the pipeline hands them the
+//!   same base graph whichever backend its check stage ran on;
 //! * **parallelises** the grid on scoped work-stealing workers
 //!   ([`crate::par`]), merging per-worker rankings deterministically so
 //!   the output is byte-identical to a serial sweep at any thread count;
@@ -37,37 +37,33 @@
 //!   internal docs for the soundness argument — pruning never changes
 //!   the result set, only the work);
 //! * **memoises** across candidates: the base specification's state
-//!   space seeds the pruner and the derivations instead of being rebuilt,
-//!   the resident-BDD backend shares one BDD manager per worker across all
-//!   of its candidate builds ([`stg::BuildContext`]), and the greedy loop
-//!   carries the winning candidate's space into the next step instead of
-//!   rebuilding it;
+//!   graph seeds the pruner and the derivations instead of being rebuilt,
+//!   and the greedy loop carries the winning candidate's graph into the
+//!   next step instead of rebuilding it;
 //! * **diagnoses** instead of dropping: candidates whose space exceeds
 //!   [`SweepOptions::bound`] are counted in
 //!   [`SweepStats::skipped_by_bound`] so callers can surface them (the
 //!   pipeline emits a `FlowEvent`), never silently report "no CSC
 //!   resolution" when one may exist beyond the bound.
 
+use std::borrow::Cow;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 use petri::reach::ReachError;
 use petri::TransitionId;
-use stg::{
-    Backend, BuildContext, SignalEdge, SignalKind, StateGraph, StateSpace, Stg, StgEdit, StgError,
-};
+use stg::{SignalEdge, SignalKind, StateGraph, StateSpace, Stg, StgEdit, StgError};
 
 use crate::par;
 
 /// Outcome of a successful CSC resolution, carrying the candidate's
-/// already-built state space through to synthesis.
+/// already-built state graph through to synthesis.
 ///
-/// The search routines validate a full state space for every candidate
+/// The search routines validate a full state graph for every candidate
 /// they rank; keeping it saves the flow driver a rebuild before
-/// synthesis. Deliberately **not** `Clone` (a `Box<dyn StateSpace>` has
-/// no useful copy) so the space is moved, not duplicated, on its way
-/// downstream.
+/// synthesis. Deliberately **not** `Clone`, so the graph is moved, not
+/// duplicated, on its way downstream.
 #[derive(Debug)]
 pub struct CscResolutionWithSpace {
     /// The transformed STG (CSC holds on its state space).
@@ -76,10 +72,10 @@ pub struct CscResolutionWithSpace {
     pub description: String,
     /// State count of the new state space.
     pub num_states: usize,
-    /// The validated state space of `stg`, when the search still holds it
-    /// (the ranking sweeps keep the spaces of the top
+    /// The validated state graph of `stg`, when the search still holds
+    /// it (the ranking sweeps keep the graphs of the top
     /// [`SweepOptions::keep_spaces`] candidates to bound memory).
-    pub space: Option<Box<dyn StateSpace>>,
+    pub space: Option<StateGraph>,
 }
 
 // ---------------------------------------------------------------------
@@ -203,15 +199,10 @@ pub struct Sweep {
 /// the work. (Candidates whose transformed STG fails to build — e.g. the
 /// insertion makes it inconsistent — are rejected by both paths alike.)
 struct ConflictPruner<'a> {
-    space: &'a dyn StateSpace,
+    space: &'a StateGraph,
     /// CSC-conflicting state pairs of the base space.
     conflicts: Vec<(usize, usize)>,
 }
-
-/// Duplication excess (states beyond distinct codes) above which the
-/// pruner declines to extract conflict witnesses from a resident-BDD
-/// space (see [`ConflictPruner::new`]).
-const PRUNER_WITNESS_LIMIT: u128 = 4096;
 
 /// Per-worker reusable BFS scratch for the pruner: generation-stamped
 /// visited marks plus the work queue, so the per-pair reachability
@@ -226,19 +217,7 @@ struct PruneScratch {
 impl<'a> ConflictPruner<'a> {
     /// A pruner over the base space's conflicts; `None` when the space
     /// has no CSC conflicts (nothing to reason about — prune nothing).
-    fn new(stg: &Stg, space: &'a dyn StateSpace) -> Option<Self> {
-        if space.set_level_native() {
-            // Conflict-pair extraction enumerates every duplicated-code
-            // class; on a huge resident space that is unbounded witness
-            // decoding for what is only a work-saving heuristic — run
-            // the sweep unpruned instead.
-            let excess = space
-                .marking_count()
-                .saturating_sub(space.distinct_code_count());
-            if excess > PRUNER_WITNESS_LIMIT {
-                return None;
-            }
-        }
+    fn new(stg: &Stg, space: &'a StateGraph) -> Option<Self> {
         let conflicts: Vec<(usize, usize)> = stg::encoding::csc_conflicts(stg, space)
             .into_iter()
             .map(|c| c.states)
@@ -246,16 +225,9 @@ impl<'a> ConflictPruner<'a> {
         (!conflicts.is_empty()).then_some(ConflictPruner { space, conflicts })
     }
 
-    /// `true` if some path `from → to` avoids both split transitions.
-    /// Backends that can enumerate run a scratch-reusing BFS over the
-    /// transition structure (for the resident-BDD backend that means its
-    /// small-space materialised view — the pruner fires one probe per
-    /// (pair, conflict, direction), far too hot for per-probe fixed
-    /// points); spaces too large to materialise fall back to the
-    /// backend's symbolic avoid-path query
-    /// ([`StateSpace::reaches_avoiding`]). Both answer the same
-    /// reachability question, so pruning decisions are
-    /// backend-independent.
+    /// `true` if some path `from → to` avoids both split transitions: a
+    /// scratch-reusing BFS over the base graph's transition system (the
+    /// pruner fires one probe per (pair, conflict, direction)).
     fn connects_avoiding(
         &self,
         scratch: &mut PruneScratch,
@@ -264,9 +236,6 @@ impl<'a> ConflictPruner<'a> {
         tp: TransitionId,
         tm: TransitionId,
     ) -> bool {
-        if self.space.set_level_native() && self.space.num_states() > stg::MATERIALISE_LIMIT {
-            return self.space.reaches_avoiding(from, to, (tp, tm));
-        }
         let ts = self.space.ts();
         scratch.visited.resize(ts.num_states(), 0);
         scratch.stamp += 1;
@@ -337,59 +306,51 @@ impl<'a> ConflictPruner<'a> {
 // Candidate state spaces
 // ---------------------------------------------------------------------
 
-/// Builds the state spaces of one base specification's candidates.
+/// Builds the state graphs of one base specification's candidates.
 ///
-/// When the base space is an explicit [`StateGraph`], every candidate's
-/// graph is derived from it ([`StateGraph::derive`]) and checked against
-/// the step's label template: arc candidates share the base STG's labels,
-/// insertion candidates share [`insertion_labels`]. The candidate STG is
-/// built only for moves that pass. Otherwise (the resident-BDD backend,
-/// or no base graph at hand) each candidate STG and its space are built
-/// from scratch.
+/// With a base graph at hand, every candidate's graph is derived from it
+/// ([`StateGraph::derive`]) and checked against the step's label
+/// template: arc candidates share the base STG's labels, insertion
+/// candidates share [`insertion_labels`]. The candidate STG is built only
+/// for moves that pass. Without one (the base failed to build) each
+/// candidate STG and its graph are built from scratch.
 struct Candidates<'a> {
     stg: &'a Stg,
-    backend: Backend,
     bound: usize,
-    derive_from: Option<&'a StateGraph>,
+    base: Option<&'a StateGraph>,
     insertion_labels: OnceLock<Stg>,
 }
 
-/// One candidate's space, with its STG when it had to be built for it.
+/// One candidate's state graph, with its STG when it had to be built for
+/// it.
 struct Candidate {
-    space: Box<dyn StateSpace>,
+    space: StateGraph,
     stg: Option<Stg>,
 }
 
 impl<'a> Candidates<'a> {
-    fn new(stg: &'a Stg, backend: Backend, bound: usize, base: Option<&'a dyn StateSpace>) -> Self {
-        let derive_from = match backend {
-            Backend::Explicit => base.and_then(StateSpace::as_state_graph),
-            Backend::SymbolicSet => None,
-        };
+    fn new(stg: &'a Stg, bound: usize, base: Option<&'a StateGraph>) -> Self {
         Candidates {
             stg,
-            backend,
             bound,
-            derive_from,
+            base,
             insertion_labels: OnceLock::new(),
         }
     }
 
-    /// The candidate's state space; a `StateLimit` error means it exceeds
+    /// The candidate's state graph; a `StateLimit` error means it exceeds
     /// the sweep bound.
-    fn space(&self, edit: StgEdit, ctx: &mut BuildContext) -> Result<Candidate, StgError> {
-        if let Some(base) = self.derive_from {
+    fn space(&self, edit: StgEdit) -> Result<Candidate, StgError> {
+        if let Some(base) = self.base {
             let labels = self.template(edit);
-            let sg = StateGraph::derive(base, labels, edit, self.bound)?;
             return Ok(Candidate {
-                space: Box::new(sg),
+                space: StateGraph::derive(base, labels, edit, self.bound)?,
                 stg: None,
             });
         }
         let stg = apply_edit(self.stg, edit);
-        let space = self.backend.build_bounded_in(&stg, self.bound, ctx)?;
         Ok(Candidate {
-            space,
+            space: StateGraph::build_bounded(&stg, self.bound)?,
             stg: Some(stg),
         })
     }
@@ -450,20 +411,15 @@ pub fn apply_edit(stg: &Stg, edit: StgEdit) -> Stg {
 /// driver does not rebuild it before synthesis; the rest carry `None`
 /// (keeping every swept space alive would be O(T²) memory).
 ///
-/// `base` is the already-built state space of `stg` when the caller has
-/// one (the flow driver passes the check stage's space): it feeds the
-/// pruner instead of being rebuilt. Without it the sweep builds the base
-/// itself when pruning needs it.
+/// `base` is the already-built state graph of `stg` when the caller has
+/// one (the flow driver passes the check stage's): it feeds the pruner
+/// and the derivations instead of being rebuilt. Without it the sweep
+/// builds the base itself.
 ///
 /// Output is byte-identical for any `threads` setting and for pruned vs
 /// unpruned runs; see [`SweepOptions`].
 #[must_use]
-pub fn insertion_sweep(
-    stg: &Stg,
-    backend: Backend,
-    options: &SweepOptions,
-    base: Option<&dyn StateSpace>,
-) -> Sweep {
+pub fn insertion_sweep(stg: &Stg, options: &SweepOptions, base: Option<&StateGraph>) -> Sweep {
     let pairs: Vec<(TransitionId, TransitionId)> = greedy_moves(stg)
         .into_iter()
         .filter_map(|edit| match edit {
@@ -472,16 +428,16 @@ pub fn insertion_sweep(
         })
         .collect();
 
-    // The pruner and the explicit backend's derivations want the base
-    // space; reuse the caller's, build one only when nothing was
-    // supplied. A base that fails to build simply disables pruning and
-    // derivation (the sweep itself never needed them).
-    let owned_base: Option<Box<dyn StateSpace>> = match base {
-        None if options.prune || backend == Backend::Explicit => backend.build(stg).ok(),
-        _ => None,
+    // The pruner and the derivations want the base graph; reuse the
+    // caller's, build one only when nothing was supplied. A base that
+    // fails to build simply disables pruning and derivation (the sweep
+    // itself never needed them).
+    let owned_base = match base {
+        None => StateGraph::build(stg).ok(),
+        Some(_) => None,
     };
-    let base_ref: Option<&dyn StateSpace> = base.or(owned_base.as_deref());
-    let candidates = Candidates::new(stg, backend, options.bound, base_ref);
+    let base_ref = base.or(owned_base.as_ref());
+    let candidates = Candidates::new(stg, options.bound, base_ref);
     let pruner = if options.prune {
         base_ref.and_then(|space| ConflictPruner::new(stg, space))
     } else {
@@ -492,8 +448,7 @@ pub fn insertion_sweep(
     struct Acc {
         ranked: Vec<(Key, Stg)>,
         /// Local best spaces, sorted by key, truncated to `keep_spaces`.
-        spaces: Vec<(Key, Box<dyn StateSpace>)>,
-        ctx: BuildContext,
+        spaces: Vec<(Key, StateGraph)>,
         scratch: PruneScratch,
         stats: SweepStats,
     }
@@ -504,7 +459,6 @@ pub fn insertion_sweep(
         || Acc {
             ranked: Vec::new(),
             spaces: Vec::new(),
-            ctx: BuildContext::default(),
             scratch: PruneScratch::default(),
             stats: SweepStats::default(),
         },
@@ -517,7 +471,7 @@ pub fn insertion_sweep(
             }
             acc.stats.evaluated += 1;
             let edit = StgEdit::Insertion(tp, tm);
-            let candidate = match candidates.space(edit, &mut acc.ctx) {
+            let candidate = match candidates.space(edit) {
                 Ok(candidate) => candidate,
                 Err(StgError::Reach(ReachError::StateLimit(_))) => {
                     acc.stats.skipped_by_bound += 1;
@@ -525,7 +479,7 @@ pub fn insertion_sweep(
                 }
                 Err(_) => return,
             };
-            let (labels, csg) = (candidates.labels(edit, &candidate), &*candidate.space);
+            let (labels, csg) = (candidates.labels(edit, &candidate), &candidate.space);
             if !stg::encoding::has_csc(labels, csg) {
                 return;
             }
@@ -560,7 +514,7 @@ pub fn insertion_sweep(
     // top-`keep_spaces` spaces are a subset of the workers' local tops.
     let mut stats = SweepStats::default();
     let mut ranked: Vec<(Key, Stg)> = Vec::new();
-    let mut spaces: Vec<(Key, Box<dyn StateSpace>)> = Vec::new();
+    let mut spaces: Vec<(Key, StateGraph)> = Vec::new();
     for acc in accs {
         stats.absorb(acc.stats);
         ranked.extend(acc.ranked);
@@ -703,25 +657,24 @@ fn next_csc_name(stg: &Stg) -> String {
 /// beyond the best accepted one are skipped (a shared atomic
 /// best-index), and the reported counters cover exactly the indices up
 /// to the winner, so they are identical at any thread count. `base` is
-/// the already-built state space of `stg` when the caller has one (the
+/// the already-built state graph of `stg` when the caller has one (the
 /// state count to beat); it is built once here otherwise. The caller is
 /// expected to have already established that CSC fails on the base.
 #[must_use]
 pub fn concurrency_reduction_sweep(
     stg: &Stg,
-    backend: Backend,
     options: &SweepOptions,
-    base: Option<&dyn StateSpace>,
+    base: Option<&StateGraph>,
 ) -> (Option<CscResolutionWithSpace>, SweepStats) {
-    let owned_base: Option<Box<dyn StateSpace>> = match &base {
+    let owned_base = match base {
         Some(_) => None,
-        None => backend.build(stg).ok(),
+        None => StateGraph::build(stg).ok(),
     };
-    let Some(base_ref) = base.or(owned_base.as_deref()) else {
+    let Some(base_ref) = base.or(owned_base.as_ref()) else {
         return (None, SweepStats::default());
     };
     let base_states = base_ref.num_states();
-    let candidates = Candidates::new(stg, backend, options.bound, Some(base_ref));
+    let candidates = Candidates::new(stg, options.bound, Some(base_ref));
 
     let pairs: Vec<(TransitionId, TransitionId)> = greedy_moves(stg)
         .into_iter()
@@ -744,7 +697,6 @@ pub fn concurrency_reduction_sweep(
         /// Per-index outcomes; filtered to `index ≤ winner` at merge so
         /// racy evaluations beyond the winner never leak into stats.
         outcomes: Vec<(usize, Outcome)>,
-        ctx: BuildContext,
     }
     // The early-exit signal: the lowest grid index accepted so far. It
     // only ever shrinks towards the final winner, and every index at or
@@ -758,14 +710,13 @@ pub fn concurrency_reduction_sweep(
         || Acc {
             best: None,
             outcomes: Vec::new(),
-            ctx: BuildContext::default(),
         },
         |acc, i, &(a, b_t)| {
             if i > best_seen.load(Ordering::Relaxed) {
                 return; // a better candidate is already accepted
             }
             let edit = StgEdit::OrderingArc(a, b_t);
-            let candidate = match candidates.space(edit, &mut acc.ctx) {
+            let candidate = match candidates.space(edit) {
                 Ok(candidate) => candidate,
                 Err(StgError::Reach(ReachError::StateLimit(_))) => {
                     acc.outcomes.push((i, Outcome::SkippedByBound));
@@ -776,7 +727,7 @@ pub fn concurrency_reduction_sweep(
                     return;
                 }
             };
-            let (labels, csg) = (candidates.labels(edit, &candidate), &*candidate.space);
+            let (labels, csg) = (candidates.labels(edit, &candidate), &candidate.space);
             let acceptable = stg::encoding::has_csc(labels, csg)
                 && !csg.has_deadlock()
                 && stg::persistency::is_persistent(labels, csg)
@@ -914,28 +865,27 @@ pub fn greedy_moves(stg: &Stg) -> Vec<StgEdit> {
 ///
 /// Every step's combined move grid (ordering arcs first, then
 /// insertions — the serial scan order) is evaluated in parallel,
-/// insertion moves are pruned by conflict locality, explicit-backend
-/// moves are derived from the step's base graph, and the chosen move's
-/// state space is carried into the next step instead of being rebuilt. `base`, when given, is the already-built state space of
-/// `stg` (moved in — it seeds the first step the same way).
+/// insertion moves are pruned by conflict locality, every move is
+/// derived from the step's base graph, and the chosen move's state graph
+/// is carried into the next step instead of being rebuilt. `base`, when
+/// given, is the already-built state graph of `stg` — it seeds the first
+/// step the same way.
 #[must_use]
 pub fn resolve_mixed_sweep(
     stg: &Stg,
     max_steps: usize,
-    backend: Backend,
     options: &SweepOptions,
-    base: Option<Box<dyn StateSpace>>,
+    base: Option<&StateGraph>,
 ) -> (Option<CscResolutionWithSpace>, SweepStats) {
     let mut stats = SweepStats::default();
     let mut current = stg.clone();
     let mut descriptions: Vec<String> = Vec::new();
-    let mut carried: Option<Box<dyn StateSpace>> = base;
-    let mut base_ctx = BuildContext::default();
+    let mut carried: Option<Cow<'_, StateGraph>> = base.map(Cow::Borrowed);
     for _ in 0..=max_steps {
-        let sg: Box<dyn StateSpace> = match carried.take() {
+        let sg = match carried.take() {
             Some(sg) => sg,
-            None => match backend.build_bounded_in(&current, options.bound, &mut base_ctx) {
-                Ok(sg) => sg,
+            None => match StateGraph::build_bounded(&current, options.bound) {
+                Ok(sg) => Cow::Owned(sg),
                 Err(e) => {
                     // A base specification over the bound is itself a
                     // bound skip — report it, don't silently give up.
@@ -951,7 +901,7 @@ pub fn resolve_mixed_sweep(
             return (
                 Some(CscResolutionWithSpace {
                     num_states: sg.num_states(),
-                    space: Some(sg),
+                    space: Some(sg.into_owned()),
                     stg: current,
                     description: if descriptions.is_empty() {
                         "CSC already holds".to_owned()
@@ -968,18 +918,17 @@ pub fn resolve_mixed_sweep(
 
         let moves = greedy_moves(&current);
         let pruner = if options.prune {
-            ConflictPruner::new(&current, &*sg)
+            ConflictPruner::new(&current, &sg)
         } else {
             None
         };
-        let candidates = Candidates::new(&current, backend, options.bound, Some(&*sg));
+        let candidates = Candidates::new(&current, options.bound, Some(&*sg));
 
         // Ties in the move score fall to the earliest move in scan order,
         // so the parallel minimum over `(key, grid index)` reproduces the
         // serial scan exactly.
         struct Acc {
             best: BestMove,
-            ctx: BuildContext,
             scratch: PruneScratch,
             stats: SweepStats,
         }
@@ -988,7 +937,6 @@ pub fn resolve_mixed_sweep(
             options.threads,
             || Acc {
                 best: None,
-                ctx: BuildContext::default(),
                 scratch: PruneScratch::default(),
                 stats: SweepStats::default(),
             },
@@ -1000,7 +948,7 @@ pub fn resolve_mixed_sweep(
                     }
                 }
                 acc.stats.evaluated += 1;
-                let candidate = match candidates.space(edit, &mut acc.ctx) {
+                let candidate = match candidates.space(edit) {
                     Ok(candidate) => candidate,
                     Err(StgError::Reach(ReachError::StateLimit(_))) => {
                         acc.stats.skipped_by_bound += 1;
@@ -1008,7 +956,7 @@ pub fn resolve_mixed_sweep(
                     }
                     Err(_) => return,
                 };
-                let (labels, csg) = (candidates.labels(edit, &candidate), &*candidate.space);
+                let (labels, csg) = (candidates.labels(edit, &candidate), &candidate.space);
                 if csg.has_deadlock() {
                     return;
                 }
@@ -1055,7 +1003,7 @@ pub fn resolve_mixed_sweep(
             ),
         });
         current = candidates.edited(edit, built);
-        carried = Some(space);
+        carried = Some(Cow::Owned(space));
     }
     (None, stats)
 }

@@ -4,7 +4,7 @@
 //! hazard-free.
 
 use boolmin::{minimize_exact, Cover, Cube, Expr, IncompleteFunction};
-use stg::{SignalId, StateSpace, Stg};
+use stg::{SignalId, StateGraph, StateSpace, Stg};
 
 use crate::netlist::{GateKind, NetId, Netlist};
 use crate::nextstate::SynthesisError;
@@ -92,7 +92,7 @@ pub fn set_reset_covers<S: StateSpace + ?Sized>(
             n,
             states
                 .iter()
-                .map(|&s| Cube::from_minterm(sg.code(s)))
+                .map(|&s| Cube::from_minterm(&sg.decode_code(s)))
                 .collect(),
         );
         c.remove_contained();
@@ -311,9 +311,9 @@ pub struct MonotonicViolation {
 /// Checks the monotonous-cover requirement: within `ER(z+)` no set-cover
 /// cube may switch from 1 to 0 before `z+` fires (and dually for reset).
 #[must_use]
-pub fn monotonic_violations<S: StateSpace + ?Sized>(
+pub fn monotonic_violations(
     stg: &Stg,
-    sg: &S,
+    sg: &StateGraph,
     covers: &[SetResetCovers],
 ) -> Vec<MonotonicViolation> {
     let mut out = Vec::new();
@@ -329,8 +329,8 @@ pub fn monotonic_violations<S: StateSpace + ?Sized>(
             let er: std::collections::HashSet<usize> = er.iter().copied().collect();
             for (from, _t, to) in sg.ts().arcs() {
                 if er.contains(from) && er.contains(to) {
-                    let vf = cover.covers_minterm(sg.code(*from));
-                    let vt = cover.covers_minterm(sg.code(*to));
+                    let vf = cover.covers_minterm(&sg.state(*from).code);
+                    let vt = cover.covers_minterm(&sg.state(*to).code);
                     if vf && !vt {
                         out.push(MonotonicViolation {
                             signal: c.signal,

@@ -128,7 +128,7 @@ pub fn signal_regions<S: StateSpace + ?Sized>(
     sg: &S,
     signal: SignalId,
 ) -> SignalRegions {
-    if sg.set_level_native() {
+    let Some(sg) = sg.as_state_graph() else {
         let sets = signal_region_sets(stg, sg, signal);
         return SignalRegions {
             signal,
@@ -137,8 +137,8 @@ pub fn signal_regions<S: StateSpace + ?Sized>(
             qr_plus: sg.set_states(&sets.qr_plus, usize::MAX),
             qr_minus: sg.set_states(&sets.qr_minus, usize::MAX),
         };
-    }
-    // Explicit backends: one classification pass.
+    };
+    // An explicit graph: one classification pass.
     let mut r = SignalRegions {
         signal,
         er_plus: Vec::new(),

@@ -1,7 +1,7 @@
 //! Unit tests for the synthesis crate, anchored to §3 of the paper.
 
 use stg::examples::{toggle, vme_read, vme_read_csc};
-use stg::{Backend, StateGraph};
+use stg::StateGraph;
 
 use crate::complex_gate::{circuit_matches_sg, synthesize_complex_gates};
 use crate::csc::{concurrency_reduction_sweep, insertion_sweep, resolve_mixed_sweep, SweepOptions};
@@ -101,7 +101,7 @@ fn synthesis_rejects_csc_conflicts() {
 #[test]
 fn csc_insertion_fixes_vme_read() {
     let stg = vme_read();
-    let sweep = insertion_sweep(&stg, Backend::Explicit, &SweepOptions::default(), None);
+    let sweep = insertion_sweep(&stg, &SweepOptions::default(), None);
     let res = sweep
         .candidates
         .into_iter()
@@ -119,8 +119,7 @@ fn csc_insertion_fixes_vme_read() {
 fn concurrency_reduction_fixes_vme_read() {
     // §2.1: "signal transition DTACK- can be delayed until LDS- fires".
     let stg = vme_read();
-    let (res, _) =
-        concurrency_reduction_sweep(&stg, Backend::Explicit, &SweepOptions::default(), None);
+    let (res, _) = concurrency_reduction_sweep(&stg, &SweepOptions::default(), None);
     let res = res.expect("a reduction exists");
     let sg = StateGraph::build(&res.stg).unwrap();
     assert!(stg::encoding::has_csc(&res.stg, &sg));
@@ -135,8 +134,7 @@ fn concurrency_reduction_fixes_vme_read() {
 #[test]
 fn csc_resolution_on_already_clean_stg_is_identity() {
     let stg = vme_read_csc();
-    let (res, stats) =
-        resolve_mixed_sweep(&stg, 0, Backend::Explicit, &SweepOptions::default(), None);
+    let (res, stats) = resolve_mixed_sweep(&stg, 0, &SweepOptions::default(), None);
     let res = res.expect("a clean spec resolves without a step");
     assert!(res.description.contains("already holds"));
     assert_eq!(res.num_states, 16);
@@ -280,7 +278,7 @@ fn mixed_resolution_handles_choice_spec() {
     // The READ+WRITE controller (Fig. 5) needs a concurrency reduction
     // plus a state signal; the mixed sweep finds both greedily.
     let spec = stg::examples::vme_read_write();
-    let (r, _) = resolve_mixed_sweep(&spec, 5, Backend::Explicit, &SweepOptions::default(), None);
+    let (r, _) = resolve_mixed_sweep(&spec, 5, &SweepOptions::default(), None);
     let r = r.expect("mixed strategy resolves Fig. 5");
     let sg = StateGraph::build(&r.stg).unwrap();
     assert!(stg::encoding::has_csc(&r.stg, &sg));
@@ -294,7 +292,7 @@ fn mixed_resolution_handles_choice_spec() {
 #[test]
 fn mixed_resolution_identity_on_clean_spec() {
     let spec = vme_read_csc();
-    let (r, _) = resolve_mixed_sweep(&spec, 3, Backend::Explicit, &SweepOptions::default(), None);
+    let (r, _) = resolve_mixed_sweep(&spec, 3, &SweepOptions::default(), None);
     let r = r.unwrap();
     assert!(r.description.contains("already holds"));
 }
@@ -302,8 +300,7 @@ fn mixed_resolution_identity_on_clean_spec() {
 #[test]
 fn insertion_sweep_candidates_are_ranked_and_valid() {
     let spec = vme_read();
-    let candidates =
-        insertion_sweep(&spec, Backend::Explicit, &SweepOptions::default(), None).candidates;
+    let candidates = insertion_sweep(&spec, &SweepOptions::default(), None).candidates;
     assert!(candidates.len() >= 2, "both polarities of csc0 exist");
     // Best-first by state count.
     for w in candidates.windows(2) {

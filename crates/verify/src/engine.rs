@@ -7,8 +7,8 @@
 //! `(marking, code)` pair: markings are interned on the fly and
 //! successors come from replaying the Petri-net token game, so the
 //! engine runs against *any* backend — including resident
-//! [`stg::SymbolicSetSpace`] spaces far above the materialise limit,
-//! which only contribute their [`StateSpace::initial_marking`] and
+//! [`stg::SymbolicSetSpace`] spaces of any size, which only contribute
+//! their [`StateSpace::initial_marking`] and
 //! [`StateSpace::initial_values`]. (The code half of the pair needs no
 //! storage of its own: along every composed path the values of the
 //! signal nets *are* the spec code, by the consistency invariant.)

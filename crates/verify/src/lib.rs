@@ -20,9 +20,9 @@
 //!
 //! The checker is an engine over packed composed states that tracks
 //! the specification as backend-agnostic `(marking, code)` pairs, so it
-//! runs against resident symbolic state spaces far above the
-//! materialise limit. [`IncrementalVerifier`] adds the memoising mode
-//! the decomposed repair loop re-verifies through.
+//! runs against resident symbolic state spaces of any size.
+//! [`IncrementalVerifier`] adds the memoising mode the decomposed repair
+//! loop re-verifies through.
 
 mod circuit;
 mod engine;

@@ -1,28 +1,21 @@
 //! Back-annotation (§4, Fig. 10): extract a Petri net from a state graph
 //! via the theory of regions, and verify it regenerates the behaviour.
 //!
-//! The state space feeding the extraction is built with the resident-BDD
-//! (`symbolic-set`) backend — the regions algorithm consumes the
-//! `StateSpace` trait and cannot tell the engines apart.
+//! The extraction consumes the explicit state graph's transition system.
 //!
 //! Run with `cargo run --example back_annotation` (release mode
 //! recommended: region enumeration is exhaustive).
 
 use petri::reach::ReachabilityGraph;
 use regions::synthesize_net;
-use stg::{examples, StateSpace, SymbolicSetSpace};
+use stg::{examples, StateGraph};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Take the CSC-resolved READ controller (Fig. 7's 16-state SG) and
     // rebuild an STG from the raw state space alone.
     let spec = examples::vme_read_csc();
-    let sg = SymbolicSetSpace::build(&spec)?;
-    println!(
-        "state space: {} states (symbolic: {} BDD iterations, {} nodes)",
-        sg.num_states(),
-        sg.stats().iterations,
-        sg.stats().bdd_nodes
-    );
+    let sg = StateGraph::build(&spec)?;
+    println!("state graph: {} states", sg.num_states());
 
     let ts = sg.ts().map_labels(|&t| spec.label_string(t));
     let extracted = synthesize_net(&ts)?;

@@ -27,12 +27,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         sg.num_states()
     );
     for i in 0..sg.num_states() {
-        println!("  s{i:<2} {}  {}", sg.code_string(&spec, i), sg.marking(i));
+        println!(
+            "  s{i:<2} {}  {}",
+            sg.code_string(&spec, i),
+            sg.decode_marking(i)
+        );
     }
     println!("\n== implementability ==");
     println!("{}", checked.report());
 
-    // 3. One full READ cycle as waveforms (Fig. 2).
+    // 3. One full READ cycle as waveforms (Fig. 2), walked on the
+    //    explicit state graph the check stage built.
+    let sg = sg
+        .as_state_graph()
+        .expect("the explicit backend builds a state graph");
     let cycle = stg::waveform::canonical_cycle(sg, 100);
     println!("\n== waveforms ==");
     println!(

@@ -164,7 +164,7 @@ impl Json {
     pub fn parse(text: &str) -> Result<Json, String> {
         let bytes = text.as_bytes();
         let mut pos = 0;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(format!("trailing data at byte {pos}"));
@@ -212,7 +212,15 @@ fn skip_ws(bytes: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// Deepest array/object nesting [`Json::parse`] accepts: the parser
+/// recurses per level, so an unbounded depth would let one line of
+/// brackets overflow the stack.
+const MAX_DEPTH: usize = 128;
+
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
+    if depth > MAX_DEPTH {
+        return Err(format!("nesting deeper than {MAX_DEPTH} at byte {pos}"));
+    }
     skip_ws(bytes, pos);
     let Some(&b) = bytes.get(*pos) else {
         return Err("unexpected end of input".to_owned());
@@ -231,7 +239,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(bytes, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -259,7 +267,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                     return Err(format!("expected ':' at byte {pos}"));
                 }
                 *pos += 1;
-                let value = parse_value(bytes, pos)?;
+                let value = parse_value(bytes, pos, depth + 1)?;
                 pairs.push((key, value));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -369,11 +377,15 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 }
             }
             _ => {
-                // Consume one UTF-8 scalar.
-                let rest = std::str::from_utf8(&bytes[*pos..]).map_err(|e| e.to_string())?;
-                let c = rest.chars().next().ok_or("unterminated string")?;
-                out.push(c);
-                *pos += c.len_utf8();
+                // Consume the run up to the next quote or escape in one
+                // step, so long strings parse in linear time. Both bytes
+                // are ASCII, so the run ends on a character boundary.
+                let end = bytes[*pos..]
+                    .iter()
+                    .position(|&c| c == b'"' || c == b'\\')
+                    .map_or(bytes.len(), |i| *pos + i);
+                out.push_str(std::str::from_utf8(&bytes[*pos..end]).map_err(|e| e.to_string())?);
+                *pos = end;
             }
         }
     }
@@ -408,6 +420,21 @@ mod tests {
         let arr = v.get("a").and_then(Json::as_arr).expect("array");
         assert_eq!(arr[0].as_usize(), Some(1));
         assert_eq!(arr[2].as_str(), Some("A\n"));
+        // Multi-byte runs between escapes keep every character.
+        let v = Json::parse("\"é→x\\t✓\\\"ü\"").expect("parses");
+        assert_eq!(v.as_str(), Some("é→x\t✓\"ü"));
+    }
+
+    #[test]
+    fn rejects_nesting_past_the_depth_limit() {
+        let ok = format!(
+            "{}{}",
+            "[".repeat(super::MAX_DEPTH),
+            "]".repeat(super::MAX_DEPTH)
+        );
+        assert!(Json::parse(&ok).is_ok());
+        let deep = format!("{}1{}", "[".repeat(1000), "]".repeat(1000));
+        assert!(Json::parse(&deep).is_err());
     }
 
     #[test]

@@ -31,7 +31,7 @@
 use std::fmt;
 
 use stg::properties::ImplementabilityReport;
-use stg::{StateSpace, Stg};
+use stg::{StateGraph, StateSpace, Stg};
 use synth::complex_gate::{synthesize_complex_gates, ComplexGateCircuit};
 use synth::csc::CscResolutionWithSpace;
 pub use synth::csc::{SweepOptions, SweepStats};
@@ -807,11 +807,12 @@ impl Checked {
             report,
             mut events,
         } = self;
-        let backend = options.backend;
         // The sweeps retain validated spaces for as many candidates as
         // this stage hands to the backtracking synthesiser, so no tried
         // candidate is ever rebuilt downstream.
         let sweep_options = options.sweep.clone().with_keep_spaces(CSC_CANDIDATE_LIMIT);
+        let mut advisory = telemetry::Counters::new();
+        record_space_counters(&*space, &mut advisory);
         let candidates: Vec<CscCandidate> = if report.complete_state_coding {
             vec![CscCandidate {
                 spec: spec.clone(),
@@ -820,12 +821,21 @@ impl Checked {
                 report: Some(report),
             }]
         } else {
+            // The sweeps derive every candidate from an explicit base
+            // graph: the check stage's when it built one, otherwise one
+            // built here at the check's bound, so both backends sweep
+            // from the same base (and it is never rebuilt per sweep).
+            let built;
+            let base = match space.as_state_graph() {
+                Some(sg) => Some(sg),
+                None => {
+                    built = StateGraph::build(&spec).ok();
+                    built.as_ref()
+                }
+            };
             let mut list: Vec<CscCandidate> = Vec::new();
             let run_insertions = |list: &mut Vec<CscCandidate>, events: &mut Vec<FlowEvent>| {
-                // The check stage's space seeds the sweep's pruner —
-                // the base is never rebuilt.
-                let sweep =
-                    synth::csc::insertion_sweep(&spec, backend, &sweep_options, Some(&*space));
+                let sweep = synth::csc::insertion_sweep(&spec, &sweep_options, base);
                 events.push(FlowEvent::CscSweep {
                     kind: CscKind::SignalInsertion,
                     stats: sweep.stats,
@@ -835,12 +845,8 @@ impl Checked {
                 }
             };
             let run_reduction = |list: &mut Vec<CscCandidate>, events: &mut Vec<FlowEvent>| {
-                let (r, stats) = synth::csc::concurrency_reduction_sweep(
-                    &spec,
-                    backend,
-                    &sweep_options,
-                    Some(&*space),
-                );
+                let (r, stats) =
+                    synth::csc::concurrency_reduction_sweep(&spec, &sweep_options, base);
                 events.push(FlowEvent::CscSweep {
                     kind: CscKind::ConcurrencyReduction,
                     stats,
@@ -861,15 +867,10 @@ impl Checked {
                     run_reduction(&mut list, &mut events);
                     // Mixed fall-back for controllers needing several
                     // transformations (e.g. the READ+WRITE spec of Fig. 5
-                    // takes a reduction plus a state signal). The check
-                    // stage's space is moved in as its first-step base.
-                    let (r, stats) = synth::csc::resolve_mixed_sweep(
-                        &spec,
-                        5,
-                        backend,
-                        &sweep_options,
-                        Some(space),
-                    );
+                    // takes a reduction plus a state signal). The base
+                    // graph seeds its first step.
+                    let (r, stats) =
+                        synth::csc::resolve_mixed_sweep(&spec, 5, &sweep_options, base);
                     events.push(FlowEvent::CscSweep {
                         kind: CscKind::Mixed,
                         stats,
@@ -892,6 +893,7 @@ impl Checked {
             options,
             candidates,
             events,
+            advisory,
         })
     }
 }
@@ -920,7 +922,7 @@ impl CscCandidate {
                 description: r.description,
                 num_states: r.num_states,
             }),
-            space: r.space,
+            space: r.space.map(|sg| Box::new(sg) as Box<dyn StateSpace>),
             report: None,
         }
     }
@@ -932,6 +934,10 @@ pub struct CscResolved {
     options: SynthesisOptions,
     candidates: Vec<CscCandidate>,
     events: Vec<FlowEvent>,
+    /// The check stage's space counters (see [`record_space_counters`]):
+    /// after a CSC transformation the flow continues on explicit graphs,
+    /// so the check stage's space may be the only resident one.
+    advisory: telemetry::Counters,
 }
 
 impl CscResolved {
@@ -980,6 +986,7 @@ impl CscResolved {
                     }
                     self.events.append(&mut events);
                     synthesized.events = self.events;
+                    synthesized.advisory = self.advisory;
                     // Memoisation counters are advisory telemetry: they
                     // depend on the incremental flag, which the parity
                     // suite proves output-neutral — so they ride outside
@@ -1016,6 +1023,18 @@ impl CscResolved {
             last: Box::new(last_error),
             events: self.events,
         })
+    }
+}
+
+/// Records a space's backend-specific counters (BDD nodes, states
+/// decoded on demand): real work done by this process, but
+/// backend-dependent — advisory only.
+fn record_space_counters(space: &dyn StateSpace, advisory: &mut telemetry::Counters) {
+    if let Some(n) = space.bdd_node_count() {
+        advisory.set("bdd_nodes", n as u64);
+    }
+    if let Some(d) = space.decoded_state_count() {
+        advisory.set("decoded_states", d);
     }
 }
 
@@ -1086,26 +1105,6 @@ fn synthesize_candidate(
         Some(report) => report,
         None => stg::properties::report_from_sg(&spec, &*space),
     };
-
-    // The non-complex architectures walk the per-state API
-    // (`ts()`/`code()`), which the resident-BDD backend only serves
-    // through its small-space materialised view — refuse with a clean
-    // error instead of letting the view's size assertion abort the
-    // process mid-flow. Verification itself never needs the view: it
-    // runs set-level against any backend.
-    let needs_per_state = !matches!(options.architecture, Architecture::ComplexGate);
-    if needs_per_state && space.set_level_native() && space.num_states() > stg::MATERIALISE_LIMIT {
-        return fail(
-            PipelineError::Synthesis(format!(
-                "state space has {} states — too large for the resident-BDD backend's \
-                 per-state architecture paths (limit {}); re-run under the complex-gate \
-                 architecture, or on the explicit backend",
-                space.num_states(),
-                stg::MATERIALISE_LIMIT
-            )),
-            events,
-        );
-    }
 
     // Next-state functions and equations (§3.2).
     let complex = match synthesize_complex_gates(&spec, &*space) {
@@ -1184,8 +1183,22 @@ fn synthesize_candidate(
     } else {
         let v = match &circuit {
             Circuit::Latch(latch) => {
+                // The monotonous-cover check scans every arc, so it runs
+                // on an explicit graph: the candidate's own, or one built
+                // here when the candidate's space is resident.
+                let built;
+                let graph = match space.as_state_graph() {
+                    Some(sg) => sg,
+                    None => match StateGraph::build(&spec) {
+                        Ok(sg) => {
+                            built = sg;
+                            &built
+                        }
+                        Err(e) => return fail(PipelineError::Synthesis(e.to_string()), events),
+                    },
+                };
                 let violations =
-                    synth::latch_arch::monotonic_violations(&spec, &*space, &latch.covers);
+                    synth::latch_arch::monotonic_violations(&spec, graph, &latch.covers);
                 if !violations.is_empty() {
                     return fail(
                         PipelineError::Synthesis(format!(
@@ -1346,14 +1359,7 @@ impl Synthesized {
             mut events,
             mut advisory,
         } = self;
-        // Probe the final space's backend-specific counters: real work
-        // done by this process, but backend-dependent — advisory only.
-        if let Some(n) = space.bdd_node_count() {
-            advisory.set("bdd_nodes", n as u64);
-        }
-        if let Some(d) = space.decoded_state_count() {
-            advisory.set("decoded_states", d);
-        }
+        record_space_counters(&*space, &mut advisory);
         let verification = if options.skip_verification {
             events.push(FlowEvent::VerificationSkipped);
             Verification::Skipped
@@ -1760,10 +1766,13 @@ fn run_stages(
         Some((key, (csc_spec, transformation))) => {
             let Checked {
                 options,
+                space,
                 mut events,
                 ..
             } = checked;
             events.push(FlowEvent::CscStageResumed { key: key.to_hex() });
+            let mut advisory = telemetry::Counters::new();
+            record_space_counters(&*space, &mut advisory);
             CscResolved {
                 options,
                 candidates: vec![CscCandidate {
@@ -1773,6 +1782,7 @@ fn run_stages(
                     report: None,
                 }],
                 events,
+                advisory,
             }
         }
         None => checked.resolve_csc()?,

@@ -3,9 +3,9 @@
 //! never *what* comes out. Serial vs parallel (1, 2, N threads) and
 //! pruned vs unpruned sweeps must produce identical candidate rankings,
 //! descriptions and winning equations on the three VME controllers and
-//! micropipeline(2), on both state-space backends; bound-skipped
-//! candidates must be reported, and no pipeline path may rebuild the
-//! winning candidate's state space.
+//! micropipeline(2), and the flow must agree on both state-space
+//! backends; bound-skipped candidates must be reported, and no pipeline
+//! path may rebuild the winning candidate's state space.
 
 use asyncsynth::{
     run_cached_with, Backend, FlowEvent, FlowObserver, SweepOptions, Synthesis, SynthesisOptions,
@@ -52,7 +52,7 @@ fn fingerprint(sweep: &Sweep, spec_name: &str) -> Vec<(String, usize)> {
     if let Some(winner) = sweep.candidates.first() {
         let space = winner
             .space
-            .as_deref()
+            .as_ref()
             .unwrap_or_else(|| panic!("{spec_name}: winner must carry its space"));
         let circuit = synth::complex_gate::synthesize_complex_gates(&winner.stg, space)
             .unwrap_or_else(|e| panic!("{spec_name}: winner synthesises: {e}"));
@@ -64,21 +64,19 @@ fn fingerprint(sweep: &Sweep, spec_name: &str) -> Vec<(String, usize)> {
 #[test]
 fn parallel_sweep_is_byte_identical_to_serial() {
     for (name, spec) in sweep_specs() {
-        for backend in [Backend::Explicit, Backend::SymbolicSet] {
-            let serial = insertion_sweep(&spec, backend, &opts(1, false), None);
-            let baseline = fingerprint(&serial, name);
-            for threads in [2, 0] {
-                let parallel = insertion_sweep(&spec, backend, &opts(threads, false), None);
-                assert_eq!(
-                    fingerprint(&parallel, name),
-                    baseline,
-                    "{name}/{backend}: {threads}-thread sweep must match serial"
-                );
-                assert_eq!(
-                    parallel.stats, serial.stats,
-                    "{name}/{backend}: sweep counters must be thread-independent"
-                );
-            }
+        let serial = insertion_sweep(&spec, &opts(1, false), None);
+        let baseline = fingerprint(&serial, name);
+        for threads in [2, 0] {
+            let parallel = insertion_sweep(&spec, &opts(threads, false), None);
+            assert_eq!(
+                fingerprint(&parallel, name),
+                baseline,
+                "{name}: {threads}-thread sweep must match serial"
+            );
+            assert_eq!(
+                parallel.stats, serial.stats,
+                "{name}: sweep counters must be thread-independent"
+            );
         }
     }
 }
@@ -87,22 +85,20 @@ fn parallel_sweep_is_byte_identical_to_serial() {
 fn pruned_sweep_is_identical_and_actually_prunes() {
     let mut pruned_somewhere = false;
     for (name, spec) in sweep_specs() {
-        for backend in [Backend::Explicit, Backend::SymbolicSet] {
-            let unpruned = insertion_sweep(&spec, backend, &opts(1, false), None);
-            for threads in [1, 2] {
-                let pruned = insertion_sweep(&spec, backend, &opts(threads, true), None);
-                assert_eq!(
-                    fingerprint(&pruned, name),
-                    fingerprint(&unpruned, name),
-                    "{name}/{backend}: pruning must not change the ranking"
-                );
-                assert_eq!(
-                    pruned.stats.pruned + pruned.stats.evaluated,
-                    pruned.stats.grid,
-                    "{name}/{backend}: every pair is pruned or evaluated"
-                );
-                pruned_somewhere |= pruned.stats.pruned > 0;
-            }
+        let unpruned = insertion_sweep(&spec, &opts(1, false), None);
+        for threads in [1, 2] {
+            let pruned = insertion_sweep(&spec, &opts(threads, true), None);
+            assert_eq!(
+                fingerprint(&pruned, name),
+                fingerprint(&unpruned, name),
+                "{name}: pruning must not change the ranking"
+            );
+            assert_eq!(
+                pruned.stats.pruned + pruned.stats.evaluated,
+                pruned.stats.grid,
+                "{name}: every pair is pruned or evaluated"
+            );
+            pruned_somewhere |= pruned.stats.pruned > 0;
         }
     }
     assert!(
@@ -141,22 +137,17 @@ fn flow_output_is_byte_identical_across_sweep_configurations() {
                 serial.to_json().render(),
                 "{name}/{backend}: flow output must be byte-identical across thread counts"
             );
-            if backend == Backend::Explicit {
-                // Unpruned flows only on the explicit backend: debug-mode
-                // symbolic sweeps of the full move grid are too slow for
-                // a unit test, and pruning is backend-agnostic anyway.
-                let mut unpruned = run(1, false);
-                let mut pruned = serial.clone();
-                unpruned.events.clear();
-                pruned.events.clear();
-                unpruned.metrics = asyncsynth::telemetry::Counters::new();
-                pruned.metrics = asyncsynth::telemetry::Counters::new();
-                assert_eq!(
-                    unpruned.to_json().render(),
-                    pruned.to_json().render(),
-                    "{name}: pruning must not change the synthesised result"
-                );
-            }
+            let mut unpruned = run(1, false);
+            let mut pruned = serial.clone();
+            unpruned.events.clear();
+            pruned.events.clear();
+            unpruned.metrics = asyncsynth::telemetry::Counters::new();
+            pruned.metrics = asyncsynth::telemetry::Counters::new();
+            assert_eq!(
+                unpruned.to_json().render(),
+                pruned.to_json().render(),
+                "{name}/{backend}: pruning must not change the synthesised result"
+            );
         }
     }
 }
@@ -200,44 +191,32 @@ fn trace_counters_are_byte_identical_across_sweep_threads() {
 #[test]
 fn reduction_and_mixed_sweeps_are_deterministic_across_threads() {
     // vme_read has reduction candidates; vme_read_write needs the mixed
-    // search (a reduction plus a state signal). The resident-BDD backend
-    // is exercised on the small controller — a debug-mode symbolic sweep
-    // of the full Fig. 5 move grid would dominate the suite's runtime.
+    // search (a reduction plus a state signal).
     let read = stg::examples::vme_read();
     let read_write = stg::examples::vme_read_write();
     let describe = |r: &Option<synth::csc::CscResolutionWithSpace>| {
         r.as_ref().map(|r| (r.description.clone(), r.num_states))
     };
-    for backend in [Backend::Explicit, Backend::SymbolicSet] {
-        let reduction_baseline = concurrency_reduction_sweep(&read, backend, &opts(1, false), None);
-        for threads in [2, 0] {
-            for prune in [false, true] {
-                let reduction =
-                    concurrency_reduction_sweep(&read, backend, &opts(threads, prune), None);
-                assert_eq!(
-                    describe(&reduction.0),
-                    describe(&reduction_baseline.0),
-                    "{backend}: reduction winner must be scan-order deterministic"
-                );
-                assert_eq!(
-                    reduction.1, reduction_baseline.1,
-                    "{backend}: reduction counters must be thread-independent \
-                     (early exit counts exactly the indices up to the winner)"
-                );
-            }
-        }
-    }
-    let mixed_baseline =
-        resolve_mixed_sweep(&read_write, 5, Backend::Explicit, &opts(1, false), None);
+    let reduction_baseline = concurrency_reduction_sweep(&read, &opts(1, false), None);
     for threads in [2, 0] {
         for prune in [false, true] {
-            let mixed = resolve_mixed_sweep(
-                &read_write,
-                5,
-                Backend::Explicit,
-                &opts(threads, prune),
-                None,
+            let reduction = concurrency_reduction_sweep(&read, &opts(threads, prune), None);
+            assert_eq!(
+                describe(&reduction.0),
+                describe(&reduction_baseline.0),
+                "reduction winner must be scan-order deterministic"
             );
+            assert_eq!(
+                reduction.1, reduction_baseline.1,
+                "reduction counters must be thread-independent \
+                 (early exit counts exactly the indices up to the winner)"
+            );
+        }
+    }
+    let mixed_baseline = resolve_mixed_sweep(&read_write, 5, &opts(1, false), None);
+    for threads in [2, 0] {
+        for prune in [false, true] {
+            let mixed = resolve_mixed_sweep(&read_write, 5, &opts(threads, prune), None);
             assert_eq!(
                 describe(&mixed.0),
                 describe(&mixed_baseline.0),
@@ -250,16 +229,6 @@ fn reduction_and_mixed_sweeps_are_deterministic_across_threads() {
         winner.space.is_some(),
         "mixed resolution carries its validated space"
     );
-    // Resident-BDD mixed parity on the single-conflict controller.
-    let symbolic_serial =
-        resolve_mixed_sweep(&read, 5, Backend::SymbolicSet, &opts(1, false), None);
-    let symbolic_parallel =
-        resolve_mixed_sweep(&read, 5, Backend::SymbolicSet, &opts(0, true), None);
-    assert_eq!(
-        describe(&symbolic_parallel.0),
-        describe(&symbolic_serial.0),
-        "symbolic mixed resolution must be deterministic"
-    );
 }
 
 #[test]
@@ -267,15 +236,13 @@ fn insertion_resolution_carries_its_space() {
     // Regression: the insertion winner once lost its validated space on
     // the way out of the search, forcing callers to rebuild it.
     let spec = stg::examples::vme_read();
-    for backend in [Backend::Explicit, Backend::SymbolicSet] {
-        let sweep = insertion_sweep(&spec, backend, &SweepOptions::default(), None);
-        let r = sweep
-            .candidates
-            .first()
-            .expect("an insertion resolves vme_read");
-        let space = r.space.as_ref().expect("the winner carries its space");
-        assert_eq!(r.num_states, space.num_states());
-    }
+    let sweep = insertion_sweep(&spec, &SweepOptions::default(), None);
+    let r = sweep
+        .candidates
+        .first()
+        .expect("an insertion resolves vme_read");
+    let space = r.space.as_ref().expect("the winner carries its space");
+    assert_eq!(r.num_states, space.num_states());
 }
 
 /// Records every stage callback and event — proves which stages built
@@ -330,7 +297,7 @@ fn bound_skipped_candidates_are_reported_never_silent() {
         bound: 4,
         ..SweepOptions::default()
     };
-    let sweep = insertion_sweep(&spec, Backend::Explicit, &tight, None);
+    let sweep = insertion_sweep(&spec, &tight, None);
     assert!(sweep.candidates.is_empty(), "nothing fits 4 states");
     assert!(
         sweep.stats.skipped_by_bound > 0,

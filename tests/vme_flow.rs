@@ -181,17 +181,27 @@ fn state_graph_codes_match_paper_initial_state() {
 
 #[test]
 fn backend_is_threaded_through_every_stage() {
-    let result = Synthesis::new(vme_read())
-        .backend(Backend::SymbolicSet)
-        .run()
-        .expect("symbolic-set pipeline succeeds");
-    assert!(result.verification.passed());
-    assert_eq!(result.state_space().backend(), Backend::SymbolicSet);
-    assert!(result.events().iter().all(|e| {
-        if let FlowEvent::StateSpaceBuilt { backend, .. } = e {
-            *backend == Backend::SymbolicSet
-        } else {
-            true
-        }
-    }));
+    // A CSC-clean spec keeps the check stage's resident space through
+    // synthesis and verification; a spec that needs CSC resolution
+    // continues on the winning candidate's derived state graph (the
+    // sweeps evaluate candidates as explicit graphs on every backend).
+    // Every space the flow reports building is a resident one.
+    for (spec, final_backend) in [
+        (vme_read_csc(), Backend::SymbolicSet),
+        (vme_read(), Backend::Explicit),
+    ] {
+        let result = Synthesis::new(spec)
+            .backend(Backend::SymbolicSet)
+            .run()
+            .expect("symbolic-set pipeline succeeds");
+        assert!(result.verification.passed());
+        assert_eq!(result.state_space().backend(), final_backend);
+        assert!(result.events().iter().all(|e| {
+            if let FlowEvent::StateSpaceBuilt { backend, .. } = e {
+                *backend == Backend::SymbolicSet
+            } else {
+                true
+            }
+        }));
+    }
 }
