@@ -44,7 +44,8 @@ fn bench_vme_read_sweep(c: &mut Criterion) {
         let options = sweep_opts(threads, prune);
         group.bench_function(id, |b| {
             b.iter(|| {
-                let sweep = insertion_sweep(&spec, &options, None);
+                let sweep =
+                    insertion_sweep(&spec, &options, StateGraph::build(&spec).ok().as_ref());
                 assert_eq!(sweep.stats.accepted, 6);
                 sweep.candidates.len()
             });
@@ -63,7 +64,11 @@ fn bench_micropipeline_prune(c: &mut Criterion) {
     ] {
         let options = sweep_opts(1, prune);
         group.bench_function(id, |b| {
-            b.iter(|| insertion_sweep(&spec, &options, None).stats.evaluated);
+            b.iter(|| {
+                insertion_sweep(&spec, &options, StateGraph::build(&spec).ok().as_ref())
+                    .stats
+                    .evaluated
+            });
         });
     }
     group.finish();

@@ -49,7 +49,7 @@ use asyncsynth::{
     run_cached, run_cached_with, CacheOutcome, Json, ResultCache, Synthesis, SynthesisSummary,
     TraceBuilder,
 };
-use server::flags::{parse_flags, WAVE_FLAGS};
+use server::flags::parse_flags;
 use server::protocol::Response;
 use server::service::{serve_stdio, Server, ServerConfig};
 use stg::parse::parse_g;
@@ -301,7 +301,7 @@ fn print_summary(summary: &SynthesisSummary, outcome: CacheOutcome) {
 // -------------------------------------------------------------------
 
 fn wave(spec: &stg::Stg, opts: &[String]) -> Result<(), String> {
-    let flags = parse_flags(opts, WAVE_FLAGS)?;
+    let flags = parse_flags(opts, &["--json"])?;
     // Waveform extraction walks the transition system state by state, so
     // it always renders from the explicit state graph.
     let sg = stg::StateGraph::build(spec).map_err(|e| e.to_string())?;

@@ -147,10 +147,6 @@ impl CliFlags {
     }
 }
 
-/// The flags `wave` accepts: it always renders from the explicit state
-/// graph, so it takes no `--backend`.
-pub const WAVE_FLAGS: &[&str] = &["--json"];
-
 /// Parses `args` accepting only the flags named in `allowed` (e.g.
 /// `&["--backend", "--json"]`); every subcommand routes through here.
 ///
@@ -284,7 +280,7 @@ pub fn parse_flags(args: &[String], allowed: &[&str]) -> Result<CliFlags, String
 
 #[cfg(test)]
 mod tests {
-    use super::{parse_flags, WAVE_FLAGS};
+    use super::parse_flags;
 
     #[test]
     fn accepts_allowed_flags_and_rejects_others() {
@@ -357,13 +353,11 @@ mod tests {
             err.contains("symbolic-set") && err.contains("explicit"),
             "{err}"
         );
-        // `wave` renders from the explicit state graph: `--backend` is
-        // not one of its flags, whatever the value.
-        for backend in ["explicit", "symbolic-set"] {
-            let err = parse_flags(&args(&["--backend", backend]), WAVE_FLAGS)
-                .expect_err("wave takes no backend");
-            assert!(err.contains("--backend"), "{err}");
-        }
+        // `wave` renders from the explicit state graph and allows only
+        // `--json`: `--backend` is a usage error there.
+        let err = parse_flags(&args(&["--backend", "symbolic-set"]), &["--json"])
+            .expect_err("wave takes no backend");
+        assert!(err.contains("--backend"), "{err}");
         // The retired verify-strategy flag: unknown even where every
         // verify flag is allowed, and with or without a value.
         let verify_flags = ["--verify-bound", "--verify-incremental"];

@@ -411,10 +411,9 @@ pub fn apply_edit(stg: &Stg, edit: StgEdit) -> Stg {
 /// driver does not rebuild it before synthesis; the rest carry `None`
 /// (keeping every swept space alive would be O(T²) memory).
 ///
-/// `base` is the already-built state graph of `stg` when the caller has
-/// one (the flow driver passes the check stage's): it feeds the pruner
-/// and the derivations instead of being rebuilt. Without it the sweep
-/// builds the base itself.
+/// `base` is the state graph of `stg`, or `None` when it failed to
+/// build: it feeds the pruner and the derivations. Without it the sweep
+/// neither prunes nor derives; it builds every candidate from scratch.
 ///
 /// Output is byte-identical for any `threads` setting and for pruned vs
 /// unpruned runs; see [`SweepOptions`].
@@ -428,18 +427,9 @@ pub fn insertion_sweep(stg: &Stg, options: &SweepOptions, base: Option<&StateGra
         })
         .collect();
 
-    // The pruner and the derivations want the base graph; reuse the
-    // caller's, build one only when nothing was supplied. A base that
-    // fails to build simply disables pruning and derivation (the sweep
-    // itself never needed them).
-    let owned_base = match base {
-        None => StateGraph::build(stg).ok(),
-        Some(_) => None,
-    };
-    let base_ref = base.or(owned_base.as_ref());
-    let candidates = Candidates::new(stg, options.bound, base_ref);
+    let candidates = Candidates::new(stg, options.bound, base);
     let pruner = if options.prune {
-        base_ref.and_then(|space| ConflictPruner::new(stg, space))
+        base.and_then(|space| ConflictPruner::new(stg, space))
     } else {
         None
     };
@@ -657,8 +647,9 @@ fn next_csc_name(stg: &Stg) -> String {
 /// beyond the best accepted one are skipped (a shared atomic
 /// best-index), and the reported counters cover exactly the indices up
 /// to the winner, so they are identical at any thread count. `base` is
-/// the already-built state graph of `stg` when the caller has one (the
-/// state count to beat); it is built once here otherwise. The caller is
+/// the state graph of `stg` (the state count to beat), or `None` when it
+/// failed to build — then it exceeds the explicit bound, and every
+/// candidate within `options.bound` counts as a reduction. The caller is
 /// expected to have already established that CSC fails on the base.
 #[must_use]
 pub fn concurrency_reduction_sweep(
@@ -666,15 +657,8 @@ pub fn concurrency_reduction_sweep(
     options: &SweepOptions,
     base: Option<&StateGraph>,
 ) -> (Option<CscResolutionWithSpace>, SweepStats) {
-    let owned_base = match base {
-        Some(_) => None,
-        None => StateGraph::build(stg).ok(),
-    };
-    let Some(base_ref) = base.or(owned_base.as_ref()) else {
-        return (None, SweepStats::default());
-    };
-    let base_states = base_ref.num_states();
-    let candidates = Candidates::new(stg, options.bound, Some(base_ref));
+    let base_states = base.map_or(usize::MAX, StateGraph::num_states);
+    let candidates = Candidates::new(stg, options.bound, base);
 
     let pairs: Vec<(TransitionId, TransitionId)> = greedy_moves(stg)
         .into_iter()
@@ -867,9 +851,9 @@ pub fn greedy_moves(stg: &Stg) -> Vec<StgEdit> {
 /// insertions — the serial scan order) is evaluated in parallel,
 /// insertion moves are pruned by conflict locality, every move is
 /// derived from the step's base graph, and the chosen move's state graph
-/// is carried into the next step instead of being rebuilt. `base`, when
-/// given, is the already-built state graph of `stg` — it seeds the first
-/// step the same way.
+/// is carried into the next step instead of being rebuilt. `base` is
+/// the state graph of `stg`, or `None` when it failed to build — then
+/// the first step builds it at `options.bound`.
 #[must_use]
 pub fn resolve_mixed_sweep(
     stg: &Stg,

@@ -101,7 +101,11 @@ fn synthesis_rejects_csc_conflicts() {
 #[test]
 fn csc_insertion_fixes_vme_read() {
     let stg = vme_read();
-    let sweep = insertion_sweep(&stg, &SweepOptions::default(), None);
+    let sweep = insertion_sweep(
+        &stg,
+        &SweepOptions::default(),
+        StateGraph::build(&stg).ok().as_ref(),
+    );
     let res = sweep
         .candidates
         .into_iter()
@@ -119,7 +123,11 @@ fn csc_insertion_fixes_vme_read() {
 fn concurrency_reduction_fixes_vme_read() {
     // §2.1: "signal transition DTACK- can be delayed until LDS- fires".
     let stg = vme_read();
-    let (res, _) = concurrency_reduction_sweep(&stg, &SweepOptions::default(), None);
+    let (res, _) = concurrency_reduction_sweep(
+        &stg,
+        &SweepOptions::default(),
+        StateGraph::build(&stg).ok().as_ref(),
+    );
     let res = res.expect("a reduction exists");
     let sg = StateGraph::build(&res.stg).unwrap();
     assert!(stg::encoding::has_csc(&res.stg, &sg));
@@ -300,7 +308,12 @@ fn mixed_resolution_identity_on_clean_spec() {
 #[test]
 fn insertion_sweep_candidates_are_ranked_and_valid() {
     let spec = vme_read();
-    let candidates = insertion_sweep(&spec, &SweepOptions::default(), None).candidates;
+    let candidates = insertion_sweep(
+        &spec,
+        &SweepOptions::default(),
+        StateGraph::build(&spec).ok().as_ref(),
+    )
+    .candidates;
     assert!(candidates.len() >= 2, "both polarities of csc0 exist");
     // Best-first by state count.
     for w in candidates.windows(2) {

@@ -824,7 +824,9 @@ impl Checked {
             // The sweeps derive every candidate from an explicit base
             // graph: the check stage's when it built one, otherwise one
             // built here at the check's bound, so both backends sweep
-            // from the same base (and it is never rebuilt per sweep).
+            // from the same base. The sweeps never build it themselves:
+            // a base over the bound is tried once, and the sweeps then
+            // build each candidate from scratch.
             let built;
             let base = match space.as_state_graph() {
                 Some(sg) => Some(sg),

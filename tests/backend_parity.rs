@@ -4,7 +4,7 @@
 //! equations and netlists under every architecture — on all three
 //! VME-bus controllers of the paper plus the two-stage micropipeline.
 
-use asyncsynth::{Architecture, Backend, Synthesis};
+use asyncsynth::{Architecture, Backend, PipelineError, Synthesis};
 use stg::examples::{micropipeline, vme_read, vme_read_csc, vme_read_write};
 use stg::properties::check_implementability;
 use stg::{StateGraph, StateSpace, Stg};
@@ -104,6 +104,25 @@ fn state_spaces_carry_identical_codes() {
     }
 }
 
+/// The (spec, architecture) pairs whose flow is expected to fail on
+/// both backends: the Decomposed architecture does not verify on the
+/// READ+WRITE controller or the micropipeline (see ROADMAP.md and
+/// `tests/verify_parity.rs`). Every other pair must synthesise and verify.
+const KNOWN_FAILURES: [(&str, Architecture); 2] = [
+    ("vme_read_write", Architecture::Decomposed),
+    ("micropipeline2", Architecture::Decomposed),
+];
+
+/// Whether the flow failed at verification: directly, or on the last
+/// CSC candidate it tried.
+fn fails_verification(error: &PipelineError) -> bool {
+    match error {
+        PipelineError::VerificationFailed(_) => true,
+        PipelineError::CandidatesExhausted { last, .. } => fails_verification(last),
+        _ => false,
+    }
+}
+
 #[test]
 fn synthesised_equations_agree() {
     // Every architecture: the latch and decomposed paths read per-state
@@ -117,48 +136,60 @@ fn synthesised_equations_agree() {
                     .architecture(arch)
                     .run()
             };
-            match (run(Backend::Explicit), run(Backend::SymbolicSet)) {
-                (Ok(explicit), Ok(symbolic)) => {
-                    assert_eq!(
-                        explicit.equations_text, symbolic.equations_text,
-                        "{name}/{arch}: equations"
-                    );
-                    assert_eq!(
-                        explicit.circuit.netlist().describe(),
-                        symbolic.circuit.netlist().describe(),
-                        "{name}/{arch}: netlist"
-                    );
-                    assert_eq!(
-                        explicit.num_states(),
-                        symbolic.num_states(),
-                        "{name}/{arch}: final state count"
-                    );
-                    assert_eq!(
-                        explicit
-                            .transformation
-                            .as_ref()
-                            .map(|t| t.description.clone()),
-                        symbolic.transformation.map(|t| t.description),
-                        "{name}/{arch}: csc transformation"
-                    );
-                    assert_eq!(
-                        explicit.verification.passed(),
-                        symbolic.verification.passed(),
-                        "{name}/{arch}: verdict"
-                    );
-                    assert!(explicit.verification.passed(), "{name}/{arch}: verified");
-                }
-                (Err(explicit), Err(symbolic)) => assert_eq!(
+            let (explicit, symbolic) = (run(Backend::Explicit), run(Backend::SymbolicSet));
+            if KNOWN_FAILURES.contains(&(name, arch)) {
+                let explicit = explicit.err().unwrap_or_else(|| {
+                    panic!("{name}/{arch}: explicit flow expected to fail verification")
+                });
+                let symbolic = symbolic.err().unwrap_or_else(|| {
+                    panic!("{name}/{arch}: symbolic-set flow expected to fail verification")
+                });
+                assert!(
+                    fails_verification(&explicit),
+                    "{name}/{arch}: explicit fails verification, not {explicit}"
+                );
+                assert_eq!(
                     explicit.to_string(),
                     symbolic.to_string(),
                     "{name}/{arch}: failure"
-                ),
-                (explicit, symbolic) => panic!(
-                    "{name}/{arch}: outcomes differ: explicit {:?}, symbolic-set {:?}",
-                    explicit.map(|_| "synthesised"),
-                    symbolic.map(|_| "synthesised")
-                ),
+                );
+                continue;
             }
+            let explicit = explicit.unwrap_or_else(|e| panic!("{name}/{arch}: explicit: {e}"));
+            let symbolic = symbolic.unwrap_or_else(|e| panic!("{name}/{arch}: symbolic-set: {e}"));
+            assert_eq!(
+                explicit.equations_text, symbolic.equations_text,
+                "{name}/{arch}: equations"
+            );
+            assert_eq!(
+                explicit.circuit.netlist().describe(),
+                symbolic.circuit.netlist().describe(),
+                "{name}/{arch}: netlist"
+            );
+            assert_eq!(
+                explicit.num_states(),
+                symbolic.num_states(),
+                "{name}/{arch}: final state count"
+            );
+            assert_eq!(
+                explicit
+                    .transformation
+                    .as_ref()
+                    .map(|t| t.description.clone()),
+                symbolic
+                    .transformation
+                    .as_ref()
+                    .map(|t| t.description.clone()),
+                "{name}/{arch}: csc transformation"
+            );
+            assert!(
+                explicit.verification.passed(),
+                "{name}/{arch}: explicit verified"
+            );
+            assert!(
+                symbolic.verification.passed(),
+                "{name}/{arch}: symbolic-set verified"
+            );
         }
     }
 }

@@ -64,10 +64,11 @@ fn fingerprint(sweep: &Sweep, spec_name: &str) -> Vec<(String, usize)> {
 #[test]
 fn parallel_sweep_is_byte_identical_to_serial() {
     for (name, spec) in sweep_specs() {
-        let serial = insertion_sweep(&spec, &opts(1, false), None);
+        let base = stg::StateGraph::build(&spec).ok();
+        let serial = insertion_sweep(&spec, &opts(1, false), base.as_ref());
         let baseline = fingerprint(&serial, name);
         for threads in [2, 0] {
-            let parallel = insertion_sweep(&spec, &opts(threads, false), None);
+            let parallel = insertion_sweep(&spec, &opts(threads, false), base.as_ref());
             assert_eq!(
                 fingerprint(&parallel, name),
                 baseline,
@@ -85,9 +86,10 @@ fn parallel_sweep_is_byte_identical_to_serial() {
 fn pruned_sweep_is_identical_and_actually_prunes() {
     let mut pruned_somewhere = false;
     for (name, spec) in sweep_specs() {
-        let unpruned = insertion_sweep(&spec, &opts(1, false), None);
+        let base = stg::StateGraph::build(&spec).ok();
+        let unpruned = insertion_sweep(&spec, &opts(1, false), base.as_ref());
         for threads in [1, 2] {
-            let pruned = insertion_sweep(&spec, &opts(threads, true), None);
+            let pruned = insertion_sweep(&spec, &opts(threads, true), base.as_ref());
             assert_eq!(
                 fingerprint(&pruned, name),
                 fingerprint(&unpruned, name),
@@ -197,10 +199,12 @@ fn reduction_and_mixed_sweeps_are_deterministic_across_threads() {
     let describe = |r: &Option<synth::csc::CscResolutionWithSpace>| {
         r.as_ref().map(|r| (r.description.clone(), r.num_states))
     };
-    let reduction_baseline = concurrency_reduction_sweep(&read, &opts(1, false), None);
+    let base = stg::StateGraph::build(&read).ok();
+    let reduction_baseline = concurrency_reduction_sweep(&read, &opts(1, false), base.as_ref());
     for threads in [2, 0] {
         for prune in [false, true] {
-            let reduction = concurrency_reduction_sweep(&read, &opts(threads, prune), None);
+            let reduction =
+                concurrency_reduction_sweep(&read, &opts(threads, prune), base.as_ref());
             assert_eq!(
                 describe(&reduction.0),
                 describe(&reduction_baseline.0),
@@ -236,7 +240,8 @@ fn insertion_resolution_carries_its_space() {
     // Regression: the insertion winner once lost its validated space on
     // the way out of the search, forcing callers to rebuild it.
     let spec = stg::examples::vme_read();
-    let sweep = insertion_sweep(&spec, &SweepOptions::default(), None);
+    let base = stg::StateGraph::build(&spec).ok();
+    let sweep = insertion_sweep(&spec, &SweepOptions::default(), base.as_ref());
     let r = sweep
         .candidates
         .first()
@@ -292,12 +297,13 @@ fn bound_skipped_candidates_are_reported_never_silent() {
     // A bound below every candidate's state count: the sweep finds
     // nothing, but says exactly how many candidates it skipped.
     let spec = stg::examples::vme_read();
+    let base = stg::StateGraph::build(&spec).ok();
     let tight = SweepOptions {
         threads: 1,
         bound: 4,
         ..SweepOptions::default()
     };
-    let sweep = insertion_sweep(&spec, &tight, None);
+    let sweep = insertion_sweep(&spec, &tight, base.as_ref());
     assert!(sweep.candidates.is_empty(), "nothing fits 4 states");
     assert!(
         sweep.stats.skipped_by_bound > 0,
