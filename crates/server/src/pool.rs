@@ -11,6 +11,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::thread::JoinHandle;
+use std::time::Instant;
 
 use asyncsynth::{
     cache_key, run_cached_with, CacheStage, FlowEvent, FlowObserver, Json, ResultCache,
@@ -113,8 +114,9 @@ impl WorkerPool {
 
 fn worker_loop(queue: &JobQueue, cache: Option<&ResultCache>, auto_sweep_threads: usize) {
     while let Some(job) = queue.take() {
+        let dequeued = Instant::now();
         if job.cancel.load(Ordering::Relaxed) {
-            queue.mark_done(&job);
+            queue.mark_done(&job, dequeued);
             job.reply.send(Response::Error {
                 job: Some(job.id),
                 message: "cancelled before start".to_owned(),
@@ -137,7 +139,7 @@ fn worker_loop(queue: &JobQueue, cache: Option<&ResultCache>, auto_sweep_threads
         // Counters first: by the time a client holds this job's result,
         // `status` already reports it as completed (and the client's
         // quota slot is free for the follow-up submission).
-        queue.mark_done(&job);
+        queue.mark_done(&job, dequeued);
         job.reply.send(response);
     }
 }

@@ -69,8 +69,11 @@
 //! monotonic counters plus point-in-time gauges, rendered with sorted
 //! keys so equal states produce equal bytes. `queue_depth` gauges are
 //! weighted (admission's own view of load); `queue_jobs` is the raw job
-//! count. All service counters are advisory (they describe *this*
-//! process) and are never drift-gated.
+//! count. The counters also carry two per-job timing histograms in
+//! disjoint µs buckets (≤100, ≤1 000, ≤10 000, ≤100 000, above):
+//! `job_queue_wait_us_le_*` and `job_run_us_le_*`, each with `_count`
+//! and `_sum_us`. All service counters are advisory (they describe
+//! *this* process) and are never drift-gated.
 //!
 //! Responses for a given job always end with exactly one `result`,
 //! `check_result`, `batch_result` or `error` message carrying that job

@@ -29,14 +29,23 @@
 //! dequeued twice as often as normal and four times as often as low,
 //! but no non-empty class is ever starved. Priority affects scheduling
 //! order only — results and cache keys are identical at every class.
+//!
+//! # Job timing
+//!
+//! The queue times every job in two fixed-bucket µs histograms
+//! (`TimeHistogram`): queue wait (admission → dequeue) and run time
+//! (dequeue → reply handed to the connection's writer). Both are
+//! advisory and exported by the `metrics` op.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::Sender;
 use std::sync::{Arc, Condvar, Mutex};
+use std::time::{Duration, Instant};
 
 use asyncsynth::SynthesisOptions;
 use stg::Stg;
+use telemetry::Counters;
 
 use crate::protocol::{Priority, Response};
 
@@ -195,10 +204,57 @@ impl Rejection {
 /// Weighted round-robin shares per class (high : normal : low).
 const WRR_SHARES: [usize; 3] = [4, 2, 1];
 
+/// Inclusive upper bounds (µs) of the [`TimeHistogram`] buckets; one
+/// more bucket counts everything above the last bound.
+const TIME_BUCKETS_US: [u64; 4] = [100, 1_000, 10_000, 100_000];
+
+/// A fixed-bucket histogram of durations in µs. The buckets are
+/// disjoint: every observation counts in exactly one of them, so the
+/// bucket counts sum to the observation count.
+#[derive(Debug, Default)]
+pub(crate) struct TimeHistogram {
+    buckets: [AtomicU64; TIME_BUCKETS_US.len() + 1],
+    sum_us: AtomicU64,
+}
+
+impl TimeHistogram {
+    /// Counts one observation.
+    pub(crate) fn record(&self, elapsed: Duration) {
+        let us = u64::try_from(elapsed.as_micros()).unwrap_or(u64::MAX);
+        let bucket = TIME_BUCKETS_US
+            .iter()
+            .position(|&bound| us <= bound)
+            .unwrap_or(TIME_BUCKETS_US.len());
+        self.buckets[bucket].fetch_add(1, Ordering::Relaxed);
+        self.sum_us.fetch_add(us, Ordering::Relaxed);
+    }
+
+    /// Writes the histogram into `counters` as `{name}_us_le_100`,
+    /// `_us_le_1000`, `_us_le_10000`, `_us_le_100000`, `_us_le_inf`,
+    /// plus `{name}_count` and `{name}_sum_us`.
+    pub(crate) fn export(&self, name: &str, counters: &mut Counters) {
+        let mut count = 0;
+        for (i, bucket) in self.buckets.iter().enumerate() {
+            let n = bucket.load(Ordering::Relaxed);
+            count += n;
+            let bound = TIME_BUCKETS_US
+                .get(i)
+                .map_or_else(|| "inf".to_owned(), u64::to_string);
+            counters.set(&format!("{name}_us_le_{bound}"), n);
+        }
+        counters.set(&format!("{name}_count"), count);
+        counters.set(
+            &format!("{name}_sum_us"),
+            self.sum_us.load(Ordering::Relaxed),
+        );
+    }
+}
+
 #[derive(Debug, Default)]
 struct QueueState {
-    /// One FIFO per priority class, indexed by [`Priority::index`].
-    classes: [VecDeque<Job>; 3],
+    /// One FIFO per priority class, indexed by [`Priority::index`];
+    /// each job rides with its admission time.
+    classes: [VecDeque<(Instant, Job)>; 3],
     /// Weighted depth per class (sum of queued jobs' weights).
     weight: [usize; 3],
     /// Jobs served per class in the current round-robin round.
@@ -220,17 +276,17 @@ impl QueueState {
     /// this round; when every non-empty class is exhausted, start a new
     /// round. Work-conserving (an empty class's share flows downward)
     /// and starvation-free (every non-empty class is served each round).
-    fn pop_weighted_round_robin(&mut self) -> Option<Job> {
+    fn pop_weighted_round_robin(&mut self) -> Option<(Instant, Job)> {
         if self.classes.iter().all(VecDeque::is_empty) {
             return None;
         }
         loop {
             for (class, share) in WRR_SHARES.iter().enumerate() {
                 if self.served[class] < *share {
-                    if let Some(job) = self.classes[class].pop_front() {
+                    if let Some((admitted, job)) = self.classes[class].pop_front() {
                         self.served[class] += 1;
                         self.weight[class] -= job.weight();
-                        return Some(job);
+                        return Some((admitted, job));
                     }
                 }
             }
@@ -264,6 +320,10 @@ pub struct JobQueue {
     shed_queue_full: AtomicU64,
     /// Submissions shed because the client hit its live-job quota.
     shed_client_quota: AtomicU64,
+    /// Admission → dequeue, per job.
+    queue_wait: TimeHistogram,
+    /// Dequeue → completion, per job.
+    run_time: TimeHistogram,
 }
 
 impl Default for JobQueue {
@@ -294,6 +354,8 @@ impl JobQueue {
             panicked: AtomicU64::new(0),
             shed_queue_full: AtomicU64::new(0),
             shed_client_quota: AtomicU64::new(0),
+            queue_wait: TimeHistogram::default(),
+            run_time: TimeHistogram::default(),
         }
     }
 
@@ -352,7 +414,7 @@ impl JobQueue {
         on_admit(&job);
         let class = job.priority.index();
         state.weight[class] += weight;
-        state.classes[class].push_back(job);
+        state.classes[class].push_back((Instant::now(), job));
         self.available.notify_one();
         Ok(())
     }
@@ -369,12 +431,14 @@ impl JobQueue {
 
     /// Blocks until a job is available; `None` once the queue is closed
     /// and drained (the worker's exit signal). Dequeue order is the
-    /// 4:2:1 weighted round-robin across priority classes.
+    /// 4:2:1 weighted round-robin across priority classes. Records the
+    /// job's queue wait.
     #[must_use]
     pub fn take(&self) -> Option<Job> {
         let mut state = self.state.lock().expect("queue lock");
         loop {
-            if let Some(job) = state.pop_weighted_round_robin() {
+            if let Some((admitted, job)) = state.pop_weighted_round_robin() {
+                self.queue_wait.record(admitted.elapsed());
                 return Some(job);
             }
             if state.closed {
@@ -469,6 +533,13 @@ impl JobQueue {
         self.shed_queue_full() + self.shed_client_quota()
     }
 
+    /// Writes the job-timing histograms into `counters` as
+    /// `job_queue_wait_*` and `job_run_*` (see `TimeHistogram::export`).
+    pub(crate) fn export_job_times(&self, counters: &mut Counters) {
+        self.queue_wait.export("job_queue_wait", counters);
+        self.run_time.export("job_run", counters);
+    }
+
     /// Records one worker-side job panic (called by the pool's
     /// `catch_unwind` recovery path).
     pub(crate) fn note_panic(&self) {
@@ -483,9 +554,10 @@ impl JobQueue {
     }
 
     /// Completes a job's lifecycle: drops it from the running/live
-    /// registries, releases its slot in the owner's quota, and counts
-    /// it completed.
-    pub(crate) fn mark_done(&self, job: &Job) {
+    /// registries, releases its slot in the owner's quota, counts it
+    /// completed and records its run time since `dequeued`.
+    pub(crate) fn mark_done(&self, job: &Job, dequeued: Instant) {
+        self.run_time.record(dequeued.elapsed());
         self.running.lock().expect("running lock").remove(&job.id);
         self.live.lock().expect("live lock").remove(&job.id);
         job.client.live.fetch_sub(1, Ordering::SeqCst);
@@ -495,10 +567,14 @@ impl JobQueue {
 
 #[cfg(test)]
 mod tests {
-    use super::{ClientTicket, Job, JobKind, JobQueue, QueueLimits, Rejection, Reply};
+    use super::{
+        ClientTicket, Job, JobKind, JobQueue, QueueLimits, Rejection, Reply, TimeHistogram,
+    };
     use crate::protocol::Priority;
     use std::sync::atomic::{AtomicBool, AtomicI64};
     use std::sync::{mpsc, Arc};
+    use std::time::{Duration, Instant};
+    use telemetry::Counters;
 
     fn test_job(
         queue: &JobQueue,
@@ -603,7 +679,7 @@ mod tests {
             .expect("other clients unaffected");
         // Completing a job frees the slot.
         let job = queue.take().expect("a queued job");
-        queue.mark_done(&job);
+        queue.mark_done(&job, Instant::now());
         queue
             .submit(test_job(&queue, &greedy, Priority::Normal, 1), |_| {})
             .expect("slot freed by completion");
@@ -638,6 +714,24 @@ mod tests {
                 Low, Low, Low, Low, // only low left: served back-to-back
             ]
         );
+    }
+
+    #[test]
+    fn time_histogram_buckets_are_disjoint_and_inclusive() {
+        let histogram = TimeHistogram::default();
+        for us in [0, 100, 101, 5_000, 100_000, 1_000_000] {
+            histogram.record(Duration::from_micros(us));
+        }
+        let mut counters = Counters::new();
+        histogram.export("job_run", &mut counters);
+        let get = |name: &str| counters.get(name).expect(name);
+        assert_eq!(get("job_run_us_le_100"), 2);
+        assert_eq!(get("job_run_us_le_1000"), 1);
+        assert_eq!(get("job_run_us_le_10000"), 1);
+        assert_eq!(get("job_run_us_le_100000"), 1);
+        assert_eq!(get("job_run_us_le_inf"), 1);
+        assert_eq!(get("job_run_count"), 6);
+        assert_eq!(get("job_run_sum_us"), 1_105_201);
     }
 
     #[test]

@@ -9,6 +9,13 @@
 //! interleaving partial lines. Client disconnection cancels that
 //! connection's outstanding jobs.
 //!
+//! The writer renders each response into one buffer, newline included,
+//! and sends it with a single `write`; accepted TCP sockets have
+//! `TCP_NODELAY` set. With Nagle's algorithm on and the newline written
+//! separately, the kernel held each reply's last byte until the client
+//! acknowledged the rest, and clients delay that ACK until their next
+//! packet (about 40 ms in a request/reply loop).
+//!
 //! # Overload robustness
 //!
 //! Three independent guards keep one misbehaving client from degrading
@@ -114,6 +121,34 @@ struct ServerContext {
     max_line_bytes: usize,
 }
 
+impl ServerContext {
+    /// Opens the result cache, builds the job queue and starts the
+    /// worker pool draining it.
+    fn start(
+        config: &ServerConfig,
+        addr: Option<SocketAddr>,
+    ) -> std::io::Result<(ServerContext, WorkerPool)> {
+        let cache = match &config.cache_dir {
+            Some(dir) => Some(Arc::new(ResultCache::open(dir)?)),
+            None => None,
+        };
+        let queue = Arc::new(JobQueue::with_limits(config.queue_limits()));
+        let pool = WorkerPool::start(config.workers, Arc::clone(&queue), cache.clone());
+        let context = ServerContext {
+            queue,
+            cache,
+            workers: config.workers.max(1),
+            registry: Arc::new(Registry::new()),
+            shutdown: Arc::new(AtomicBool::new(false)),
+            in_flight: Arc::new(AtomicI64::new(0)),
+            addr,
+            idle_timeout_ms: config.idle_timeout_ms,
+            max_line_bytes: config.max_line_bytes,
+        };
+        Ok((context, pool))
+    }
+}
+
 /// A bound (but not yet running) synthesis daemon.
 #[derive(Debug)]
 pub struct Server {
@@ -131,26 +166,10 @@ impl Server {
     /// Socket and cache-directory failures.
     pub fn bind(addr: &str, config: &ServerConfig) -> std::io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
-        let cache = match &config.cache_dir {
-            Some(dir) => Some(Arc::new(ResultCache::open(dir)?)),
-            None => None,
-        };
-        let queue = Arc::new(JobQueue::with_limits(config.queue_limits()));
-        let pool = WorkerPool::start(config.workers, Arc::clone(&queue), cache.clone());
-        let context = Arc::new(ServerContext {
-            queue,
-            cache,
-            workers: config.workers.max(1),
-            registry: Arc::new(Registry::new()),
-            shutdown: Arc::new(AtomicBool::new(false)),
-            in_flight: Arc::new(AtomicI64::new(0)),
-            addr: Some(listener.local_addr()?),
-            idle_timeout_ms: config.idle_timeout_ms,
-            max_line_bytes: config.max_line_bytes,
-        });
+        let (context, pool) = ServerContext::start(config, Some(listener.local_addr()?))?;
         Ok(Server {
             listener,
-            context,
+            context: Arc::new(context),
             pool,
         })
     }
@@ -202,23 +221,7 @@ impl Server {
 ///
 /// Cache-directory failures.
 pub fn serve_stdio(config: &ServerConfig) -> std::io::Result<()> {
-    let cache = match &config.cache_dir {
-        Some(dir) => Some(Arc::new(ResultCache::open(dir)?)),
-        None => None,
-    };
-    let queue = Arc::new(JobQueue::with_limits(config.queue_limits()));
-    let pool = WorkerPool::start(config.workers, Arc::clone(&queue), cache.clone());
-    let context = ServerContext {
-        queue,
-        cache,
-        workers: config.workers.max(1),
-        registry: Arc::new(Registry::new()),
-        shutdown: Arc::new(AtomicBool::new(false)),
-        in_flight: Arc::new(AtomicI64::new(0)),
-        addr: None,
-        idle_timeout_ms: config.idle_timeout_ms,
-        max_line_bytes: config.max_line_bytes,
-    };
+    let (context, pool) = ServerContext::start(config, None)?;
     let stdin = std::io::stdin();
     // stdout outlives stdin's EOF: a one-shot piped session
     // (`printf '{"op":...}' | asyncsynth serve --stdio`) still gets its
@@ -229,6 +232,9 @@ pub fn serve_stdio(config: &ServerConfig) -> std::io::Result<()> {
 }
 
 fn handle_tcp_connection(stream: &TcpStream, context: &ServerContext) {
+    // Replies go out as soon as they are written (see the module doc);
+    // a socket that refuses the option is served with Nagle on.
+    let _ = stream.set_nodelay(true);
     let Ok(writer) = stream.try_clone() else {
         return;
     };
@@ -340,10 +346,12 @@ fn handle_connection(
             let mut dead = false;
             while let Ok(response) = rx.recv() {
                 if !dead {
-                    // A failed write means the client is gone; keep
-                    // draining so the in-flight counter still settles.
-                    dead = writeln!(writer, "{}", response.to_json().render()).is_err()
-                        || writer.flush().is_err();
+                    // One `write` per line: see the module doc. A failed
+                    // write means the client is gone; keep draining so
+                    // the in-flight counter still settles.
+                    let mut line = response.to_json().render();
+                    line.push('\n');
+                    dead = writer.write_all(line.as_bytes()).is_err() || writer.flush().is_err();
                 }
                 writer_in_flight.fetch_sub(1, Ordering::SeqCst);
             }
@@ -505,10 +513,11 @@ fn op_counter(request: &Request) -> &'static str {
 }
 
 /// Builds the `metrics` response: the registry's request counters plus
-/// job-lifecycle and shed counters from the queue and cache counters,
-/// with point-in-time gauges (weighted queue depth — total and per
-/// priority class — raw queued-job count, capacity, busy workers, cache
-/// hit ratio in permille — an integer, so renders are byte-stable).
+/// job-lifecycle, job-timing and shed counters from the queue and cache
+/// counters, with point-in-time gauges (weighted queue depth — total
+/// and per priority class — raw queued-job count, capacity, busy
+/// workers, cache hit ratio in permille — an integer, so renders are
+/// byte-stable).
 fn metrics_snapshot(context: &ServerContext) -> Response {
     let mut counters = context.registry.snapshot_counters();
     counters.set("jobs_completed", context.queue.completed());
@@ -517,6 +526,7 @@ fn metrics_snapshot(context: &ServerContext) -> Response {
     counters.set("shed_total", context.queue.shed_total());
     counters.set("shed_queue_full", context.queue.shed_queue_full());
     counters.set("shed_client_quota", context.queue.shed_client_quota());
+    context.queue.export_job_times(&mut counters);
     let as64 = |n: usize| u64::try_from(n).unwrap_or(u64::MAX);
     let mut gauges = Counters::new();
     // `queue_depth` is the weighted backlog — what admission bounds; a
@@ -684,5 +694,71 @@ fn enqueue(
                 retry_after_ms: context.queue.retry_after_ms(),
             });
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::io::Write;
+    use std::sync::{Arc, Mutex};
+
+    use super::{handle_connection, ServerConfig, ServerContext};
+    use crate::protocol::Response;
+
+    /// Logs the bytes of every `write` call separately.
+    #[derive(Clone, Default)]
+    struct RecordingWriter(Arc<Mutex<Vec<Vec<u8>>>>);
+
+    impl Write for RecordingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0.lock().expect("recording lock").push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn each_response_goes_out_as_one_complete_line_per_write() {
+        let config = ServerConfig {
+            workers: 1,
+            cache_dir: None,
+            ..ServerConfig::default()
+        };
+        let (context, pool) = ServerContext::start(&config, None).expect("context starts");
+        let input = b"{\"op\":\"status\"}\nnot json\n{\"op\":\"metrics\"}\n";
+        let writer = RecordingWriter::default();
+        handle_connection(&input[..], Box::new(writer.clone()), &context, false);
+        pool.shutdown();
+
+        let writes = writer.0.lock().expect("recording lock");
+        let responses: Vec<Response> = writes
+            .iter()
+            .map(|write| {
+                let text = std::str::from_utf8(write).expect("UTF-8 reply");
+                let line = text
+                    .strip_suffix('\n')
+                    .unwrap_or_else(|| panic!("write {text:?} does not end the line"));
+                assert!(
+                    !line.contains('\n'),
+                    "write {text:?} holds more than one line"
+                );
+                Response::parse_line(line)
+                    .unwrap_or_else(|e| panic!("write {text:?} is not one response: {e}"))
+            })
+            .collect();
+        assert!(
+            matches!(
+                responses.as_slice(),
+                [
+                    Response::Status { .. },
+                    Response::Error { job: None, .. },
+                    Response::Metrics { .. }
+                ]
+            ),
+            "{responses:?}"
+        );
     }
 }

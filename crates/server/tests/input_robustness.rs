@@ -6,14 +6,26 @@
 //! Every call must return `Ok` or a typed `Err`, and every `.g` text that
 //! parses must also build (or fail to build) without panicking.
 //!
+//! The same arbitrary and mutated lines also go over one TCP connection
+//! to a live daemon, which must answer every one, finish every job it
+//! accepted, and keep serving afterwards without a worker panic.
+//!
 //! The case count honours `PROPTEST_CASES` (default 256); generation is
 //! deterministic per test, so failures reproduce without a persistence
 //! file.
 
+use std::collections::HashSet;
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
 use std::path::PathBuf;
+use std::time::Duration;
 
+use asyncsynth::{Json, SynthesisOptions};
 use proptest::prelude::*;
-use server::protocol::{Request, Response};
+use proptest::test_runner::TestRng;
+use server::client;
+use server::protocol::{Priority, Request, Response};
+use server::service::{Server, ServerConfig};
 use stg::Backend;
 
 fn cases() -> u32 {
@@ -241,4 +253,145 @@ fn deeply_nested_lines_are_rejected_not_overflowed() {
         assert!(Request::parse_line(&line).is_err());
         assert!(Response::parse_line(&line).is_err());
     }
+}
+
+/// `cases()` protocol lines for the live daemon, each flattened onto one
+/// wire line: a third arbitrary bytes, a third mutated valid lines, and
+/// a third well-formed `synth` requests carrying a mutated `vme_read`
+/// specification (so jobs, not just the parser, see junk). Lines that
+/// still parse as `shutdown` are left out: they would stop the daemon
+/// under test.
+fn live_lines() -> Vec<String> {
+    let mut rng = TestRng::from_name("live_daemon_lines");
+    let arbitrary = proptest::collection::vec(any::<u8>(), 0..256);
+    let valid = valid_lines();
+    let spec = stg::parse::write_g(&stg::examples::vme_read());
+    (0..cases())
+        .map(|case| {
+            let line = match case % 3 {
+                0 => String::from_utf8_lossy(&arbitrary.generate(&mut rng)).into_owned(),
+                1 => {
+                    let pick = valid[rng.below(valid.len())].as_str();
+                    mutate(pick, &edits().generate(&mut rng))
+                }
+                _ => {
+                    let spec = mutate(&spec, &edits().generate(&mut rng));
+                    format!(
+                        r#"{{"op":"synth","spec":{}}}"#,
+                        asyncsynth::json::escape(&spec)
+                    )
+                }
+            };
+            line.replace('\n', " ")
+        })
+        .filter(|line| !matches!(Request::parse_line(line), Ok(Request::Shutdown)))
+        .collect()
+}
+
+/// Reads one response line; a read timeout or a closed connection fails
+/// the test.
+fn read_response(reader: &mut BufReader<TcpStream>) -> Response {
+    let mut line = String::new();
+    loop {
+        line.clear();
+        let n = reader
+            .read_line(&mut line)
+            .unwrap_or_else(|e| panic!("daemon stopped answering: {e}"));
+        assert!(n > 0, "daemon closed the connection");
+        if !line.trim().is_empty() {
+            return Response::parse_line(&line).expect("well-formed response");
+        }
+    }
+}
+
+fn assert_verified(response: &Response) {
+    let Response::Result { summary, .. } = response else {
+        panic!("expected a result, got {response:?}");
+    };
+    assert_eq!(
+        summary.get("verification").and_then(Json::as_str),
+        Some("passed"),
+        "{summary}"
+    );
+}
+
+#[test]
+fn live_daemon_answers_every_line_and_keeps_serving() {
+    let server = Server::bind(
+        "127.0.0.1:0",
+        &ServerConfig {
+            workers: 2,
+            cache_dir: None,
+            ..ServerConfig::default()
+        },
+    )
+    .expect("server binds an ephemeral port");
+    let addr = server.local_addr().expect("local addr").to_string();
+    let daemon = std::thread::spawn(move || server.run());
+
+    let stream = TcpStream::connect(&addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(120)))
+        .expect("read timeout");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone stream"));
+    let mut writer = stream;
+
+    let lines = live_lines();
+    for line in &lines {
+        writer
+            .write_all(format!("{line}\n").as_bytes())
+            .expect("send line");
+    }
+    // Every non-blank line gets exactly one immediate reply, in line
+    // order; every accepted job later gets exactly one terminal reply.
+    let owed_replies = lines.iter().filter(|l| !l.trim().is_empty()).count();
+    let mut replies = 0;
+    let mut accepted = HashSet::new();
+    let mut finished = HashSet::new();
+    while replies < owed_replies || accepted.len() > finished.len() {
+        match read_response(&mut reader) {
+            Response::Event { .. } => {}
+            Response::Accepted { job, .. } => {
+                replies += 1;
+                accepted.insert(job);
+            }
+            Response::Result { job, .. }
+            | Response::CheckResult { job, .. }
+            | Response::BatchResult { job, .. }
+            | Response::Error { job: Some(job), .. } => {
+                assert!(finished.insert(job), "job {job} finished twice");
+            }
+            _ => replies += 1,
+        }
+    }
+    assert!(finished.is_subset(&accepted), "only accepted jobs finish");
+
+    // The connection that sent the junk still synthesises.
+    let synth = Request::Synth {
+        spec_text: stg::parse::write_g(&stg::examples::vme_read()),
+        options: SynthesisOptions::default(),
+        priority: Priority::Normal,
+        events: false,
+    };
+    writer
+        .write_all(format!("{}\n", synth.render()).as_bytes())
+        .expect("send synth");
+    assert!(matches!(
+        read_response(&mut reader),
+        Response::Accepted { .. }
+    ));
+    assert_verified(&read_response(&mut reader));
+
+    // So does a fresh connection, and no job panicked a worker.
+    assert_verified(&client::request(&addr, &synth, |_| {}).expect("fresh synth"));
+    match client::request(&addr, &Request::Status, |_| {}).expect("status answered") {
+        Response::Status { panicked, .. } => assert_eq!(panicked, 0),
+        other => panic!("expected status, got {other:?}"),
+    }
+
+    let _ = client::request(&addr, &Request::Shutdown, |_| {});
+    daemon
+        .join()
+        .expect("daemon thread")
+        .expect("daemon exits cleanly");
 }

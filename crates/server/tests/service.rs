@@ -952,3 +952,81 @@ fn queue_depth_is_weighted_and_split_by_priority() {
 
     server.shutdown();
 }
+
+/// A closed loop — each request waits for the previous reply — must not
+/// pay a delayed-ACK stall per round trip. With Nagle on the server
+/// socket and each reply written in two pieces, every reply's newline
+/// waited for the client's next packet (~40 ms per round trip here).
+/// The client disables Nagle on its own side, so only the server is
+/// measured.
+#[test]
+fn closed_loop_status_round_trips_do_not_stall() {
+    let server = boot_with(&ServerConfig {
+        workers: 1,
+        cache_dir: None,
+        ..ServerConfig::default()
+    });
+    let (mut reader, mut stream) = raw_connect(&server.addr);
+    stream.set_nodelay(true).expect("client TCP_NODELAY");
+
+    let start = std::time::Instant::now();
+    for _ in 0..20 {
+        send_request(&mut stream, &Request::Status);
+        assert!(matches!(
+            read_response(&mut reader),
+            Response::Status { .. }
+        ));
+    }
+    let elapsed = start.elapsed();
+    assert!(
+        elapsed < Duration::from_millis(400),
+        "20 sequential status round trips took {elapsed:?}"
+    );
+
+    server.shutdown();
+}
+
+/// Every completed job is timed once in each histogram: after N jobs the
+/// queue-wait and run-time bucket counts each sum to N.
+#[test]
+fn metrics_time_every_completed_job() {
+    let server = boot_with(&ServerConfig {
+        workers: 2,
+        cache_dir: None,
+        ..ServerConfig::default()
+    });
+    let jobs = 5;
+    for _ in 0..jobs {
+        let response = client::submit_synth(
+            &server.addr,
+            &spec_text(stg::examples::toggle),
+            &SynthesisOptions::default(),
+            false,
+            |_| {},
+        )
+        .expect("toggle synthesises");
+        assert!(matches!(response, Response::Result { .. }));
+    }
+
+    let metrics =
+        client::request(&server.addr, &Request::Metrics, |_| {}).expect("metrics answered");
+    let Response::Metrics { counters, .. } = metrics else {
+        panic!("expected metrics, got {metrics:?}");
+    };
+    assert_eq!(counters.get("jobs_completed"), Some(jobs));
+    for histogram in ["job_queue_wait", "job_run"] {
+        let buckets: u64 = ["100", "1000", "10000", "100000", "inf"]
+            .iter()
+            .map(|bound| {
+                counters
+                    .get(&format!("{histogram}_us_le_{bound}"))
+                    .unwrap_or_else(|| panic!("{histogram} bucket {bound} exported"))
+            })
+            .sum();
+        assert_eq!(buckets, jobs, "{histogram} buckets sum to the job count");
+        assert_eq!(counters.get(&format!("{histogram}_count")), Some(jobs));
+        assert!(counters.get(&format!("{histogram}_sum_us")).is_some());
+    }
+
+    server.shutdown();
+}
