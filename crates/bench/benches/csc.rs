@@ -1,13 +1,8 @@
-//! CSC candidate-sweep cost: serial vs multi-threaded grid evaluation,
-//! and the effect of conflict-locality pruning.
+//! CSC candidate-sweep cost: serial vs multi-threaded grid evaluation.
 //!
 //! `vme-read/sweep-1t` vs `sweep-4t` measures the work-stealing
-//! parallelisation of the `(t⁺, t⁻)` insertion grid (the dominant CSC
-//! search cost); on a multi-core host the 4-thread sweep should be at
-//! least 2× faster. `sweep-pruned` shows the grid cut that needs no
-//! extra cores: pairs that provably cannot separate a conflicting state
-//! pair are skipped before any state space is built. The micropipeline
-//! group shows pruning on a controller whose whole grid is refutable.
+//! parallelisation of the (always pruned) `(t⁺, t⁻)` insertion grid,
+//! the dominant CSC search cost, base graph build included.
 //!
 //! `csc-candidate` times one candidate state graph two ways over the
 //! first greedy step of `resolve_mixed_sweep` (every ordering-arc and
@@ -23,51 +18,21 @@ use synth::csc::{
     apply_edit, greedy_moves, insertion_labels, insertion_sweep, SweepOptions, DEFAULT_SWEEP_BOUND,
 };
 
-fn sweep_opts(threads: usize, prune: bool) -> SweepOptions {
-    SweepOptions {
-        threads,
-        prune,
-        ..SweepOptions::default()
-    }
-}
-
 fn bench_vme_read_sweep(c: &mut Criterion) {
     let mut group = c.benchmark_group("csc-sweep");
     group.sample_size(10);
     let spec = stg::examples::vme_read();
-    for (id, threads, prune) in [
-        ("vme-read/sweep-1t", 1, false),
-        ("vme-read/sweep-4t", 4, false),
-        ("vme-read/sweep-pruned-1t", 1, true),
-        ("vme-read/sweep-pruned-4t", 4, true),
-    ] {
-        let options = sweep_opts(threads, prune);
+    for (id, threads) in [("vme-read/sweep-1t", 1), ("vme-read/sweep-4t", 4)] {
+        let options = SweepOptions {
+            threads,
+            ..SweepOptions::default()
+        };
         group.bench_function(id, |b| {
             b.iter(|| {
-                let sweep =
-                    insertion_sweep(&spec, &options, StateGraph::build(&spec).ok().as_ref());
+                let base = StateGraph::build(&spec).expect("base builds");
+                let sweep = insertion_sweep(&spec, &options, &base);
                 assert_eq!(sweep.stats.accepted, 6);
                 sweep.candidates.len()
-            });
-        });
-    }
-    group.finish();
-}
-
-fn bench_micropipeline_prune(c: &mut Criterion) {
-    let mut group = c.benchmark_group("csc-sweep-micropipeline");
-    group.sample_size(10);
-    let spec = stg::examples::micropipeline(2);
-    for (id, prune) in [
-        ("micropipeline-2/unpruned", false),
-        ("micropipeline-2/pruned", true),
-    ] {
-        let options = sweep_opts(1, prune);
-        group.bench_function(id, |b| {
-            b.iter(|| {
-                insertion_sweep(&spec, &options, StateGraph::build(&spec).ok().as_ref())
-                    .stats
-                    .evaluated
             });
         });
     }
@@ -114,10 +79,5 @@ fn bench_candidate_build(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_vme_read_sweep,
-    bench_micropipeline_prune,
-    bench_candidate_build
-);
+criterion_group!(benches, bench_vme_read_sweep, bench_candidate_build);
 criterion_main!(benches);

@@ -12,21 +12,15 @@
 //!   decomposition (bigger composed space, failing);
 //! * `loop-cold` — the whole repair loop, decompose → verify →
 //!   resubstitute → verify, from scratch each iteration;
-//! * `loop-incremental` — the same loop through a shared
-//!   [`verify::IncrementalVerifier`]: the spec tracker and the
-//!   settled-internal fixed points are reused across the two variants,
-//!   and every iteration after the first is served from the
-//!   whole-circuit report cache (the pipeline's re-probe pattern);
-//! * `reverify-cold` vs `reverify-incremental` — just the probe
-//!   re-verification of an already-verified circuit, the pure
-//!   cache-hit case.
+//! * `reverify-cold` — just the verification of the repaired
+//!   circuit (the pipeline's final probe).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use stg::StateGraph;
 use synth::complex_gate::synthesize_complex_gates;
 use synth::decompose::{decompose, resubstitute};
 use synth::NetId;
-use verify::{verify_with, IncrementalVerifier, VerifyOptions};
+use verify::{verify_with, VerifyOptions};
 
 fn bench_decomposed_loop(c: &mut Criterion) {
     let mut group = c.benchmark_group("verify-micropipeline-2");
@@ -70,33 +64,8 @@ fn bench_decomposed_loop(c: &mut Criterion) {
             verify_with(&spec, &sg, resub.netlist(), &rnets, &options).states_explored
         });
     });
-    group.bench_function("micropipeline-2/loop-incremental", |b| {
-        let mut verifier = IncrementalVerifier::new();
-        let inc = options.clone().with_incremental(true);
-        b.iter(|| {
-            let naive = decompose(&spec, &circuit, 2);
-            let nets: Vec<NetId> = spec.signals().map(|s| naive.signal_net(s)).collect();
-            let first = verifier.verify(&spec, &sg, naive.netlist(), &nets, &inc);
-            assert!(!first.is_speed_independent());
-            let resub = resubstitute(&spec, &sg, &naive);
-            let rnets: Vec<NetId> = spec.signals().map(|s| resub.signal_net(s)).collect();
-            verifier
-                .verify(&spec, &sg, resub.netlist(), &rnets, &inc)
-                .states_explored
-        });
-    });
     group.bench_function("micropipeline-2/reverify-cold", |b| {
         b.iter(|| verify_with(&spec, &sg, resub.netlist(), &rnets, &options).states_explored);
-    });
-    group.bench_function("micropipeline-2/reverify-incremental", |b| {
-        let mut verifier = IncrementalVerifier::new();
-        let inc = options.clone().with_incremental(true);
-        let _ = verifier.verify(&spec, &sg, resub.netlist(), &rnets, &inc);
-        b.iter(|| {
-            verifier
-                .verify(&spec, &sg, resub.netlist(), &rnets, &inc)
-                .states_explored
-        });
     });
     group.finish();
 }

@@ -27,14 +27,12 @@
 //!   --csc auto|insertion|reduction|fail     (default: auto)
 //!   --csc-threads N                         CSC sweep workers (0 = per core)
 //!   --csc-bound N                           CSC per-candidate state bound
-//!   --csc-no-prune                          disable conflict-locality pruning
 //!   --fanin N                               (decomposed fan-in bound)
 //!   --assume "a<b"                          relative-timing assumption
 //!   --cache DIR                             content-addressed result cache
 //!   --trace FILE                            write the run's span-tree JSON
 //!   --no-verify                             skip exhaustive verification
 //!   --verify-bound N                        composed-state limit of the verifier
-//!   --verify-incremental                    memoising per-cone re-verification
 //!   --json                                  machine-readable output
 //! ```
 //!
@@ -196,14 +194,12 @@ fn synth(spec: &stg::Stg, opts: &[String]) -> Result<(), String> {
             "--csc",
             "--csc-threads",
             "--csc-bound",
-            "--csc-no-prune",
             "--fanin",
             "--assume",
             "--cache",
             "--trace",
             "--no-verify",
             "--verify-bound",
-            "--verify-incremental",
             "--json",
         ],
     )?;
@@ -448,11 +444,9 @@ fn submit(spec_text: &str, opts: &[String]) -> Result<(), String> {
             "--csc",
             "--csc-threads",
             "--csc-bound",
-            "--csc-no-prune",
             "--fanin",
             "--no-verify",
             "--verify-bound",
-            "--verify-incremental",
             "--events",
             "--priority",
             "--retries",
@@ -539,11 +533,9 @@ fn submit_dir(dir: &str, opts: &[String]) -> Result<(), String> {
             "--csc",
             "--csc-threads",
             "--csc-bound",
-            "--csc-no-prune",
             "--fanin",
             "--no-verify",
             "--verify-bound",
-            "--verify-incremental",
             "--priority",
             "--retries",
             "--backoff-ms",

@@ -31,9 +31,6 @@ pub struct CliFlags {
     /// `--csc-bound N`: per-candidate state-space bound of the CSC
     /// sweeps; candidates above it are skipped and reported.
     pub csc_bound: Option<usize>,
-    /// `--csc-no-prune`: disable conflict-locality pruning (debugging
-    /// escape hatch; pruning never changes results, only work).
-    pub csc_no_prune: bool,
     /// `--fanin N` (decomposed fan-in bound).
     pub fanin: Option<usize>,
     /// `--no-verify`: skip the exhaustive verification stage.
@@ -41,9 +38,6 @@ pub struct CliFlags {
     /// `--verify-bound N`: composed-state limit of the verifier; a hit
     /// is reported as a bounded (inconclusive) run, never silently.
     pub verify_bound: Option<usize>,
-    /// `--verify-incremental`: route re-verification through the
-    /// memoising per-cone engine (the decomposed repair loop).
-    pub verify_incremental: bool,
     /// `--assume "a<b"` relative-timing assumptions (repeatable).
     pub assumptions: Vec<timing::TimingAssumption>,
     /// `--cache DIR`: content-addressed result cache directory.
@@ -88,11 +82,9 @@ impl Default for CliFlags {
             csc: CscStrategy::default(),
             csc_threads: None,
             csc_bound: None,
-            csc_no_prune: false,
             fanin: None,
             no_verify: false,
             verify_bound: None,
-            verify_incremental: false,
             assumptions: Vec::new(),
             cache_dir: None,
             trace: None,
@@ -123,14 +115,12 @@ impl CliFlags {
             sweep: SweepOptions {
                 threads: self.csc_threads.unwrap_or(defaults.threads),
                 bound: self.csc_bound.unwrap_or(defaults.bound),
-                prune: !self.csc_no_prune,
                 keep_spaces: defaults.keep_spaces,
             },
             max_fanin: self.fanin,
             skip_verification: self.no_verify,
             verify: VerifyOptions {
                 bound: self.verify_bound.unwrap_or(VerifyOptions::default().bound),
-                incremental: self.verify_incremental,
             },
         }
     }
@@ -152,8 +142,8 @@ impl CliFlags {
 ///
 /// # Errors
 ///
-/// Unknown flags, flags not allowed for this subcommand, and malformed
-/// values.
+/// Unknown flags (`unknown option`, whatever the subcommand), flags not
+/// allowed for this subcommand, and malformed values.
 pub fn parse_flags(args: &[String], allowed: &[&str]) -> Result<CliFlags, String> {
     let mut flags = CliFlags::default();
     let mut i = 0;
@@ -165,12 +155,9 @@ pub fn parse_flags(args: &[String], allowed: &[&str]) -> Result<CliFlags, String
     };
     while i < args.len() {
         let flag = args[i].as_str();
-        if flag.starts_with("--") && !allowed.contains(&flag) {
-            return Err(format!(
-                "option {flag:?} is not supported here (allowed: {})",
-                allowed.join(", ")
-            ));
-        }
+        // Known flags are parsed before the subcommand's allow-list is
+        // consulted, so a flag no subcommand knows is always reported as
+        // unknown rather than as merely unsupported here.
         match flag {
             "--backend" => flags.backend = value(args, &mut i, flag)?.parse()?,
             "--json" => flags.json = true,
@@ -190,7 +177,6 @@ pub fn parse_flags(args: &[String], allowed: &[&str]) -> Result<CliFlags, String
                         .map_err(|_| "bad --csc-bound value")?,
                 );
             }
-            "--csc-no-prune" => flags.csc_no_prune = true,
             "--fanin" => {
                 flags.fanin = Some(
                     value(args, &mut i, flag)?
@@ -206,7 +192,6 @@ pub fn parse_flags(args: &[String], allowed: &[&str]) -> Result<CliFlags, String
                         .map_err(|_| "bad --verify-bound value")?,
                 );
             }
-            "--verify-incremental" => flags.verify_incremental = true,
             "--assume" => {
                 let v = value(args, &mut i, flag)?;
                 let (a, b) = v
@@ -273,6 +258,12 @@ pub fn parse_flags(args: &[String], allowed: &[&str]) -> Result<CliFlags, String
             }
             other => return Err(format!("unknown option {other:?}")),
         }
+        if !allowed.contains(&flag) {
+            return Err(format!(
+                "option {flag:?} is not supported here (allowed: {})",
+                allowed.join(", ")
+            ));
+        }
         i += 1;
     }
     Ok(flags)
@@ -302,42 +293,31 @@ mod tests {
 
     #[test]
     fn csc_sweep_flags_reach_the_options() {
-        let args: Vec<String> = [
-            "--csc-threads",
-            "4",
-            "--csc-bound",
-            "50000",
-            "--csc-no-prune",
-        ]
-        .iter()
-        .map(ToString::to_string)
-        .collect();
-        let flags = parse_flags(&args, &["--csc-threads", "--csc-bound", "--csc-no-prune"])
-            .expect("parses");
+        let args: Vec<String> = ["--csc-threads", "4", "--csc-bound", "50000"]
+            .iter()
+            .map(ToString::to_string)
+            .collect();
+        let flags = parse_flags(&args, &["--csc-threads", "--csc-bound"]).expect("parses");
         let options = flags.options();
         assert_eq!(options.sweep.threads, 4);
         assert_eq!(options.sweep.bound, 50_000);
-        assert!(!options.sweep.prune);
 
-        // Defaults: auto threads, pruning on.
+        // Defaults: auto threads, the default sweep bound.
         let defaults = parse_flags(&[], &[]).expect("parses").options();
         assert_eq!(defaults.sweep, asyncsynth::SweepOptions::default());
-        assert!(defaults.sweep.prune);
     }
 
     #[test]
     fn verify_flags_reach_the_options() {
-        let args: Vec<String> = ["--verify-bound", "25000", "--verify-incremental"]
+        let args: Vec<String> = ["--verify-bound", "25000"]
             .iter()
             .map(ToString::to_string)
             .collect();
-        let flags =
-            parse_flags(&args, &["--verify-bound", "--verify-incremental"]).expect("parses");
+        let flags = parse_flags(&args, &["--verify-bound"]).expect("parses");
         let options = flags.options();
         assert_eq!(options.verify.bound, 25_000);
-        assert!(options.verify.incremental);
 
-        // Defaults: monolithic engine, 500k bound.
+        // Defaults: 500k bound.
         let defaults = parse_flags(&[], &[]).expect("parses").options();
         assert_eq!(defaults.verify, asyncsynth::VerifyOptions::default());
     }
@@ -358,15 +338,21 @@ mod tests {
         let err = parse_flags(&args(&["--backend", "symbolic-set"]), &["--json"])
             .expect_err("wave takes no backend");
         assert!(err.contains("--backend"), "{err}");
-        // The retired verify-strategy flag: unknown even where every
-        // verify flag is allowed, and with or without a value.
-        let verify_flags = ["--verify-bound", "--verify-incremental"];
-        for a in [
-            &["--verify-strategy", "composed"][..],
-            &["--verify-strategy"][..],
+        // Retired flags: unknown options whatever the subcommand allows
+        // (even an allow-list that still names them), with or without a
+        // value.
+        for retired in [
+            "--verify-strategy",
+            "--csc-no-prune",
+            "--verify-incremental",
         ] {
-            let err = parse_flags(&args(a), &verify_flags).expect_err("flag removed");
-            assert!(err.contains("--verify-strategy"), "{err}");
+            for allowed in [&[][..], &["--json", "--verify-bound"][..], &[retired][..]] {
+                for a in [&[retired, "composed"][..], &[retired][..]] {
+                    let err = parse_flags(&args(a), allowed).expect_err("flag removed");
+                    assert!(err.contains("unknown option"), "{err}");
+                    assert!(err.contains(retired), "{err}");
+                }
+            }
         }
     }
 

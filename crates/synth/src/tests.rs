@@ -104,7 +104,7 @@ fn csc_insertion_fixes_vme_read() {
     let sweep = insertion_sweep(
         &stg,
         &SweepOptions::default(),
-        StateGraph::build(&stg).ok().as_ref(),
+        &StateGraph::build(&stg).expect("base builds"),
     );
     let res = sweep
         .candidates
@@ -126,7 +126,7 @@ fn concurrency_reduction_fixes_vme_read() {
     let (res, _) = concurrency_reduction_sweep(
         &stg,
         &SweepOptions::default(),
-        StateGraph::build(&stg).ok().as_ref(),
+        &StateGraph::build(&stg).expect("base builds"),
     );
     let res = res.expect("a reduction exists");
     let sg = StateGraph::build(&res.stg).unwrap();
@@ -142,7 +142,12 @@ fn concurrency_reduction_fixes_vme_read() {
 #[test]
 fn csc_resolution_on_already_clean_stg_is_identity() {
     let stg = vme_read_csc();
-    let (res, stats) = resolve_mixed_sweep(&stg, 0, &SweepOptions::default(), None);
+    let (res, stats) = resolve_mixed_sweep(
+        &stg,
+        0,
+        &SweepOptions::default(),
+        &StateGraph::build(&stg).expect("base builds"),
+    );
     let res = res.expect("a clean spec resolves without a step");
     assert!(res.description.contains("already holds"));
     assert_eq!(res.num_states, 16);
@@ -286,7 +291,12 @@ fn mixed_resolution_handles_choice_spec() {
     // The READ+WRITE controller (Fig. 5) needs a concurrency reduction
     // plus a state signal; the mixed sweep finds both greedily.
     let spec = stg::examples::vme_read_write();
-    let (r, _) = resolve_mixed_sweep(&spec, 5, &SweepOptions::default(), None);
+    let (r, _) = resolve_mixed_sweep(
+        &spec,
+        5,
+        &SweepOptions::default(),
+        &StateGraph::build(&spec).expect("base builds"),
+    );
     let r = r.expect("mixed strategy resolves Fig. 5");
     let sg = StateGraph::build(&r.stg).unwrap();
     assert!(stg::encoding::has_csc(&r.stg, &sg));
@@ -300,7 +310,12 @@ fn mixed_resolution_handles_choice_spec() {
 #[test]
 fn mixed_resolution_identity_on_clean_spec() {
     let spec = vme_read_csc();
-    let (r, _) = resolve_mixed_sweep(&spec, 3, &SweepOptions::default(), None);
+    let (r, _) = resolve_mixed_sweep(
+        &spec,
+        3,
+        &SweepOptions::default(),
+        &StateGraph::build(&spec).expect("base builds"),
+    );
     let r = r.unwrap();
     assert!(r.description.contains("already holds"));
 }
@@ -311,7 +326,7 @@ fn insertion_sweep_candidates_are_ranked_and_valid() {
     let candidates = insertion_sweep(
         &spec,
         &SweepOptions::default(),
-        StateGraph::build(&spec).ok().as_ref(),
+        &StateGraph::build(&spec).expect("base builds"),
     )
     .candidates;
     assert!(candidates.len() >= 2, "both polarities of csc0 exist");

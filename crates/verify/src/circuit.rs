@@ -121,8 +121,7 @@ pub struct VerificationReport {
     pub hazards: Vec<HazardWitness>,
     /// Conformance violations.
     pub violations: Vec<Violation>,
-    /// Number of composed states explored (under the incremental
-    /// engine: summed over the explored cones).
+    /// Number of composed states explored.
     pub states_explored: usize,
 }
 

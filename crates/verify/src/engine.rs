@@ -43,21 +43,12 @@ pub struct VerifyOptions {
     /// bounded-verification `FlowEvent`, so an inconclusive bounded run
     /// is never conflated with a real failure).
     pub bound: usize,
-    /// Route the flow's verification through the memoising
-    /// [`crate::IncrementalVerifier`]: identical circuits are served
-    /// from a digest-keyed report cache, and the spec tracker plus the
-    /// settled-internal initial fixed point are reused across circuit
-    /// variants. Reports are byte-identical to the monolithic engine's
-    /// (parity-tested), so this flag stays out of result-cache keys,
-    /// like the CSC sweep's thread count.
-    pub incremental: bool,
 }
 
 impl Default for VerifyOptions {
     fn default() -> Self {
         VerifyOptions {
             bound: DEFAULT_VERIFY_BOUND,
-            incremental: false,
         }
     }
 }
@@ -69,22 +60,16 @@ impl VerifyOptions {
         self.bound = bound;
         self
     }
-
-    /// This configuration with the incremental engine toggled.
-    #[must_use]
-    pub fn with_incremental(mut self, incremental: bool) -> Self {
-        self.incremental = incremental;
-        self
-    }
 }
 
 /// Verifies `netlist` against `stg` under explicit options. The
 /// engine-level entry point behind [`crate::verify_circuit`]; see that
 /// function for the contract on `signal_nets`.
 ///
-/// This always runs one full exploration — the memoising incremental
-/// layer needs state across calls and lives in
-/// [`crate::IncrementalVerifier`].
+/// The initial composed state takes the signal nets from the space's
+/// initial code and settles the internal nets to their combinational
+/// fixed point; a circuit whose internals oscillate there is reported
+/// as [`Violation::UnsettledInitialState`].
 ///
 /// # Panics
 ///
@@ -97,36 +82,8 @@ pub fn verify_with<S: StateSpace + ?Sized>(
     signal_nets: &[NetId],
     options: &VerifyOptions,
 ) -> VerificationReport {
-    let Some(init) = settle_initial(stg, sg, netlist, signal_nets) else {
-        return unsettled_report();
-    };
-    let mut tracker = SpecTracker::new(sg.initial_marking());
-    explore(stg, netlist, signal_nets, options, &mut tracker, init)
-}
-
-/// The report of a circuit whose internal nets oscillate before any
-/// input arrives.
-pub(crate) fn unsettled_report() -> VerificationReport {
-    VerificationReport {
-        hazards: Vec::new(),
-        violations: vec![Violation::UnsettledInitialState],
-        states_explored: 0,
-    }
-}
-
-/// The initial composed net values: signal nets from the space's
-/// initial code, internal nets settled to their combinational fixed
-/// point. `None` when the internals oscillate. This fixed point depends
-/// only on the specification's initial values and the internal gates —
-/// not on the output gates — which is exactly what lets
-/// [`crate::IncrementalVerifier`] reuse it across circuit variants that
-/// only rewired their outputs.
-pub(crate) fn settle_initial<S: StateSpace + ?Sized>(
-    stg: &Stg,
-    sg: &S,
-    netlist: &Netlist,
-    signal_nets: &[NetId],
-) -> Option<Vec<bool>> {
+    assert!(signal_nets.len() >= stg.num_signals());
+    // Reverse map: which net carries which signal.
     let mut net_signal: Vec<Option<SignalId>> = vec![None; netlist.num_nets()];
     for s in stg.signals() {
         net_signal[signal_nets[s.index()].index()] = Some(s);
@@ -136,7 +93,22 @@ pub(crate) fn settle_initial<S: StateSpace + ?Sized>(
     for s in stg.signals() {
         init[signal_nets[s.index()].index()] = initial_values[s.index()];
     }
-    settle_internals(netlist, &net_signal, &mut init).then_some(init)
+    if !settle_internals(netlist, &net_signal, &mut init) {
+        return VerificationReport {
+            hazards: Vec::new(),
+            violations: vec![Violation::UnsettledInitialState],
+            states_explored: 0,
+        };
+    }
+    explore(
+        stg,
+        netlist,
+        signal_nets,
+        &net_signal,
+        options,
+        sg.initial_marking(),
+        init,
+    )
 }
 
 /// A hazard recorded during exploration, before dedup and witness
@@ -154,26 +126,21 @@ enum RawViolation {
     StateLimit(usize),
 }
 
-/// One composed exploration from a pre-settled initial state, over a
-/// (possibly reused) spec tracker. Spec-driven (environment) events are
-/// the input-signal transitions; every other signal must be driven by a
-/// gate of `netlist`.
-pub(crate) fn explore(
+/// One composed exploration from the settled initial state.
+/// Spec-driven (environment) events are the input-signal transitions;
+/// every other signal must be driven by a gate of `netlist`.
+fn explore(
     stg: &Stg,
     netlist: &Netlist,
     signal_nets: &[NetId],
+    net_signal: &[Option<SignalId>],
     options: &VerifyOptions,
-    tracker: &mut SpecTracker,
+    initial_marking: Marking,
     init: Vec<bool>,
 ) -> VerificationReport {
-    assert!(signal_nets.len() >= stg.num_signals());
+    let mut tracker = SpecTracker::new(initial_marking);
     let mut hazards: Vec<RawHazard> = Vec::new();
     let mut violations: Vec<RawViolation> = Vec::new();
-    // Reverse map: which net carries which signal.
-    let mut net_signal: Vec<Option<SignalId>> = vec![None; netlist.num_nets()];
-    for s in stg.signals() {
-        net_signal[signal_nets[s.index()].index()] = Some(s);
-    }
     let env: Vec<bool> = stg
         .signals()
         .map(|s| stg.signal_kind(s) == SignalKind::Input)
@@ -357,7 +324,7 @@ fn enqueue(
 }
 
 /// Settles all internal (non-signal) nets; `false` if they oscillate.
-pub(crate) fn settle_internals(
+fn settle_internals(
     netlist: &Netlist,
     net_signal: &[Option<SignalId>],
     values: &mut [bool],
@@ -494,18 +461,15 @@ impl StateArena {
 /// arcs sorted by transition id, replayed from the token game lazily,
 /// one spec state at a time.
 #[derive(Debug)]
-pub(crate) struct SpecTracker {
+struct SpecTracker {
     index: HashMap<Marking, u32>,
     markings: Vec<Marking>,
     arcs: Vec<Option<SpecArcs>>,
 }
 
 impl SpecTracker {
-    /// A fresh tracker anchored at the initial marking. Trackers are
-    /// circuit-independent — [`crate::IncrementalVerifier`] keeps one
-    /// per specification and reuses it across every circuit variant it
-    /// verifies, so the spec side of the composition is derived once.
-    pub(crate) fn new(initial: Marking) -> Self {
+    /// A fresh tracker anchored at the initial marking.
+    fn new(initial: Marking) -> Self {
         let mut index = HashMap::new();
         index.insert(initial.clone(), 0);
         SpecTracker {

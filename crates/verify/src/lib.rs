@@ -20,20 +20,17 @@
 //!
 //! The checker is an engine over packed composed states that tracks
 //! the specification as backend-agnostic `(marking, code)` pairs, so it
-//! runs against resident symbolic state spaces of any size.
-//! [`IncrementalVerifier`] adds the memoising mode the decomposed repair
-//! loop re-verifies through.
+//! runs against resident symbolic state spaces of any size. Every
+//! verification is one full exploration through [`verify_with`].
 
 mod circuit;
 mod engine;
-mod incremental;
 
 pub use circuit::{
     verify_circuit, verify_circuit_bounded, HazardWitness, VerificationReport, Violation,
     WitnessState,
 };
 pub use engine::{verify_with, VerifyOptions, DEFAULT_VERIFY_BOUND};
-pub use incremental::{IncrementalStats, IncrementalVerifier};
 
 #[cfg(test)]
 mod tests;

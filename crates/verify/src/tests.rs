@@ -145,15 +145,14 @@ fn correct_toggle_accepted() {
 }
 
 // ---------------------------------------------------------------------
-// Verification strategies (monolithic, incremental) across backends
+// The verification engine across backends
 // ---------------------------------------------------------------------
 
-use crate::{verify_with, IncrementalVerifier, VerifyOptions};
+use crate::{verify_with, VerifyOptions};
 
-/// Every way to verify `netlist`: the monolithic engine and the
-/// memoising incremental layer (cold, then a pure cache hit), each on
-/// the explicit state graph and on the resident-BDD space of `stg`.
-fn every_strategy(
+/// `netlist` verified on the explicit state graph and on the
+/// resident-BDD space of `stg`.
+fn on_every_backend(
     stg: &stg::Stg,
     netlist: &Netlist,
     nets: &[NetId],
@@ -162,16 +161,10 @@ fn every_strategy(
     let explicit = StateGraph::build(stg).unwrap();
     let resident = stg::SymbolicSetSpace::build(stg).unwrap();
     let spaces: [&dyn stg::StateSpace; 2] = [&explicit, &resident];
-    let mut reports = Vec::new();
-    for space in spaces {
-        reports.push(verify_with(stg, space, netlist, nets, options));
-        let mut verifier = IncrementalVerifier::new();
-        for _ in 0..2 {
-            reports.push(verifier.verify(stg, space, netlist, nets, options));
-        }
-        assert_eq!(verifier.stats().full_hits, 1, "the repeat is a cache hit");
-    }
-    reports
+    spaces
+        .into_iter()
+        .map(|space| verify_with(stg, space, netlist, nets, options))
+        .collect()
 }
 
 #[test]
@@ -184,7 +177,7 @@ fn strategies_explore_identically_on_passing_and_failing_circuits() {
     let circuit = synthesize_complex_gates(&stg, &sg).unwrap();
     let nets = signal_nets_of(&stg, |s| circuit.signal_net(s), &circuit);
     let options = VerifyOptions::default();
-    let reports = every_strategy(&stg, circuit.netlist(), &nets, &options);
+    let reports = on_every_backend(&stg, circuit.netlist(), &nets, &options);
     assert!(reports[0].is_speed_independent());
     for r in &reports[1..] {
         assert_eq!(r, &reports[0], "passing circuit");
@@ -192,7 +185,7 @@ fn strategies_explore_identically_on_passing_and_failing_circuits() {
 
     let dec = decompose(&stg, &circuit, 2);
     let dnets = signal_nets_of(&stg, |s| dec.signal_net(s), &dec);
-    let reports = every_strategy(&stg, dec.netlist(), &dnets, &options);
+    let reports = on_every_backend(&stg, dec.netlist(), &dnets, &options);
     assert!(!reports[0].is_speed_independent());
     for r in &reports[1..] {
         assert_eq!(r, &reports[0], "failing circuit");
@@ -206,7 +199,7 @@ fn bound_hit_is_reported_identically_by_both_strategies() {
     let circuit = synthesize_complex_gates(&stg, &sg).unwrap();
     let nets = signal_nets_of(&stg, |s| circuit.signal_net(s), &circuit);
     let options = VerifyOptions::default().with_bound(5);
-    let reports = every_strategy(&stg, circuit.netlist(), &nets, &options);
+    let reports = on_every_backend(&stg, circuit.netlist(), &nets, &options);
     for r in &reports[1..] {
         assert_eq!(r, &reports[0]);
     }
@@ -246,84 +239,4 @@ fn witnesses_decode_the_offending_state() {
     let text = report.violations[0].to_string();
     assert!(text.contains("code"), "{text}");
     assert!(text.contains("a="), "{text}");
-}
-
-#[test]
-fn incremental_is_byte_identical_to_monolithic() {
-    // Fig. 9a (resubstituted, hazard-free) and Fig. 9b (naive,
-    // hazardous) through the memoising verifier: reports equal the
-    // monolithic engine's exactly, and repeats are pure cache hits.
-    let stg = vme_read_csc();
-    let sg = StateGraph::build(&stg).unwrap();
-    let circuit = synthesize_complex_gates(&stg, &sg).unwrap();
-    let dec = decompose(&stg, &circuit, 2);
-    let dnets = signal_nets_of(&stg, |s| dec.signal_net(s), &dec);
-    let resub = resubstitute(&stg, &sg, &dec);
-    let rnets = signal_nets_of(&stg, |s| resub.signal_net(s), &resub);
-
-    let options = VerifyOptions::default().with_incremental(true);
-    let mut verifier = IncrementalVerifier::new();
-    let naive_inc = verifier.verify(&stg, &sg, dec.netlist(), &dnets, &options);
-    let naive_mono = verify_with(&stg, &sg, dec.netlist(), &dnets, &VerifyOptions::default());
-    assert_eq!(naive_inc, naive_mono, "9b byte-identical");
-    assert!(!naive_inc.is_speed_independent());
-
-    let resub_inc = verifier.verify(&stg, &sg, resub.netlist(), &rnets, &options);
-    let resub_mono = verify_with(
-        &stg,
-        &sg,
-        resub.netlist(),
-        &rnets,
-        &VerifyOptions::default(),
-    );
-    assert_eq!(resub_inc, resub_mono, "9a byte-identical");
-    assert!(resub_inc.is_speed_independent(), "{}", resub_inc.summary());
-
-    // Re-verifying the identical circuit (the pipeline's final probe
-    // of an already-probed variant) is a pure cache hit.
-    let before = verifier.stats();
-    let again = verifier.verify(&stg, &sg, resub.netlist(), &rnets, &options);
-    assert_eq!(again, resub_inc);
-    let after = verifier.stats();
-    assert_eq!(
-        after.full_hits,
-        before.full_hits + 1,
-        "probe re-verify is a full hit"
-    );
-    assert_eq!(after.full_misses, before.full_misses, "nothing re-explored");
-}
-
-#[test]
-fn incremental_reuses_spec_side_and_settles_across_variants() {
-    // The naive decomposition and its resubstituted repair share the
-    // specification and the internal (mapN) gates: the second verify
-    // must reuse the memoised spec tracker and the settled-internal
-    // fixed point even though the output gates changed.
-    let stg = vme_read_csc();
-    let sg = StateGraph::build(&stg).unwrap();
-    let circuit = synthesize_complex_gates(&stg, &sg).unwrap();
-    let dec = decompose(&stg, &circuit, 2);
-    let dnets = signal_nets_of(&stg, |s| dec.signal_net(s), &dec);
-    let resub = resubstitute(&stg, &sg, &dec);
-    let rnets = signal_nets_of(&stg, |s| resub.signal_net(s), &resub);
-
-    let options = VerifyOptions::default().with_incremental(true);
-    let mut verifier = IncrementalVerifier::new();
-    let _ = verifier.verify(&stg, &sg, dec.netlist(), &dnets, &options);
-    let cold = verifier.stats();
-    assert_eq!(cold.settle_misses, 1);
-    assert_eq!(cold.tracker_reuses, 0);
-
-    let repaired = verifier.verify(&stg, &sg, resub.netlist(), &rnets, &options);
-    assert!(repaired.is_speed_independent());
-    let warm = verifier.stats();
-    assert_eq!(warm.full_misses, 2, "different circuit: report not shared");
-    assert_eq!(
-        warm.settle_hits, 1,
-        "unchanged internals: settled fixed point reused ({warm:?})"
-    );
-    assert_eq!(
-        warm.tracker_reuses, 1,
-        "same spec: token game derived once ({warm:?})"
-    );
 }

@@ -39,8 +39,8 @@ use synth::decompose::{decompose, resubstitute, DecomposedCircuit};
 use synth::latch_arch::{synthesize_latch_circuit, LatchCircuit, LatchStyle};
 use synth::library::{map_to_library, Library, Mapping};
 use synth::NetId;
+use verify::VerificationReport;
 pub use verify::VerifyOptions;
-use verify::{IncrementalVerifier, VerificationReport};
 
 pub use stg::Backend;
 
@@ -153,21 +153,17 @@ pub struct SynthesisOptions {
     /// CSC resolution strategy.
     pub csc: CscStrategy,
     /// CSC candidate-sweep engine configuration (worker threads,
-    /// per-candidate state bound, conflict-locality pruning). The
-    /// thread count never changes the flow's output and stays out of
-    /// cache keys; the bound (can change results) and pruning (changes
-    /// the diagnostic counters in the event log) both participate.
+    /// per-candidate state bound, whether candidate spaces are kept).
+    /// The thread count never changes the flow's output and stays out
+    /// of cache keys; the bound (can change results) participates.
     pub sweep: SweepOptions,
     /// Fan-in bound for [`Architecture::Decomposed`] (default 2, the
     /// two-input library of Fig. 9).
     pub max_fanin: Option<usize>,
     /// Skip the final speed-independence verification (it is exhaustive).
     pub skip_verification: bool,
-    /// Verification engine configuration (composed-state bound,
-    /// memoising incremental mode). The incremental flag never changes
-    /// the flow's output (`tests/verify_parity.rs` asserts
-    /// byte-identical flows) and stays out of cache keys; the bound (a
-    /// limit hit changes results) participates.
+    /// Verification engine configuration: the composed-state bound,
+    /// which participates in cache keys (a limit hit changes results).
     pub verify: VerifyOptions,
 }
 
@@ -531,12 +527,11 @@ impl fmt::Display for FlowEvent {
 /// event log.
 ///
 /// Every value comes from [`FlowEvent`]s, which the parity suites prove
-/// byte-identical across sweep thread counts, verify strategies and
-/// incremental mode (and across backends where flow parity holds) — so
-/// the result inherits those invariants and is safe to pin in the
-/// corpus ledger and gate for drift. Counters that depend on the
-/// backend or on memoisation state (BDD nodes, decoded states, memo
-/// hits) are deliberately absent; see [`Verified::advisory_metrics`].
+/// byte-identical across sweep thread counts (and across backends
+/// where flow parity holds) — so the result inherits those invariants
+/// and is safe to pin in the corpus ledger and gate for drift. Counters
+/// that depend on the backend (BDD nodes, decoded states) are
+/// deliberately absent; see [`Verified::advisory_metrics`].
 ///
 /// Only counters whose originating event appears are emitted, so a
 /// check-stage slice carries `states` but no `sweep_*` keys. Keys:
@@ -691,7 +686,7 @@ impl Synthesis {
         self
     }
 
-    /// Configures the verification engine (bound, incremental mode).
+    /// Configures the verification engine (composed-state bound).
     #[must_use]
     pub fn verify_options(mut self, verify: VerifyOptions) -> Self {
         self.options.verify = verify;
@@ -798,7 +793,13 @@ impl Checked {
     /// # Errors
     ///
     /// [`PipelineError::CscUnresolved`] when no candidate exists under the
-    /// requested strategy.
+    /// requested strategy. [`PipelineError::NotImplementable`] when the
+    /// explicit base graph the sweeps derive from does not build — the
+    /// refusal the explicit backend's check would have given. That
+    /// cannot follow a successful check: both backends bound the same
+    /// state count, so a spec either builds on both or on neither
+    /// (`tests/backend_differential.rs::state_limit_errors_agree` pins
+    /// this for every corpus spec).
     pub fn resolve_csc(self) -> Result<CscResolved, PipelineError> {
         let Checked {
             spec,
@@ -824,15 +825,17 @@ impl Checked {
             // The sweeps derive every candidate from an explicit base
             // graph: the check stage's when it built one, otherwise one
             // built here at the check's bound, so both backends sweep
-            // from the same base. The sweeps never build it themselves:
-            // a base over the bound is tried once, and the sweeps then
-            // build each candidate from scratch.
+            // from the same base.
             let built;
             let base = match space.as_state_graph() {
-                Some(sg) => Some(sg),
+                Some(sg) => sg,
                 None => {
-                    built = StateGraph::build(&spec).ok();
-                    built.as_ref()
+                    built = StateGraph::build(&spec).map_err(|e| {
+                        PipelineError::NotImplementable(Box::new(stg::properties::failure_report(
+                            e,
+                        )))
+                    })?;
+                    &built
                 }
             };
             let mut list: Vec<CscCandidate> = Vec::new();
@@ -970,18 +973,8 @@ impl CscResolved {
     pub fn synthesize(mut self) -> Result<Synthesized, PipelineError> {
         let mut last_error = PipelineError::CscUnresolved { events: Vec::new() };
         let candidates = std::mem::take(&mut self.candidates);
-        // One memoising verifier across the whole candidate loop: under
-        // `VerifyOptions::incremental`, re-verifying a circuit variant
-        // re-explores only the cones of the gates that changed, and the
-        // final probe of an already-verified variant is a pure cache
-        // hit.
-        let mut verifier = if self.options.verify.incremental {
-            Some(IncrementalVerifier::new())
-        } else {
-            None
-        };
         for (index, candidate) in candidates.into_iter().enumerate() {
-            match synthesize_candidate(candidate, &self.options, verifier.as_mut()) {
+            match synthesize_candidate(candidate, &self.options) {
                 Ok((mut synthesized, mut events)) => {
                     if let Some(t) = &synthesized.transformation {
                         self.events.push(FlowEvent::CscApplied(t.clone()));
@@ -989,20 +982,6 @@ impl CscResolved {
                     self.events.append(&mut events);
                     synthesized.events = self.events;
                     synthesized.advisory = self.advisory;
-                    // Memoisation counters are advisory telemetry: they
-                    // depend on the incremental flag, which the parity
-                    // suite proves output-neutral — so they ride outside
-                    // the events/summary and never reach the cache or
-                    // the drift-gated set.
-                    if let Some(v) = &verifier {
-                        let s = v.stats();
-                        let adv = &mut synthesized.advisory;
-                        adv.set("incremental_full_hits", s.full_hits as u64);
-                        adv.set("incremental_full_misses", s.full_misses as u64);
-                        adv.set("incremental_settle_hits", s.settle_hits as u64);
-                        adv.set("incremental_settle_misses", s.settle_misses as u64);
-                        adv.set("incremental_tracker_reuses", s.tracker_reuses as u64);
-                    }
                     return Ok(synthesized);
                 }
                 Err((e, mut events)) => {
@@ -1040,9 +1019,7 @@ fn record_space_counters(space: &dyn StateSpace, advisory: &mut telemetry::Count
     }
 }
 
-/// Runs one verification through the configured engine: the shared
-/// memoising [`IncrementalVerifier`] when the flow enables incremental
-/// mode, the monolithic engine otherwise. A bound hit is surfaced as
+/// Runs one verification. A bound hit is surfaced as
 /// [`FlowEvent::VerificationBounded`] so it is never conflated with a
 /// real failure.
 fn run_verify(
@@ -1051,15 +1028,9 @@ fn run_verify(
     netlist: &synth::Netlist,
     nets: &[NetId],
     options: &SynthesisOptions,
-    verifier: Option<&mut IncrementalVerifier>,
     events: &mut Vec<FlowEvent>,
 ) -> VerificationReport {
-    let report = match verifier {
-        Some(v) if options.verify.incremental => {
-            v.verify(spec, space, netlist, nets, &options.verify)
-        }
-        _ => verify::verify_with(spec, space, netlist, nets, &options.verify),
-    };
+    let report = verify::verify_with(spec, space, netlist, nets, &options.verify);
     if report.hit_state_limit() {
         events.push(FlowEvent::VerificationBounded {
             bound: options.verify.bound,
@@ -1075,7 +1046,6 @@ fn run_verify(
 fn synthesize_candidate(
     candidate: CscCandidate,
     options: &SynthesisOptions,
-    mut verifier: Option<&mut IncrementalVerifier>,
 ) -> Result<(Synthesized, Vec<FlowEvent>), (PipelineError, Vec<FlowEvent>)> {
     let mut events = Vec::new();
     let CscCandidate {
@@ -1136,20 +1106,11 @@ fn synthesize_candidate(
         }
         Architecture::Decomposed => {
             // Fig. 9: try the naive decomposition; if it is hazardous,
-            // repair by resubstitution (multiple acknowledgment). Under
-            // incremental verification the repair's re-verification
-            // reuses every cone the resubstitution left unchanged.
+            // repair by resubstitution (multiple acknowledgment).
             let naive = decompose(&spec, &complex, max_fanin);
             let nets: Vec<NetId> = spec.signals().map(|s| naive.signal_net(s)).collect();
-            let naive_report = run_verify(
-                &spec,
-                &*space,
-                naive.netlist(),
-                &nets,
-                options,
-                verifier.as_deref_mut(),
-                &mut events,
-            );
+            let naive_report =
+                run_verify(&spec, &*space, naive.netlist(), &nets, options, &mut events);
             if naive_report.is_speed_independent() {
                 Circuit::Decomposed(naive)
             } else {
@@ -1211,15 +1172,7 @@ fn synthesize_candidate(
                     );
                 }
                 let (atomic, nets) = latch.atomic_netlist(&spec);
-                run_verify(
-                    &spec,
-                    &*space,
-                    &atomic,
-                    &nets,
-                    options,
-                    verifier,
-                    &mut events,
-                )
+                run_verify(&spec, &*space, &atomic, &nets, options, &mut events)
             }
             _ => {
                 let nets = circuit.signal_nets(&spec);
@@ -1229,7 +1182,6 @@ fn synthesize_candidate(
                     circuit.netlist(),
                     &nets,
                     options,
-                    verifier,
                     &mut events,
                 )
             }
@@ -1432,10 +1384,10 @@ impl Verified {
         &self.events
     }
 
-    /// Advisory operation counters for this run: BDD nodes, lazily
-    /// decoded states, incremental-verifier memo hits. Unlike
-    /// [`flow_metrics`] these vary by backend and incremental mode, so they never enter the summary, the cache or
-    /// any drift-gated artifact.
+    /// Advisory operation counters for this run: BDD nodes and lazily
+    /// decoded states. Unlike [`flow_metrics`] these vary by backend,
+    /// so they never enter the summary, the cache or any drift-gated
+    /// artifact.
     #[must_use]
     pub fn advisory_metrics(&self) -> &telemetry::Counters {
         &self.advisory
@@ -1480,11 +1432,10 @@ use crate::summary::SynthesisSummary;
 /// (v4: summaries carry the deterministic [`flow_metrics`] counters and
 /// circuit events carry the minimiser's prime count. v3: verification
 /// runs through the composed engine — summaries carry its event log,
-/// rejected candidates keep their events, and the verify
-/// bound/incremental options joined the key. v2: next-state derivation
-/// feeds the minimiser deduplicated, lexicographically sorted code
-/// cubes — cover-size ties can resolve differently than v1's
-/// first-occurrence order.)
+/// rejected candidates keep their events, and the verify bound joined
+/// the key. v2: next-state derivation feeds the minimiser
+/// deduplicated, lexicographically sorted code cubes — cover-size ties
+/// can resolve differently than v1's first-occurrence order.)
 pub const CACHE_SCHEMA: &str = "asyncsynth-flow-v4";
 
 /// Which stage's artifact a cache key addresses. Each stage salts its
@@ -1520,9 +1471,8 @@ pub fn cache_key(spec: &Stg, options: &SynthesisOptions, stage: CacheStage) -> D
         .max_fanin
         .map_or_else(|| "default".to_owned(), |n| n.to_string());
     // The sweep's state bound can change the result (candidates above
-    // it are skipped) and pruning changes the diagnostic counters
-    // embedded in the cached summary's event log, so both salt the key.
-    // The thread count is fully neutral — circuit *and* diagnostics are
+    // it are skipped), so it salts the key. The thread count is fully
+    // neutral — circuit *and* diagnostics are
     // byte-identical at any count (the parity tests assert it) — so it
     // stays out, and a cache warmed at one thread count serves every
     // other.
@@ -1531,17 +1481,9 @@ pub fn cache_key(spec: &Stg, options: &SynthesisOptions, stage: CacheStage) -> D
     if matches!(stage, CacheStage::Csc | CacheStage::Full) {
         extras.push(options.csc.name());
         extras.push(&sweep_bound);
-        extras.push(if options.sweep.prune {
-            "prune"
-        } else {
-            "noprune"
-        });
     }
     // The verify bound salts the Full key: a bounded run can fail where
-    // a bigger budget would pass. The incremental flag is
-    // output-neutral — `verify_parity.rs` asserts byte-identical flows
-    // with and without it — so, like the sweep's thread count, it stays
-    // out and a cache warmed under one configuration serves the other.
+    // a bigger budget would pass.
     let verify_bound = options.verify.bound.to_string();
     if matches!(stage, CacheStage::Full) {
         extras.push(options.architecture.name());

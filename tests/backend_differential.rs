@@ -232,6 +232,32 @@ fn state_limit_errors_agree() {
             "expected StateLimit(16), got {e:?}"
         );
     }
+    // Both backends bound the same quantity, exactly: every corpus spec
+    // builds on both at `bound = num_states` and fails on both at one
+    // state fewer. This is why a spec that passes the flow's check on
+    // either backend always has the explicit base graph the CSC sweeps
+    // derive from (`Checked::resolve_csc`'s refusal never fires after a
+    // successful check).
+    for (family, spec) in corpus::all_specs() {
+        let n = Backend::Explicit
+            .build(&spec)
+            .unwrap_or_else(|e| panic!("{family}/{}: builds: {e}", spec.name()))
+            .num_states();
+        for backend in BACKENDS {
+            let space = backend
+                .build_bounded(&spec, n)
+                .unwrap_or_else(|e| panic!("{family}/{}: {backend} at {n}: {e}", spec.name()));
+            assert_eq!(space.num_states(), n, "{family}/{}: {backend}", spec.name());
+        }
+        for e in build_errors(&spec, n - 1) {
+            assert!(
+                matches!(e, StgError::Reach(petri::reach::ReachError::StateLimit(b)) if b == n - 1),
+                "{family}/{}: expected StateLimit({}), got {e:?}",
+                spec.name(),
+                n - 1
+            );
+        }
+    }
 }
 
 #[test]

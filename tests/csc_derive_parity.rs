@@ -127,7 +127,8 @@ fn corpus_greedy_steps_derive_like_the_token_game() {
                 scope.spawn(move || {
                     let (compared, mut mismatches, resolved) = replay(spec);
                     // The replay must be the search it claims to replay.
-                    let (swept, _) = resolve_mixed_sweep(spec, MAX_STEPS, options, None);
+                    let base = StateGraph::build(spec).expect("filtered to specs that build");
+                    let (swept, _) = resolve_mixed_sweep(spec, MAX_STEPS, options, &base);
                     let digest = |s: &Stg| stg::canon::stg_digest(s).to_hex();
                     if resolved.as_ref().map(digest) != swept.as_ref().map(|r| digest(&r.stg)) {
                         mismatches.push(format!(

@@ -1,16 +1,22 @@
 //! Parity and regression tests for the parallel, pruned, memoising CSC
 //! candidate sweep: the engine may only change *when* work happens —
-//! never *what* comes out. Serial vs parallel (1, 2, N threads) and
-//! pruned vs unpruned sweeps must produce identical candidate rankings,
-//! descriptions and winning equations on the three VME controllers and
-//! micropipeline(2), and the flow must agree on both state-space
-//! backends; bound-skipped candidates must be reported, and no pipeline
-//! path may rebuild the winning candidate's state space.
+//! never *what* comes out. Serial vs parallel (1, 2, N threads) sweeps
+//! must produce identical candidate rankings, descriptions and winning
+//! equations on the three VME controllers and micropipeline(2); the
+//! pruned, derived insertion sweep must rank exactly like a serial
+//! reference that prunes nothing and builds every candidate from
+//! scratch; the flow must agree on both state-space backends;
+//! bound-skipped candidates must be reported, and no pipeline path may
+//! rebuild the winning candidate's state space.
 
 use asyncsynth::{
     run_cached_with, Backend, FlowEvent, FlowObserver, SweepOptions, Synthesis, SynthesisOptions,
 };
-use synth::csc::{concurrency_reduction_sweep, insertion_sweep, resolve_mixed_sweep, Sweep};
+use stg::{StateGraph, StateSpace, StgEdit};
+use synth::csc::{
+    apply_edit, concurrency_reduction_sweep, greedy_moves, insertion_sweep, resolve_mixed_sweep,
+    Sweep,
+};
 
 /// Specs with CSC conflicts — the raw candidate-grid parity matrix.
 /// (The CSC-clean `vme_read_csc` is covered by the flow-level parity
@@ -32,12 +38,49 @@ fn flow_specs() -> Vec<(&'static str, stg::Stg)> {
     specs
 }
 
-fn opts(threads: usize, prune: bool) -> SweepOptions {
+fn opts(threads: usize) -> SweepOptions {
     SweepOptions {
         threads,
-        prune,
         ..SweepOptions::default()
     }
+}
+
+fn base_graph(name: &str, spec: &stg::Stg) -> StateGraph {
+    StateGraph::build(spec).unwrap_or_else(|e| panic!("{name}: base graph builds: {e}"))
+}
+
+/// The insertion sweep's acceptance checks run serially over the whole
+/// grid, with nothing pruned and every candidate built from scratch
+/// (`apply_edit`, then the token game of `StateGraph::build_bounded`):
+/// each accepted candidate's canonical STG text and state count, ranked
+/// by `(states, literal cost, tp, tm)` like the sweep.
+fn reference_insertion_ranking(spec: &stg::Stg, bound: usize) -> Vec<(String, usize)> {
+    let mut ranked = Vec::new();
+    for edit in greedy_moves(spec) {
+        let StgEdit::Insertion(tp, tm) = edit else {
+            continue;
+        };
+        let candidate = apply_edit(spec, edit);
+        let Ok(sg) = StateGraph::build_bounded(&candidate, bound) else {
+            continue;
+        };
+        if !stg::encoding::has_csc(&candidate, &sg)
+            || sg.has_deadlock()
+            || !stg::persistency::is_persistent(&candidate, &sg)
+        {
+            continue;
+        }
+        let Ok(equations) = synth::nextstate::all_equations(&candidate, &sg) else {
+            continue;
+        };
+        let cost: usize = equations.iter().map(|e| e.cover.literal_count()).sum();
+        ranked.push(((sg.num_states(), cost, tp, tm), candidate));
+    }
+    ranked.sort_by_key(|r| r.0);
+    ranked
+        .into_iter()
+        .map(|((states, ..), stg)| (stg::canon::canonical_text(&stg), states))
+        .collect()
 }
 
 /// The full observable outcome of a sweep: every candidate's
@@ -64,11 +107,11 @@ fn fingerprint(sweep: &Sweep, spec_name: &str) -> Vec<(String, usize)> {
 #[test]
 fn parallel_sweep_is_byte_identical_to_serial() {
     for (name, spec) in sweep_specs() {
-        let base = stg::StateGraph::build(&spec).ok();
-        let serial = insertion_sweep(&spec, &opts(1, false), base.as_ref());
+        let base = base_graph(name, &spec);
+        let serial = insertion_sweep(&spec, &opts(1), &base);
         let baseline = fingerprint(&serial, name);
         for threads in [2, 0] {
-            let parallel = insertion_sweep(&spec, &opts(threads, false), base.as_ref());
+            let parallel = insertion_sweep(&spec, &opts(threads), &base);
             assert_eq!(
                 fingerprint(&parallel, name),
                 baseline,
@@ -85,16 +128,23 @@ fn parallel_sweep_is_byte_identical_to_serial() {
 #[test]
 fn pruned_sweep_is_identical_and_actually_prunes() {
     let mut pruned_somewhere = false;
+    let mut ranked_somewhere = false;
     for (name, spec) in sweep_specs() {
-        let base = stg::StateGraph::build(&spec).ok();
-        let unpruned = insertion_sweep(&spec, &opts(1, false), base.as_ref());
+        let base = base_graph(name, &spec);
+        let reference = reference_insertion_ranking(&spec, SweepOptions::default().bound);
+        ranked_somewhere |= !reference.is_empty();
         for threads in [1, 2] {
-            let pruned = insertion_sweep(&spec, &opts(threads, true), base.as_ref());
+            let pruned = insertion_sweep(&spec, &opts(threads), &base);
+            let ranking: Vec<(String, usize)> = pruned
+                .candidates
+                .iter()
+                .map(|c| (stg::canon::canonical_text(&c.stg), c.num_states))
+                .collect();
             assert_eq!(
-                fingerprint(&pruned, name),
-                fingerprint(&unpruned, name),
-                "{name}: pruning must not change the ranking"
+                ranking, reference,
+                "{name}: the pruned sweep must rank like the unpruned reference"
             );
+            assert_eq!(pruned.stats.accepted, reference.len(), "{name}: accepted");
             assert_eq!(
                 pruned.stats.pruned + pruned.stats.evaluated,
                 pruned.stats.grid,
@@ -107,6 +157,10 @@ fn pruned_sweep_is_identical_and_actually_prunes() {
         pruned_somewhere,
         "conflict-locality pruning must fire on at least one controller"
     );
+    assert!(
+        ranked_somewhere,
+        "a single insertion must resolve at least one controller"
+    );
 }
 
 #[test]
@@ -114,41 +168,26 @@ fn flow_output_is_byte_identical_across_sweep_configurations() {
     // End-to-end: the complete synthesis summary — equations, netlist,
     // diagnostics, everything a client or cache sees — must not depend
     // on the sweep's thread count (events and metrics included: the
-    // sweep counters are deterministic). Pruning changes only the
-    // counters — in the event log and in the metric set — so its
-    // comparison strips both; the cache-key test below is the flip
-    // side: pruning splits cache entries for exactly this reason.
+    // sweep counters are deterministic).
     for (name, spec) in flow_specs() {
         for backend in [Backend::Explicit, Backend::SymbolicSet] {
-            let run = |threads: usize, prune: bool| {
+            let run = |threads: usize| {
                 let mut options = SynthesisOptions {
                     backend,
                     ..SynthesisOptions::default()
                 };
                 options.sweep.threads = threads;
-                options.sweep.prune = prune;
                 let verified = Synthesis::with_options(spec.clone(), options.clone())
                     .run()
                     .unwrap_or_else(|e| panic!("{name}/{backend} synthesises: {e}"));
                 asyncsynth::SynthesisSummary::from_verified(&verified, &options)
             };
-            let serial = run(1, true);
-            let parallel = run(0, true);
+            let serial = run(1);
+            let parallel = run(0);
             assert_eq!(
                 parallel.to_json().render(),
                 serial.to_json().render(),
                 "{name}/{backend}: flow output must be byte-identical across thread counts"
-            );
-            let mut unpruned = run(1, false);
-            let mut pruned = serial.clone();
-            unpruned.events.clear();
-            pruned.events.clear();
-            unpruned.metrics = asyncsynth::telemetry::Counters::new();
-            pruned.metrics = asyncsynth::telemetry::Counters::new();
-            assert_eq!(
-                unpruned.to_json().render(),
-                pruned.to_json().render(),
-                "{name}/{backend}: pruning must not change the synthesised result"
             );
         }
     }
@@ -199,34 +238,34 @@ fn reduction_and_mixed_sweeps_are_deterministic_across_threads() {
     let describe = |r: &Option<synth::csc::CscResolutionWithSpace>| {
         r.as_ref().map(|r| (r.description.clone(), r.num_states))
     };
-    let base = stg::StateGraph::build(&read).ok();
-    let reduction_baseline = concurrency_reduction_sweep(&read, &opts(1, false), base.as_ref());
+    let base = base_graph("vme_read", &read);
+    let reduction_baseline = concurrency_reduction_sweep(&read, &opts(1), &base);
     for threads in [2, 0] {
-        for prune in [false, true] {
-            let reduction =
-                concurrency_reduction_sweep(&read, &opts(threads, prune), base.as_ref());
-            assert_eq!(
-                describe(&reduction.0),
-                describe(&reduction_baseline.0),
-                "reduction winner must be scan-order deterministic"
-            );
-            assert_eq!(
-                reduction.1, reduction_baseline.1,
-                "reduction counters must be thread-independent \
-                 (early exit counts exactly the indices up to the winner)"
-            );
-        }
+        let reduction = concurrency_reduction_sweep(&read, &opts(threads), &base);
+        assert_eq!(
+            describe(&reduction.0),
+            describe(&reduction_baseline.0),
+            "reduction winner must be scan-order deterministic"
+        );
+        assert_eq!(
+            reduction.1, reduction_baseline.1,
+            "reduction counters must be thread-independent \
+             (early exit counts exactly the indices up to the winner)"
+        );
     }
-    let mixed_baseline = resolve_mixed_sweep(&read_write, 5, &opts(1, false), None);
+    let base = base_graph("vme_read_write", &read_write);
+    let mixed_baseline = resolve_mixed_sweep(&read_write, 5, &opts(1), &base);
     for threads in [2, 0] {
-        for prune in [false, true] {
-            let mixed = resolve_mixed_sweep(&read_write, 5, &opts(threads, prune), None);
-            assert_eq!(
-                describe(&mixed.0),
-                describe(&mixed_baseline.0),
-                "mixed resolution must be deterministic"
-            );
-        }
+        let mixed = resolve_mixed_sweep(&read_write, 5, &opts(threads), &base);
+        assert_eq!(
+            describe(&mixed.0),
+            describe(&mixed_baseline.0),
+            "mixed resolution must be deterministic"
+        );
+        assert_eq!(
+            mixed.1, mixed_baseline.1,
+            "mixed counters are thread-independent"
+        );
     }
     let winner = mixed_baseline.0.expect("Fig. 5 resolves");
     assert!(
@@ -240,8 +279,8 @@ fn insertion_resolution_carries_its_space() {
     // Regression: the insertion winner once lost its validated space on
     // the way out of the search, forcing callers to rebuild it.
     let spec = stg::examples::vme_read();
-    let base = stg::StateGraph::build(&spec).ok();
-    let sweep = insertion_sweep(&spec, &SweepOptions::default(), base.as_ref());
+    let base = base_graph("vme_read", &spec);
+    let sweep = insertion_sweep(&spec, &SweepOptions::default(), &base);
     let r = sweep
         .candidates
         .first()
@@ -297,13 +336,13 @@ fn bound_skipped_candidates_are_reported_never_silent() {
     // A bound below every candidate's state count: the sweep finds
     // nothing, but says exactly how many candidates it skipped.
     let spec = stg::examples::vme_read();
-    let base = stg::StateGraph::build(&spec).ok();
+    let base = base_graph("vme_read", &spec);
     let tight = SweepOptions {
         threads: 1,
         bound: 4,
         ..SweepOptions::default()
     };
-    let sweep = insertion_sweep(&spec, &tight, base.as_ref());
+    let sweep = insertion_sweep(&spec, &tight, &base);
     assert!(sweep.candidates.is_empty(), "nothing fits 4 states");
     assert!(
         sweep.stats.skipped_by_bound > 0,
@@ -338,7 +377,7 @@ fn bound_skipped_candidates_are_reported_never_silent() {
 }
 
 #[test]
-fn sweep_cache_keys_share_across_threads_but_split_on_bound_and_prune() {
+fn sweep_cache_keys_share_across_threads_but_split_on_bound() {
     let spec = stg::examples::vme_read();
     let base = SynthesisOptions::default();
     let key = |options: &SynthesisOptions| {
@@ -346,19 +385,12 @@ fn sweep_cache_keys_share_across_threads_but_split_on_bound_and_prune() {
     };
     let mut threads = base.clone();
     threads.sweep.threads = 7;
-    let mut prune = base.clone();
-    prune.sweep.prune = false;
     let mut bound = base.clone();
     bound.sweep.bound = 4;
     assert_eq!(
         key(&threads),
         key(&base),
         "thread count is output-neutral and must share cache entries"
-    );
-    assert_ne!(
-        key(&prune),
-        key(&base),
-        "pruning changes the cached diagnostics and must split cache entries"
     );
     assert_ne!(
         key(&bound),

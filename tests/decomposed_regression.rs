@@ -6,7 +6,7 @@
 //! these exact numbers; until then they are pinned here, including the
 //! per-gate hazard attribution the witness-decoding engine reports.
 
-use asyncsynth::{Architecture, FlowEvent, PipelineError, Synthesis, VerifyOptions};
+use asyncsynth::{Architecture, FlowEvent, PipelineError, Synthesis};
 use stg::examples::micropipeline;
 use stg::StateGraph;
 use synth::complex_gate::synthesize_complex_gates;
@@ -104,23 +104,4 @@ fn naive_decomposition_baseline_is_pinned() {
         "if this starts passing, the ROADMAP decomposition item is done: {}",
         repaired.summary()
     );
-}
-
-#[test]
-fn decomposed_failure_is_identical_under_incremental_verification() {
-    let run = |incremental: bool| {
-        let err = Synthesis::new(micropipeline(2))
-            .architecture(Architecture::Decomposed)
-            .verify_options(VerifyOptions::default().with_incremental(incremental))
-            .run()
-            .expect_err("still fails");
-        match err {
-            PipelineError::CandidatesExhausted { last, .. } => match *last {
-                PipelineError::VerificationFailed(report) => *report,
-                other => panic!("unexpected inner error {other}"),
-            },
-            other => panic!("unexpected error {other}"),
-        }
-    };
-    assert_eq!(run(false), run(true), "incremental mode is output-neutral");
 }

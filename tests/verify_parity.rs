@@ -1,15 +1,13 @@
-//! Verification-engine parity across the two verification strategies —
-//! the monolithic composed engine and its memoising incremental layer —
-//! and both state-space backends: reports must reproduce the seed
-//! engine's recorded output, the flow output must be byte-identical
-//! across strategies and backends, and the engine must run set-level on
-//! large resident symbolic spaces without decoding states.
+//! Verification-engine parity across both state-space backends: reports
+//! must reproduce the seed engine's recorded output, the flow output
+//! must be byte-identical across backends, and the engine must run
+//! set-level on large resident symbolic spaces without decoding states.
 
 use asyncsynth::{Architecture, Backend, Circuit, Synthesis, SynthesisOptions, SynthesisSummary};
 use stg::examples::{micropipeline, vme_read, vme_read_csc, vme_read_write};
 use stg::{SignalEdge, SignalKind, StateSpace, Stg, StgBuilder};
 use synth::{GateKind, NetId, Netlist};
-use verify::{verify_with, IncrementalVerifier, VerificationReport, VerifyOptions};
+use verify::{verify_with, VerificationReport, VerifyOptions};
 
 const BACKENDS: [Backend; 2] = [Backend::Explicit, Backend::SymbolicSet];
 
@@ -191,8 +189,7 @@ fn assert_matches_seed(report: &VerificationReport, seed: SeedReference, context
 
 /// Engine-level reference check: every spec's circuit in every
 /// architecture verifies to the seed's recorded report on both
-/// backends, monolithically and through the incremental layer (cold,
-/// then a pure cache hit).
+/// backends.
 #[test]
 fn reports_identical_across_strategies_and_backends() {
     for (name, spec) in specs() {
@@ -222,18 +219,6 @@ fn reports_identical_across_strategies_and_backends() {
                     &VerifyOptions::default(),
                 );
                 assert_matches_seed(&report, seed, &context);
-                let mut verifier = IncrementalVerifier::new();
-                for _ in 0..2 {
-                    let report = verifier.verify(
-                        final_spec,
-                        &*space,
-                        &netlist,
-                        &nets,
-                        &VerifyOptions::default().with_incremental(true),
-                    );
-                    assert_matches_seed(&report, seed, &format!("{context}, incremental"));
-                }
-                assert_eq!(verifier.stats().full_hits, 1, "{context}: repeat is a hit");
             }
         }
     }
@@ -254,29 +239,25 @@ fn flow_backends() -> &'static [Backend] {
 
 /// Flow-level byte parity: the rendered `SynthesisSummary` JSON —
 /// equations, netlist, verification, the whole event log — is identical
-/// whatever the backend or the verification strategy (the incremental
-/// flag, which is why it stays out of cache keys), and its verification
-/// matches the seed's recorded complex-gate report.
+/// whatever the backend, and its verification matches the seed's
+/// recorded complex-gate report.
 #[test]
 fn pipeline_output_byte_identical_across_strategies_and_backends() {
     for (name, spec) in specs() {
-        let run = |backend: Backend, incremental: bool| -> String {
+        let run = |backend: Backend| -> String {
             let options = SynthesisOptions {
                 backend,
-                verify: VerifyOptions::default().with_incremental(incremental),
                 ..Default::default()
             };
             let verified = Synthesis::with_options(spec.clone(), options.clone())
                 .run()
                 .unwrap_or_else(|e| panic!("{name} ({backend}): {e}"));
-            if !incremental {
-                let report = verified.verification.report().expect("verification ran");
-                assert_matches_seed(
-                    report,
-                    seed_reference(name, Architecture::ComplexGate),
-                    &format!("{name} flow on {backend}"),
-                );
-            }
+            let report = verified.verification.report().expect("verification ran");
+            assert_matches_seed(
+                report,
+                seed_reference(name, Architecture::ComplexGate),
+                &format!("{name} flow on {backend}"),
+            );
             SynthesisSummary::from_verified(&verified, &options)
                 .to_json()
                 .render()
@@ -292,31 +273,28 @@ fn pipeline_output_byte_identical_across_strategies_and_backends() {
             )
             .replace(&format!("({})", backend.name()), "(*)")
         };
-        let reference = neutral(&run(Backend::Explicit, false), Backend::Explicit);
+        let reference = neutral(&run(Backend::Explicit), Backend::Explicit);
         for &backend in flow_backends() {
-            for incremental in [false, true] {
-                assert_eq!(
-                    neutral(&run(backend, incremental), backend),
-                    reference,
-                    "{name}: {backend} (incremental: {incremental}) flow bytes"
-                );
-            }
+            assert_eq!(
+                neutral(&run(backend), backend),
+                reference,
+                "{name}: {backend} flow bytes"
+            );
         }
     }
 }
 
 /// The telemetry split: the deterministic metric set of the summary is
-/// byte-identical across the incremental flag and (in release, where
-/// the flow matrix runs) both backends — while the advisory counters
+/// byte-identical across (in release, where the flow matrix runs) both
+/// backends — while the advisory counters
 /// legitimately vary and ride outside the summary, on
 /// [`asyncsynth::Verified::advisory_metrics`].
 #[test]
 fn deterministic_metrics_identical_while_advisory_counters_ride_outside() {
     for (name, spec) in specs() {
-        let run = |backend: Backend, incremental: bool| {
+        let run = |backend: Backend| {
             let options = SynthesisOptions {
                 backend,
-                verify: VerifyOptions::default().with_incremental(incremental),
                 ..Default::default()
             };
             let verified = Synthesis::with_options(spec.clone(), options.clone())
@@ -328,13 +306,9 @@ fn deterministic_metrics_identical_while_advisory_counters_ride_outside() {
                 verified.advisory_metrics().clone(),
             )
         };
-        let (reference, baseline_advisory) = run(Backend::Explicit, false);
-        assert!(
-            baseline_advisory.get("incremental_full_misses").is_none(),
-            "{name}: no memo counters without the incremental engine"
-        );
+        let (reference, _) = run(Backend::Explicit);
         for &backend in flow_backends() {
-            let (metrics, advisory) = run(backend, false);
+            let (metrics, advisory) = run(backend);
             assert_eq!(metrics, reference, "{name}: {backend} metrics");
             if backend != Backend::Explicit {
                 assert!(
@@ -342,13 +316,6 @@ fn deterministic_metrics_identical_while_advisory_counters_ride_outside() {
                     "{name}: the resident backend reports its BDD size: {advisory:?}"
                 );
             }
-            let (metrics, advisory) = run(backend, true);
-            assert_eq!(metrics, reference, "{name}: {backend}/incremental metrics");
-            assert!(
-                advisory.get("incremental_full_misses").is_some(),
-                "{name}: the incremental engine surfaces its memo counters \
-                 as advisory telemetry: {advisory:?}"
-            );
         }
     }
 }
