@@ -7,9 +7,11 @@
 //!
 //! * `cargo bench --bench corpus` — full replay: per-family cold
 //!   timings (uncached pipeline), warm timings (second pass through a
-//!   fresh result cache), deterministic operation counters, drift gate
-//!   (non-zero exit on any verdict/count/digest change; timings are
-//!   never compared), `BENCH_corpus.json` written to the repo root.
+//!   fresh result cache), both in µs summed from exact durations,
+//!   deterministic operation counters, drift gate (non-zero exit on any
+//!   verdict/count/digest change; timings are never compared),
+//!   `BENCH_corpus.json` (schema `corpus-bench-v3`) written to the repo
+//!   root.
 //! * `cargo bench --bench corpus -- --pin` — re-evaluates the corpus
 //!   and rewrites the pinned ledger records instead of gating.
 //! * `cargo test` (the harness passes `--test`) — smoke mode: replays
@@ -18,7 +20,7 @@
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::process::ExitCode;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use asyncsynth::summary::counters_to_json;
 use asyncsynth::telemetry::Counters;
@@ -39,8 +41,10 @@ struct FamilyStats {
     synthesized: usize,
     states: u64,
     states_explored: u64,
-    cold_ms: u128,
-    warm_ms: u128,
+    /// Exact durations, summed before rounding (a per-spec rounding
+    /// used to make cheap families read 0).
+    cold: Duration,
+    warm: Duration,
     warm_hits: usize,
     /// Sum of every spec's deterministic flow counters — failed flows
     /// included, so families that end `not_implementable` or
@@ -67,7 +71,7 @@ fn main() -> ExitCode {
         let record = LedgerRecord::evaluate(family, &spec, &options);
         let entry = stats.entry(family.to_owned()).or_default();
         entry.specs += 1;
-        entry.cold_ms += start.elapsed().as_millis();
+        entry.cold += start.elapsed();
         // Aggregate from the record's deterministic metrics, which are
         // captured for every outcome — a family whose specs all fail
         // CSC still reports its states and sweep work instead of zeros.
@@ -156,7 +160,7 @@ fn main() -> ExitCode {
                 }
             }
             let entry = stats.entry(family.clone()).or_default();
-            entry.warm_ms = start.elapsed().as_millis();
+            entry.warm = start.elapsed();
             entry.warm_hits = hits;
             if hits != specs.len() {
                 drift.push(format!(
@@ -211,16 +215,16 @@ fn render_bench(stats: &BTreeMap<String, FamilyStats>, live: &[LedgerRecord]) ->
                 ("synthesized", Json::num(s.synthesized)),
                 ("states", num64(s.states)),
                 ("states_explored", num64(s.states_explored)),
-                ("cold_ms", num128(s.cold_ms)),
-                ("warm_ms", num128(s.warm_ms)),
+                ("cold_us", num128(s.cold.as_micros())),
+                ("warm_us", num128(s.warm.as_micros())),
                 ("warm_hits", Json::num(s.warm_hits)),
                 ("counters", counters_to_json(&s.counters)),
             ])
         })
         .collect();
     // Per-spec deterministic counters, so counter trends are traceable
-    // to individual specs across archived artifacts (`*_ms` fields are
-    // informational; drift gating happens against the pinned ledger).
+    // to individual specs across archived artifacts (`*_ms`/`*_us` fields
+    // are informational; drift gating happens against the pinned ledger).
     let records: Vec<Json> = live
         .iter()
         .map(|r| {
@@ -235,7 +239,7 @@ fn render_bench(stats: &BTreeMap<String, FamilyStats>, live: &[LedgerRecord]) ->
         .collect();
     let outcome_count = |outcome: &str| live.iter().filter(|r| r.outcome == outcome).count();
     Json::obj(vec![
-        ("schema", Json::str("corpus-bench-v2")),
+        ("schema", Json::str("corpus-bench-v3")),
         ("specs", Json::num(live.len())),
         ("families", Json::Arr(families)),
         ("records", Json::Arr(records)),

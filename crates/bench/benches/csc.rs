@@ -4,16 +4,20 @@
 //! parallelisation of the (always pruned) `(t⁺, t⁻)` insertion grid,
 //! the dominant CSC search cost, base graph build included.
 //!
-//! `csc-candidate` times one candidate state graph two ways over the
+//! `csc-candidate` times one candidate state graph three ways over the
 //! first greedy step of `resolve_mixed_sweep` (every ordering-arc and
 //! insertion move) on counter-4 and micropipeline-3: `token-game` edits
 //! the STG and replays reachability, as every sweep did before
 //! candidates were derived; `derive` computes the same graph from the
-//! base graph ([`stg::StateGraph::derive`]). Each iteration covers the
-//! whole step; the per-candidate figure is printed alongside.
+//! base graph ([`stg::StateGraph::derive`]); `evaluate` is one mixed-sweep
+//! evaluation — derive, then the deadlock, persistency and conflict-count
+//! checks that rank the candidate. Each iteration covers the whole step;
+//! the median µs per candidate is printed after each function.
 
-use criterion::{criterion_group, criterion_main, Criterion};
-use stg::{StateGraph, StgEdit};
+use std::time::{Duration, Instant};
+
+use criterion::{criterion_group, criterion_main, BenchmarkGroup, Criterion};
+use stg::{StateGraph, StateSpace, StgEdit};
 use synth::csc::{
     apply_edit, greedy_moves, insertion_labels, insertion_sweep, SweepOptions, DEFAULT_SWEEP_BOUND,
 };
@@ -39,6 +43,31 @@ fn bench_vme_read_sweep(c: &mut Criterion) {
     group.finish();
 }
 
+/// Benchmarks `step`, one pass over a greedy step's `moves` candidates,
+/// and prints its median time per candidate.
+fn bench_step(
+    group: &mut BenchmarkGroup<'_>,
+    id: &str,
+    moves: usize,
+    mut step: impl FnMut() -> usize,
+) {
+    let mut runs: Vec<Duration> = Vec::new();
+    group.bench_function(id, |b| {
+        b.iter(|| {
+            let start = Instant::now();
+            let out = step();
+            runs.push(start.elapsed());
+            out
+        });
+    });
+    runs.sort_unstable();
+    let median = runs[runs.len() / 2];
+    println!(
+        "csc-candidate/{id}: {:.2} µs per candidate",
+        median.as_secs_f64() * 1e6 / moves as f64
+    );
+}
+
 fn bench_candidate_build(c: &mut Criterion) {
     let mut group = c.benchmark_group("csc-candidate");
     group.sample_size(10);
@@ -49,9 +78,16 @@ fn bench_candidate_build(c: &mut Criterion) {
         let base = StateGraph::build(&spec).expect("base builds");
         let insertion = insertion_labels(&spec);
         let moves = greedy_moves(&spec);
+        let labels = |edit: StgEdit| match edit {
+            StgEdit::OrderingArc(..) => &spec,
+            StgEdit::Insertion(..) => &insertion,
+        };
         println!("csc-candidate/{name}: {} moves per step", moves.len());
-        group.bench_function(format!("{name}/token-game"), |b| {
-            b.iter(|| {
+        bench_step(
+            &mut group,
+            &format!("{name}/token-game"),
+            moves.len(),
+            || {
                 moves
                     .iter()
                     .filter(|&&edit| {
@@ -59,21 +95,29 @@ fn bench_candidate_build(c: &mut Criterion) {
                             .is_ok()
                     })
                     .count()
-            });
+            },
+        );
+        bench_step(&mut group, &format!("{name}/derive"), moves.len(), || {
+            moves
+                .iter()
+                .filter(|&&edit| {
+                    StateGraph::derive(&base, labels(edit), edit, DEFAULT_SWEEP_BOUND).is_ok()
+                })
+                .count()
         });
-        group.bench_function(format!("{name}/derive"), |b| {
-            b.iter(|| {
-                moves
-                    .iter()
-                    .filter(|&&edit| {
-                        let labels = match edit {
-                            StgEdit::OrderingArc(..) => &spec,
-                            StgEdit::Insertion(..) => &insertion,
-                        };
-                        StateGraph::derive(&base, labels, edit, DEFAULT_SWEEP_BOUND).is_ok()
-                    })
-                    .count()
-            });
+        bench_step(&mut group, &format!("{name}/evaluate"), moves.len(), || {
+            moves
+                .iter()
+                .filter_map(|&edit| {
+                    let labels = labels(edit);
+                    let space =
+                        StateGraph::derive(&base, labels, edit, DEFAULT_SWEEP_BOUND).ok()?;
+                    if space.has_deadlock() || !stg::persistency::is_persistent(labels, &space) {
+                        return None;
+                    }
+                    Some(stg::encoding::csc_conflict_pair_count(labels, &space))
+                })
+                .count()
         });
     }
     group.finish();

@@ -96,7 +96,7 @@ fn f4_state_graph() -> Result<(), Box<dyn std::error::Error>> {
         println!(
             "  s{i:<3} {:<12} {}",
             sg.code_string(&spec, i),
-            sg.state(i).marking
+            sg.marking(i)
         );
     }
     let conflicts = stg::encoding::csc_conflicts(&spec, &sg);

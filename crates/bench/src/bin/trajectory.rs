@@ -6,27 +6,33 @@
 //! metric moved per corpus family:
 //!
 //! ```text
-//! trajectory run1/BENCH_corpus.json run2/BENCH_corpus.json [--metric cold_ms] [--json]
+//! trajectory run1/BENCH_corpus.json run2/BENCH_corpus.json [--metric cold_us] [--json]
 //! ```
 //!
-//! `--metric` accepts the per-family timing/count fields (`cold_ms`,
-//! `warm_ms`, `specs`, `synthesized`, `states`, `states_explored`,
-//! `warm_hits`) or, for `corpus-bench-v2` artifacts, any deterministic
-//! counter name from the family's `counters` object (`primes`,
-//! `sweep_evaluated`, `verify_runs`, …). Families absent from an
-//! artifact (or metrics predating the v2 schema) show as `-`.
+//! `--metric` accepts the per-family timing/count fields (`cold_us`, the
+//! default, `warm_us`, `specs`, `synthesized`, `states`,
+//! `states_explored`, `warm_hits`, and the pre-v3 `cold_ms`/`warm_ms`) or,
+//! from `corpus-bench-v2` on, any deterministic counter name from the
+//! family's `counters` object (`primes`, `sweep_evaluated`,
+//! `verify_runs`, …). Artifacts before `corpus-bench-v3` record whole
+//! milliseconds: their `cold_us`/`warm_us` read as `cold_ms`/`warm_ms`
+//! × 1000. Families absent from an artifact (or metrics predating the v2
+//! schema) show as `-`.
 
 use std::collections::BTreeMap;
 use std::process::ExitCode;
 
 use asyncsynth::Json;
 
-/// Per-family timing/count fields present in every schema version.
-const FAMILY_FIELDS: [&str; 7] = [
+/// Per-family timing/count fields (`cold_us`/`warm_us` from v3 on,
+/// `cold_ms`/`warm_ms` before it).
+const FAMILY_FIELDS: [&str; 9] = [
     "specs",
     "synthesized",
     "states",
     "states_explored",
+    "cold_us",
+    "warm_us",
     "cold_ms",
     "warm_ms",
     "warm_hits",
@@ -35,7 +41,7 @@ const FAMILY_FIELDS: [&str; 7] = [
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut paths: Vec<String> = Vec::new();
-    let mut metric = "cold_ms".to_owned();
+    let mut metric = "cold_us".to_owned();
     let mut json = false;
     let mut i = 0;
     while i < args.len() {
@@ -135,8 +141,9 @@ fn load_artifact(path: &str) -> Result<Json, String> {
 }
 
 /// Extracts `metric` for every family of one artifact: a per-family
-/// field when `metric` names one, otherwise a `counters` entry (absent
-/// in pre-v2 artifacts → `None`).
+/// field when `metric` names one (a µs timing falling back to its
+/// pre-v3 ms field), otherwise a `counters` entry (absent in pre-v2
+/// artifacts → `None`).
 fn family_metric(artifact: &Json, metric: &str) -> Vec<(String, Option<u64>)> {
     let Some(families) = artifact.get("families").and_then(Json::as_arr) else {
         return Vec::new();
@@ -146,7 +153,10 @@ fn family_metric(artifact: &Json, metric: &str) -> Vec<(String, Option<u64>)> {
         .filter_map(|f| {
             let name = f.get("family").and_then(Json::as_str)?.to_owned();
             let value = if FAMILY_FIELDS.contains(&metric) {
-                f.get(metric).and_then(Json::as_u64)
+                f.get(metric).and_then(Json::as_u64).or_else(|| {
+                    let ms = metric.strip_suffix("_us")?;
+                    Some(f.get(&format!("{ms}_ms"))?.as_u64()? * 1000)
+                })
             } else {
                 f.get("counters")
                     .and_then(|c| c.get(metric))

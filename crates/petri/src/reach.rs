@@ -1,8 +1,10 @@
 //! Explicit reachability-graph generation (§1.4: "Playing the token game
 //! one can generate a Transition System").
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::hash_map::RandomState;
+use std::collections::HashMap;
 use std::fmt;
+use std::hash::BuildHasher;
 
 use crate::marking::Marking;
 use crate::net::{PetriNet, TransitionId};
@@ -69,45 +71,16 @@ impl ReachabilityGraph {
         bound: u32,
         max_states: usize,
     ) -> Result<Self, ReachError> {
-        let m0 = net.initial_marking();
-        if !m0.is_k_bounded(bound) {
-            return Err(ReachError::BoundExceeded(m0));
-        }
-        let mut markings = vec![m0.clone()];
-        let mut index = HashMap::new();
-        index.insert(m0.clone(), 0usize);
-        let mut arcs: Vec<(usize, TransitionId, usize)> = Vec::new();
-        let mut queue = VecDeque::new();
-        queue.push_back(0usize);
-        while let Some(s) = queue.pop_front() {
-            let m = markings[s].clone();
-            for t in net.transitions() {
-                let Some(next) = net.fire(&m, t) else {
-                    continue;
-                };
-                if !next.is_k_bounded(bound) {
-                    return Err(ReachError::BoundExceeded(next));
-                }
-                let to = match index.get(&next) {
-                    Some(&i) => i,
-                    None => {
-                        if markings.len() >= max_states {
-                            return Err(ReachError::StateLimit(max_states));
-                        }
-                        let i = markings.len();
-                        markings.push(next.clone());
-                        index.insert(next, i);
-                        queue.push_back(i);
-                        i
-                    }
-                };
-                arcs.push((s, t, to));
-            }
-        }
-        let mut ts = TransitionSystem::new(markings.len(), 0);
-        for (from, t, to) in arcs {
-            ts.add_arc(from, t, to);
-        }
+        let (counts, ts) = token_game(net, bound, max_states)?;
+        let places = net.num_places();
+        let markings: Vec<Marking> = (0..ts.num_states())
+            .map(|s| Marking::from_counts(counts[s * places..(s + 1) * places].to_vec()))
+            .collect();
+        let index = markings
+            .iter()
+            .enumerate()
+            .map(|(i, m)| (m.clone(), i))
+            .collect();
         Ok(ReachabilityGraph {
             markings,
             index,
@@ -135,13 +108,6 @@ impl ReachabilityGraph {
     #[must_use]
     pub fn markings(&self) -> &[Marking] {
         &self.markings
-    }
-
-    /// The markings (in state order) and the transition system, without
-    /// copying either.
-    #[must_use]
-    pub fn into_parts(self) -> (Vec<Marking>, TransitionSystem<TransitionId>) {
-        (self.markings, self.ts)
     }
 
     /// The state index of a marking, if reachable.
@@ -197,5 +163,143 @@ impl ReachabilityGraph {
             rev.add_arc(*to, *t, *from);
         }
         rev.reachable_states().len() == n
+    }
+}
+
+/// Plays the token game breadth-first from the initial marking into one
+/// flat table: the reachable markings' token counts, `net.num_places()`
+/// per state in state order, and the transition system over them.
+///
+/// States are numbered on first sight and each state tries its
+/// transitions in id order, so state and arc order are breadth-first
+/// discovery order. No object is allocated per marking: successors are
+/// fired into one scratch row and looked up in an open-addressing table
+/// of state indices into the counts.
+///
+/// # Errors
+///
+/// * [`ReachError::BoundExceeded`] if any reachable marking puts more
+///   than `bound` tokens in a place;
+/// * [`ReachError::StateLimit`] if more than `max_states` markings are
+///   reached.
+pub fn token_game(
+    net: &PetriNet,
+    bound: u32,
+    max_states: usize,
+) -> Result<(Vec<u32>, TransitionSystem<TransitionId>), ReachError> {
+    let m0 = net.initial_marking();
+    if !m0.is_k_bounded(bound) {
+        return Err(ReachError::BoundExceeded(m0));
+    }
+    let places = net.num_places();
+    let mut counts = m0.as_counts().to_vec();
+    let mut seen = SeenTable::new();
+    let home = seen
+        .find(&counts, places, &counts)
+        .expect_err("the table is empty");
+    seen.fill(home, 0, &counts, places);
+    let mut ts = TransitionSystem::new(1, 0);
+    let mut next = vec![0u32; places];
+    let mut s = 0;
+    while s < ts.num_states() {
+        for t in net.transitions() {
+            let m = &counts[s * places..(s + 1) * places];
+            if !net.preset(t).iter().all(|p| m[p.index()] > 0) {
+                continue;
+            }
+            next.copy_from_slice(m);
+            for p in net.preset(t) {
+                next[p.index()] -= 1;
+            }
+            for p in net.postset(t) {
+                next[p.index()] += 1;
+            }
+            // `m` is within the bound, so only an output place can exceed it.
+            if net.postset(t).iter().any(|p| next[p.index()] > bound) {
+                return Err(ReachError::BoundExceeded(Marking::from_counts(next)));
+            }
+            let to = match seen.find(&counts, places, &next) {
+                Ok(to) => to,
+                Err(slot) => {
+                    if ts.num_states() >= max_states {
+                        return Err(ReachError::StateLimit(max_states));
+                    }
+                    let to = ts.add_state();
+                    counts.extend_from_slice(&next);
+                    seen.fill(slot, to, &counts, places);
+                    to
+                }
+            };
+            ts.add_arc(s, t, to);
+        }
+        s += 1;
+    }
+    Ok((counts, ts))
+}
+
+/// The token game's seen-set: state indices in an open-addressing table
+/// with linear probing, hashed and compared by their rows of the flat
+/// count table (no key is stored apart from the table). Rows are hashed
+/// with the standard library's randomly keyed hasher, as `HashMap` would:
+/// nets may come from outside the program.
+struct SeenTable {
+    hasher: RandomState,
+    slots: Vec<u32>,
+    /// `64 - log2(slots.len())`: a hash's top bits pick its home slot.
+    shift: u32,
+    len: usize,
+}
+
+/// An empty slot.
+const EMPTY: u32 = u32::MAX;
+
+impl SeenTable {
+    fn new() -> Self {
+        SeenTable {
+            hasher: RandomState::new(),
+            slots: vec![EMPTY; 64],
+            shift: 64 - 6,
+            len: 0,
+        }
+    }
+
+    /// The state whose row equals `row`, or the empty slot where it
+    /// belongs.
+    fn find(&self, counts: &[u32], places: usize, row: &[u32]) -> Result<usize, usize> {
+        let mask = self.slots.len() - 1;
+        let mut slot = (self.hasher.hash_one(row) >> self.shift) as usize;
+        loop {
+            match self.slots[slot] {
+                EMPTY => return Err(slot),
+                s => {
+                    let s = s as usize;
+                    if &counts[s * places..(s + 1) * places] == row {
+                        return Ok(s);
+                    }
+                }
+            }
+            slot = (slot + 1) & mask;
+        }
+    }
+
+    /// Records `state` (whose row is already in `counts`) at the empty
+    /// `slot` [`SeenTable::find`] returned, growing the table past half
+    /// full.
+    fn fill(&mut self, slot: usize, state: usize, counts: &[u32], places: usize) {
+        self.slots[slot] = u32::try_from(state).expect("state count fits u32");
+        self.len += 1;
+        if self.len * 2 > self.slots.len() {
+            let grown = vec![EMPTY; self.slots.len() * 2];
+            let old = std::mem::replace(&mut self.slots, grown);
+            self.shift -= 1;
+            for s in old.into_iter().filter(|&s| s != EMPTY) {
+                let s = s as usize;
+                let Err(slot) = self.find(counts, places, &counts[s * places..(s + 1) * places])
+                else {
+                    unreachable!("rows in the table are distinct");
+                };
+                self.slots[slot] = s as u32;
+            }
+        }
     }
 }

@@ -15,7 +15,7 @@
 //! that are actually duplicated.
 
 use crate::model::{SignalEdge, SignalId, Stg};
-use crate::state_graph::StateGraph;
+use crate::state_graph::{code_bit, StateGraph};
 use crate::state_space::{StateSet, StateSpace};
 
 /// A pair of states with identical binary codes.
@@ -196,24 +196,22 @@ pub fn csc_conflict_pair_count<S: StateSpace + ?Sized>(stg: &Stg, sg: &S) -> usi
 /// Codes are consistent along arcs (a [`StateGraph`] invariant), so a
 /// signal excited in a state has the edge its code allows: states with one
 /// code agree on every non-input excitation exactly when they excite the
-/// same non-input signals. One sort of the states by packed (code, excited
-/// signals) bit words finds every group, where hashing each state's code
-/// and excitation profile used to (the CSC sweeps ask this of every
+/// same non-input signals. One sort of the states by (stored code words,
+/// excited-signal words) finds every group, where hashing each state's
+/// code and excitation profile used to (the CSC sweeps ask this of every
 /// candidate).
 fn shared_code_groups(stg: &Stg, sg: &StateGraph) -> Vec<Vec<usize>> {
-    let words = sg.num_signals().div_ceil(64).max(1);
+    let words = sg.code_words(0).len();
     let ts = sg.ts();
     // Per state: `words` code words, then `words` excited-signal words.
     let mut keys = vec![0u64; sg.num_states() * 2 * words];
     for (i, key) in keys.chunks_mut(2 * words).enumerate() {
-        for (k, _) in sg.state(i).code.iter().enumerate().filter(|(_, &v)| v) {
-            key[k / 64] |= 1 << (k % 64);
-        }
+        key[..words].copy_from_slice(sg.code_words(i));
         for (&t, _) in ts.successors(i) {
             if let Some(l) = stg.label(t) {
                 if stg.signal_kind(l.signal).is_non_input() {
-                    let k = l.signal.index();
-                    key[words + k / 64] |= 1 << (k % 64);
+                    let (w, bit) = code_bit(l.signal.index());
+                    key[words + w] |= bit;
                 }
             }
         }

@@ -45,7 +45,7 @@ mod symbolic_set;
 pub mod waveform;
 
 pub use model::{SignalEdge, SignalId, SignalKind, Stg, StgBuilder, TransitionLabel};
-pub use state_graph::{SgState, StateGraph, StgEdit, StgError};
+pub use state_graph::{StateGraph, StgEdit, StgError};
 pub use state_space::{Backend, StateSet, StateSpace, DEFAULT_STATE_BOUND};
 pub use symbolic_set::{SymbolicSetSpace, SymbolicStats};
 

@@ -2,12 +2,16 @@
 //! binary codes of signals is called a state graph of an STG. State graphs
 //! are of primary importance since they form the basis of logic
 //! synthesis."*).
+//!
+//! A [`StateGraph`] stores its states as two flat tables next to the
+//! transition system: packed binary codes (bit words) and marking token
+//! counts, one fixed-width row per state. There is no per-state object;
+//! see the type's docs for the layout and its accessors.
 
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::OnceLock;
 
-use petri::reach::{ReachError, ReachabilityGraph};
+use petri::reach::ReachError;
 use petri::{Marking, PlaceId, TransitionId, TransitionSystem};
 
 use crate::model::{SignalEdge, SignalId, Stg};
@@ -82,26 +86,41 @@ pub enum StgEdit {
     Insertion(TransitionId, TransitionId),
 }
 
-/// One state of a [`StateGraph`]: a marking plus the binary code of all
-/// signals.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SgState {
-    /// The marking of the underlying net.
-    pub marking: Marking,
-    /// Signal values, indexed by [`SignalId`].
-    pub code: Vec<bool>,
-}
-
 /// The state graph of an STG: reachable markings with binary signal codes,
 /// as produced by the token game of Fig. 4.
+///
+/// # Layout
+///
+/// States are rows of two flat tables, numbered `0..num_states()` with
+/// state `0` initial:
+///
+/// * **codes** — `⌈signals / 64⌉` words per state (at least one). Signal
+///   `k` is bit `63 − k mod 64` of word `k / 64`, most significant bit
+///   first, and unused bits are zero, so comparing two states' words
+///   compares their codes as [`Vec<bool>`]s compare. Read them with
+///   [`StateGraph::code_words`], [`StateGraph::value`] (one bit test) or
+///   [`StateGraph::code`];
+/// * **markings** — one token count per place of the net, per state.
+///   Read them with [`StateGraph::marking_counts`] or
+///   [`StateGraph::marking`].
+///
+/// There is no per-state object. The CSC sweeps derive, check and drop
+/// one graph per candidate, thousands per search, so a graph costs the
+/// same few allocations however many states it has. Consistency checks,
+/// conflict grouping and code lookups compare whole words.
 #[derive(Debug, Clone)]
 pub struct StateGraph {
-    states: Vec<SgState>,
+    /// Packed codes, `words` per state.
+    codes: Vec<u64>,
+    words: usize,
+    /// Token counts, `num_places` per state.
+    markings: Vec<u32>,
+    num_places: usize,
     ts: TransitionSystem<TransitionId>,
     initial_values: Vec<bool>,
     num_signals: usize,
-    /// Lazily built code → states index (see [`StateGraph::code_index`]).
-    code_index: OnceLock<HashMap<Vec<bool>, Vec<usize>>>,
+    /// Lazily built code index (see [`StateGraph::code_classes`]).
+    code_order: OnceLock<Vec<usize>>,
 }
 
 impl StateGraph {
@@ -123,9 +142,8 @@ impl StateGraph {
     ///
     /// See [`StateGraph::build`].
     pub fn build_bounded(stg: &Stg, max_states: usize) -> Result<Self, StgError> {
-        let (markings, ts) =
-            ReachabilityGraph::build_bounded(stg.net(), 1, max_states)?.into_parts();
-        Self::from_reachability(stg, markings, ts)
+        let (markings, ts) = petri::reach::token_game(stg.net(), 1, max_states)?;
+        Self::from_reachability(stg, ts, stg.net().num_places(), || markings)
     }
 
     /// The state graph of `base`'s STG after `edit`, computed from `base`
@@ -198,29 +216,32 @@ impl StateGraph {
                 }
             }
         };
-        let copies = match product {
-            Product::Arc(..) => 2,
-            Product::Insertion { .. } => 4,
+        let (copies, extra_places) = match product {
+            Product::Arc(..) => (2, 1),
+            Product::Insertion { .. } => (4, 2),
         };
-        let marking = |s: usize, extra: u32| -> Marking {
-            let mut counts = base.states[s].marking.as_counts().to_vec();
+        let num_places = base.num_places + extra_places;
+        // Appends the marking of product state `(s, extra)` to `out`.
+        let write_marking = |out: &mut Vec<u32>, s: usize, extra: u32| {
+            let row = out.len();
+            out.extend_from_slice(base.marking_counts(s));
             match &product {
-                Product::Arc(..) => counts.push(extra),
+                Product::Arc(..) => out.push(extra),
                 Product::Insertion { taken_over, .. } => {
                     for (bit, places) in taken_over.iter().enumerate() {
                         if extra >> bit & 1 == 1 {
                             for p in places {
-                                counts[p.index()] -= 1;
+                                out[row + p.index()] -= 1;
                             }
                         }
                     }
-                    counts.extend([extra & 1, extra >> 1]);
+                    out.extend([extra & 1, extra >> 1]);
                 }
             }
-            Marking::from_counts(counts)
         };
         let unsafe_at = |s: usize, extra: u32, place: usize| -> StgError {
-            let mut counts = marking(s, extra).as_counts().to_vec();
+            let mut counts = Vec::with_capacity(num_places);
+            write_marking(&mut counts, s, extra);
             counts[place] = 2;
             ReachError::BoundExceeded(Marking::from_counts(counts)).into()
         };
@@ -278,11 +299,11 @@ impl StateGraph {
                             visit(&mut states, from, t, to, extra & !pending)?;
                         }
                     }
+                    let m = base.marking_counts(s);
                     for bit in 0..2 {
                         let flag = 1 << bit;
-                        let m = &base.states[s].marking;
                         if extra & flag == 0 {
-                            if taken_over[bit].iter().all(|&p| m.is_marked(p)) {
+                            if taken_over[bit].iter().all(|p| m[p.index()] > 0) {
                                 visit(&mut states, from, edges[bit], s, extra | flag)?;
                             }
                         } else if taken_over[bit].is_empty() {
@@ -295,42 +316,51 @@ impl StateGraph {
             }
             from += 1;
         }
-        let markings = states.iter().map(|&(s, extra)| marking(s, extra));
-        Self::from_reachability(labels, markings, ts)
+        Self::from_reachability(labels, ts, num_places, || {
+            let mut markings = Vec::with_capacity(states.len() * num_places);
+            for &(s, extra) in &states {
+                write_marking(&mut markings, s, extra);
+            }
+            markings
+        })
     }
 
     /// The build's tail shared by the token game and [`StateGraph::derive`]:
     /// initial values (the STG's, or inferred) and consistent codes over
-    /// the reachable markings.
-    /// The markings are only drawn once the codes are consistent.
+    /// the transition system. `markings` yields the flat marking table
+    /// (`num_places` counts per state) and is only called once the codes
+    /// are consistent.
     fn from_reachability(
         stg: &Stg,
-        markings: impl IntoIterator<Item = Marking>,
         ts: TransitionSystem<TransitionId>,
+        num_places: usize,
+        markings: impl FnOnce() -> Vec<u32>,
     ) -> Result<Self, StgError> {
         let initial_values = match stg.initial_values() {
             Some(v) => v.to_vec(),
             None => infer_initial_values(stg, &ts),
         };
-        let codes = propagate_codes(stg, &ts, &initial_values)?;
-        let states: Vec<SgState> = markings
-            .into_iter()
-            .zip(codes)
-            .map(|(marking, code)| SgState { marking, code })
-            .collect();
+        let num_signals = stg.num_signals();
+        let words = num_signals.div_ceil(64).max(1);
+        let codes = propagate_codes(stg, &ts, &initial_values, words)?;
+        let markings = markings();
+        debug_assert_eq!(markings.len(), ts.num_states() * num_places);
         Ok(StateGraph {
-            states,
+            codes,
+            words,
+            markings,
+            num_places,
             ts,
             initial_values,
-            num_signals: stg.num_signals(),
-            code_index: OnceLock::new(),
+            num_signals,
+            code_order: OnceLock::new(),
         })
     }
 
     /// Number of states.
     #[must_use]
     pub fn num_states(&self) -> usize {
-        self.states.len()
+        self.ts.num_states()
     }
 
     /// Number of signals in the code.
@@ -339,20 +369,52 @@ impl StateGraph {
         self.num_signals
     }
 
-    /// A state by index.
+    /// The packed code of state `i`: signal `k` is bit `63 − k mod 64` of
+    /// word `k / 64` (see the type's docs).
     ///
     /// # Panics
     ///
     /// Panics if `i` is out of range.
     #[must_use]
-    pub fn state(&self, i: usize) -> &SgState {
-        &self.states[i]
+    pub fn code_words(&self, i: usize) -> &[u64] {
+        &self.codes[i * self.words..(i + 1) * self.words]
     }
 
-    /// All states.
+    /// The binary code of state `i`, indexed by [`SignalId`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is out of range.
     #[must_use]
-    pub fn states(&self) -> &[SgState] {
-        &self.states
+    pub fn code(&self, i: usize) -> Vec<bool> {
+        let words = self.code_words(i);
+        (0..self.num_signals)
+            .map(|k| {
+                let (w, bit) = code_bit(k);
+                words[w] & bit != 0
+            })
+            .collect()
+    }
+
+    /// The token count of every place in state `i`, indexed by
+    /// [`PlaceId`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is out of range.
+    #[must_use]
+    pub fn marking_counts(&self, i: usize) -> &[u32] {
+        &self.markings[i * self.num_places..(i + 1) * self.num_places]
+    }
+
+    /// The marking of state `i`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is out of range.
+    #[must_use]
+    pub fn marking(&self, i: usize) -> Marking {
+        Marking::from_counts(self.marking_counts(i).to_vec())
     }
 
     /// The transition system over net-transition labels (state 0 initial).
@@ -367,10 +429,12 @@ impl StateGraph {
         &self.initial_values
     }
 
-    /// Value of signal `sig` in state `i`.
+    /// Value of signal `sig` in state `i`: one bit test.
     #[must_use]
     pub fn value(&self, i: usize, sig: SignalId) -> bool {
-        self.states[i].code[sig.index()]
+        debug_assert!(sig.index() < self.num_signals, "signal out of range");
+        let (w, bit) = code_bit(sig.index());
+        self.codes[i * self.words + w] & bit != 0
     }
 
     /// The signal edges enabled (excited) in state `i`, as
@@ -418,20 +482,56 @@ impl StateGraph {
         self.ts.successor_by_label(state, &t)
     }
 
-    /// States whose code equals `code`, ascending (one lazily built
-    /// code → states map instead of a linear scan per call — hot in CSC
-    /// conflict detection).
+    /// States whose code equals `code`, ascending: a binary search of
+    /// the code index (see [`StateGraph::code_classes`]).
     #[must_use]
     pub fn states_with_code(&self, code: &[bool]) -> Vec<usize> {
-        self.code_index().get(code).cloned().unwrap_or_default()
+        if code.len() != self.num_signals {
+            return Vec::new();
+        }
+        let mut key = vec![0; self.words];
+        pack_code(code, &mut key);
+        let order = self.code_order();
+        let start = order.partition_point(|&s| self.code_words(s) < key.as_slice());
+        order[start..]
+            .iter()
+            .copied()
+            .take_while(|&s| self.code_words(s) == key.as_slice())
+            .collect()
     }
 
-    /// The code → states index, built on first use. One hash map build
-    /// replaces the linear scans that used to serve every
-    /// `states_with_code` call (hot in CSC conflict detection).
-    pub(crate) fn code_index(&self) -> &HashMap<Vec<bool>, Vec<usize>> {
-        self.code_index
-            .get_or_init(|| build_code_index(&self.states))
+    /// The states grouped by code: one ascending state list per distinct
+    /// code, in code order. The index behind it is one permutation of
+    /// the states sorted by packed code words, built on first use; it
+    /// serves [`StateGraph::states_with_code`], the distinct-code count
+    /// and the duplicate-code classes.
+    pub(crate) fn code_classes(&self) -> impl Iterator<Item = &[usize]> {
+        self.code_order()
+            .chunk_by(|&a, &b| self.code_words(a) == self.code_words(b))
+    }
+
+    /// The states sorted by (code words, index), built on first use.
+    fn code_order(&self) -> &[usize] {
+        self.code_order.get_or_init(|| {
+            let mut order: Vec<usize> = (0..self.num_states()).collect();
+            // Stable, so each code's states stay ascending.
+            order.sort_by(|&a, &b| self.code_words(a).cmp(self.code_words(b)));
+            order
+        })
+    }
+}
+
+/// The word and the bit of signal `k` in a packed code (see
+/// [`StateGraph`]'s layout).
+pub(crate) fn code_bit(k: usize) -> (usize, u64) {
+    (k / 64, 1 << (63 - k % 64))
+}
+
+/// Sets the bits of `code`'s true signals in `words`.
+fn pack_code(code: &[bool], words: &mut [u64]) {
+    for (k, _) in code.iter().enumerate().filter(|(_, &v)| v) {
+        let (w, bit) = code_bit(k);
+        words[w] |= bit;
     }
 }
 
@@ -473,65 +573,52 @@ fn infer_initial_values(stg: &Stg, ts: &TransitionSystem<TransitionId>) -> Vec<b
 /// Propagates binary codes from state `0` over the transition structure in
 /// breadth-first order (the arc order, as for `infer_initial_values`),
 /// validating consistency (§2.1) along the way: the first violating arc
-/// in that order is the one reported.
+/// in that order is the one reported. Codes are packed `words` per state
+/// (see [`StateGraph`]'s layout), so a state's code is copied, and a
+/// re-reached state's code compared, a word at a time.
 fn propagate_codes(
     stg: &Stg,
     ts: &TransitionSystem<TransitionId>,
     initial_values: &[bool],
-) -> Result<Vec<Vec<bool>>, StgError> {
-    let width = initial_values.len();
+    words: usize,
+) -> Result<Vec<u64>, StgError> {
     let n = ts.num_states();
-    let mut codes = vec![false; n * width];
+    let mut codes = vec![0u64; n * words];
     let mut coded = vec![false; n];
-    codes[..width].copy_from_slice(initial_values);
+    pack_code(initial_values, &mut codes[..words]);
     coded[0] = true;
     for &(s, t, to) in ts.arcs() {
         debug_assert!(coded[s], "arcs leave states already reached");
-        // The edge `t` sets signal `idx` to `after`.
-        let mut edge = None;
+        let (from, into) = (s * words, to * words);
+        // The edge `t` flips bit `bit` of word `w`.
+        let mut flip = None;
         if let Some(label) = stg.label(t) {
-            let idx = label.signal.index();
-            let after = label.edge.value_after();
-            if codes[s * width + idx] == after {
+            let (w, bit) = code_bit(label.signal.index());
+            if (codes[from + w] & bit != 0) == label.edge.value_after() {
                 return Err(StgError::InconsistentEdge {
                     transition: stg.label_string(t),
                     state: s,
                 });
             }
-            edge = Some((idx, after));
+            flip = Some((w, bit));
         }
+        let after = |k: usize| match flip {
+            Some((w, bit)) if w == k => codes[from + k] ^ bit,
+            _ => codes[from + k],
+        };
         if coded[to] {
-            let agrees = (0..width).all(|i| {
-                let value = match edge {
-                    Some((idx, after)) if idx == i => after,
-                    _ => codes[s * width + i],
-                };
-                codes[to * width + i] == value
-            });
-            if !agrees {
+            if (0..words).any(|k| codes[into + k] != after(k)) {
                 return Err(StgError::InconsistentCode { state: to });
             }
         } else {
-            codes.copy_within(s * width..(s + 1) * width, to * width);
-            if let Some((idx, after)) = edge {
-                codes[to * width + idx] = after;
+            codes.copy_within(from..from + words, into);
+            if let Some((w, bit)) = flip {
+                codes[into + w] ^= bit;
             }
             coded[to] = true;
         }
     }
-    Ok((0..n)
-        .map(|i| codes[i * width..(i + 1) * width].to_vec())
-        .collect())
-}
-
-/// Builds the code → states index (state indices per code, in
-/// ascending order).
-fn build_code_index(states: &[SgState]) -> HashMap<Vec<bool>, Vec<usize>> {
-    let mut map: HashMap<Vec<bool>, Vec<usize>> = HashMap::new();
-    for (i, s) in states.iter().enumerate() {
-        map.entry(s.code.clone()).or_default().push(i);
-    }
-    map
+    Ok(codes)
 }
 
 /// Result alias used throughout the crate.

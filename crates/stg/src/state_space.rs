@@ -330,11 +330,11 @@ impl StateSpace for StateGraph {
     }
 
     fn decode_code(&self, i: usize) -> Vec<bool> {
-        self.state(i).code.clone()
+        self.code(i)
     }
 
     fn decode_marking(&self, i: usize) -> Marking {
-        self.state(i).marking.clone()
+        self.marking(i)
     }
 
     fn states_with_code(&self, code: &[bool]) -> Vec<usize> {
@@ -395,27 +395,23 @@ impl StateSpace for StateGraph {
         let mut seen = std::collections::HashSet::new();
         let mut out = Vec::new();
         for &i in set.as_indices() {
-            let code = &self.state(i).code;
-            if seen.insert(code) {
-                out.push(code.clone());
+            if seen.insert(self.code_words(i)) {
+                out.push(self.code(i));
             }
         }
         out
     }
 
     fn distinct_code_count(&self) -> u128 {
-        self.code_index().len() as u128
+        self.code_classes().count() as u128
     }
 
     fn sets_share_code(&self, a: &StateSet, b: &StateSet) -> bool {
-        let codes: std::collections::HashSet<&[bool]> = a
-            .as_indices()
-            .iter()
-            .map(|&i| self.state(i).code.as_slice())
-            .collect();
+        let codes: std::collections::HashSet<&[u64]> =
+            a.as_indices().iter().map(|&i| self.code_words(i)).collect();
         b.as_indices()
             .iter()
-            .any(|&i| codes.contains(self.state(i).code.as_slice()))
+            .any(|&i| codes.contains(self.code_words(i)))
     }
 
     fn states_with_code_set(&self, code: &[bool]) -> StateSet {
@@ -423,14 +419,11 @@ impl StateSpace for StateGraph {
     }
 
     fn duplicate_code_classes(&self) -> Vec<(Vec<bool>, Vec<usize>)> {
-        let mut out: Vec<(Vec<bool>, Vec<usize>)> = self
-            .code_index()
-            .iter()
-            .filter(|(_, states)| states.len() > 1)
-            .map(|(code, states)| (code.clone(), states.clone()))
-            .collect();
-        out.sort();
-        out
+        // The index runs in code order already.
+        self.code_classes()
+            .filter(|states| states.len() > 1)
+            .map(|states| (self.code(states[0]), states.to_vec()))
+            .collect()
     }
 
     fn excitation_region(&self, stg: &Stg, signal: SignalId, edge: SignalEdge) -> StateSet {
@@ -449,7 +442,7 @@ impl StateSpace for StateGraph {
     fn value_region(&self, signal: SignalId, value: bool) -> StateSet {
         StateSet::Indices(
             (0..self.num_states())
-                .filter(|&i| self.state(i).code[signal.index()] == value)
+                .filter(|&i| StateGraph::value(self, i, signal) == value)
                 .collect(),
         )
     }

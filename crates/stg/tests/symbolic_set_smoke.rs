@@ -24,10 +24,8 @@ fn smoke_vme_read() {
     let mut decoded: Vec<(petri::Marking, Vec<bool>)> = (0..set.num_states())
         .map(|i| (set.decode_marking(i), set.decode_code(i)))
         .collect();
-    let mut reference: Vec<(petri::Marking, Vec<bool>)> = graph
-        .states()
-        .iter()
-        .map(|s| (s.marking.clone(), s.code.clone()))
+    let mut reference: Vec<(petri::Marking, Vec<bool>)> = (0..graph.num_states())
+        .map(|i| (graph.marking(i), graph.code(i)))
         .collect();
     assert_eq!(decoded[0], reference[0], "initial state");
     decoded.sort();

@@ -26,8 +26,12 @@
 //!   ([`StateGraph::derive`]) and checked against a label template (the
 //!   base STG for arcs, [`insertion_labels`] for insertions), so no
 //!   candidate STG is built and no token game replayed until a candidate
-//!   is accepted. The sweeps take no backend: the pipeline hands them the
-//!   same base graph whichever backend its check stage ran on;
+//!   is accepted. A derived graph is two flat tables (packed code words,
+//!   marking counts) written row by row from the base's rows, so a
+//!   candidate costs a few allocations whatever its size, and the
+//!   conflict count sorts its stored code words directly. The sweeps
+//!   take no backend: the pipeline hands them the same base graph
+//!   whichever backend its check stage ran on;
 //! * **parallelises** the grid on scoped work-stealing workers
 //!   ([`crate::par`]), merging per-worker rankings deterministically so
 //!   the output is byte-identical to a serial sweep at any thread count;

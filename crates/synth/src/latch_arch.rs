@@ -329,8 +329,8 @@ pub fn monotonic_violations(
             let er: std::collections::HashSet<usize> = er.iter().copied().collect();
             for (from, _t, to) in sg.ts().arcs() {
                 if er.contains(from) && er.contains(to) {
-                    let vf = cover.covers_minterm(&sg.state(*from).code);
-                    let vt = cover.covers_minterm(&sg.state(*to).code);
+                    let vf = cover.covers_minterm(&sg.code(*from));
+                    let vt = cover.covers_minterm(&sg.code(*to));
                     if vf && !vt {
                         out.push(MonotonicViolation {
                             signal: c.signal,

@@ -222,7 +222,7 @@ fn decomposition_bounds_fanin_and_shares_gates() {
         }
         for eq in circuit.equations() {
             let g = dec.netlist().driver_of(dec.signal_net(eq.signal)).unwrap();
-            let expect = eq.cover.covers_minterm(&sg.state(s).code);
+            let expect = eq.cover.covers_minterm(&sg.code(s));
             assert_eq!(
                 dec.netlist().next_value(&values, g),
                 expect,
@@ -356,7 +356,7 @@ fn atomic_netlist_matches_latch_semantics() {
             }
             for c in &circ.covers {
                 let g = atomic.driver_of(nets[c.signal.index()]).unwrap();
-                let code = &sg.state(s).code;
+                let code = &sg.code(s);
                 let set = c.set.covers_minterm(code);
                 let reset = c.reset.covers_minterm(code);
                 let q = sg.value(s, c.signal);

@@ -8,10 +8,11 @@
 //! move of the step (pruned ones included). The generator cases drive
 //! edits the sweeps never try — input transitions, insertions whose
 //! rising edge has no input place of its own, tiny state bounds — through
-//! the same comparison.
+//! the same comparison. A padded VME read cycle of more than 64 signals
+//! drives codes that span two words.
 
 use proptest::prelude::*;
-use stg::{StateGraph, Stg, StgEdit, StgError};
+use stg::{SignalEdge, SignalKind, StateGraph, Stg, StgBuilder, StgEdit, StgError};
 use synth::csc::{
     apply_edit, greedy_moves, insertion_labels, resolve_mixed_sweep, SweepOptions,
     DEFAULT_SWEEP_BOUND,
@@ -36,7 +37,7 @@ fn compare(
     let built = StateGraph::build_bounded(&apply_edit(base_stg, edit), bound);
     let verdict = match (&derived, &built) {
         (Ok(d), Ok(b)) => {
-            if d.states() != b.states() {
+            if !same_states(d, b) {
                 Err("states (markings or codes) differ".to_owned())
             } else if d.ts().arcs() != b.ts().arcs() {
                 Err("arcs differ".to_owned())
@@ -54,6 +55,13 @@ fn compare(
         )),
     };
     (derived, verdict)
+}
+
+/// `true` when two graphs have the same states in the same order: equal
+/// markings and equal codes.
+fn same_states(a: &StateGraph, b: &StateGraph) -> bool {
+    a.num_states() == b.num_states()
+        && (0..a.num_states()).all(|i| a.marking(i) == b.marking(i) && a.code(i) == b.code(i))
 }
 
 /// The labels `derive` reads for `edit` on `stg`.
@@ -256,6 +264,133 @@ fn every_edit_of_small_specs_derives_like_the_token_game() {
             "no edit ended {wanted:?} (saw {seen:?})"
         );
     }
+}
+
+/// Input signals the wide spec adds to the VME read cycle's five.
+const PADS: usize = 67;
+
+/// The VME read cycle (`stg::examples::vme_read`) with `PADS` input
+/// signals that rise one after another and then fall one after another
+/// between `DTACK-` and the next `DSr+`: 72 signals, so codes take two
+/// words. The pads settle back to 0 before the cycle's CSC conflict, which
+/// stays; the codes they repeat differ only in input excitations.
+fn padded_vme_read() -> Stg {
+    let mut b = StgBuilder::new("vme-read-padded");
+    let dsr = b.add_signal("DSr", SignalKind::Input);
+    let dtack = b.add_signal("DTACK", SignalKind::Output);
+    let ldtack = b.add_signal("LDTACK", SignalKind::Input);
+    let lds = b.add_signal("LDS", SignalKind::Output);
+    let d = b.add_signal("D", SignalKind::Output);
+    let pads: Vec<_> = (0..PADS)
+        .map(|i| b.add_signal(format!("pad{i}"), SignalKind::Input))
+        .collect();
+    let mut edges = |s| {
+        (
+            b.add_edge(s, SignalEdge::Rise),
+            b.add_edge(s, SignalEdge::Fall),
+        )
+    };
+    let (dsr_p, dsr_m) = edges(dsr);
+    let (dtack_p, dtack_m) = edges(dtack);
+    let (ldtack_p, ldtack_m) = edges(ldtack);
+    let (lds_p, lds_m) = edges(lds);
+    let (d_p, d_m) = edges(d);
+    b.connect(dsr_p, lds_p);
+    b.connect(lds_p, ldtack_p);
+    b.connect(ldtack_p, d_p);
+    b.connect(d_p, dtack_p);
+    b.connect(dtack_p, dsr_m);
+    b.connect(dsr_m, d_m);
+    b.connect(d_m, dtack_m);
+    b.connect(d_m, lds_m);
+    b.connect(lds_m, ldtack_m);
+    let rises: Vec<_> = pads
+        .iter()
+        .map(|&p| b.add_edge(p, SignalEdge::Rise))
+        .collect();
+    let falls: Vec<_> = pads
+        .iter()
+        .map(|&p| b.add_edge(p, SignalEdge::Fall))
+        .collect();
+    let chain: Vec<_> = rises.into_iter().chain(falls).collect();
+    let start = b.connect(dtack_m, chain[0]);
+    for pair in chain.windows(2) {
+        b.connect(pair[0], pair[1]);
+    }
+    b.connect(chain[chain.len() - 1], dsr_p);
+    let p8 = b.connect(ldtack_m, lds_p);
+    b.mark_place(start, 1);
+    b.mark_place(p8, 1);
+    b.build()
+}
+
+/// Codes wider than one word: edits on signals 63, 64 and the last one
+/// derive like the token game, bit tests agree with the unpacked code
+/// across the word boundary, and the sorted conflict count agrees with
+/// the witness path.
+#[test]
+fn codes_wider_than_one_word_derive_like_the_token_game() {
+    let spec = padded_vme_read();
+    let last = spec.num_signals() - 1;
+    assert!(last >= 64, "the spec's codes span two words");
+    let base = StateGraph::build(&spec).expect("the padded spec builds");
+    let check_graph = |stg: &Stg, sg: &StateGraph| {
+        for i in 0..sg.num_states() {
+            let code = sg.code(i);
+            for s in stg.signals() {
+                assert_eq!(sg.value(i, s), code[s.index()], "state {i} signal {s:?}");
+            }
+        }
+        let pairs = stg::encoding::csc_conflict_pair_count(stg, sg);
+        assert_eq!(pairs, stg::encoding::csc_conflicts(stg, sg).len());
+        pairs
+    };
+    assert!(
+        check_graph(&spec, &base) > 0,
+        "the VME read conflict survives the padding"
+    );
+    for s in [63, 64, last] {
+        let sig = spec.signals().nth(s).expect("in range");
+        assert!(
+            (0..base.num_states()).any(|i| base.value(i, sig)),
+            "signal {s} rises somewhere"
+        );
+    }
+
+    let signal_of = |t: TransitionId| spec.label(t).expect("no dummies").signal.index();
+    let transitions: Vec<TransitionId> = spec.net().transitions().collect();
+    let focus: Vec<TransitionId> = transitions
+        .iter()
+        .copied()
+        .filter(|&t| [63, 64, last].contains(&signal_of(t)))
+        .collect();
+    let partners: Vec<TransitionId> = transitions
+        .iter()
+        .copied()
+        .filter(|&t| matches!(signal_of(t), 0..=4 | 62..=65) || signal_of(t) + 1 >= last)
+        .collect();
+    let insertion = insertion_labels(&spec);
+    let mut built = 0;
+    for &t in &focus {
+        for &u in &partners {
+            let mut edits = vec![StgEdit::OrderingArc(t, u), StgEdit::OrderingArc(u, t)];
+            if t != u {
+                edits.extend([StgEdit::Insertion(t, u), StgEdit::Insertion(u, t)]);
+            }
+            for edit in edits {
+                let labels = labels_for(&spec, &insertion, edit);
+                let (derived, verdict) = compare(&spec, &base, &labels, edit, DEFAULT_SWEEP_BOUND);
+                if let Err(why) = verdict {
+                    panic!("{edit:?}: {why}");
+                }
+                if let Ok(sg) = derived {
+                    check_graph(&labels, &sg);
+                    built += 1;
+                }
+            }
+        }
+    }
+    assert!(built > 0, "some edits build");
 }
 
 fn generated(kind: usize, size: usize, flag: bool) -> Stg {
