@@ -7,11 +7,11 @@
 //! beyond it, enumeration is exactly what the resident backend exists to
 //! avoid) is the point of the benchmark: the resident build scales with
 //! the BDD, not the state count. `queries` measures the post-build
-//! set-level workload (USC/CSC verdicts, persistency, deadlock, region
-//! partition) at a state count no enumerating backend could hold.
+//! set-level workload (USC/CSC verdicts, persistency, deadlock, an
+//! excitation region) at a state count no enumerating backend could hold.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use stg::{StateSpace, SymbolicSetSpace};
+use stg::{SignalEdge, StateSpace, SymbolicSetSpace};
 
 /// `(half, k)` ring parameters with their `C(2·half, k)` state counts.
 const SIZES: [(usize, usize, u128); 4] = [
@@ -65,8 +65,7 @@ fn bench_resident_queries(c: &mut Criterion) {
             let persistent = stg::persistency::is_persistent(&spec, &space);
             let deadlock = space.has_deadlock();
             let signal = spec.signals().next().expect("ring has signals");
-            let regions = synth::regions::signal_region_sets(&spec, &space, signal);
-            let er = space.set_count(&regions.er_plus);
+            let er = space.set_count(&space.excitation_region(&spec, signal, SignalEdge::Rise));
             (usc, csc, persistent, deadlock, er)
         });
     });

@@ -115,7 +115,6 @@ impl CliFlags {
             sweep: SweepOptions {
                 threads: self.csc_threads.unwrap_or(defaults.threads),
                 bound: self.csc_bound.unwrap_or(defaults.bound),
-                keep_spaces: defaults.keep_spaces,
             },
             max_fanin: self.fanin,
             skip_verification: self.no_verify,

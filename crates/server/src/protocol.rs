@@ -720,7 +720,6 @@ mod tests {
                     sweep: asyncsynth::SweepOptions {
                         threads: 4,
                         bound: 50_000,
-                        ..Default::default()
                     },
                     verify: asyncsynth::VerifyOptions { bound: 25_000 },
                     ..Default::default()

@@ -30,7 +30,7 @@ use std::collections::BinaryHeap;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use stg::{SignalKind, StateSpace, Stg};
+use stg::{SignalKind, StateGraph, Stg};
 use synth::{NetId, Netlist};
 
 /// Simulation parameters.
@@ -108,7 +108,7 @@ impl PartialOrd for Pending {
 #[derive(Debug)]
 pub struct Simulator<'a> {
     stg: &'a Stg,
-    sg: &'a dyn StateSpace,
+    sg: &'a StateGraph,
     netlist: Netlist,
     signal_nets: Vec<NetId>,
     config: SimConfig,
@@ -136,7 +136,7 @@ impl<'a> Simulator<'a> {
     #[must_use]
     pub fn new(
         stg: &'a Stg,
-        sg: &'a dyn StateSpace,
+        sg: &'a StateGraph,
         netlist: Netlist,
         signal_nets: Vec<NetId>,
         config: SimConfig,
@@ -353,7 +353,6 @@ impl<'a> Simulator<'a> {
 mod tests {
     use super::*;
     use stg::examples::{toggle, vme_read_csc};
-    use stg::StateGraph;
     use synth::complex_gate::synthesize_complex_gates;
     use synth::decompose::{decompose, resubstitute};
 

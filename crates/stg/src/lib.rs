@@ -11,10 +11,11 @@
 //! * [`parse`] — reader/writer for the `.g` (astg, petrify) text format;
 //! * [`canon`] — canonical serialisation and SHA-256 content hashing
 //!   (the identity the synthesis-service result cache is addressed by);
-//! * [`StateSpace`] — the pluggable state-space abstraction every
-//!   analysis and synthesis stage consumes, with two engines selected by
+//! * [`StateSpace`] — the set-level state-space abstraction the §2.1
+//!   implementability check consumes, with two engines selected by
 //!   [`Backend`]: the explicit [`StateGraph`] (§1.4, Fig. 4) and the
-//!   resident-BDD [`SymbolicSetSpace`] (§2.2);
+//!   resident-BDD [`SymbolicSetSpace`] (§2.2). Synthesis, simulation and
+//!   waveforms take the explicit [`StateGraph`];
 //! * [`encoding`] — USC/CSC conflict detection (§2.1, §3.1);
 //! * [`persistency`] — output-persistency analysis (§2.1);
 //! * [`properties`] — the aggregated implementability report;

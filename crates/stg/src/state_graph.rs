@@ -457,12 +457,6 @@ impl StateGraph {
     // the inherent copies survive only so callers need not import the
     // trait.
 
-    /// `true` if signal `sig` is excited (has an enabled edge) in state `i`.
-    #[must_use]
-    pub fn is_excited(&self, stg: &Stg, i: usize, sig: SignalId) -> bool {
-        StateSpace::is_excited(self, stg, i, sig)
-    }
-
     /// The paper's state rendering: binary code with `*` after each excited
     /// signal, e.g. `10.11*.0` — here without grouping dots: `1011*0`.
     #[must_use]

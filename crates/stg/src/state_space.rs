@@ -1,33 +1,33 @@
-//! Pluggable state-space backends.
+//! Pluggable state-space backends for the §2.1 implementability check.
 //!
-//! Every synthesis and verification stage consumes a [`StateSpace`] — the
-//! set-level view of the binary-coded reachable states — instead of a
-//! concrete [`StateGraph`]. Two implementations exist:
+//! The check stage consumes a [`StateSpace`] — the set-level view of the
+//! binary-coded reachable states — so that it can run on either of two
+//! implementations:
 //!
 //! * [`StateGraph`] — the explicit breadth-first token-game construction
 //!   of §1.4, and the only representation with per-state structure
-//!   (markings by reference, the transition system). Consumers that scan
-//!   every arc (waveforms, the monotonous-cover check, persistency
-//!   witnesses, the CSC sweeps) take `&StateGraph` and reach it from a
-//!   space through [`StateSpace::as_state_graph`];
+//!   (markings by reference, the transition system). Everything past the
+//!   check — CSC sweeps, logic synthesis, the monotonous-cover check,
+//!   simulation, waveforms — takes `&StateGraph`;
 //! * [`crate::SymbolicSetSpace`] — the resident-BDD backend (§2.2): the
 //!   characteristic function of the reachable (marking, code) pairs stays
 //!   in the manager and queries are answered as cube intersections and
 //!   satisfying-assignment counts, never by enumerating states.
 //!
-//! [`Backend`] selects between them at run time and is what the staged
-//! `Synthesis` pipeline and the CLI expose.
+//! [`Backend`] selects between them at run time: it picks the engine of
+//! the staged `Synthesis` pipeline's check stage and of the CLI's
+//! `check`.
 //!
 //! # The set-level API
 //!
-//! Queries are phrased over [`StateSet`] handles: excitation and quiescent
-//! regions, code lookups, counts, unions/intersections. Each backend
-//! implements them natively — the explicit graph over sorted index lists,
-//! the resident-BDD backend with BDD operations. Per-state queries
+//! Queries are phrased over [`StateSet`] handles: excitation regions,
+//! code lookups, counts, unions/intersections. Each backend implements
+//! them natively — the explicit graph over sorted index lists, the
+//! resident-BDD backend with BDD operations. The per-state queries
 //! ([`StateSpace::decode_code`], [`StateSpace::decode_marking`],
-//! [`StateSpace::successor`], [`StateSpace::excitations`]) work on both;
-//! the resident backend serves them by decoding single witness states
-//! through a small LRU of unranked blocks.
+//! [`StateSpace::excitations`]) serve witnesses (conflict pairs,
+//! rendered states); the resident backend answers them by decoding
+//! single states through a small LRU of unranked blocks.
 
 use std::fmt;
 use std::str::FromStr;
@@ -112,6 +112,13 @@ pub trait StateSpace: fmt::Debug + Send + Sync {
         None
     }
 
+    /// This space as an explicit [`StateGraph`], moved out of its box,
+    /// when it is one (the flow continues on the check stage's own graph
+    /// without copying it).
+    fn into_state_graph(self: Box<Self>) -> Option<StateGraph> {
+        None
+    }
+
     /// BDD nodes allocated in the manager backing this space, for the
     /// resident-BDD backend. Advisory telemetry only: the value varies by
     /// backend, so it must never join the deterministic (drift-gated)
@@ -135,18 +142,10 @@ pub trait StateSpace: fmt::Debug + Send + Sync {
         self.decode_code(i)[sig.index()]
     }
 
-    /// Successor state along a given transition, if enabled.
-    fn successor(&self, state: usize, t: TransitionId) -> Option<usize>;
-
     /// The signal edges enabled (excited) in state `i`, as
     /// `(transition, signal, edge)` triples sorted by transition; dummies
     /// are skipped.
     fn excitations(&self, stg: &Stg, i: usize) -> Vec<(TransitionId, SignalId, SignalEdge)>;
-
-    /// `true` if signal `sig` is excited (has an enabled edge) in state `i`.
-    fn is_excited(&self, stg: &Stg, i: usize, sig: SignalId) -> bool {
-        self.excitations(stg, i).iter().any(|&(_, s, _)| s == sig)
-    }
 
     /// The paper's state rendering: binary code with `*` after each
     /// excited signal.
@@ -252,9 +251,6 @@ pub trait StateSpace: fmt::Debug + Send + Sync {
     /// transition labelled with that edge is enabled.
     fn excitation_region(&self, stg: &Stg, signal: SignalId, edge: SignalEdge) -> StateSet;
 
-    /// The states where `signal` has the given value (`ON`/`OFF` sets).
-    fn value_region(&self, signal: SignalId, value: bool) -> StateSet;
-
     /// `true` when some reachable state enables no transition.
     fn has_deadlock(&self) -> bool;
 
@@ -317,12 +313,12 @@ impl StateSpace for StateGraph {
         Some(self)
     }
 
-    fn value(&self, i: usize, sig: SignalId) -> bool {
-        StateGraph::value(self, i, sig)
+    fn into_state_graph(self: Box<Self>) -> Option<StateGraph> {
+        Some(*self)
     }
 
-    fn successor(&self, state: usize, t: TransitionId) -> Option<usize> {
-        StateGraph::successor(self, state, t)
+    fn value(&self, i: usize, sig: SignalId) -> bool {
+        StateGraph::value(self, i, sig)
     }
 
     fn excitations(&self, stg: &Stg, i: usize) -> Vec<(TransitionId, SignalId, SignalEdge)> {
@@ -435,14 +431,6 @@ impl StateSpace for StateGraph {
                             .is_some_and(|l| l.signal == signal && l.edge == edge)
                     })
                 })
-                .collect(),
-        )
-    }
-
-    fn value_region(&self, signal: SignalId, value: bool) -> StateSet {
-        StateSet::Indices(
-            (0..self.num_states())
-                .filter(|&i| StateGraph::value(self, i, signal) == value)
                 .collect(),
         )
     }

@@ -2,23 +2,25 @@
 //!
 //! The reachable states are computed by a BDD fixed point and the
 //! characteristic function stays resident in its BDD manager; the
-//! synthesis queries are answered symbolically:
+//! implementability queries of the check stage are answered
+//! symbolically:
 //!
 //! * the state vector is the **joint** (marking, signal code) pair: one
 //!   BDD variable pair per place *and* per signal, interleaved by a
 //!   structural anchor heuristic so each signal's variables sit next to
 //!   the places of its own handshake (keeping the marking ↔ code
 //!   correlation narrow);
-//! * excitation and quiescent regions, code lookups, USC/CSC verdicts,
-//!   persistency and deadlock checks are cube intersections, projections
-//!   and satisfying-assignment counts over that one function — no state
-//!   is ever enumerated;
+//! * excitation regions, code lookups, USC/CSC verdicts, persistency
+//!   and deadlock checks are cube intersections, projections and
+//!   satisfying-assignment counts over that one function — no state is
+//!   ever enumerated;
 //! * when a consumer genuinely needs a *witness* (a conflict pair, an
-//!   error state, a trace), individual states are decoded on demand by
-//!   BDD unranking, served from a small LRU of materialised blocks —
-//!   that is how the per-state queries (`decode_code`, `decode_marking`,
-//!   `successor`, `excitations`) work at any scale. Work that scans
-//!   every arc runs on a [`crate::StateGraph`] instead.
+//!   error state), individual states are decoded on demand by BDD
+//!   unranking, served from a small LRU of materialised blocks — that is
+//!   how the per-state queries (`decode_code`, `decode_marking`,
+//!   `excitations`) work at any scale. Everything past the check (CSC
+//!   sweeps, logic synthesis, simulation) runs on a [`crate::StateGraph`]
+//!   instead.
 //!
 //! State numbering: index 0 is the initial marking, the rest follow the
 //! lexicographic order of the BDD enumeration (with the initial
@@ -138,8 +140,8 @@ struct QueryCache {
     enabled: HashMap<usize, Bdd>,
     /// Excitation regions per `(signal index, edge is Rise)`.
     excitation: HashMap<(usize, bool), Bdd>,
-    /// ON marking sets per signal index (OFF is the complement within
-    /// the reached markings).
+    /// ON marking sets per signal index (the decoder reads codes off
+    /// them).
     on: HashMap<usize, Bdd>,
     /// Per-node satisfying-assignment counts over place-variable
     /// suffixes (the unranking tables). Valid for any BDD whose support
@@ -598,14 +600,6 @@ impl SymbolicSetSpace {
         lex_unrank(m, self.markings, &self.vars, self.num_places(), lex, counts)
     }
 
-    /// The state index of a reachable marking.
-    fn rank_state(&self, m: &Manager, counts: &mut HashMap<Bdd, u128>, marking: &Marking) -> usize {
-        let m0 = self.net.initial_marking();
-        let r = lex_rank(m, self.markings, &self.vars, marking, counts);
-        usize::try_from(state_index_of_rank_u128(r, self.initial_rank, marking, &m0))
-            .expect("witness index fits usize")
-    }
-
     /// Evaluates the per-signal ON sets at a marking to read its code.
     fn code_of_marking(&self, m: &Manager, on_sets: &[Bdd], marking: &Marking) -> Vec<bool> {
         let mut assignment = vec![false; m.var_count() as usize];
@@ -660,14 +654,6 @@ impl StateSpace for SymbolicSetSpace {
         // this is what lets composed verification anchor on a resident
         // space of any size.
         self.net.initial_marking()
-    }
-
-    fn successor(&self, state: usize, t: TransitionId) -> Option<usize> {
-        let (marking, _) = self.decode(state);
-        let next = self.net.fire(&marking, t)?;
-        let mut cache = self.cache.lock().expect("cache poisoned");
-        let m = self.mgr();
-        Some(self.rank_state(&m, &mut cache.suffix_counts, &next))
     }
 
     fn excitations(&self, stg: &Stg, i: usize) -> Vec<(TransitionId, SignalId, SignalEdge)> {
@@ -841,17 +827,6 @@ impl StateSpace for SymbolicSetSpace {
         let mut cache = self.cache.lock().expect("cache poisoned");
         let mut m = self.mgr();
         StateSet::Symbolic(self.excitation_bdd(&mut m, &mut cache, stg, signal, edge))
-    }
-
-    fn value_region(&self, signal: SignalId, value: bool) -> StateSet {
-        let mut cache = self.cache.lock().expect("cache poisoned");
-        let mut m = self.mgr();
-        let on = self.on_set_bdd(&mut m, &mut cache, signal.index());
-        if value {
-            StateSet::Symbolic(on)
-        } else {
-            StateSet::Symbolic(m.diff(self.markings, on))
-        }
     }
 
     fn has_deadlock(&self) -> bool {

@@ -379,19 +379,6 @@ mod state_space_backends {
             a.sort();
             b.sort();
             assert_eq!(a, b);
-            // The transition structures are trace-equivalent automata; the
-            // resident one is rebuilt from its per-state successor query.
-            let mut resident = petri::TransitionSystem::new(symbolic.num_states(), 0);
-            for i in 0..symbolic.num_states() {
-                for t in spec.net().transitions() {
-                    if let Some(j) = symbolic.successor(i, t) {
-                        resident.add_arc(i, t, j);
-                    }
-                }
-            }
-            let ta = explicit.ts().map_labels(|&t| spec.label_string(t));
-            let tb = resident.map_labels(|&t| spec.label_string(t));
-            assert!(ta.trace_equivalent(&tb), "{}", spec.name());
         }
     }
 

@@ -5,7 +5,7 @@
 //! one atomic complex gate is speed independent."*
 
 use boolmin::Expr;
-use stg::{SignalId, StateSpace, Stg};
+use stg::{SignalId, StateGraph, Stg};
 
 use crate::netlist::{GateKind, NetId, Netlist};
 use crate::nextstate::{all_equations, Equation, SynthesisError};
@@ -64,9 +64,9 @@ impl ComplexGateCircuit {
 ///
 /// Propagates [`SynthesisError::CscConflict`] when the state graph is not
 /// CSC — resolve conflicts first (see [`crate::csc`]).
-pub fn synthesize_complex_gates<S: StateSpace + ?Sized>(
+pub fn synthesize_complex_gates(
     stg: &Stg,
-    sg: &S,
+    sg: &StateGraph,
 ) -> Result<ComplexGateCircuit, SynthesisError> {
     let equations = all_equations(stg, sg)?;
     let mut netlist = Netlist::new();
@@ -151,11 +151,7 @@ fn remap_expr(e: &Expr, support: &[usize]) -> Expr {
 /// function value (1 on `ER+∪QR+`). A quick sanity check used by tests;
 /// full speed-independence is the `verify` crate's job.
 #[must_use]
-pub fn circuit_matches_sg<S: StateSpace + ?Sized>(
-    stg: &Stg,
-    sg: &S,
-    circuit: &ComplexGateCircuit,
-) -> bool {
+pub fn circuit_matches_sg(stg: &Stg, sg: &StateGraph, circuit: &ComplexGateCircuit) -> bool {
     for s in 0..sg.num_states() {
         // Net values = signal values (net ids are a permutation of
         // signals; build the value vector by net index).

@@ -78,7 +78,7 @@ pub struct CscResolutionWithSpace {
     pub num_states: usize,
     /// The validated state graph of `stg`, when the search still holds
     /// it (the ranking sweeps keep the graphs of the top
-    /// [`SweepOptions::keep_spaces`] candidates to bound memory).
+    /// [`CSC_CANDIDATE_LIMIT`] candidates to bound memory).
     pub space: Option<StateGraph>,
 }
 
@@ -101,11 +101,13 @@ pub struct SweepOptions {
     /// Per-candidate state-space bound. Candidates above it are counted
     /// in [`SweepStats::skipped_by_bound`], never silently dropped.
     pub bound: usize,
-    /// How many top-ranked candidates keep their validated state space
-    /// (memory bound: one full space each). The flow driver sets this to
-    /// its backtracking depth so no tried candidate is ever rebuilt.
-    pub keep_spaces: usize,
 }
+
+/// How many ranked CSC candidates the flow's synthesis stage tries (its
+/// backtracking depth), and therefore how many top-ranked candidates
+/// of a sweep keep their validated state graph, so that no tried
+/// candidate is rebuilt (memory bound: one full graph each).
+pub const CSC_CANDIDATE_LIMIT: usize = 12;
 
 /// The default per-candidate state bound of the CSC sweeps.
 ///
@@ -123,17 +125,7 @@ impl Default for SweepOptions {
         SweepOptions {
             threads: 0,
             bound: DEFAULT_SWEEP_BOUND,
-            keep_spaces: 1,
         }
-    }
-}
-
-impl SweepOptions {
-    /// This configuration with a different space-retention count.
-    #[must_use]
-    pub fn with_keep_spaces(mut self, keep_spaces: usize) -> Self {
-        self.keep_spaces = keep_spaces;
-        self
     }
 }
 
@@ -373,7 +365,7 @@ pub fn apply_edit(stg: &Stg, edit: StgEdit) -> Stg {
 /// returned); downstream architecture-specific validation picks between
 /// them (see the flow driver).
 ///
-/// The best [`SweepOptions::keep_spaces`] candidates carry their
+/// The best [`CSC_CANDIDATE_LIMIT`] candidates carry their
 /// validated state space ([`CscResolutionWithSpace::space`]) so the flow
 /// driver does not rebuild it before synthesis; the rest carry `None`
 /// (keeping every swept space alive would be O(T²) memory).
@@ -399,12 +391,12 @@ pub fn insertion_sweep(stg: &Stg, options: &SweepOptions, base: &StateGraph) -> 
     type Key = (usize, usize, TransitionId, TransitionId);
     struct Acc {
         ranked: Vec<(Key, Stg)>,
-        /// Local best spaces, sorted by key, truncated to `keep_spaces`.
+        /// Local best spaces, sorted by key, truncated to `keep`.
         spaces: Vec<(Key, StateGraph)>,
         scratch: PruneScratch,
         stats: SweepStats,
     }
-    let keep = options.keep_spaces;
+    let keep = CSC_CANDIDATE_LIMIT;
     let accs = par::par_fold(
         &pairs,
         options.threads,
@@ -449,12 +441,10 @@ pub fn insertion_sweep(stg: &Stg, options: &SweepOptions, base: &StateGraph) -> 
             let key = (states, cost, tp, tm);
             acc.stats.accepted += 1;
             acc.ranked.push((key, apply_edit(stg, edit)));
-            if keep > 0 {
-                let at = acc.spaces.partition_point(|(k, _)| *k < key);
-                if at < keep {
-                    acc.spaces.insert(at, (key, space));
-                    acc.spaces.truncate(keep);
-                }
+            let at = acc.spaces.partition_point(|(k, _)| *k < key);
+            if at < keep {
+                acc.spaces.insert(at, (key, space));
+                acc.spaces.truncate(keep);
             }
         },
     );
@@ -462,7 +452,7 @@ pub fn insertion_sweep(stg: &Stg, options: &SweepOptions, base: &StateGraph) -> 
     // Deterministic merge: keys embed `(tp, tm)`, so the total order is
     // independent of how workers split the grid — the concatenated
     // ranking sorts to exactly the serial sweep's order, and the global
-    // top-`keep_spaces` spaces are a subset of the workers' local tops.
+    // top-`keep` spaces are a subset of the workers' local tops.
     let mut stats = SweepStats::default();
     let mut ranked: Vec<(Key, Stg)> = Vec::new();
     let mut spaces: Vec<(Key, StateGraph)> = Vec::new();

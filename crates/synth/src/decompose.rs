@@ -12,7 +12,7 @@ use std::collections::HashMap;
 
 use boolmin::factor::{bound_fanin, factor_cover};
 use boolmin::Expr;
-use stg::{SignalId, Stg};
+use stg::{SignalId, StateGraph, Stg};
 
 use crate::complex_gate::ComplexGateCircuit;
 use crate::netlist::{GateKind, NetId, Netlist};
@@ -254,11 +254,7 @@ fn gate_from_children(
 /// minimiser lands on the multiply-acknowledged solution of Fig. 9a
 /// (`D = LDTACK·map0` instead of `D = LDTACK·csc0`).
 #[must_use]
-pub fn resubstitute<S: stg::StateSpace + ?Sized>(
-    stg: &Stg,
-    sg: &S,
-    dec: &DecomposedCircuit,
-) -> DecomposedCircuit {
+pub fn resubstitute(stg: &Stg, sg: &StateGraph, dec: &DecomposedCircuit) -> DecomposedCircuit {
     use boolmin::{minimize_exact, Cover, Cube, IncompleteFunction};
 
     let netlist = dec.netlist();

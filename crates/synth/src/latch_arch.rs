@@ -4,7 +4,7 @@
 //! hazard-free.
 
 use boolmin::{minimize_exact, Cover, Cube, Expr, IncompleteFunction};
-use stg::{SignalId, StateGraph, StateSpace, Stg};
+use stg::{SignalId, StateGraph, Stg};
 
 use crate::netlist::{GateKind, NetId, Netlist};
 use crate::nextstate::SynthesisError;
@@ -75,9 +75,9 @@ impl LatchCircuit {
 ///
 /// [`SynthesisError`] on inputs or CSC conflicts (a state code required
 /// both inside and outside an excitation region).
-pub fn set_reset_covers<S: StateSpace + ?Sized>(
+pub fn set_reset_covers(
     stg: &Stg,
-    sg: &S,
+    sg: &StateGraph,
     signal: SignalId,
 ) -> Result<SetResetCovers, SynthesisError> {
     if !stg.signal_kind(signal).is_non_input() {
@@ -92,7 +92,7 @@ pub fn set_reset_covers<S: StateSpace + ?Sized>(
             n,
             states
                 .iter()
-                .map(|&s| Cube::from_minterm(&sg.decode_code(s)))
+                .map(|&s| Cube::from_minterm(&sg.code(s)))
                 .collect(),
         );
         c.remove_contained();
@@ -148,9 +148,9 @@ pub fn set_reset_covers<S: StateSpace + ?Sized>(
 /// # Errors
 ///
 /// Propagates the first per-signal failure from [`set_reset_covers`].
-pub fn synthesize_latch_circuit<S: StateSpace + ?Sized>(
+pub fn synthesize_latch_circuit(
     stg: &Stg,
-    sg: &S,
+    sg: &StateGraph,
     style: LatchStyle,
 ) -> Result<LatchCircuit, SynthesisError> {
     let mut covers = Vec::new();

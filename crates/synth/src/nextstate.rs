@@ -8,9 +8,9 @@
 use std::fmt;
 
 use boolmin::{minimize_exact, minimize_heuristic, Cover, Cube, IncompleteFunction};
-use stg::{SignalId, StateSpace, Stg};
+use stg::{SignalId, StateGraph, Stg};
 
-use crate::regions::signal_region_sets;
+use crate::regions::signal_regions;
 
 /// Why next-state derivation failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -78,9 +78,9 @@ impl Equation {
 /// [`SynthesisError::InputSignal`] for inputs;
 /// [`SynthesisError::CscConflict`] if two equal-coded states imply
 /// different function values.
-pub fn derive_function<S: StateSpace + ?Sized>(
+pub fn derive_function(
     stg: &Stg,
-    sg: &S,
+    sg: &StateGraph,
     signal: SignalId,
 ) -> Result<IncompleteFunction, SynthesisError> {
     if !stg.signal_kind(signal).is_non_input() {
@@ -89,21 +89,22 @@ pub fn derive_function<S: StateSpace + ?Sized>(
         });
     }
     let n = sg.num_signals();
-    // Set-level derivation: the function is defined by the *codes* of
-    // `ER(z+) ∪ QR(z+)` (on) and `ER(z−) ∪ QR(z−)` (off) — the resident
-    // backend projects them straight out of the characteristic function,
-    // never touching individual states; explicit backends enumerate the
-    // region sets (each distinct code once, in first-occurrence order,
-    // exactly what the old per-state cube list reduced to).
-    let regions = signal_region_sets(stg, sg, signal);
-    // Canonical (lexicographic) cube order: `set_codes` ordering is
-    // backend-specific and exact minimisation breaks cover-size ties by
-    // input order, so unsorted codes could synthesise different (equally
-    // minimal) equations per backend.
-    let mut on_codes = sg.set_codes(&regions.on_set(sg));
-    on_codes.sort_unstable();
-    let mut off_codes = sg.set_codes(&regions.off_set(sg));
-    off_codes.sort_unstable();
+    // The function is defined by the *codes* of `ER(z+) ∪ QR(z+)` (on)
+    // and `ER(z−) ∪ QR(z−)` (off), each distinct code once. They are
+    // put in canonical (lexicographic) order: exact minimisation breaks
+    // cover-size ties by input order, so the order decides which of
+    // several equally minimal equations comes out. Packed code words
+    // compare as the codes do, so sorting states by their words sorts
+    // the codes.
+    let regions = signal_regions(stg, sg, signal);
+    let codes = |excited: &[usize], quiescent: &[usize]| -> Vec<Vec<bool>> {
+        let mut states = [excited, quiescent].concat();
+        states.sort_unstable_by(|&a, &b| sg.code_words(a).cmp(sg.code_words(b)));
+        states.dedup_by(|a, b| sg.code_words(*a) == sg.code_words(*b));
+        states.into_iter().map(|s| sg.code(s)).collect()
+    };
+    let on_codes = codes(&regions.er_plus, &regions.qr_plus);
+    let off_codes = codes(&regions.er_minus, &regions.qr_minus);
     // Detect contradictions: same code required both on and off.
     let off_lookup: std::collections::HashSet<&Vec<bool>> = off_codes.iter().collect();
     if let Some(code) = on_codes.iter().find(|c| off_lookup.contains(c)) {
@@ -128,9 +129,9 @@ pub fn derive_function<S: StateSpace + ?Sized>(
 /// # Errors
 ///
 /// See [`derive_function`].
-pub fn equation_exact<S: StateSpace + ?Sized>(
+pub fn equation_exact(
     stg: &Stg,
-    sg: &S,
+    sg: &StateGraph,
     signal: SignalId,
 ) -> Result<Equation, SynthesisError> {
     let function = derive_function(stg, sg, signal)?;
@@ -148,9 +149,9 @@ pub fn equation_exact<S: StateSpace + ?Sized>(
 /// # Errors
 ///
 /// See [`derive_function`].
-pub fn equation_heuristic<S: StateSpace + ?Sized>(
+pub fn equation_heuristic(
     stg: &Stg,
-    sg: &S,
+    sg: &StateGraph,
     signal: SignalId,
 ) -> Result<Equation, SynthesisError> {
     let function = derive_function(stg, sg, signal)?;
@@ -167,10 +168,7 @@ pub fn equation_heuristic<S: StateSpace + ?Sized>(
 /// # Errors
 ///
 /// Fails on the first CSC conflict, identifying the offending signal.
-pub fn all_equations<S: StateSpace + ?Sized>(
-    stg: &Stg,
-    sg: &S,
-) -> Result<Vec<Equation>, SynthesisError> {
+pub fn all_equations(stg: &Stg, sg: &StateGraph) -> Result<Vec<Equation>, SynthesisError> {
     stg.non_input_signals()
         .into_iter()
         .map(|s| equation_exact(stg, sg, s))

@@ -181,25 +181,3 @@ pub fn verify_circuit<S: StateSpace + ?Sized>(
 ) -> VerificationReport {
     verify_with(stg, sg, netlist, signal_nets, &VerifyOptions::default())
 }
-
-/// [`verify_circuit`] with an explicit composed-state limit.
-///
-/// # Panics
-///
-/// See [`verify_circuit`].
-#[must_use]
-pub fn verify_circuit_bounded<S: StateSpace + ?Sized>(
-    stg: &Stg,
-    sg: &S,
-    netlist: &Netlist,
-    signal_nets: &[NetId],
-    max_states: usize,
-) -> VerificationReport {
-    verify_with(
-        stg,
-        sg,
-        netlist,
-        signal_nets,
-        &VerifyOptions::default().with_bound(max_states),
-    )
-}

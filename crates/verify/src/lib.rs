@@ -26,10 +26,7 @@
 mod circuit;
 mod engine;
 
-pub use circuit::{
-    verify_circuit, verify_circuit_bounded, HazardWitness, VerificationReport, Violation,
-    WitnessState,
-};
+pub use circuit::{verify_circuit, HazardWitness, VerificationReport, Violation, WitnessState};
 pub use engine::{verify_with, VerifyOptions, DEFAULT_VERIFY_BOUND};
 
 #[cfg(test)]

@@ -71,9 +71,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "reachable markings: {exact}; invariant approximation: {approx}; contained: {contained}"
     );
 
-    // Synthesise the full controller through the staged pipeline on the
-    // resident-BDD backend: the two CSC conflicts of Fig. 5 are resolved
-    // automatically (a concurrency reduction plus a state signal).
+    // Synthesise the full controller through the staged pipeline with
+    // the resident-BDD check: the two CSC conflicts of Fig. 5 are
+    // resolved automatically (a concurrency reduction plus a state
+    // signal) on the explicit graph the flow continues on.
     println!("\n== synthesis (symbolic-set backend) ==");
     let result = Synthesis::new(spec).backend(Backend::SymbolicSet).run()?;
     if let Some(t) = &result.transformation {

@@ -14,7 +14,7 @@
 //! | [`petri`] | net kernel: token game, reachability, invariants, reductions, unfoldings, BDD traversal |
 //! | `bdd` | hash-consed ROBDD package |
 //! | [`boolmin`] | two-level logic: covers, exact/heuristic minimisation, factoring |
-//! | [`stg`] | Signal Transition Graphs: `.g` parsing, pluggable state spaces ([`stg::StateSpace`]: explicit [`stg::StateGraph`] and resident-BDD [`stg::SymbolicSetSpace`]), consistency, CSC, persistency |
+//! | [`stg`] | Signal Transition Graphs: `.g` parsing, state graphs ([`stg::StateGraph`]) and the check stage's pluggable state spaces ([`stg::StateSpace`]: explicit or resident-BDD [`stg::SymbolicSetSpace`]), consistency, CSC, persistency |
 //! | [`synth`] | logic synthesis: regions, next-state functions, CSC resolution, latch architectures, decomposition, mapping |
 //! | `regions` | theory of regions: PN extraction / back-annotation |
 //! | [`timing`] | time separation of events, cycle time, relative-timing optimisation |
@@ -27,9 +27,12 @@
 //! decomposition with hazard repair → verification) as a staged, typed
 //! session — [`Synthesis`] advances through [`Checked`] → [`CscResolved`]
 //! → [`Synthesized`] → [`Verified`], each stage exposing its artifacts
-//! for inspection, caching and rerouting. Every stage runs on a
+//! for inspection, caching and rerouting. The check stage runs on a
 //! pluggable state-space [`Backend`]: `Explicit` breadth-first
-//! reachability or `SymbolicSet` resident-BDD traversal. [`run_batch`]
+//! reachability or `SymbolicSet` resident-BDD traversal. Past the check
+//! the flow holds one explicit [`stg::StateGraph`] on either backend:
+//! CSC resolution, logic synthesis and verification run on it.
+//! [`run_batch`]
 //! synthesises many controllers concurrently; [`FlowEvent`] gives
 //! structured diagnostics.
 //!

@@ -1,6 +1,7 @@
 //! The staged synthesis pipeline: the §3 flow (property checking → CSC
-//! resolution → synthesis → verification) as a typed state machine over
-//! pluggable state-space backends.
+//! resolution → synthesis → verification) as a typed state machine. The
+//! configured [`Backend`] picks the engine of the check stage; every
+//! later stage runs on one explicit [`StateGraph`].
 //!
 //! [`Synthesis`] is the entry point. Configure it with the builder
 //! methods, then either advance stage by stage —
@@ -21,19 +22,21 @@
 //! ([`Checked`], [`CscResolved`], [`Synthesized`], [`Verified`]) exposes
 //! its artifacts (implementability report, candidate CSC transformations,
 //! equations, netlist, verification outcome) and the accumulated
-//! [`FlowEvent`] log, and hands its state space, report and verification
-//! probe forward for reuse: the CSC-clean fast path recomputes nothing,
-//! the check stage's space seeds the CSC candidate sweeps, and every
-//! candidate the synthesiser may try carries its validated space — no
-//! stage builds the same space twice. [`run_batch`] synthesises many
-//! controllers concurrently on scoped threads.
+//! [`FlowEvent`] log, and hands its state graph, report and verification
+//! probe forward for reuse. The check stage's space is checked once; CSC
+//! resolution moves its graph on (the explicit backend) or builds the
+//! one explicit graph the flow needs (after a resident check). That
+//! graph is the CSC-clean candidate and the base every CSC sweep derives
+//! from, and every candidate the synthesiser may try carries its
+//! validated graph — no stage builds the same space twice. [`run_batch`]
+//! synthesises many controllers concurrently on scoped threads.
 
 use std::fmt;
 
 use stg::properties::ImplementabilityReport;
 use stg::{StateGraph, StateSpace, Stg};
 use synth::complex_gate::{synthesize_complex_gates, ComplexGateCircuit};
-use synth::csc::CscResolutionWithSpace;
+use synth::csc::{CscResolutionWithSpace, CSC_CANDIDATE_LIMIT};
 pub use synth::csc::{SweepOptions, SweepStats};
 use synth::decompose::{decompose, resubstitute, DecomposedCircuit};
 use synth::latch_arch::{synthesize_latch_circuit, LatchCircuit, LatchStyle};
@@ -146,14 +149,15 @@ impl std::str::FromStr for CscStrategy {
 /// Options shared by [`Synthesis`] and [`run_batch`].
 #[derive(Debug, Clone, Default)]
 pub struct SynthesisOptions {
-    /// State-space engine used by every stage.
+    /// State-space engine of the check stage (later stages run on an
+    /// explicit state graph whichever engine checked).
     pub backend: Backend,
     /// Target architecture.
     pub architecture: Architecture,
     /// CSC resolution strategy.
     pub csc: CscStrategy,
-    /// CSC candidate-sweep engine configuration (worker threads,
-    /// per-candidate state bound, whether candidate spaces are kept).
+    /// CSC candidate-sweep engine configuration (worker threads and
+    /// the per-candidate state bound).
     /// The thread count never changes the flow's output and stays out
     /// of cache keys; the bound (can change results) participates.
     pub sweep: SweepOptions,
@@ -743,11 +747,6 @@ impl Synthesis {
     }
 }
 
-/// How many ranked CSC candidates the synthesis stage will try (its
-/// backtracking depth) — and therefore how many validated candidate
-/// state spaces the sweeps keep alive so no tried candidate is rebuilt.
-const CSC_CANDIDATE_LIMIT: usize = 12;
-
 /// Stage 1 artifact: the specification passed every non-CSC §2.1 check.
 #[derive(Debug)]
 pub struct Checked {
@@ -786,18 +785,19 @@ impl Checked {
     /// Stage 2 (§3.1): gathers candidate CSC-clean specifications.
     ///
     /// When CSC already holds the original specification (and its state
-    /// space) is the single candidate; otherwise candidates come from
+    /// graph) is the single candidate; otherwise candidates come from
     /// state-signal insertion, concurrency reduction and the mixed greedy
     /// search, per the configured [`CscStrategy`], best first.
     ///
     /// # Errors
     ///
     /// [`PipelineError::CscUnresolved`] when no candidate exists under the
-    /// requested strategy. [`PipelineError::NotImplementable`] when the
-    /// explicit base graph the sweeps derive from does not build — the
-    /// refusal the explicit backend's check would have given. That
-    /// cannot follow a successful check: both backends bound the same
-    /// state count, so a spec either builds on both or on neither
+    /// requested strategy. [`PipelineError::NotImplementable`] when,
+    /// after a resident check, the explicit state graph the later stages
+    /// run on does not build — the refusal the explicit backend's check
+    /// would have given. That cannot follow a successful check: both
+    /// backends bound the same state count, so a spec either builds on
+    /// both or on neither
     /// (`tests/backend_differential.rs::state_limit_errors_agree` pins
     /// this for every corpus spec).
     pub fn resolve_csc(self) -> Result<CscResolved, PipelineError> {
@@ -808,39 +808,30 @@ impl Checked {
             report,
             mut events,
         } = self;
-        // The sweeps retain validated spaces for as many candidates as
-        // this stage hands to the backtracking synthesiser, so no tried
-        // candidate is ever rebuilt downstream.
-        let sweep_options = options.sweep.clone().with_keep_spaces(CSC_CANDIDATE_LIMIT);
         let mut advisory = telemetry::Counters::new();
         record_space_counters(&*space, &mut advisory);
+        // Past the check the flow runs on one explicit graph: the check
+        // stage's own, or — after a resident check — one built here at
+        // the check's bound. Either way the sweeps and synthesis see the
+        // same graph on both backends, and this build is not counted as
+        // a `StateSpaceBuilt`: the check already reported the space.
+        let base = match space.into_state_graph() {
+            Some(sg) => sg,
+            None => StateGraph::build(&spec).map_err(|e| {
+                PipelineError::NotImplementable(Box::new(stg::properties::failure_report(e)))
+            })?,
+        };
         let candidates: Vec<CscCandidate> = if report.complete_state_coding {
             vec![CscCandidate {
                 spec: spec.clone(),
                 transformation: None,
-                space: Some(space),
+                space: Some(base),
                 report: Some(report),
             }]
         } else {
-            // The sweeps derive every candidate from an explicit base
-            // graph: the check stage's when it built one, otherwise one
-            // built here at the check's bound, so both backends sweep
-            // from the same base.
-            let built;
-            let base = match space.as_state_graph() {
-                Some(sg) => sg,
-                None => {
-                    built = StateGraph::build(&spec).map_err(|e| {
-                        PipelineError::NotImplementable(Box::new(stg::properties::failure_report(
-                            e,
-                        )))
-                    })?;
-                    &built
-                }
-            };
             let mut list: Vec<CscCandidate> = Vec::new();
             let run_insertions = |list: &mut Vec<CscCandidate>, events: &mut Vec<FlowEvent>| {
-                let sweep = synth::csc::insertion_sweep(&spec, &sweep_options, base);
+                let sweep = synth::csc::insertion_sweep(&spec, &options.sweep, &base);
                 events.push(FlowEvent::CscSweep {
                     kind: CscKind::SignalInsertion,
                     stats: sweep.stats,
@@ -851,7 +842,7 @@ impl Checked {
             };
             let run_reduction = |list: &mut Vec<CscCandidate>, events: &mut Vec<FlowEvent>| {
                 let (r, stats) =
-                    synth::csc::concurrency_reduction_sweep(&spec, &sweep_options, base);
+                    synth::csc::concurrency_reduction_sweep(&spec, &options.sweep, &base);
                 events.push(FlowEvent::CscSweep {
                     kind: CscKind::ConcurrencyReduction,
                     stats,
@@ -875,7 +866,7 @@ impl Checked {
                     // takes a reduction plus a state signal). The base
                     // graph seeds its first step.
                     let (r, stats) =
-                        synth::csc::resolve_mixed_sweep(&spec, 5, &sweep_options, base);
+                        synth::csc::resolve_mixed_sweep(&spec, 5, &options.sweep, &base);
                     events.push(FlowEvent::CscSweep {
                         kind: CscKind::Mixed,
                         stats,
@@ -911,9 +902,10 @@ pub struct CscCandidate {
     pub spec: Stg,
     /// The applied transformation, if any.
     pub transformation: Option<CscTransformation>,
-    /// The candidate's state space, when already built (the identity
-    /// candidate reuses the check stage's space).
-    space: Option<Box<dyn StateSpace>>,
+    /// The candidate's state graph, when already built (the identity
+    /// candidate reuses the check stage's graph, swept candidates carry
+    /// the graph their sweep validated).
+    space: Option<StateGraph>,
     /// The candidate's implementability report, when already computed.
     report: Option<ImplementabilityReport>,
 }
@@ -927,7 +919,7 @@ impl CscCandidate {
                 description: r.description,
                 num_states: r.num_states,
             }),
-            space: r.space.map(|sg| Box::new(sg) as Box<dyn StateSpace>),
+            space: r.space,
             report: None,
         }
     }
@@ -940,8 +932,8 @@ pub struct CscResolved {
     candidates: Vec<CscCandidate>,
     events: Vec<FlowEvent>,
     /// The check stage's space counters (see [`record_space_counters`]):
-    /// after a CSC transformation the flow continues on explicit graphs,
-    /// so the check stage's space may be the only resident one.
+    /// past the check the flow runs on explicit graphs, so the check
+    /// stage's space is the only one that has such counters.
     advisory: telemetry::Counters,
 }
 
@@ -1024,7 +1016,7 @@ fn record_space_counters(space: &dyn StateSpace, advisory: &mut telemetry::Count
 /// real failure.
 fn run_verify(
     spec: &Stg,
-    space: &dyn StateSpace,
+    space: &StateGraph,
     netlist: &synth::Netlist,
     nets: &[NetId],
     options: &SynthesisOptions,
@@ -1060,12 +1052,15 @@ fn synthesize_candidate(
     // is exact (and thread-count-invariant: sweep workers have already
     // finished, and their counters live on their own threads).
     let primes_before = boolmin::primes_generated();
-    let space: Box<dyn StateSpace> = match space {
+    // The sweeps keep the graphs of as many candidates as the flow
+    // tries, so only a candidate resumed from a cache checkpoint
+    // arrives without one.
+    let space = match space {
         Some(space) => space,
-        None => match options.backend.build(&spec) {
+        None => match StateGraph::build(&spec) {
             Ok(space) => {
                 events.push(FlowEvent::StateSpaceBuilt {
-                    backend: options.backend,
+                    backend: Backend::Explicit,
                     num_states: space.num_states(),
                 });
                 space
@@ -1075,11 +1070,11 @@ fn synthesize_candidate(
     };
     let report = match report {
         Some(report) => report,
-        None => stg::properties::report_from_sg(&spec, &*space),
+        None => stg::properties::report_from_sg(&spec, &space),
     };
 
     // Next-state functions and equations (§3.2).
-    let complex = match synthesize_complex_gates(&spec, &*space) {
+    let complex = match synthesize_complex_gates(&spec, &space) {
         Ok(c) => c,
         Err(e) => return fail(PipelineError::Synthesis(e.to_string()), events),
     };
@@ -1093,13 +1088,13 @@ fn synthesize_candidate(
     let circuit = match options.architecture {
         Architecture::ComplexGate => Circuit::Complex(complex.clone()),
         Architecture::CElement => {
-            match synthesize_latch_circuit(&spec, &*space, LatchStyle::CElement) {
+            match synthesize_latch_circuit(&spec, &space, LatchStyle::CElement) {
                 Ok(c) => Circuit::Latch(c),
                 Err(e) => return fail(PipelineError::Synthesis(e.to_string()), events),
             }
         }
         Architecture::RsLatch => {
-            match synthesize_latch_circuit(&spec, &*space, LatchStyle::RsLatch) {
+            match synthesize_latch_circuit(&spec, &space, LatchStyle::RsLatch) {
                 Ok(c) => Circuit::Latch(c),
                 Err(e) => return fail(PipelineError::Synthesis(e.to_string()), events),
             }
@@ -1110,11 +1105,11 @@ fn synthesize_candidate(
             let naive = decompose(&spec, &complex, max_fanin);
             let nets: Vec<NetId> = spec.signals().map(|s| naive.signal_net(s)).collect();
             let naive_report =
-                run_verify(&spec, &*space, naive.netlist(), &nets, options, &mut events);
+                run_verify(&spec, &space, naive.netlist(), &nets, options, &mut events);
             if naive_report.is_speed_independent() {
                 Circuit::Decomposed(naive)
             } else {
-                Circuit::Decomposed(resubstitute(&spec, &*space, &naive))
+                Circuit::Decomposed(resubstitute(&spec, &space, &naive))
             }
         }
     };
@@ -1146,22 +1141,8 @@ fn synthesize_candidate(
     } else {
         let v = match &circuit {
             Circuit::Latch(latch) => {
-                // The monotonous-cover check scans every arc, so it runs
-                // on an explicit graph: the candidate's own, or one built
-                // here when the candidate's space is resident.
-                let built;
-                let graph = match space.as_state_graph() {
-                    Some(sg) => sg,
-                    None => match StateGraph::build(&spec) {
-                        Ok(sg) => {
-                            built = sg;
-                            &built
-                        }
-                        Err(e) => return fail(PipelineError::Synthesis(e.to_string()), events),
-                    },
-                };
                 let violations =
-                    synth::latch_arch::monotonic_violations(&spec, graph, &latch.covers);
+                    synth::latch_arch::monotonic_violations(&spec, &space, &latch.covers);
                 if !violations.is_empty() {
                     return fail(
                         PipelineError::Synthesis(format!(
@@ -1172,13 +1153,13 @@ fn synthesize_candidate(
                     );
                 }
                 let (atomic, nets) = latch.atomic_netlist(&spec);
-                run_verify(&spec, &*space, &atomic, &nets, options, &mut events)
+                run_verify(&spec, &space, &atomic, &nets, options, &mut events)
             }
             _ => {
                 let nets = circuit.signal_nets(&spec);
                 run_verify(
                     &spec,
-                    &*space,
+                    &space,
                     circuit.netlist(),
                     &nets,
                     options,
@@ -1216,7 +1197,7 @@ fn synthesize_candidate(
 pub struct Synthesized {
     spec: Stg,
     options: SynthesisOptions,
-    space: Box<dyn StateSpace>,
+    space: StateGraph,
     transformation: Option<CscTransformation>,
     report: ImplementabilityReport,
     circuit: Circuit,
@@ -1264,10 +1245,10 @@ impl Synthesized {
         self.mapping.as_ref()
     }
 
-    /// The final specification's state space.
+    /// The final specification's state graph.
     #[must_use]
-    pub fn state_space(&self) -> &dyn StateSpace {
-        &*self.space
+    pub fn state_space(&self) -> &StateGraph {
+        &self.space
     }
 
     /// Diagnostics accumulated so far.
@@ -1311,9 +1292,8 @@ impl Synthesized {
             mapping,
             probe,
             mut events,
-            mut advisory,
+            advisory,
         } = self;
-        record_space_counters(&*space, &mut advisory);
         let verification = if options.skip_verification {
             events.push(FlowEvent::VerificationSkipped);
             Verification::Skipped
@@ -1360,16 +1340,16 @@ pub struct Verified {
     pub mapping: Option<Mapping>,
     /// The verification outcome (three-valued).
     pub verification: Verification,
-    space: Box<dyn StateSpace>,
+    space: StateGraph,
     events: Vec<FlowEvent>,
     advisory: telemetry::Counters,
 }
 
 impl Verified {
-    /// The final specification's state space.
+    /// The final specification's state graph.
     #[must_use]
-    pub fn state_space(&self) -> &dyn StateSpace {
-        &*self.space
+    pub fn state_space(&self) -> &StateGraph {
+        &self.space
     }
 
     /// Number of states of the final specification.

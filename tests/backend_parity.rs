@@ -125,9 +125,9 @@ fn fails_verification(error: &PipelineError) -> bool {
 
 #[test]
 fn synthesised_equations_agree() {
-    // Every architecture: the latch and decomposed paths read per-state
-    // structure, which the resident backend serves through its decoder
-    // and the explicit state graph the flow builds for it.
+    // Every architecture: past the check both backends synthesise from
+    // one explicit state graph, so every (spec, architecture) outcome
+    // must match.
     for (name, spec) in specs() {
         for arch in ARCHITECTURES {
             let run = |backend: Backend| {

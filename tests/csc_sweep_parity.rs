@@ -340,7 +340,6 @@ fn bound_skipped_candidates_are_reported_never_silent() {
     let tight = SweepOptions {
         threads: 1,
         bound: 4,
-        ..SweepOptions::default()
     };
     let sweep = insertion_sweep(&spec, &tight, &base);
     assert!(sweep.candidates.is_empty(), "nothing fits 4 states");

@@ -181,27 +181,36 @@ fn state_graph_codes_match_paper_initial_state() {
 
 #[test]
 fn backend_is_threaded_through_every_stage() {
-    // A CSC-clean spec keeps the check stage's resident space through
-    // synthesis and verification; a spec that needs CSC resolution
-    // continues on the winning candidate's derived state graph (the
-    // sweeps evaluate candidates as explicit graphs on every backend).
-    // Every space the flow reports building is a resident one.
-    for (spec, final_backend) in [
-        (vme_read_csc(), Backend::SymbolicSet),
-        (vme_read(), Backend::Explicit),
-    ] {
+    // The backend picks the check engine only. Past the check the flow
+    // runs on one explicit state graph, built without a second
+    // `StateSpaceBuilt` event: the resident check's space is the one
+    // space the flow reports, whether CSC already holds (vme-read-csc)
+    // or has to be resolved (vme-read).
+    for spec in [vme_read_csc(), vme_read()] {
+        let name = spec.name().to_owned();
         let result = Synthesis::new(spec)
             .backend(Backend::SymbolicSet)
             .run()
             .expect("symbolic-set pipeline succeeds");
         assert!(result.verification.passed());
-        assert_eq!(result.state_space().backend(), final_backend);
-        assert!(result.events().iter().all(|e| {
-            if let FlowEvent::StateSpaceBuilt { backend, .. } = e {
-                *backend == Backend::SymbolicSet
-            } else {
-                true
-            }
-        }));
+        let built: Vec<Backend> = result
+            .events()
+            .iter()
+            .filter_map(|e| match e {
+                FlowEvent::StateSpaceBuilt { backend, .. } => Some(*backend),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(built, [Backend::SymbolicSet], "{name}");
+        assert_eq!(
+            asyncsynth::flow_metrics(result.events()).get("spaces_built"),
+            Some(1),
+            "{name}"
+        );
+        assert_eq!(
+            result.state_space().num_states(),
+            result.report.num_states,
+            "{name}"
+        );
     }
 }
