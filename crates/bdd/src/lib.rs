@@ -14,6 +14,24 @@
 //! * all boolean connectives, quantification, substitution and
 //!   satisfying-assignment enumeration are methods on [`Manager`].
 //!
+//! # Tables
+//!
+//! * The unique table and the memo maps hash through [`BddHasher`], a
+//!   multiplicative hasher: their keys are node triples and handles the
+//!   manager allocates itself, so SipHash's flooding resistance buys
+//!   nothing.
+//! * ITE, quantification and the relational product share one computed
+//!   table: direct-mapped and lossy, a power of two in size that grows
+//!   with the node table up to a fixed cap (2^18 slots). A colliding
+//!   entry overwrites the old one. Quantifications key on an interned
+//!   variable-set id, so two distinct sets never share an entry.
+//! * Handles do not depend on what the computed table holds: a
+//!   recomputation after a miss finds each node it builds already in the
+//!   unique table, so it allocates nothing new, and a given sequence of
+//!   operations yields the same handles and node count at any table size.
+//! * Nodes are never garbage collected; only the computed table is
+//!   bounded.
+//!
 //! # Example
 //!
 //! ```
@@ -29,9 +47,11 @@
 //! assert_eq!(m.sat_count(f, 2), 1);
 //! ```
 
+mod cache;
 mod manager;
 mod ops;
 
+pub use cache::{BddHasher, BddMap};
 pub use manager::{Bdd, Manager, VarId};
 pub use ops::SatAssignments;
 

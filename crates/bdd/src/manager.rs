@@ -1,7 +1,8 @@
 //! The BDD node store: unique table, node layout and handle types.
 
-use std::collections::HashMap;
 use std::fmt;
+
+use crate::cache::{BddMap, ComputedTable};
 
 /// Index of a boolean variable in the manager's (fixed) variable order.
 ///
@@ -67,32 +68,14 @@ pub(crate) struct Node {
 /// variable, so terminals sort below all decisions).
 pub(crate) const TERMINAL_VAR: VarId = u32::MAX;
 
-/// Key for the memoizing ITE cache.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub(crate) struct IteKey(pub Bdd, pub Bdd, pub Bdd);
-
-/// Allocation statistics for one [`Manager`], see [`Manager::stats`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ManagerStats {
-    /// Nodes currently allocated (including the two terminals).
-    pub nodes: usize,
-    /// Peak node count over the manager's lifetime. Managers never
-    /// garbage-collect, so this currently equals `nodes`.
-    pub peak_nodes: usize,
-    /// Highest variable id ever used, plus one.
-    pub num_vars: u32,
-    /// Entries in the ITE memo cache.
-    pub ite_cache_entries: usize,
-    /// Entries in the quantification memo cache.
-    pub quant_cache_entries: usize,
-}
-
 /// A BDD manager: owns nodes, guarantees canonicity, implements all
 /// operations.
 ///
 /// Nodes are never garbage collected; for the workloads in this workspace
 /// (state graphs of interface controllers, invariant checks) peak live size
-/// is small and determinism is more valuable than reclamation.
+/// is small and determinism is more valuable than reclamation. The
+/// operation caches are bounded instead: one lossy computed table sized
+/// with the node table up to a cap (see the crate docs).
 ///
 /// # Example
 ///
@@ -105,9 +88,12 @@ pub struct ManagerStats {
 /// ```
 pub struct Manager {
     pub(crate) nodes: Vec<Node>,
-    unique: HashMap<Node, Bdd>,
-    pub(crate) ite_cache: HashMap<IteKey, Bdd>,
-    pub(crate) quant_cache: HashMap<(Bdd, u64, bool), Bdd>,
+    unique: BddMap<Node, Bdd>,
+    pub(crate) computed: ComputedTable,
+    /// Interned quantification variable sets, sorted: set → id, and by
+    /// id (the computed table keys on the id).
+    var_set_ids: BddMap<Vec<VarId>, u32>,
+    pub(crate) var_sets: Vec<Vec<VarId>>,
     pub(crate) num_vars: u32,
 }
 
@@ -130,11 +116,22 @@ impl Manager {
     /// Creates an empty manager containing only the two terminal nodes.
     #[must_use]
     pub fn new() -> Self {
+        Self::with_computed_table(ComputedTable::new(ComputedTable::MAX_LOG2))
+    }
+
+    /// A manager whose computed table never grows past `2^log2` slots.
+    #[cfg(test)]
+    pub(crate) fn with_cache_log2(log2: u32) -> Self {
+        Self::with_computed_table(ComputedTable::new(log2))
+    }
+
+    fn with_computed_table(computed: ComputedTable) -> Self {
         let mut m = Manager {
             nodes: Vec::with_capacity(1024),
-            unique: HashMap::with_capacity(1024),
-            ite_cache: HashMap::with_capacity(1024),
-            quant_cache: HashMap::new(),
+            unique: BddMap::with_capacity_and_hasher(1024, Default::default()),
+            computed,
+            var_set_ids: BddMap::default(),
+            var_sets: Vec::new(),
             num_vars: 0,
         };
         // Index 0: constant false. Index 1: constant true.
@@ -167,21 +164,6 @@ impl Manager {
     #[must_use]
     pub fn node_count(&self) -> usize {
         self.nodes.len()
-    }
-
-    /// A snapshot of the manager's allocation state. Nodes are never
-    /// garbage collected, so `peak_nodes == nodes` today; the field
-    /// exists so callers pinning memory baselines keep working if
-    /// reclamation ever lands.
-    #[must_use]
-    pub fn stats(&self) -> ManagerStats {
-        ManagerStats {
-            nodes: self.nodes.len(),
-            peak_nodes: self.nodes.len(),
-            num_vars: self.num_vars,
-            ite_cache_entries: self.ite_cache.len(),
-            quant_cache_entries: self.quant_cache.len(),
-        }
     }
 
     /// Highest variable id ever used, plus one.
@@ -236,6 +218,22 @@ impl Manager {
         let id = Bdd(u32::try_from(self.nodes.len()).expect("bdd node table overflow"));
         self.nodes.push(node);
         self.unique.insert(node, id);
+        self.computed.grow_for(self.nodes.len());
+        id
+    }
+
+    /// The id of the variable set `vars` (any order, duplicates ignored),
+    /// interning it on first use.
+    pub(crate) fn intern_vars(&mut self, vars: &[VarId]) -> u32 {
+        let mut vs = vars.to_vec();
+        vs.sort_unstable();
+        vs.dedup();
+        if let Some(&id) = self.var_set_ids.get(&vs) {
+            return id;
+        }
+        let id = u32::try_from(self.var_sets.len()).expect("variable-set table overflow");
+        self.var_sets.push(vs.clone());
+        self.var_set_ids.insert(vs, id);
         id
     }
 
@@ -275,10 +273,9 @@ impl Manager {
         self.node(b).hi
     }
 
-    /// Drops the operation caches (the unique table is kept, so canonicity
-    /// is unaffected). Useful between unrelated workloads to bound memory.
+    /// Empties the computed table (the unique table is kept, so canonicity
+    /// and handles are unaffected).
     pub fn clear_caches(&mut self) {
-        self.ite_cache.clear();
-        self.quant_cache.clear();
+        self.computed.clear();
     }
 }

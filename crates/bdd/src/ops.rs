@@ -1,8 +1,7 @@
 //! Boolean operations, quantification, substitution and enumeration.
 
-use std::collections::HashMap;
-
-use crate::manager::{Bdd, IteKey, Manager, VarId, TERMINAL_VAR};
+use crate::cache::{BddMap, Op};
+use crate::manager::{Bdd, Manager, VarId, TERMINAL_VAR};
 
 impl Manager {
     /// If-then-else: `ite(f, g, h) = (f ∧ g) ∨ (¬f ∧ h)`.
@@ -22,8 +21,7 @@ impl Manager {
         if g.is_one() && h.is_zero() {
             return f;
         }
-        let key = IteKey(f, g, h);
-        if let Some(&r) = self.ite_cache.get(&key) {
+        if let Some(r) = self.computed.get(Op::Ite, f.0, g.0, h.0) {
             return r;
         }
         let top = self.top_var3(f, g, h);
@@ -33,7 +31,7 @@ impl Manager {
         let lo = self.ite(f0, g0, h0);
         let hi = self.ite(f1, g1, h1);
         let r = self.mk(top, lo, hi);
-        self.ite_cache.insert(key, r);
+        self.computed.put(Op::Ite, f.0, g.0, h.0, r);
         r
     }
 
@@ -44,12 +42,13 @@ impl Manager {
 
     /// Conjunction `f ∧ g`.
     pub fn and(&mut self, f: Bdd, g: Bdd) -> Bdd {
-        self.ite(f, g, Manager::zero())
+        // Commutative: one operand order, one computed-table key.
+        self.ite(f.min(g), f.max(g), Manager::zero())
     }
 
     /// Disjunction `f ∨ g`.
     pub fn or(&mut self, f: Bdd, g: Bdd) -> Bdd {
-        self.ite(f, Manager::one(), g)
+        self.ite(f.min(g), Manager::one(), f.max(g))
     }
 
     /// Exclusive or `f ⊕ g`.
@@ -147,90 +146,82 @@ impl Manager {
     ///
     /// `vars` may be given in any order; duplicates are ignored.
     pub fn exists(&mut self, f: Bdd, vars: &[VarId]) -> Bdd {
-        let mask = var_mask(vars);
-        self.quantify(f, &mask, true)
+        let set = self.intern_vars(vars);
+        self.quantify(f, set, Op::Exists)
     }
 
     /// Universal quantification `∀ vars . f`.
     pub fn forall(&mut self, f: Bdd, vars: &[VarId]) -> Bdd {
-        let mask = var_mask(vars);
-        self.quantify(f, &mask, false)
+        let set = self.intern_vars(vars);
+        self.quantify(f, set, Op::Forall)
     }
 
-    fn quantify(&mut self, f: Bdd, mask: &VarMask, existential: bool) -> Bdd {
-        if f.is_const() {
+    /// `true` when no variable of `set` lies at or below `b`'s root.
+    fn past_set(&self, b: Bdd, set: u32) -> bool {
+        self.var_sets[set as usize]
+            .last()
+            .is_none_or(|&last| self.node(b).var > last)
+    }
+
+    fn quantify(&mut self, f: Bdd, set: u32, op: Op) -> Bdd {
+        if f.is_const() || self.past_set(f, set) {
             return f;
         }
-        let key = (f, mask.fingerprint, existential);
-        if let Some(&r) = self.quant_cache.get(&key) {
+        if let Some(r) = self.computed.get(op, f.0, set, 0) {
             return r;
         }
         let n = self.node(f);
-        let lo = self.quantify(n.lo, mask, existential);
-        let hi = self.quantify(n.hi, mask, existential);
-        let r = if mask.contains(n.var) {
-            if existential {
-                self.or(lo, hi)
-            } else {
-                self.and(lo, hi)
-            }
-        } else {
+        let lo = self.quantify(n.lo, set, op);
+        let hi = self.quantify(n.hi, set, op);
+        let r = if self.var_sets[set as usize].binary_search(&n.var).is_err() {
             self.mk(n.var, lo, hi)
+        } else if op == Op::Exists {
+            self.or(lo, hi)
+        } else {
+            self.and(lo, hi)
         };
-        self.quant_cache.insert(key, r);
+        self.computed.put(op, f.0, set, 0, r);
         r
     }
 
     /// Relational product `∃ vars . (f ∧ g)` — the workhorse of image
     /// computation. Computed without building `f ∧ g` in full.
     pub fn and_exists(&mut self, f: Bdd, g: Bdd, vars: &[VarId]) -> Bdd {
-        let mask = var_mask(vars);
-        let mut cache = HashMap::new();
-        self.and_exists_rec(f, g, &mask, &mut cache)
+        let set = self.intern_vars(vars);
+        self.and_exists_rec(f, g, set)
     }
 
-    fn and_exists_rec(
-        &mut self,
-        f: Bdd,
-        g: Bdd,
-        mask: &VarMask,
-        cache: &mut HashMap<(Bdd, Bdd), Bdd>,
-    ) -> Bdd {
+    fn and_exists_rec(&mut self, f: Bdd, g: Bdd, set: u32) -> Bdd {
         if f.is_zero() || g.is_zero() {
             return Manager::zero();
         }
-        if f.is_one() && g.is_one() {
-            return Manager::one();
-        }
         if f.is_one() {
-            return self.quantify(g, mask, true);
+            return self.quantify(g, set, Op::Exists);
         }
         if g.is_one() {
-            return self.quantify(f, mask, true);
+            return self.quantify(f, set, Op::Exists);
         }
-        let key = if f <= g { (f, g) } else { (g, f) };
-        if let Some(&r) = cache.get(&key) {
+        if self.past_set(f, set) && self.past_set(g, set) {
+            return self.and(f, g);
+        }
+        let (f, g) = if f <= g { (f, g) } else { (g, f) };
+        if let Some(r) = self.computed.get(Op::AndExists, f.0, g.0, set) {
             return r;
         }
-        let vf = self.node(f).var;
-        let vg = self.node(g).var;
-        let top = vf.min(vg);
+        let top = self.node(f).var.min(self.node(g).var);
         let (f0, f1) = self.cofactors(f, top);
         let (g0, g1) = self.cofactors(g, top);
-        let r = if mask.contains(top) {
-            let lo = self.and_exists_rec(f0, g0, mask, cache);
-            if lo.is_one() {
-                Manager::one()
-            } else {
-                let hi = self.and_exists_rec(f1, g1, mask, cache);
-                self.or(lo, hi)
-            }
-        } else {
-            let lo = self.and_exists_rec(f0, g0, mask, cache);
-            let hi = self.and_exists_rec(f1, g1, mask, cache);
+        let lo = self.and_exists_rec(f0, g0, set);
+        let r = if self.var_sets[set as usize].binary_search(&top).is_err() {
+            let hi = self.and_exists_rec(f1, g1, set);
             self.mk(top, lo, hi)
+        } else if lo.is_one() {
+            Manager::one()
+        } else {
+            let hi = self.and_exists_rec(f1, g1, set);
+            self.or(lo, hi)
         };
-        cache.insert(key, r);
+        self.computed.put(Op::AndExists, f.0, g.0, set, r);
         r
     }
 
@@ -245,16 +236,16 @@ impl Manager {
     /// Panics if `from` and `to` have different lengths.
     pub fn rename(&mut self, f: Bdd, from: &[VarId], to: &[VarId]) -> Bdd {
         assert_eq!(from.len(), to.len(), "rename rails must have equal length");
-        let map: HashMap<VarId, VarId> = from.iter().copied().zip(to.iter().copied()).collect();
-        let mut cache = HashMap::new();
+        let map: BddMap<VarId, VarId> = from.iter().copied().zip(to.iter().copied()).collect();
+        let mut cache = BddMap::default();
         self.rename_rec(f, &map, &mut cache)
     }
 
     fn rename_rec(
         &mut self,
         f: Bdd,
-        map: &HashMap<VarId, VarId>,
-        cache: &mut HashMap<Bdd, Bdd>,
+        map: &BddMap<VarId, VarId>,
+        cache: &mut BddMap<Bdd, Bdd>,
     ) -> Bdd {
         if f.is_const() {
             return f;
@@ -304,7 +295,7 @@ impl Manager {
             "num_vars ({num_vars}) smaller than manager variable count ({})",
             self.num_vars
         );
-        let mut memo: HashMap<Bdd, u128> = HashMap::new();
+        let mut memo: BddMap<Bdd, u128> = BddMap::default();
         let total = self.sat_count_rec(f, &mut memo);
         // sat_count_rec counts over the variable suffix starting at the
         // root; scale by variables above the root and by any extra
@@ -319,7 +310,7 @@ impl Manager {
 
     /// Counts assignments of variables in `(node.var, num_vars)` implicitly;
     /// returns count over the suffix starting *at* the node's variable.
-    fn sat_count_rec(&self, f: Bdd, memo: &mut HashMap<Bdd, u128>) -> u128 {
+    fn sat_count_rec(&self, f: Bdd, memo: &mut BddMap<Bdd, u128>) -> u128 {
         if f.is_zero() {
             return 0;
         }
@@ -413,36 +404,6 @@ impl Manager {
             acc = self.and(lit, acc);
         }
         acc
-    }
-}
-
-/// Sorted variable set with a cheap fingerprint for memo keys.
-struct VarMask {
-    vars: Vec<VarId>,
-    fingerprint: u64,
-}
-
-impl VarMask {
-    fn contains(&self, v: VarId) -> bool {
-        self.vars.binary_search(&v).is_ok()
-    }
-}
-
-fn var_mask(vars: &[VarId]) -> VarMask {
-    let mut vs: Vec<VarId> = vars.to_vec();
-    vs.sort_unstable();
-    vs.dedup();
-    // FNV-style fold; collisions only risk cache pollution across different
-    // quantifications, never wrong results, because the cache key also
-    // includes the root — but to be safe we use a high-quality mix.
-    let mut fp: u64 = 0xcbf2_9ce4_8422_2325;
-    for &v in &vs {
-        fp ^= u64::from(v).wrapping_add(0x9e37_79b9_7f4a_7c15);
-        fp = fp.wrapping_mul(0x100_0000_01b3);
-    }
-    VarMask {
-        vars: vs,
-        fingerprint: fp,
     }
 }
 

@@ -211,6 +211,68 @@ fn leq_containment() {
     assert!(!m.leq(aorb, ab));
 }
 
+/// A fixed workload touching every cached operation: ITE connectives,
+/// both quantifiers, the relational product and renaming. Returns every
+/// handle it produced.
+fn cached_workload(m: &mut Manager) -> Vec<Bdd> {
+    let mut out = Vec::new();
+    let vars: Vec<Bdd> = (0..12).map(|v| m.var(v)).collect();
+    let mut acc = Manager::zero();
+    for (i, w) in vars.windows(3).enumerate() {
+        let t = m.ite(w[0], w[1], w[2]);
+        let x = m.xor(t, vars[(i * 5) % 12]);
+        acc = m.or(acc, x);
+        let y = m.and(acc, w[1]);
+        out.extend([t, x, acc, y]);
+    }
+    for k in 0..6u32 {
+        let set: Vec<u32> = (k..12).step_by(2).collect();
+        let e = m.exists(acc, &set);
+        let a = m.forall(acc, &set);
+        let r = m.and_exists(acc, out[k as usize], &set);
+        out.extend([e, a, r]);
+    }
+    let renamed = m.rename(acc, &[0, 2, 4], &[1, 3, 5]);
+    out.push(renamed);
+    out
+}
+
+#[test]
+fn handles_do_not_depend_on_the_computed_table_size() {
+    let mut roomy = Manager::new();
+    let mut tiny = Manager::with_cache_log2(1);
+    let expected = cached_workload(&mut roomy);
+    assert_eq!(cached_workload(&mut tiny), expected);
+    assert_eq!(tiny.node_count(), roomy.node_count());
+    // Repeating the workload (hits in one manager, recomputations in the
+    // other) allocates nothing new in either.
+    let nodes = roomy.node_count();
+    assert_eq!(cached_workload(&mut roomy), expected);
+    assert_eq!(cached_workload(&mut tiny), expected);
+    assert_eq!((roomy.node_count(), tiny.node_count()), (nodes, nodes));
+}
+
+#[test]
+fn quantification_sets_never_share_cache_entries() {
+    // Every subset of eight variables quantified over the same two roots
+    // in a two-slot table: each result must be its own set's.
+    let mut m = Manager::with_cache_log2(1);
+    let vars: Vec<Bdd> = (0..8).map(|v| m.var(v)).collect();
+    let all = m.and_all(vars.iter().copied());
+    let any = m.or_all(vars.iter().copied());
+    for mask in 1u32..256 {
+        let set: Vec<u32> = (0..8).filter(|v| mask >> v & 1 == 1).collect();
+        let rest: Vec<Bdd> = (0..8)
+            .filter(|v| mask >> v & 1 == 0)
+            .map(|v| vars[v as usize])
+            .collect();
+        let and_rest = m.and_all(rest.iter().copied());
+        let or_rest = m.or_all(rest);
+        assert_eq!(m.exists(all, &set), and_rest, "∃{set:?}");
+        assert_eq!(m.forall(any, &set), or_rest, "∀{set:?}");
+    }
+}
+
 mod properties {
     use super::*;
     use proptest::prelude::*;

@@ -9,6 +9,9 @@
 //! the BDD, not the state count. `queries` measures the post-build
 //! set-level workload (USC/CSC verdicts, persistency, deadlock, an
 //! excitation region) at a state count no enumerating backend could hold.
+//! `report` times the check stage's full property report on the two
+//! heaviest `analysis-scale` specs, micropipeline(5) and token_ring(8, 4)
+//! — where the symbolic check spends most of its time.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use stg::{SignalEdge, StateSpace, SymbolicSetSpace};
@@ -73,5 +76,28 @@ fn bench_resident_queries(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_resident_build, bench_resident_queries);
+fn bench_report(c: &mut Criterion) {
+    let mut group = c.benchmark_group("report");
+    group.sample_size(10);
+    for spec in [
+        stg::examples::micropipeline(5),
+        stg::examples::token_ring(8, 4),
+    ] {
+        let space = SymbolicSetSpace::build(&spec).expect("builds");
+        group.bench_with_input(
+            BenchmarkId::new("report_from_sg", spec.name()),
+            &spec,
+            |b, spec| b.iter(|| stg::properties::report_from_sg(spec, &space).num_states),
+        );
+        assert_eq!(space.decoded_states(), 0, "the report never decodes states");
+    }
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_resident_build,
+    bench_resident_queries,
+    bench_report
+);
 criterion_main!(benches);

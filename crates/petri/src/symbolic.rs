@@ -7,15 +7,29 @@
 //! function of the reachability set is calculated until the fixed point is
 //! reached."*
 //!
-//! Encoding: one current-state variable and one next-state variable per
-//! place, interleaved (`place i` ↦ current `2i`, next `2i+1`) — the
-//! classic ordering that keeps transition relations small.
+//! Encoding: one variable per place (`place i` ↦ variable `i`), current
+//! state only. A transition's image is computed locally, on its own
+//! support, by the kernel of Pastor, Roig, Cortadella and Badia (*Petri
+//! net analysis using boolean manipulation*, 1994): for a safe net,
+//!
+//! ```text
+//! image_t(S) = post_t ∧ ∃ support(t) . (S ∧ pre_t)
+//! ```
+//!
+//! where `pre_t` is the cube "preset marked, pure postset empty",
+//! `post_t` the cube "postset marked, pure preset empty" and `support(t)`
+//! the places the transition touches. No next-state variables, no frame
+//! condition for untouched places and no renaming back: the places
+//! outside `support(t)` pass through the quantification unchanged. A
+//! caller may hang one extra variable on each transition (an STG's
+//! signal, toggled by its edge — see [`TransitionImage::new`]).
 
 use bdd::{Bdd, Manager, VarId};
 
 use crate::invariant::{place_invariants, PlaceInvariant};
 use crate::marking::Marking;
-use crate::net::{PetriNet, PlaceId};
+use crate::net::{PetriNet, PlaceId, TransitionId};
+use crate::reach::ReachError;
 
 /// Result of a symbolic reachability run.
 #[derive(Debug)]
@@ -23,7 +37,7 @@ pub struct SymbolicReachability {
     /// The BDD manager holding the characteristic function.
     pub manager: Manager,
     /// Characteristic function of the reachable markings, over the
-    /// current-state variables.
+    /// place variables.
     pub reached: Bdd,
     /// Number of reachable markings.
     pub num_markings: u128,
@@ -32,24 +46,122 @@ pub struct SymbolicReachability {
 }
 
 fn cur_var(p: PlaceId) -> VarId {
-    2 * p.0
+    p.0
 }
 
-fn next_var(p: PlaceId) -> VarId {
-    2 * p.0 + 1
+/// One transition's image operands: the cubes `pre` and `post` and the
+/// variables they fix (see the module docs).
+#[derive(Debug, Clone)]
+pub struct TransitionImage {
+    pre: Bdd,
+    post: Bdd,
+    support: Vec<VarId>,
 }
 
-/// Computes the reachability set of a safe net symbolically.
+impl TransitionImage {
+    /// The image operands of `t`, with `place_var[p]` the variable of
+    /// place `p`. `extra = Some((v, after))` adds a variable the firing
+    /// drives from `!after` to `after`: firing requires `v = !after` and
+    /// leaves `v = after`.
+    pub fn new(
+        m: &mut Manager,
+        net: &PetriNet,
+        t: TransitionId,
+        place_var: &[VarId],
+        extra: Option<(VarId, bool)>,
+    ) -> Self {
+        let (preset, postset) = (net.preset(t), net.postset(t));
+        let mut pre = Vec::new();
+        let mut post = Vec::new();
+        for &p in preset {
+            pre.push((place_var[p.index()], true));
+            post.push((place_var[p.index()], postset.contains(&p)));
+        }
+        for &p in postset.iter().filter(|p| !preset.contains(p)) {
+            pre.push((place_var[p.index()], false));
+            post.push((place_var[p.index()], true));
+        }
+        if let Some((v, after)) = extra {
+            pre.push((v, !after));
+            post.push((v, after));
+        }
+        TransitionImage {
+            pre: m.cube(&pre),
+            post: m.cube(&post),
+            support: pre.iter().map(|&(v, _)| v).collect(),
+        }
+    }
+
+    /// The successors of `set` through this transition:
+    /// `post ∧ ∃support . (set ∧ pre)`.
+    pub(crate) fn apply(&self, m: &mut Manager, set: Bdd) -> Bdd {
+        let enabled = m.and_exists(set, self.pre, &self.support);
+        m.and(enabled, self.post)
+    }
+}
+
+/// The successors of `set` through any of `images`.
+pub(crate) fn image(m: &mut Manager, images: &[TransitionImage], set: Bdd) -> Bdd {
+    let mut out = Manager::zero();
+    for t in images {
+        let img = t.apply(m, set);
+        out = m.or(out, img);
+    }
+    out
+}
+
+/// Breadth-first fixed point from `init` under `images`: returns the
+/// reached set and the number of image iterations. `visit(m, reached,
+/// frontier)` runs on the initial set and after every iteration; an
+/// error from it stops the traversal and is returned.
 ///
-/// Builds one transition relation per net transition (enabling conjunction
-/// over the preset, token moves, frame condition for untouched places) and
-/// iterates image computation to a fixed point.
+/// # Errors
 ///
-/// The net must be safe; markings that would exceed one token per place
-/// cannot be represented and simply do not occur in safe nets (firing a
-/// transition with a marked output place that stays marked is excluded by
-/// the frame/enabling encoding — callers should validate safeness
-/// explicitly with the explicit checker when in doubt).
+/// Whatever `visit` returns.
+pub fn fixed_point<E>(
+    m: &mut Manager,
+    images: &[TransitionImage],
+    init: Bdd,
+    mut visit: impl FnMut(&mut Manager, Bdd, Bdd) -> Result<(), E>,
+) -> Result<(Bdd, usize), E> {
+    let (mut reached, mut frontier) = (init, init);
+    visit(m, reached, frontier)?;
+    let mut iterations = 0usize;
+    while !frontier.is_zero() {
+        iterations += 1;
+        let img = image(m, images, frontier);
+        frontier = m.diff(img, reached);
+        reached = m.or(reached, frontier);
+        visit(m, reached, frontier)?;
+    }
+    Ok((reached, iterations))
+}
+
+/// The image operands of every transition of `net` over the place
+/// variables `place_var`, with no extra variable.
+pub fn place_images(m: &mut Manager, net: &PetriNet, place_var: &[VarId]) -> Vec<TransitionImage> {
+    net.transitions()
+        .map(|t| TransitionImage::new(m, net, t, place_var, None))
+        .collect()
+}
+
+/// The cube of the initial marking over `place_var`.
+pub fn initial_cube(m: &mut Manager, net: &PetriNet, place_var: &[VarId]) -> Bdd {
+    let m0 = net.initial_marking();
+    let literals: Vec<(VarId, bool)> = net
+        .places()
+        .map(|p| (place_var[p.index()], m0.is_marked(p)))
+        .collect();
+    m.cube(&literals)
+}
+
+/// Computes the reachability set of a safe net symbolically: the
+/// [`fixed_point`] of the [`TransitionImage`] kernel from the initial
+/// marking.
+///
+/// The net must be safe; the kernel never fires onto a marked pure
+/// output place, so on an unsafe net this computes only the safe
+/// fragment — [`unsafe_witness`] on the result decides safeness.
 #[must_use]
 pub fn symbolic_reachability(net: &PetriNet) -> SymbolicReachability {
     symbolic_reachability_bounded(net, u128::MAX).expect("unbounded call cannot hit the limit")
@@ -62,89 +174,29 @@ pub fn symbolic_reachability(net: &PetriNet) -> SymbolicReachability {
 ///
 /// # Errors
 ///
-/// [`crate::reach::ReachError::StateLimit`] when the reached set exceeds
+/// [`ReachError::StateLimit`] when the reached set exceeds
 /// `max_markings` at any iteration.
 pub fn symbolic_reachability_bounded(
     net: &PetriNet,
     max_markings: u128,
-) -> Result<SymbolicReachability, crate::reach::ReachError> {
+) -> Result<SymbolicReachability, ReachError> {
     let mut manager = Manager::new();
     let m = &mut manager;
-    // Touch all variables to fix the universe.
-    for p in net.places() {
-        m.var(cur_var(p));
-        m.var(next_var(p));
+    let place_var: Vec<VarId> = net.places().map(cur_var).collect();
+    for &v in &place_var {
+        m.var(v);
     }
-    let cur_vars: Vec<VarId> = net.places().map(cur_var).collect();
-    let next_vars: Vec<VarId> = net.places().map(next_var).collect();
-
-    // Transition relations.
-    let mut relations: Vec<Bdd> = Vec::with_capacity(net.num_transitions());
-    for t in net.transitions() {
-        let mut rel = Manager::one();
-        let pre = net.preset(t);
-        let post = net.postset(t);
-        for p in net.places() {
-            let in_pre = pre.contains(&p);
-            let in_post = post.contains(&p);
-            let c = m.var(cur_var(p));
-            let n = m.var(next_var(p));
-            let clause = match (in_pre, in_post) {
-                // Consumed only: was 1, becomes 0.
-                (true, false) => {
-                    let nn = m.not(n);
-                    m.and(c, nn)
-                }
-                // Produced only: becomes 1; safeness requires it was 0.
-                (false, true) => {
-                    let nc = m.not(c);
-                    m.and(nc, n)
-                }
-                // Self-loop: stays 1.
-                (true, true) => m.and(c, n),
-                // Untouched: frame condition.
-                (false, false) => m.iff(c, n),
-            };
-            rel = m.and(rel, clause);
-        }
-        relations.push(rel);
-    }
-
-    // Initial marking.
-    let m0 = net.initial_marking();
-    let literals: Vec<(VarId, bool)> = net
-        .places()
-        .map(|p| (cur_var(p), m0.is_marked(p)))
-        .collect();
-    let init = m.cube(&literals);
-
-    // Fixed point.
-    let mut reached = init;
-    let mut frontier = init;
-    let mut iterations = 0usize;
-    let count_markings = |m: &mut Manager, reached: Bdd| {
-        // Count over current variables only: quantify out next vars first.
-        let only_cur = m.exists(reached, &next_vars);
-        let total = m.sat_count(only_cur, m.var_count());
-        total >> next_vars.len()
-    };
-    while !frontier.is_zero() {
-        iterations += 1;
-        let mut image_next = Manager::zero();
-        for &rel in &relations {
-            let img = m.and_exists(frontier, rel, &cur_vars);
-            image_next = m.or(image_next, img);
-        }
-        let image = m.rename(image_next, &next_vars, &cur_vars);
-        frontier = m.diff(image, reached);
-        reached = m.or(reached, frontier);
-        if max_markings < u128::MAX && count_markings(&mut *m, reached) > max_markings {
+    let num_vars = m.var_count();
+    let images = place_images(m, net, &place_var);
+    let init = initial_cube(m, net, &place_var);
+    let (reached, iterations) = fixed_point(m, &images, init, |m, reached, _| {
+        if max_markings < u128::MAX && m.sat_count(reached, num_vars) > max_markings {
             let limit = usize::try_from(max_markings).unwrap_or(usize::MAX);
-            return Err(crate::reach::ReachError::StateLimit(limit));
+            return Err(ReachError::StateLimit(limit));
         }
-    }
-
-    let num_markings = count_markings(&mut *m, reached);
+        Ok(())
+    })?;
+    let num_markings = m.sat_count(reached, num_vars);
     Ok(SymbolicReachability {
         manager,
         reached,
@@ -153,55 +205,79 @@ pub fn symbolic_reachability_bounded(
     })
 }
 
-/// Symbolic safeness check over an already-computed reachability set.
+/// Symbolic safeness check over a reachability set computed with the
+/// kernel, whose place variables are `place_var` (ascending in place
+/// order; other variables of `reached` are ignored).
 ///
-/// The symbolic transition encoding *excludes* token-accumulating firings
-/// (a produced place must have been empty), so on an unsafe net
-/// [`symbolic_reachability`] silently computes only the safe fragment.
-/// This check closes the gap: it looks for a reached marking that enables
-/// a transition while one of its pure output places is already marked —
+/// The kernel *excludes* token-accumulating firings, so on an unsafe net
+/// the fixed point silently computes only the safe fragment. This check
+/// closes the gap: it looks for a reached marking that enables a
+/// transition while one of its pure output places is already marked —
 /// the firing that would put two tokens on that place. Along any real
 /// firing sequence the marking *before* the first unsafe firing lies in
 /// the safe fragment, so an unsafe net always yields a witness.
 ///
-/// Returns the offending (two-token) successor marking, mirroring the
-/// explicit checker's bound-violation report.
-#[must_use]
-pub fn unsafe_witness(net: &PetriNet, sym: &mut SymbolicReachability) -> Option<Marking> {
-    let reached = sym.reached;
+/// Returns the offending (two-token) successor of the first such
+/// marking ([`first_marking`]) for the first such transition, mirroring
+/// the explicit checker's bound-violation report.
+pub fn unsafe_witness(
+    m: &mut Manager,
+    net: &PetriNet,
+    reached: Bdd,
+    place_var: &[VarId],
+) -> Option<Marking> {
     for t in net.transitions() {
-        let pre = net.preset(t).to_vec();
-        let post = net.postset(t).to_vec();
-        let m = &mut sym.manager;
+        let pre = net.preset(t);
         let mut enabled = reached;
-        for &p in &pre {
-            let v = m.var(cur_var(p));
+        for &p in pre {
+            let v = m.var(place_var[p.index()]);
             enabled = m.and(enabled, v);
         }
-        for &p in &post {
-            if pre.contains(&p) {
-                continue;
-            }
-            let pv = m.var(cur_var(p));
+        if enabled.is_zero() {
+            continue;
+        }
+        for &p in net.postset(t).iter().filter(|p| !pre.contains(p)) {
+            let pv = m.var(place_var[p.index()]);
             let clash = m.and(enabled, pv);
             if clash.is_zero() {
                 continue;
             }
-            let asg = m
-                .any_sat(clash, m.var_count())
-                .expect("non-zero BDD is satisfiable");
-            let counts: Vec<u32> = net
-                .places()
-                .map(|q| u32::from(asg[cur_var(q) as usize]))
-                .collect();
-            let before = Marking::from_counts(counts);
-            let after = net
-                .fire(&before, t)
-                .expect("witness enables the transition");
-            return Some(after);
+            let before = first_marking(m, clash, place_var);
+            return Some(
+                net.fire(&before, t)
+                    .expect("witness enables the transition"),
+            );
         }
     }
     None
+}
+
+/// The marking on the first satisfying path of a non-empty set, taking
+/// the 0-branch wherever it is satisfiable: places off the path are
+/// empty, variables outside `place_var` (ascending in place order) are
+/// skipped. On a set over the place variables only this is the set's
+/// lexicographically least marking. O(path) — never expands don't-cares.
+///
+/// # Panics
+///
+/// Panics if `f` is the empty set.
+#[must_use]
+pub fn first_marking(m: &Manager, f: Bdd, place_var: &[VarId]) -> Marking {
+    assert!(!f.is_zero(), "no satisfying marking in an empty set");
+    let mut counts = vec![0u32; place_var.len()];
+    let mut cur = f;
+    while let Some(v) = m.root_var(cur) {
+        let (lo, hi) = (m.low(cur), m.high(cur));
+        if lo.is_zero() {
+            if let Ok(pos) = place_var.binary_search(&v) {
+                counts[pos] = 1;
+            }
+            cur = hi;
+        } else {
+            cur = lo;
+        }
+    }
+    Marking::from_counts(counts)
 }
 
 /// The invariant-based *upper approximation* of the reachability set
@@ -209,7 +285,7 @@ pub fn unsafe_witness(net: &PetriNet, sym: &mut SymbolicReachability) -> Option<
 /// approximation of the reachability set, which is useful for conservative
 /// verification"*).
 ///
-/// Returns the characteristic BDD over current-state variables and the
+/// Returns the characteristic BDD over the place variables and the
 /// number of markings it admits.
 #[must_use]
 pub fn invariant_approximation(net: &PetriNet) -> (Manager, Bdd, u128) {
@@ -223,26 +299,11 @@ pub fn invariant_approximation(net: &PetriNet) -> (Manager, Bdd, u128) {
         let constraint = token_sum_equals(&mut m, net, inv);
         approx = m.and(approx, constraint);
     }
-    // Count over place variables only (universe has only cur vars here,
-    // spaced every 2; normalise by quantifying nothing — vars 2i+1 were
-    // never created, so var_count is 2·n−1; count over all and divide).
-    let count = count_over_places(&m, net, approx);
+    let count = m.sat_count(approx, m.var_count());
     (m, approx, count)
 }
 
-/// Number of satisfying place-assignments of `f` (ignoring gaps in the
-/// variable numbering).
-#[must_use]
-pub fn count_over_places(m: &Manager, net: &PetriNet, f: Bdd) -> u128 {
-    let total = m.sat_count(f, m.var_count());
-    let used: u32 = u32::try_from(net.num_places()).expect("place count fits u32");
-    // var_count counts the dense range [0, max_var]; place vars are the
-    // even ones. Divide out the unused odd slots.
-    let unused = m.var_count() - used;
-    total >> unused
-}
-
-/// Builds the constraint `Σ_{p ∈ support} m(p) = k` over the current-state
+/// Builds the constraint `Σ_{p ∈ support} m(p) = k` over the place
 /// variables, for a binary-weight invariant; for general weights builds the
 /// weighted equality by dynamic programming over partial sums.
 fn token_sum_equals(m: &mut Manager, net: &PetriNet, inv: &PlaceInvariant) -> Bdd {

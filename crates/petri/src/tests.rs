@@ -345,7 +345,59 @@ fn ts_restrict_to_reachable() {
 
 mod properties {
     use super::*;
+    use crate::symbolic::{image, place_images};
+    use bdd::{Bdd, Manager, VarId};
     use proptest::prelude::*;
+
+    /// The frame-relation image the kernel replaced, kept as its oracle:
+    /// current/next rails interleaved (place `i` ↦ `2i`, `2i + 1`), a
+    /// clause for every place (token moves on the transition's own
+    /// places, `cur ↔ next` on the rest), the relational product over the
+    /// current rail, then a rename of the next rail back onto it.
+    fn frame_relation_image(
+        m: &mut Manager,
+        net: &PetriNet,
+        t: crate::TransitionId,
+        set: Bdd,
+    ) -> Bdd {
+        let (pre, post) = (net.preset(t), net.postset(t));
+        let mut rel = Manager::one();
+        for p in net.places() {
+            let c = m.var(2 * p.0);
+            let n = m.var(2 * p.0 + 1);
+            let clause = match (pre.contains(&p), post.contains(&p)) {
+                (true, false) => {
+                    let nn = m.not(n);
+                    m.and(c, nn)
+                }
+                (false, true) => {
+                    let nc = m.not(c);
+                    m.and(nc, n)
+                }
+                (true, true) => m.and(c, n),
+                (false, false) => m.iff(c, n),
+            };
+            rel = m.and(rel, clause);
+        }
+        let cur: Vec<VarId> = net.places().map(|p| 2 * p.0).collect();
+        let next: Vec<VarId> = net.places().map(|p| 2 * p.0 + 1).collect();
+        let img = m.and_exists(set, rel, &cur);
+        m.rename(img, &next, &cur)
+    }
+
+    /// The set of markings whose place bits are the low bits of `words`.
+    fn marking_set(m: &mut Manager, net: &PetriNet, words: &[u64]) -> Bdd {
+        let mut set = Manager::zero();
+        for &w in words {
+            let literals: Vec<(VarId, bool)> = net
+                .places()
+                .map(|p| (2 * p.0, (w >> (p.index() % 64)) & 1 == 1))
+                .collect();
+            let cube = m.cube(&literals);
+            set = m.or(set, cube);
+        }
+        set
+    }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
@@ -366,6 +418,37 @@ mod properties {
             if let Ok(rg) = ReachabilityGraph::build_bounded(&net, 1, 20_000) {
                 let sym = symbolic_reachability(&net);
                 prop_assert_eq!(sym.num_markings, rg.num_states() as u128);
+            }
+        }
+
+        #[test]
+        fn image_kernel_matches_frame_relations(
+            n in 2usize..5,
+            extra in 0usize..3,
+            seed in 0u64..200,
+            words in proptest::collection::vec(any::<u64>(), 1..8),
+        ) {
+            let net = generators::random_safe_net(n, extra, seed);
+            let mut m = Manager::new();
+            for p in net.places() {
+                m.var(2 * p.0);
+                m.var(2 * p.0 + 1);
+            }
+            let place_var: Vec<VarId> = net.places().map(|p| 2 * p.0).collect();
+            let images = place_images(&mut m, &net, &place_var);
+            let init = crate::symbolic::initial_cube(&mut m, &net, &place_var);
+            let random = marking_set(&mut m, &net, &words);
+            for set in [init, random, Manager::one()] {
+                let mut union = Manager::zero();
+                for (t, kernel) in net.transitions().zip(&images) {
+                    let oracle = frame_relation_image(&mut m, &net, t, set);
+                    prop_assert_eq!(kernel.apply(&mut m, set), oracle);
+                    union = m.or(union, oracle);
+                }
+                prop_assert_eq!(image(&mut m, &images, set), union);
+            }
+            if let Ok(rg) = ReachabilityGraph::build_bounded(&net, 1, 20_000) {
+                prop_assert_eq!(symbolic_reachability(&net).num_markings, rg.num_states() as u128);
             }
         }
 

@@ -6,10 +6,17 @@
 //! symbolically:
 //!
 //! * the state vector is the **joint** (marking, signal code) pair: one
-//!   BDD variable pair per place *and* per signal, interleaved by a
-//!   structural anchor heuristic so each signal's variables sit next to
+//!   BDD variable per place *and* per signal, interleaved by a
+//!   structural anchor heuristic so each signal's variable sits next to
 //!   the places of its own handshake (keeping the marking ↔ code
 //!   correlation narrow);
+//! * the build is one fixed point over that pair with the
+//!   [`petri::symbolic`] image kernel — a labelled transition's signal
+//!   is its extra literal — checking the state limit and consistency on
+//!   every iteration and safeness on the result. Only an inconsistent
+//!   specification pays for a second, place-only fixed point: it decides
+//!   the state limit and safeness first, the precedence the explicit
+//!   builder has;
 //! * excitation regions, code lookups, USC/CSC verdicts, persistency
 //!   and deadlock checks are cube intersections, projections and
 //!   satisfying-assignment counts over that one function — no state is
@@ -29,8 +36,9 @@
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use bdd::{Bdd, Manager, VarId};
+use bdd::{Bdd, BddMap, Manager, VarId};
 use petri::reach::ReachError;
+use petri::symbolic::{self, TransitionImage};
 use petri::{Marking, PetriNet, TransitionId};
 
 use crate::model::{SignalEdge, SignalId, Stg};
@@ -55,14 +63,12 @@ const DECODE_BLOCK: usize = 256;
 /// never re-run the unranking).
 const DECODE_LRU_BLOCKS: usize = 32;
 
-/// The variable layout of one build: a current/next variable pair per
-/// place and per signal, interleaved by structural anchor.
+/// The variable layout of one build: one variable per place and per
+/// signal, interleaved by structural anchor.
 #[derive(Debug, Clone)]
 struct VarMap {
-    place_cur: Vec<VarId>,
-    place_next: Vec<VarId>,
-    sig_cur: Vec<VarId>,
-    sig_next: Vec<VarId>,
+    place: Vec<VarId>,
+    sig: Vec<VarId>,
 }
 
 impl VarMap {
@@ -98,36 +104,30 @@ impl VarMap {
         entities.extend((0..num_signals).map(|j| (anchor[j], 1, j)));
         entities.sort_unstable();
         let mut map = VarMap {
-            place_cur: vec![0; num_places],
-            place_next: vec![0; num_places],
-            sig_cur: vec![0; num_signals],
-            sig_next: vec![0; num_signals],
+            place: vec![0; num_places],
+            sig: vec![0; num_signals],
         };
         for (pos, &(_, kind, idx)) in entities.iter().enumerate() {
-            let cur = u32::try_from(2 * pos).expect("variable id fits u32");
+            let var = u32::try_from(pos).expect("variable id fits u32");
             if kind == 0 {
-                map.place_cur[idx] = cur;
-                map.place_next[idx] = cur + 1;
+                map.place[idx] = var;
             } else {
-                map.sig_cur[idx] = cur;
-                map.sig_next[idx] = cur + 1;
+                map.sig[idx] = var;
             }
         }
         map
     }
 
-    fn cur_vars(&self) -> Vec<VarId> {
-        let mut v = self.place_cur.clone();
-        v.extend(&self.sig_cur);
-        v
-    }
-
-    fn next_vars(&self) -> Vec<VarId> {
-        let mut v = self.place_next.clone();
-        v.extend(&self.sig_next);
-        v
+    /// Every variable, ascending.
+    fn all(&self) -> Vec<VarId> {
+        let n = self.place.len() + self.sig.len();
+        (0..u32::try_from(n).expect("variable id fits u32")).collect()
     }
 }
+
+/// Memo of satisfying-assignment counts over place-variable suffixes,
+/// per node (the unranking tables; see [`count_vars_from`]).
+type SuffixCounts = BddMap<Bdd, u128>;
 
 /// One materialised decode block: the `(marking, code)` pairs of a
 /// contiguous rank range.
@@ -146,7 +146,7 @@ struct QueryCache {
     /// Per-node satisfying-assignment counts over place-variable
     /// suffixes (the unranking tables). Valid for any BDD whose support
     /// is the current place variables.
-    suffix_counts: HashMap<Bdd, u128>,
+    suffix_counts: SuffixCounts,
     /// Materialised decode blocks: block index → states of that rank
     /// range.
     blocks: HashMap<usize, DecodedBlock>,
@@ -204,86 +204,16 @@ impl SymbolicSetSpace {
             return Err(StgError::Reach(ReachError::BoundExceeded(m0)));
         }
         let vars = VarMap::build(stg);
-        let num_places = net.num_places();
         let num_signals = stg.num_signals();
+        let limit = max_states as u128;
+        let state_limit = || StgError::Reach(ReachError::StateLimit(max_states));
 
         let mut mgr = Manager::new();
         let m = &mut mgr;
-        for &v in vars
-            .place_cur
-            .iter()
-            .chain(&vars.place_next)
-            .chain(&vars.sig_cur)
-            .chain(&vars.sig_next)
-        {
+        for &v in vars.place.iter().chain(&vars.sig) {
             m.var(v);
         }
-
-        // Phase 1 — the place-only token game, mirroring the explicit
-        // builder's order exactly: boundedness (state limit, then the
-        // safeness witness) is decided over the *full* marking set
-        // before any code interpretation runs, so a specification that
-        // is both unsafe and inconsistent reports the reachability
-        // failure on every backend.
-        let place_rels: Vec<Bdd> = net
-            .transitions()
-            .map(|t| place_clauses(m, &net, &vars, t))
-            .collect();
-        let m0_literals: Vec<(VarId, bool)> = net
-            .places()
-            .map(|p| (vars.place_cur[p.index()], m0.is_marked(p)))
-            .collect();
-        let place_init = m.cube(&m0_literals);
-        let place_cur = vars.place_cur.clone();
-        let place_next = vars.place_next.clone();
-        let mut markings_full = place_init;
-        let mut frontier = place_init;
-        let mut iterations = 0usize;
-        while !frontier.is_zero() {
-            iterations += 1;
-            let mut image_next = Manager::zero();
-            for &rel in &place_rels {
-                let img = m.and_exists(frontier, rel, &place_cur);
-                image_next = m.or(image_next, img);
-            }
-            let image = m.rename(image_next, &place_next, &place_cur);
-            frontier = m.diff(image, markings_full);
-            markings_full = m.or(markings_full, frontier);
-            if count_over(m, markings_full, &vars.place_cur) > max_states as u128 {
-                return Err(StgError::Reach(ReachError::StateLimit(max_states)));
-            }
-        }
-
-        // Safeness: the relation encoding excludes token-accumulating
-        // firings, so look for a reached marking that enables a
-        // transition onto an already-marked pure output place (same
-        // closure as `petri::symbolic::unsafe_witness`).
-        for t in net.transitions() {
-            let pre = net.preset(t);
-            let mut enabled = markings_full;
-            for &p in pre {
-                let v = m.var(vars.place_cur[p.index()]);
-                enabled = m.and(enabled, v);
-            }
-            if enabled.is_zero() {
-                continue;
-            }
-            for &p in net.postset(t) {
-                if pre.contains(&p) {
-                    continue;
-                }
-                let pv = m.var(vars.place_cur[p.index()]);
-                let clash = m.and(enabled, pv);
-                if clash.is_zero() {
-                    continue;
-                }
-                let before = marking_of_sat(m, clash, &vars, num_places);
-                let after = net
-                    .fire(&before, t)
-                    .expect("witness enables the transition");
-                return Err(StgError::Reach(ReachError::BoundExceeded(after)));
-            }
-        }
+        let place_init = symbolic::initial_cube(m, &net, &vars.place);
 
         let initial_values = match stg.initial_values() {
             Some(v) => v.to_vec(),
@@ -293,136 +223,120 @@ impl SymbolicSetSpace {
             // the budget blows does the layered symbolic BFS take over —
             // scale workloads fix their initial values explicitly and
             // skip inference altogether.
-            None => infer_initial_values_bounded(stg).unwrap_or_else(|| {
-                infer_initial_values_symbolic(m, stg, &vars, &place_rels, place_init)
-            }),
+            None => infer_initial_values_bounded(stg)
+                .unwrap_or_else(|| infer_initial_values_symbolic(m, stg, &vars, place_init)),
         };
 
-        // Phase 2 — joint transition relations: the place clauses of the §2.2
-        // encoding plus deterministic signal updates (a labelled edge
-        // drives its signal from ¬after to after; everything else is
-        // framed). Constraining the source value mirrors the explicit
-        // token game, which never *follows* an inconsistent firing — it
-        // reports it, as the post-fixpoint check below does.
-        let mut relations: Vec<Bdd> = Vec::with_capacity(net.num_transitions());
-        for t in net.transitions() {
-            let mut rel = place_rels[t.index()];
-            let label = stg.label(t);
-            for j in 0..num_signals {
-                let (c, n) = (vars.sig_cur[j], vars.sig_next[j]);
-                let clause = match label {
-                    Some(l) if l.signal.index() == j => {
-                        let after = l.edge.value_after();
-                        let lc = m.literal(c, !after);
-                        let ln = m.literal(n, after);
-                        m.and(lc, ln)
-                    }
-                    _ => {
-                        let (cv, nv) = (m.var(c), m.var(n));
-                        m.iff(cv, nv)
-                    }
-                };
-                rel = m.and(rel, clause);
-            }
-            relations.push(rel);
-        }
-
-        // Initial (marking, code) cube.
-        let mut literals = m0_literals;
-        literals.extend((0..num_signals).map(|j| (vars.sig_cur[j], initial_values[j])));
-        let init = m.cube(&literals);
-
-        // Code-annotated fixed point. Boundedness was settled in phase 1;
-        // what this loop must guard against is inconsistency, detected
-        // *inside* the loop — the explicit token game trips on the first
-        // inconsistent firing, and without the early exit an
-        // inconsistent specification can pile up to 2^signals codes per
-        // marking (the marking count stays bounded, the pair set
-        // explodes regardless).
-        let cur_all = vars.cur_vars();
-        let next_all = vars.next_vars();
-        let mut cur_all_sorted = cur_all.clone();
-        cur_all_sorted.sort_unstable();
-        let mut reached = init;
-        let mut frontier = init;
+        // One fixed point over (marking, code): each transition's image
+        // kernel, with a labelled edge's signal as the extra literal
+        // (driven from ¬after to after). Requiring the source value
+        // mirrors the explicit token game, which never *follows* an
+        // inconsistent firing — it reports it, as the checks below do on
+        // every new frontier: without that early exit an inconsistent
+        // specification could pile up to 2^signals codes per marking.
+        let images: Vec<TransitionImage> = net
+            .transitions()
+            .map(|t| {
+                let extra = stg
+                    .label(t)
+                    .map(|l| (vars.sig[l.signal.index()], l.edge.value_after()));
+                TransitionImage::new(m, &net, t, &vars.place, extra)
+            })
+            .collect();
+        let code: Vec<(VarId, bool)> = (0..num_signals)
+            .map(|j| (vars.sig[j], initial_values[j]))
+            .collect();
+        let code = m.cube(&code);
+        let init = m.and(place_init, code);
         let edge_checks: Vec<(TransitionId, Bdd)> = net
             .transitions()
             .filter_map(|t| {
                 let l = stg.label(t)?;
-                let mut cube = m.literal(vars.sig_cur[l.signal.index()], l.edge.value_after());
+                let mut cube = m.literal(vars.sig[l.signal.index()], l.edge.value_after());
                 for &p in net.preset(t) {
-                    let v = m.var(vars.place_cur[p.index()]);
+                    let v = m.var(vars.place[p.index()]);
                     cube = m.and(cube, v);
                 }
                 Some((t, cube))
             })
             .collect();
-        let mut scratch_counts = HashMap::new();
-        loop {
+        let all_vars = vars.all();
+        let mut counts = SuffixCounts::default();
+        let joint = symbolic::fixed_point(m, &images, init, |m, reached, frontier| {
+            let mk = m.exists(reached, &vars.sig);
+            let marking_count = count_vars_from(m, mk, &vars.place, 0, &mut counts);
+            if marking_count > limit {
+                return Err(state_limit());
+            }
+            let witness_index = |m: &Manager, witness: Bdd, counts: &mut SuffixCounts| {
+                let witness = symbolic::first_marking(m, witness, &vars.place);
+                let rank = lex_rank(m, mk, &vars, &witness, counts);
+                let initial = lex_rank(m, mk, &vars, &m0, counts);
+                state_index_of_rank(rank, initial, &witness, &m0)
+            };
             // An edge enabled at the wrong source value on any new pair
             // is the explicit builder's InconsistentEdge, caught the
-            // iteration the pair appears (the first round checks the
+            // iteration the pair appears (the first visit checks the
             // initial pair itself).
             for &(t, cube) in &edge_checks {
                 let bad = m.and(frontier, cube);
                 if !bad.is_zero() {
-                    let mk = m.exists(reached, &vars.sig_cur);
-                    let witness = marking_of_sat(m, bad, &vars, num_places);
-                    let rank = lex_rank(m, mk, &vars, &witness, &mut scratch_counts);
-                    let initial = lex_rank(m, mk, &vars, &m0, &mut scratch_counts);
                     return Err(StgError::InconsistentEdge {
                         transition: stg.label_string(t),
-                        state: state_index_of_rank(rank, initial, &witness, &m0),
+                        state: witness_index(m, bad, &mut counts),
                     });
                 }
             }
-            let mk = m.exists(reached, &vars.sig_cur);
-            let marking_count = count_over(m, mk, &vars.place_cur);
             // More pairs than markings: some marking carries two codes.
-            if count_over(m, reached, &cur_all_sorted) > marking_count {
-                for j in 0..num_signals {
-                    let sv = m.var(vars.sig_cur[j]);
+            if count_over(m, reached, &all_vars) > marking_count {
+                for &sig in &vars.sig {
+                    let sv = m.var(sig);
                     let on_pairs = m.and(reached, sv);
-                    let on = m.exists(on_pairs, &vars.sig_cur);
+                    let on = m.exists(on_pairs, &vars.sig);
                     let off_pairs = m.diff(reached, sv);
-                    let off = m.exists(off_pairs, &vars.sig_cur);
+                    let off = m.exists(off_pairs, &vars.sig);
                     let both = m.and(on, off);
                     if !both.is_zero() {
-                        let witness = marking_of_sat(m, both, &vars, num_places);
-                        let rank = lex_rank(m, mk, &vars, &witness, &mut scratch_counts);
-                        let initial = lex_rank(m, mk, &vars, &m0, &mut scratch_counts);
                         return Err(StgError::InconsistentCode {
-                            state: state_index_of_rank(rank, initial, &witness, &m0),
+                            state: witness_index(m, both, &mut counts),
                         });
                     }
                 }
                 unreachable!("a code-multiplicity excess implies a two-valued signal");
             }
-            if frontier.is_zero() {
-                break;
+            Ok(())
+        });
+        let (reached, iterations) = match joint {
+            Ok(fixed) => fixed,
+            Err(e @ StgError::Reach(_)) => return Err(e),
+            // Inconsistent: the explicit builder decides boundedness over
+            // the full marking set before it reads any code, so the
+            // place-only fixed point runs (here, and only here) to report
+            // a state limit or an unsafe net ahead of the inconsistency.
+            Err(inconsistent) => {
+                let place_images = symbolic::place_images(m, &net, &vars.place);
+                let (markings, _) =
+                    symbolic::fixed_point(m, &place_images, place_init, |m, reached, _| {
+                        if count_vars_from(m, reached, &vars.place, 0, &mut counts) > limit {
+                            return Err(state_limit());
+                        }
+                        Ok(())
+                    })?;
+                if let Some(after) = symbolic::unsafe_witness(m, &net, markings, &vars.place) {
+                    return Err(StgError::Reach(ReachError::BoundExceeded(after)));
+                }
+                return Err(inconsistent);
             }
-            let mut image_next = Manager::zero();
-            for &rel in &relations {
-                let img = m.and_exists(frontier, rel, &cur_all);
-                image_next = m.or(image_next, img);
-            }
-            let image = m.rename(image_next, &next_all, &cur_all);
-            frontier = m.diff(image, reached);
-            reached = m.or(reached, frontier);
+        };
+        let markings = m.exists(reached, &vars.sig);
+        // The kernel never fires onto a marked pure output place, so the
+        // fixed point covers only the safe fragment; a reached marking
+        // that enables such a firing witnesses an unsafe net.
+        if let Some(after) = symbolic::unsafe_witness(m, &net, markings, &vars.place) {
+            return Err(StgError::Reach(ReachError::BoundExceeded(after)));
         }
-
-        let markings = m.exists(reached, &vars.sig_cur);
-        let num_markings = count_over(m, markings, &vars.place_cur);
-        debug_assert_eq!(
-            markings, markings_full,
-            "a consistent spec reaches the same markings with and without codes"
-        );
-
-        // Consistency was validated inside the fixed point (edge checks
-        // on every frontier, the code-multiplicity comparison after
-        // every extension); what remains is the witness indexing table.
-        let mut counts = scratch_counts;
         counts.clear(); // drop nodes of intermediate marking sets
+        let num_markings = count_vars_from(m, markings, &vars.place, 0, &mut counts);
         let initial_rank = lex_rank(m, markings, &vars, &m0, &mut counts);
 
         let stats = SymbolicStats {
@@ -496,7 +410,7 @@ impl SymbolicSetSpace {
         }
         let mut b = self.markings;
         for &p in self.net.preset(t) {
-            let v = m.var(self.vars.place_cur[p.index()]);
+            let v = m.var(self.vars.place[p.index()]);
             b = m.and(b, v);
         }
         cache.enabled.insert(t.index(), b);
@@ -508,9 +422,9 @@ impl SymbolicSetSpace {
         if let Some(&b) = cache.on.get(&sig) {
             return b;
         }
-        let sv = m.var(self.vars.sig_cur[sig]);
+        let sv = m.var(self.vars.sig[sig]);
         let pairs = m.and(self.reached, sv);
-        let b = m.exists(pairs, &self.vars.sig_cur);
+        let b = m.exists(pairs, &self.vars.sig);
         cache.on.insert(sig, b);
         b
     }
@@ -541,9 +455,10 @@ impl SymbolicSetSpace {
         b
     }
 
-    /// Count of markings in a place-variable set.
-    fn count_markings(&self, m: &Manager, f: Bdd) -> u128 {
-        count_over(m, f, &self.vars.place_cur)
+    /// Count of markings in a place-variable set, through the space's
+    /// suffix-count memo.
+    fn count_markings(&self, m: &Manager, counts: &mut SuffixCounts, f: Bdd) -> u128 {
+        count_vars_from(m, f, &self.vars.place, 0, counts)
     }
 
     /// The decoded `(marking, code)` of state `i`, through the LRU block
@@ -591,7 +506,7 @@ impl SymbolicSetSpace {
 
     /// The marking at state index `i` (index 0 is the initial marking,
     /// swapped with its lexicographic slot).
-    fn unrank_state(&self, m: &Manager, counts: &mut HashMap<Bdd, u128>, i: u128) -> Marking {
+    fn unrank_state(&self, m: &Manager, counts: &mut SuffixCounts, i: u128) -> Marking {
         let m0 = self.net.initial_marking();
         if i == 0 {
             return m0;
@@ -605,7 +520,7 @@ impl SymbolicSetSpace {
         let mut assignment = vec![false; m.var_count() as usize];
         for p in self.net.places() {
             if marking.is_marked(p) {
-                assignment[self.vars.place_cur[p.index()] as usize] = true;
+                assignment[self.vars.place[p.index()] as usize] = true;
             }
         }
         on_sets.iter().map(|&b| m.eval(b, &assignment)).collect()
@@ -679,8 +594,9 @@ impl StateSpace for SymbolicSetSpace {
 
     fn set_count(&self, set: &StateSet) -> u128 {
         let b = self.bdd_of(set);
+        let mut cache = self.cache.lock().expect("cache poisoned");
         let m = self.mgr();
-        self.count_markings(&m, b)
+        self.count_markings(&m, &mut cache.suffix_counts, b)
     }
 
     fn set_is_empty(&self, set: &StateSet) -> bool {
@@ -722,7 +638,7 @@ impl StateSpace for SymbolicSetSpace {
         let mut m0_assignment = vec![false; m.var_count() as usize];
         for p in self.net.places() {
             if m0.is_marked(p) {
-                m0_assignment[self.vars.place_cur[p.index()] as usize] = true;
+                m0_assignment[self.vars.place[p.index()] as usize] = true;
             }
         }
         if m.eval(b, &m0_assignment) {
@@ -767,8 +683,7 @@ impl StateSpace for SymbolicSetSpace {
         let b = self.bdd_of(set);
         let mut m = self.mgr();
         let pairs = m.and(self.reached, b);
-        let place_cur = self.vars.place_cur.clone();
-        let codes_bdd = m.exists(pairs, &place_cur);
+        let codes_bdd = m.exists(pairs, &self.vars.place);
         let mut out = enumerate_codes(&m, codes_bdd, &self.vars);
         out.sort_unstable();
         out
@@ -776,9 +691,8 @@ impl StateSpace for SymbolicSetSpace {
 
     fn distinct_code_count(&self) -> u128 {
         let mut m = self.mgr();
-        let place_cur = self.vars.place_cur.clone();
-        let codes = m.exists(self.reached, &place_cur);
-        let mut sig_sorted = self.vars.sig_cur.clone();
+        let codes = m.exists(self.reached, &self.vars.place);
+        let mut sig_sorted = self.vars.sig.clone();
         sig_sorted.sort_unstable();
         count_over(&m, codes, &sig_sorted)
     }
@@ -786,30 +700,26 @@ impl StateSpace for SymbolicSetSpace {
     fn sets_share_code(&self, a: &StateSet, b: &StateSet) -> bool {
         let (a, b) = (self.bdd_of(a), self.bdd_of(b));
         let mut m = self.mgr();
-        let place_cur = self.vars.place_cur.clone();
         let pa = m.and(self.reached, a);
-        let ca = m.exists(pa, &place_cur);
+        let ca = m.exists(pa, &self.vars.place);
         let pb = m.and(self.reached, b);
-        let cb = m.exists(pb, &place_cur);
+        let cb = m.exists(pb, &self.vars.place);
         !m.and(ca, cb).is_zero()
     }
 
     fn states_with_code_set(&self, code: &[bool]) -> StateSet {
         let mut m = self.mgr();
         let literals: Vec<(VarId, bool)> = (0..self.num_signals)
-            .map(|j| (self.vars.sig_cur[j], code[j]))
+            .map(|j| (self.vars.sig[j], code[j]))
             .collect();
         let cube = m.cube(&literals);
-        let pairs = m.and(self.reached, cube);
-        let set = m.exists(pairs, &self.vars.sig_cur);
-        StateSet::Symbolic(set)
+        StateSet::Symbolic(m.and_exists(self.reached, cube, &self.vars.sig))
     }
 
     fn duplicate_code_classes(&self) -> Vec<(Vec<bool>, Vec<usize>)> {
         let codes = {
             let mut m = self.mgr();
-            let place_cur = self.vars.place_cur.clone();
-            let codes_bdd = m.exists(self.reached, &place_cur);
+            let codes_bdd = m.exists(self.reached, &self.vars.place);
             enumerate_codes(&m, codes_bdd, &self.vars)
         };
         let mut out = Vec::new();
@@ -874,11 +784,11 @@ impl StateSpace for SymbolicSetSpace {
                 after = Manager::zero(); // consumed: t disabled for sure
                 break;
             }
-            let v = m.var(self.vars.place_cur[p.index()]);
+            let v = m.var(self.vars.place[p.index()]);
             after = m.and(after, v);
         }
         both = m.diff(both, after);
-        self.count_markings(&m, both)
+        self.count_markings(&m, &mut cache.suffix_counts, both)
     }
 }
 
@@ -887,34 +797,6 @@ impl StateSpace for SymbolicSetSpace {
 // space exists)
 // ---------------------------------------------------------------------
 
-/// The place clauses of one transition relation (the §2.2 encoding with
-/// this build's variable map).
-fn place_clauses(m: &mut Manager, net: &PetriNet, vars: &VarMap, t: TransitionId) -> Bdd {
-    let pre = net.preset(t);
-    let post = net.postset(t);
-    let mut rel = Manager::one();
-    for p in net.places() {
-        let in_pre = pre.contains(&p);
-        let in_post = post.contains(&p);
-        let c = m.var(vars.place_cur[p.index()]);
-        let n = m.var(vars.place_next[p.index()]);
-        let clause = match (in_pre, in_post) {
-            (true, false) => {
-                let nn = m.not(n);
-                m.and(c, nn)
-            }
-            (false, true) => {
-                let nc = m.not(c);
-                m.and(nc, n)
-            }
-            (true, true) => m.and(c, n),
-            (false, false) => m.iff(c, n),
-        };
-        rel = m.and(rel, clause);
-    }
-    rel
-}
-
 /// Number of satisfying assignments of `f` over the given ascending
 /// variable list, which must cover `f`'s support. Counting walks the
 /// diagram against the list directly — no full-universe `sat_count`
@@ -922,8 +804,7 @@ fn place_clauses(m: &mut Manager, net: &PetriNet, vars: &VarMap, t: TransitionId
 /// manager's variable universe grows past 128 variables (state vectors
 /// of ~60+ places/signals, exactly the scale this backend exists for).
 fn count_over(m: &Manager, f: Bdd, vars: &[VarId]) -> u128 {
-    let mut memo = HashMap::new();
-    count_vars_from(m, f, vars, 0, &mut memo)
+    count_vars_from(m, f, vars, 0, &mut SuffixCounts::default())
 }
 
 /// Count over the suffix `vars[pos..]` (memo keyed per node: a node's
@@ -934,7 +815,7 @@ fn count_vars_from(
     f: Bdd,
     vars: &[VarId],
     pos: usize,
-    memo: &mut HashMap<Bdd, u128>,
+    memo: &mut SuffixCounts,
 ) -> u128 {
     fn var_pos(m: &Manager, f: Bdd, vars: &[VarId]) -> usize {
         match m.root_var(f) {
@@ -944,7 +825,7 @@ fn count_vars_from(
             None => vars.len(),
         }
     }
-    fn rec(m: &Manager, f: Bdd, vars: &[VarId], memo: &mut HashMap<Bdd, u128>) -> u128 {
+    fn rec(m: &Manager, f: Bdd, vars: &[VarId], memo: &mut SuffixCounts) -> u128 {
         if f.is_zero() {
             return 0;
         }
@@ -966,33 +847,6 @@ fn count_vars_from(
     }
     let c = rec(m, f, vars, memo);
     c << (var_pos(m, f, vars) - pos)
-}
-
-/// Decodes one satisfying assignment of a set into its marking by
-/// walking a single satisfying path (unconstrained places default to
-/// empty; signal variables along the path are ignored). O(path) — never
-/// expands don't-care variables.
-fn marking_of_sat(m: &Manager, f: Bdd, vars: &VarMap, num_places: usize) -> Marking {
-    assert!(!f.is_zero(), "no satisfying marking in an empty set");
-    let mut counts = vec![0u32; num_places];
-    let mut cur = f;
-    while !cur.is_const() {
-        let v = m.root_var(cur).expect("non-terminal");
-        let (lo, hi) = (m.low(cur), m.high(cur));
-        let (bit, next) = if lo.is_zero() {
-            (true, hi)
-        } else {
-            (false, lo)
-        };
-        if bit {
-            if let Ok(pos) = vars.place_cur.binary_search(&v) {
-                counts[pos] = 1;
-            }
-        }
-        cur = next;
-    }
-    debug_assert!(cur.is_one());
-    Marking::from_counts(counts)
 }
 
 /// Budgeted explicit first-edge inference: breadth-first token game up
@@ -1067,18 +921,15 @@ fn infer_initial_values_symbolic(
     m: &mut Manager,
     stg: &Stg,
     vars: &VarMap,
-    relations: &[Bdd],
     init: Bdd,
 ) -> Vec<bool> {
     let net = stg.net();
     let num_signals = stg.num_signals();
     let mut first_edge: Vec<Option<SignalEdge>> = vec![None; num_signals];
     let mut undecided = num_signals;
-    let place_cur = vars.place_cur.clone();
-    let place_next = vars.place_next.clone();
-    let mut reached = init;
-    let mut frontier = init;
-    while !frontier.is_zero() && undecided > 0 {
+    let images = symbolic::place_images(m, net, &vars.place);
+    // The traversal stops (`Err`) once every signal is decided.
+    let _ = symbolic::fixed_point(m, &images, init, |m, _, frontier| {
         for t in net.transitions() {
             let Some(l) = stg.label(t) else { continue };
             if first_edge[l.signal.index()].is_some() {
@@ -1086,7 +937,7 @@ fn infer_initial_values_symbolic(
             }
             let mut enabled = frontier;
             for &p in net.preset(t) {
-                let v = m.var(vars.place_cur[p.index()]);
+                let v = m.var(vars.place[p.index()]);
                 enabled = m.and(enabled, v);
             }
             if !enabled.is_zero() {
@@ -1094,15 +945,12 @@ fn infer_initial_values_symbolic(
                 undecided -= 1;
             }
         }
-        let mut image_next = Manager::zero();
-        for &rel in relations {
-            let img = m.and_exists(frontier, rel, &place_cur);
-            image_next = m.or(image_next, img);
+        if undecided == 0 {
+            Err(())
+        } else {
+            Ok(())
         }
-        let image = m.rename(image_next, &place_next, &place_cur);
-        frontier = m.diff(image, reached);
-        reached = m.or(reached, frontier);
-    }
+    });
     first_edge
         .into_iter()
         .map(|e| match e {
@@ -1120,13 +968,13 @@ fn lex_rank(
     f: Bdd,
     vars: &VarMap,
     marking: &Marking,
-    memo: &mut HashMap<Bdd, u128>,
+    memo: &mut SuffixCounts,
 ) -> u128 {
-    let num_places = vars.place_cur.len();
+    let num_places = vars.place.len();
     let mut rank = 0u128;
     let mut cur = f;
     for pos in 0..num_places {
-        let v = vars.place_cur[pos];
+        let v = vars.place[pos];
         let bit = marking.tokens(petri::PlaceId::from_index(pos)) > 0;
         let (lo, hi) = if m.root_var(cur) == Some(v) {
             (m.low(cur), m.high(cur))
@@ -1134,7 +982,7 @@ fn lex_rank(
             (cur, cur)
         };
         if bit {
-            rank += count_vars_from(m, lo, &vars.place_cur, pos + 1, memo);
+            rank += count_vars_from(m, lo, &vars.place, pos + 1, memo);
             cur = hi;
         } else {
             cur = lo;
@@ -1150,18 +998,18 @@ fn lex_unrank(
     vars: &VarMap,
     num_places: usize,
     mut i: u128,
-    memo: &mut HashMap<Bdd, u128>,
+    memo: &mut SuffixCounts,
 ) -> Marking {
     let mut counts = vec![0u32; num_places];
     let mut cur = f;
     for (pos, slot) in counts.iter_mut().enumerate() {
-        let v = vars.place_cur[pos];
+        let v = vars.place[pos];
         let (lo, hi) = if m.root_var(cur) == Some(v) {
             (m.low(cur), m.high(cur))
         } else {
             (cur, cur)
         };
-        let c0 = count_vars_from(m, lo, &vars.place_cur, pos + 1, memo);
+        let c0 = count_vars_from(m, lo, &vars.place, pos + 1, memo);
         if i < c0 {
             cur = lo;
         } else {
@@ -1214,7 +1062,7 @@ fn descend_markings(
         debug_assert!(f.is_one(), "support is the current place variables");
         return visit(Marking::from_counts(counts.clone()));
     }
-    let v = vars.place_cur[pos];
+    let v = vars.place[pos];
     let (lo, hi) = if m.root_var(f) == Some(v) {
         (m.low(f), m.high(f))
     } else {
@@ -1235,15 +1083,11 @@ fn descend_markings(
 fn enumerate_codes(m: &Manager, f: Bdd, vars: &VarMap) -> Vec<Vec<bool>> {
     // Signal variables in ascending id order, with the signal index each
     // one belongs to (the anchor interleaving permutes them).
-    let mut sig_order: Vec<(VarId, usize)> = vars
-        .sig_cur
-        .iter()
-        .enumerate()
-        .map(|(j, &v)| (v, j))
-        .collect();
+    let mut sig_order: Vec<(VarId, usize)> =
+        vars.sig.iter().enumerate().map(|(j, &v)| (v, j)).collect();
     sig_order.sort_unstable();
     let mut out = Vec::new();
-    let mut code = vec![false; vars.sig_cur.len()];
+    let mut code = vec![false; vars.sig.len()];
     descend_codes(m, f, &sig_order, 0, &mut code, &mut out);
     out
 }

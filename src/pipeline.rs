@@ -1687,6 +1687,16 @@ fn run_stages(
     }
 
     let resolved = match checkpoint {
+        // An untransformed checkpoint of a CSC-clean spec resumes
+        // exactly as the cold run continues: on the check's graph and
+        // report, without a second build.
+        Some((key, (_, None))) if checked.report().complete_state_coding => {
+            let mut resolved = checked.resolve_csc()?;
+            resolved
+                .events
+                .push(FlowEvent::CscStageResumed { key: key.to_hex() });
+            resolved
+        }
         Some((key, (csc_spec, transformation))) => {
             let Checked {
                 options,

@@ -289,12 +289,21 @@ fn inconsistent_edge_errors_agree() {
     let p = b.connect(a2, a1);
     b.mark_place(p, 1);
     let spec = b.build();
-    for e in build_errors(&spec, 1_000) {
+    let errors = build_errors(&spec, 1_000);
+    for e in &errors {
         assert!(
             matches!(e, StgError::InconsistentEdge { .. }),
             "expected InconsistentEdge, got {e:?}"
         );
     }
+    // The symbolic witness, state index included, is pinned exactly.
+    assert_eq!(
+        errors[1],
+        StgError::InconsistentEdge {
+            transition: "a+/2".to_owned(),
+            state: 1
+        }
+    );
 }
 
 #[test]
@@ -314,11 +323,123 @@ fn inconsistent_code_errors_agree() {
     b.arc_tp(xp, merge);
     b.arc_tp(skip, merge);
     let spec = b.build();
-    for e in build_errors(&spec, 1_000) {
+    let errors = build_errors(&spec, 1_000);
+    for e in &errors {
         assert!(
             matches!(e, StgError::InconsistentCode { .. }),
             "expected InconsistentCode, got {e:?}"
         );
+    }
+    assert_eq!(errors[1], StgError::InconsistentCode { state: 1 });
+}
+
+/// A spec whose signal `a` is inconsistent in its initial state (`a+`
+/// and `a-` both enabled), with the rest of the net spliced in by `rest`.
+fn inconsistent_at_start(name: &str, rest: impl FnOnce(&mut StgBuilder)) -> Stg {
+    let mut b = StgBuilder::new(name);
+    let a = b.add_signal("a", SignalKind::Output);
+    let rise = b.add_edge(a, SignalEdge::Rise);
+    let fall = b.add_edge(a, SignalEdge::Fall);
+    for t in [rise, fall] {
+        let before = b.add_place(format!("before-{t:?}"), 1);
+        let after = b.add_place(format!("after-{t:?}"), 0);
+        b.arc_pt(before, t);
+        b.arc_tp(t, after);
+    }
+    rest(&mut b);
+    b.build()
+}
+
+#[test]
+fn unsafe_and_inconsistent_reports_the_bound() {
+    // A dummy chain three firings deep ends on an already-marked place.
+    let spec = inconsistent_at_start("unsafe-inconsistent", |b| {
+        let places: Vec<_> = (0..4)
+            .map(|i| b.add_place(format!("s{i}"), u32::from(i == 0 || i == 3)))
+            .collect();
+        for (i, w) in places.windows(2).enumerate() {
+            let d = b.add_dummy(format!("d{i}"));
+            b.arc_pt(w[0], d);
+            b.arc_tp(d, w[1]);
+        }
+    });
+    for e in build_errors(&spec, 1_000) {
+        assert!(
+            matches!(
+                e,
+                StgError::Reach(petri::reach::ReachError::BoundExceeded(_))
+            ),
+            "expected BoundExceeded, got {e:?}"
+        );
+    }
+}
+
+#[test]
+fn over_limit_and_inconsistent_reports_the_limit() {
+    // Four independent dummy toggles: 16 × 4 markings, far past 8.
+    let spec = inconsistent_at_start("over-limit-inconsistent", |b| {
+        for i in 0..4 {
+            let on = b.add_place(format!("on{i}"), 1);
+            let off = b.add_place(format!("off{i}"), 0);
+            let (d, e) = (b.add_dummy(format!("d{i}")), b.add_dummy(format!("e{i}")));
+            b.arc_pt(on, d);
+            b.arc_tp(d, off);
+            b.arc_pt(off, e);
+            b.arc_tp(e, on);
+        }
+    });
+    for e in build_errors(&spec, 8) {
+        assert!(
+            matches!(e, StgError::Reach(petri::reach::ReachError::StateLimit(8))),
+            "expected StateLimit(8), got {e:?}"
+        );
+    }
+    // Within the limit the inconsistency itself is reported.
+    for e in build_errors(&spec, 1_000) {
+        assert!(
+            matches!(e, StgError::InconsistentEdge { .. }),
+            "expected InconsistentEdge, got {e:?}"
+        );
+    }
+}
+
+// ---------------------------------------------------------------------
+// Scale parity: the benchmark's analysis specs
+// ---------------------------------------------------------------------
+
+/// The six large specs of the `analysis-scale` benchmark render
+/// byte-equal check reports on both backends, at their closed-form state
+/// counts (`C(2·half, k)` and `4·5ⁿ`).
+#[test]
+fn scale_reports_agree() {
+    let mut specs: Vec<(Stg, Option<usize>)> = [(6, 6, 924), (7, 5, 2002), (8, 4, 1820)]
+        .into_iter()
+        .map(|(half, k, states)| (token_ring(half, k), Some(states)))
+        .collect();
+    specs.push((stg::examples::micropipeline(4), Some(4 * 625)));
+    specs.push((stg::examples::micropipeline(5), Some(4 * 3125)));
+    specs.push((generators::paralleliser(6, false), None));
+    for (spec, states) in specs {
+        let reports: Vec<String> = BACKENDS
+            .iter()
+            .map(|&backend| {
+                let options = asyncsynth::SynthesisOptions {
+                    backend,
+                    ..Default::default()
+                };
+                let report =
+                    match asyncsynth::Synthesis::with_options(spec.clone(), options).check() {
+                        Ok(checked) => checked.report().clone(),
+                        Err(asyncsynth::PipelineError::NotImplementable(report)) => *report,
+                        Err(e) => panic!("{} on {backend}: {e}", spec.name()),
+                    };
+                if let Some(n) = states {
+                    assert_eq!(report.num_states, n, "{} on {backend}", spec.name());
+                }
+                asyncsynth::summary::report_to_json(&report).render()
+            })
+            .collect();
+        assert_eq!(reports[0], reports[1], "{}", spec.name());
     }
 }
 

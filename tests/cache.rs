@@ -152,6 +152,46 @@ fn csc_checkpoint_resumes_past_the_search() {
     );
 }
 
+/// A CSC-clean spec resumed under another architecture continues on the
+/// check's graph: one state-space build, and the summary of a cold run
+/// under the same options (the run log aside).
+#[test]
+fn csc_clean_resume_builds_one_graph() {
+    let cache = temp_cache("clean-resume");
+    let spec = stg::examples::vme_read_csc();
+    let complex = SynthesisOptions::default();
+    run_cached(&spec, &complex, &cache).expect("cold run stores the checkpoint");
+
+    let celement = SynthesisOptions {
+        architecture: asyncsynth::Architecture::CElement,
+        ..SynthesisOptions::default()
+    };
+    let mut probe = Probe::default();
+    let resumed = run_cached_with(&spec, &celement, Some(&cache), &mut probe).expect("resumed run");
+    assert_eq!(resumed.outcome, CacheOutcome::CscResumed);
+    assert_eq!(resumed.summary.metrics.get("spaces_built"), Some(1));
+    let builds = probe
+        .events
+        .iter()
+        .filter(|e| e.starts_with("state space built"))
+        .count();
+    assert_eq!(builds, 1, "{:?}", probe.events);
+
+    let cold = run_cached_with(&spec, &celement, None, &mut Probe::default()).expect("cold run");
+    // The run log, and the resume counter derived from it, aside.
+    assert_eq!(resumed.summary.metrics.get("cache_csc_resumes"), Some(1));
+    let without_log = |mut s: asyncsynth::SynthesisSummary| {
+        s.events.clear();
+        s.metrics = telemetry::Counters::from_pairs(
+            s.metrics
+                .iter()
+                .filter(|&(name, _)| name != "cache_csc_resumes"),
+        );
+        s.to_json().render()
+    };
+    assert_eq!(without_log(resumed.summary), without_log(cold.summary));
+}
+
 #[test]
 fn stage_keys_are_distinct_and_architecture_scoped() {
     let spec = stg::examples::vme_read();
