@@ -12,7 +12,7 @@
 //! * [`Manager`] owns the node table and caches,
 //! * [`Bdd`] is a lightweight handle (index) into a manager,
 //! * all boolean connectives, quantification, substitution and
-//!   satisfying-assignment enumeration are methods on [`Manager`].
+//!   satisfying-assignment counting are methods on [`Manager`].
 //!
 //! # Tables
 //!
@@ -53,7 +53,6 @@ mod ops;
 
 pub use cache::{BddHasher, BddMap};
 pub use manager::{Bdd, Manager, VarId};
-pub use ops::SatAssignments;
 
 #[cfg(test)]
 mod tests;

@@ -339,27 +339,6 @@ impl Manager {
         child_var - parent - 1
     }
 
-    /// Iterator over all satisfying assignments of `f`, each yielded as a
-    /// fully expanded `Vec<bool>` of length `num_vars`.
-    ///
-    /// Intended for small care sets (state-graph sized); the iterator
-    /// expands don't-care variables eagerly.
-    #[must_use]
-    pub fn sat_assignments(&self, f: Bdd, num_vars: u32) -> SatAssignments<'_> {
-        SatAssignments {
-            manager: self,
-            num_vars,
-            stack: vec![(f, Vec::new())],
-            pending: Vec::new(),
-        }
-    }
-
-    /// One satisfying assignment of `f`, if any (don't-cares set to `false`).
-    #[must_use]
-    pub fn any_sat(&self, f: Bdd, num_vars: u32) -> Option<Vec<bool>> {
-        self.sat_assignments(f, num_vars).next()
-    }
-
     /// Number of distinct nodes reachable from `f` (a size measure).
     #[must_use]
     pub fn size(&self, f: Bdd) -> usize {
@@ -404,66 +383,6 @@ impl Manager {
             acc = self.and(lit, acc);
         }
         acc
-    }
-}
-
-/// Iterator over satisfying assignments; see [`Manager::sat_assignments`].
-pub struct SatAssignments<'a> {
-    manager: &'a Manager,
-    num_vars: u32,
-    /// Stack of (subdiagram, partial assignment as (var,value) pairs).
-    stack: Vec<(Bdd, Vec<(VarId, bool)>)>,
-    /// Fully-specified assignments waiting to be yielded (from expanding
-    /// don't-care gaps).
-    pending: Vec<Vec<bool>>,
-}
-
-impl Iterator for SatAssignments<'_> {
-    type Item = Vec<bool>;
-
-    fn next(&mut self) -> Option<Vec<bool>> {
-        loop {
-            if let Some(a) = self.pending.pop() {
-                return Some(a);
-            }
-            let (b, partial) = self.stack.pop()?;
-            if b.is_zero() {
-                continue;
-            }
-            if b.is_one() {
-                self.expand(&partial);
-                continue;
-            }
-            let n = self.manager.node(b);
-            let mut lo_partial = partial.clone();
-            lo_partial.push((n.var, false));
-            let mut hi_partial = partial;
-            hi_partial.push((n.var, true));
-            self.stack.push((n.hi, hi_partial));
-            self.stack.push((n.lo, lo_partial));
-        }
-    }
-}
-
-impl SatAssignments<'_> {
-    fn expand(&mut self, partial: &[(VarId, bool)]) {
-        let specified: std::collections::HashMap<VarId, bool> = partial.iter().copied().collect();
-        let free: Vec<VarId> = (0..self.num_vars)
-            .filter(|v| !specified.contains_key(v))
-            .collect();
-        let combos: usize = 1usize
-            .checked_shl(u32::try_from(free.len()).unwrap_or(u32::MAX))
-            .expect("too many don't-care variables to expand");
-        for bits in 0..combos {
-            let mut a = vec![false; self.num_vars as usize];
-            for (&v, value) in &specified {
-                a[v as usize] = *value;
-            }
-            for (i, &v) in free.iter().enumerate() {
-                a[v as usize] = (bits >> i) & 1 == 1;
-            }
-            self.pending.push(a);
-        }
     }
 }
 

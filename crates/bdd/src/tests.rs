@@ -144,24 +144,6 @@ fn sat_count_small() {
 }
 
 #[test]
-fn sat_assignments_enumerates_exactly() {
-    let mut m = Manager::new();
-    let a = m.var(0);
-    let b = m.var(1);
-    let c = m.var(2);
-    let bc = m.and(b, c);
-    let f = m.or(a, bc);
-    let mut got: Vec<Vec<bool>> = m.sat_assignments(f, 3).collect();
-    got.sort();
-    got.dedup();
-    let expect: Vec<Vec<bool>> = assignments(3).filter(|asg| m.eval(f, asg)).collect();
-    let mut expect = expect;
-    expect.sort();
-    assert_eq!(got, expect);
-    assert_eq!(got.len() as u128, m.sat_count(f, 3));
-}
-
-#[test]
 fn support_reports_dependencies() {
     let mut m = Manager::new();
     let a = m.var(0);
@@ -186,18 +168,6 @@ fn size_counts_nodes() {
     let a = m.var(0);
     assert_eq!(m.size(a), 3); // two terminals + one decision
     assert_eq!(m.size(Manager::one()), 2);
-}
-
-#[test]
-fn any_sat_finds_witness() {
-    let mut m = Manager::new();
-    let a = m.var(0);
-    let b = m.var(1);
-    let na = m.not(a);
-    let f = m.and(na, b);
-    let w = m.any_sat(f, 2).expect("satisfiable");
-    assert!(m.eval(f, &w));
-    assert_eq!(m.any_sat(Manager::zero(), 2), None);
 }
 
 #[test]

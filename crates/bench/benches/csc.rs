@@ -17,7 +17,7 @@
 use std::time::{Duration, Instant};
 
 use criterion::{criterion_group, criterion_main, BenchmarkGroup, Criterion};
-use stg::{StateGraph, StateSpace, StgEdit};
+use stg::{StateGraph, StgEdit};
 use synth::csc::{
     apply_edit, greedy_moves, insertion_labels, insertion_sweep, SweepOptions, DEFAULT_SWEEP_BOUND,
 };

@@ -14,7 +14,7 @@
 //! — where the symbolic check spends most of its time.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use stg::{SignalEdge, StateSpace, SymbolicSetSpace};
+use stg::SymbolicSetSpace;
 
 /// `(half, k)` ring parameters with their `C(2·half, k)` state counts.
 const SIZES: [(usize, usize, u128); 4] = [
@@ -63,12 +63,13 @@ fn bench_resident_queries(c: &mut Criterion) {
     assert_eq!(space.num_markings(), states);
     group.bench_function(BenchmarkId::new("queries", states), |b| {
         b.iter(|| {
-            let usc = stg::encoding::has_usc(&spec, &space);
-            let csc = stg::encoding::has_csc(&spec, &space);
-            let persistent = stg::persistency::is_persistent(&spec, &space);
+            let usc = space.has_usc();
+            let csc = space.has_csc(&spec);
+            let persistent = space.is_persistent(&spec);
             let deadlock = space.has_deadlock();
             let signal = spec.signals().next().expect("ring has signals");
-            let er = space.set_count(&space.excitation_region(&spec, signal, SignalEdge::Rise));
+            let [rise, _, _] = space.excitation_classes(&spec, signal);
+            let er = space.set_count(rise);
             (usc, csc, persistent, deadlock, er)
         });
     });

@@ -109,7 +109,7 @@ fn check(spec: &stg::Stg, opts: &[String]) -> Result<(), String> {
     let flags = parse_flags(opts, &["--backend", "--json"])?;
     let (report, conflicts, truncated) = match flags.backend.build(spec) {
         Ok(space) => {
-            let report = stg::properties::report_from_sg(spec, &*space);
+            let report = space.report(spec);
             // Witness extraction enumerates every duplicated-code class
             // (USC pairs, not just CSC ones) and decodes their states;
             // gate on the duplication excess — a lower bound on the
@@ -117,9 +117,8 @@ fn check(spec: &stg::Stg, opts: &[String]) -> Result<(), String> {
             // never decodes, whatever its CSC verdict. Within the gate,
             // list the first MAX_LISTED_CONFLICTS pairs and say when the
             // listing is cut; the report's counts are always exact.
-            let duplication_excess = space.marking_count() - space.distinct_code_count();
-            let (conflicts, truncated) = if duplication_excess <= MAX_ENUMERATED_EXCESS {
-                let mut all = stg::encoding::csc_conflicts(spec, &*space);
+            let (conflicts, truncated) = if space.duplication_excess() <= MAX_ENUMERATED_EXCESS {
+                let mut all = space.csc_conflicts(spec);
                 let truncated = all.len() > MAX_LISTED_CONFLICTS;
                 all.truncate(MAX_LISTED_CONFLICTS);
                 (all, truncated)

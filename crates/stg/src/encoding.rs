@@ -6,17 +6,17 @@
 //! implementability (CSC) when the states disagree on the excitation of
 //! some non-input signal.
 //!
-//! The *verdict* queries ([`has_usc`], [`has_csc`],
-//! [`csc_conflict_pair_count`]) are phrased over the set-level
-//! [`StateSpace`] API — marking counts, code projections, excitation
-//! regions — so the resident-BDD backend answers them without enumerating
-//! states. Only the witness-producing [`encoding_conflicts`] /
-//! [`csc_conflicts`] materialise state indices, and only for the codes
-//! that are actually duplicated.
+//! These functions answer on the explicit [`StateGraph`]: the verdicts
+//! ([`has_usc`], [`has_csc`], [`csc_conflict_pair_count`]) sort or group
+//! the states by code once, and the witness lists ([`encoding_conflicts`],
+//! [`csc_conflicts`]) pair up the states of each duplicated code. The
+//! resident-BDD engine answers the same questions on its own sets (see
+//! [`crate::SymbolicSetSpace`]).
+
+use petri::TransitionId;
 
 use crate::model::{SignalEdge, SignalId, Stg};
 use crate::state_graph::{code_bit, StateGraph};
-use crate::state_space::{StateSet, StateSpace};
 
 /// A pair of states with identical binary codes.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -41,21 +41,52 @@ impl EncodingConflict {
 /// All pairs of states with equal codes (*Unique State Coding* violations),
 /// annotated with the non-input signals whose excitation disagrees.
 ///
-/// This is the witness extractor: per-state decode happens only for the
-/// states of genuinely duplicated codes. For verdicts and counts use
-/// [`has_usc`] / [`has_csc`] / [`csc_conflict_pair_count`], which never
-/// materialise states.
+/// This is the witness extractor. For verdicts and counts use
+/// [`has_usc`] / [`has_csc`] / [`csc_conflict_pair_count`].
 #[must_use]
-pub fn encoding_conflicts<S: StateSpace + ?Sized>(stg: &Stg, sg: &S) -> Vec<EncodingConflict> {
+pub fn encoding_conflicts(stg: &Stg, sg: &StateGraph) -> Vec<EncodingConflict> {
+    let classes = sg
+        .code_classes()
+        .filter(|states| states.len() > 1)
+        .map(|states| (sg.code(states[0]), states.to_vec()));
+    conflicts_in_classes(stg, classes, |i| sg.excitations(stg, i))
+}
+
+/// Pairs up the states of each duplicated code class, in class order,
+/// annotating each pair with the non-input signals whose excitation
+/// differs. `excitations(i)` lists the `(transition, signal, edge)`
+/// triples enabled in state `i`; both engines share this pairing.
+pub(crate) fn conflicts_in_classes(
+    stg: &Stg,
+    classes: impl IntoIterator<Item = (Vec<bool>, Vec<usize>)>,
+    excitations: impl Fn(usize) -> Vec<(TransitionId, SignalId, SignalEdge)>,
+) -> Vec<EncodingConflict> {
     let non_inputs = stg.non_input_signals();
     let mut out = Vec::new();
-    for (code, states) in sg.duplicate_code_classes() {
+    for (code, states) in classes {
+        // Each state's excitation of every non-input signal.
+        let profiles: Vec<Vec<Option<SignalEdge>>> = states
+            .iter()
+            .map(|&i| {
+                let excited = excitations(i);
+                non_inputs
+                    .iter()
+                    .map(|&s| {
+                        excited
+                            .iter()
+                            .find(|&&(_, sig, _)| sig == s)
+                            .map(|&(_, _, e)| e)
+                    })
+                    .collect()
+            })
+            .collect();
         for (a_idx, &a) in states.iter().enumerate() {
-            for &b in &states[a_idx + 1..] {
+            for (b_idx, &b) in states.iter().enumerate().skip(a_idx + 1) {
                 let conflicting_signals: Vec<SignalId> = non_inputs
                     .iter()
-                    .copied()
-                    .filter(|&s| excitation_of(stg, sg, a, s) != excitation_of(stg, sg, b, s))
+                    .zip(profiles[a_idx].iter().zip(&profiles[b_idx]))
+                    .filter(|(_, (ea, eb))| ea != eb)
+                    .map(|(&s, _)| s)
                     .collect();
                 out.push(EncodingConflict {
                     states: (a, b),
@@ -68,126 +99,38 @@ pub fn encoding_conflicts<S: StateSpace + ?Sized>(stg: &Stg, sg: &S) -> Vec<Enco
     out
 }
 
-fn excitation_of<S: StateSpace + ?Sized>(
-    stg: &Stg,
-    sg: &S,
-    state: usize,
-    s: SignalId,
-) -> Option<SignalEdge> {
-    sg.excitations(stg, state)
-        .into_iter()
-        .find(|&(_, sig, _)| sig == s)
-        .map(|(_, _, e)| e)
-}
-
 /// `true` if the STG has *Unique State Coding*: no two states share a
 /// code — equivalently, the number of distinct codes equals the number of
-/// states (a pure counting query: two BDD counts on the resident
-/// backend).
+/// states.
 #[must_use]
-pub fn has_usc<S: StateSpace + ?Sized>(_stg: &Stg, sg: &S) -> bool {
-    sg.distinct_code_count() == sg.marking_count()
-}
-
-/// The three excitation classes of one signal: rising-excited,
-/// falling-excited and unexcited states.
-fn excitation_classes<S: StateSpace + ?Sized>(stg: &Stg, sg: &S, s: SignalId) -> [StateSet; 3] {
-    let rise = sg.excitation_region(stg, s, SignalEdge::Rise);
-    let fall = sg.excitation_region(stg, s, SignalEdge::Fall);
-    let excited = sg.set_union(&rise, &fall);
-    let none = sg.set_minus(&sg.all_states(), &excited);
-    [rise, fall, none]
+pub fn has_usc(_stg: &Stg, sg: &StateGraph) -> bool {
+    sg.code_classes().count() == sg.num_states()
 }
 
 /// `true` if the STG has *Complete State Coding*: states sharing a code
 /// agree on all non-input excitations (§3.1 — the property logic
 /// synthesis requires).
-///
-/// Set-level formulation: a CSC conflict exists iff, for some non-input
-/// signal, two of its three excitation classes (rising / falling /
-/// unexcited) contain states with a common code.
 #[must_use]
-pub fn has_csc<S: StateSpace + ?Sized>(stg: &Stg, sg: &S) -> bool {
-    if let Some(sg) = sg.as_state_graph() {
-        return shared_code_groups(stg, sg)
-            .iter()
-            .all(|groups| groups.len() == 1);
-    }
-    if has_usc(stg, sg) {
-        return true;
-    }
-    for s in stg.non_input_signals() {
-        let [rise, fall, none] = excitation_classes(stg, sg, s);
-        if sg.sets_share_code(&rise, &fall)
-            || sg.sets_share_code(&rise, &none)
-            || sg.sets_share_code(&fall, &none)
-        {
-            return false;
-        }
-    }
-    true
+pub fn has_csc(stg: &Stg, sg: &StateGraph) -> bool {
+    shared_code_groups(stg, sg)
+        .iter()
+        .all(|groups| groups.len() == 1)
 }
 
 /// Number of CSC-violating state pairs: same-code pairs disagreeing on
-/// some non-input excitation.
-///
-/// Counted per duplicated code by refining its state set against the
-/// excitation classes of every non-input signal: pairs inside one
-/// refined part agree everywhere, so `C(total, 2) − Σ C(part, 2)` is the
-/// conflict count — set counts only, witnesses are never materialised.
-/// An explicit graph finds the same parts with one sort of its states.
+/// some non-input excitation. One sort groups each shared code's states
+/// by their excited non-input signals; pairs inside one group agree
+/// everywhere, so each shared code adds `C(total, 2) − Σ C(group, 2)`.
 #[must_use]
-pub fn csc_conflict_pair_count<S: StateSpace + ?Sized>(stg: &Stg, sg: &S) -> usize {
-    if let Some(sg) = sg.as_state_graph() {
-        let pairs_of = |n: usize| n * n.saturating_sub(1) / 2;
-        return shared_code_groups(stg, sg)
-            .iter()
-            .map(|groups| {
-                let agreeing: usize = groups.iter().map(|&g| pairs_of(g)).sum();
-                pairs_of(groups.iter().sum()) - agreeing
-            })
-            .sum();
-    }
-    if has_usc(stg, sg) {
-        return 0;
-    }
-    let non_inputs = stg.non_input_signals();
-    let classes: Vec<[StateSet; 3]> = non_inputs
+pub fn csc_conflict_pair_count(stg: &Stg, sg: &StateGraph) -> usize {
+    let pairs_of = |n: usize| n * n.saturating_sub(1) / 2;
+    shared_code_groups(stg, sg)
         .iter()
-        .map(|&s| excitation_classes(stg, sg, s))
-        .collect();
-    let pairs_of = |n: u128| n * n.saturating_sub(1) / 2;
-    let mut conflicts = 0u128;
-    // Codes come from the projection and only the duplicated ones are
-    // refined — states stay symbolic.
-    for code in sg.set_codes(&sg.all_states()) {
-        let set = sg.states_with_code_set(&code);
-        let total = sg.set_count(&set);
-        if total < 2 {
-            continue;
-        }
-        // Refine the code's states by excitation profile.
-        let mut parts = vec![set];
-        for class3 in &classes {
-            let mut next = Vec::with_capacity(parts.len());
-            for part in &parts {
-                if sg.set_count(part) < 2 {
-                    next.push(part.clone());
-                    continue;
-                }
-                for class in class3 {
-                    let piece = sg.set_intersect(part, class);
-                    if !sg.set_is_empty(&piece) {
-                        next.push(piece);
-                    }
-                }
-            }
-            parts = next;
-        }
-        let agreeing: u128 = parts.iter().map(|p| pairs_of(sg.set_count(p))).sum();
-        conflicts += pairs_of(total) - agreeing;
-    }
-    usize::try_from(conflicts).expect("conflict pair count fits usize")
+        .map(|groups| {
+            let agreeing: usize = groups.iter().map(|&g| pairs_of(g)).sum();
+            pairs_of(groups.iter().sum()) - agreeing
+        })
+        .sum()
 }
 
 /// For every code two or more states of an explicit graph share, the
@@ -234,7 +177,7 @@ fn shared_code_groups(stg: &Stg, sg: &StateGraph) -> Vec<Vec<usize>> {
 /// Only the CSC-violating conflicts (witness-producing; see
 /// [`encoding_conflicts`]).
 #[must_use]
-pub fn csc_conflicts<S: StateSpace + ?Sized>(stg: &Stg, sg: &S) -> Vec<EncodingConflict> {
+pub fn csc_conflicts(stg: &Stg, sg: &StateGraph) -> Vec<EncodingConflict> {
     encoding_conflicts(stg, sg)
         .into_iter()
         .filter(EncodingConflict::is_csc)

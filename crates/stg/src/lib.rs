@@ -11,13 +11,16 @@
 //! * [`parse`] — reader/writer for the `.g` (astg, petrify) text format;
 //! * [`canon`] — canonical serialisation and SHA-256 content hashing
 //!   (the identity the synthesis-service result cache is addressed by);
-//! * [`StateSpace`] — the set-level state-space abstraction the §2.1
-//!   implementability check consumes, with two engines selected by
-//!   [`Backend`]: the explicit [`StateGraph`] (§1.4, Fig. 4) and the
-//!   resident-BDD [`SymbolicSetSpace`] (§2.2). Synthesis, simulation and
-//!   waveforms take the explicit [`StateGraph`];
-//! * [`encoding`] — USC/CSC conflict detection (§2.1, §3.1);
-//! * [`persistency`] — output-persistency analysis (§2.1);
+//! * [`StateSpace`] — the §2.1 implementability check's contract (the
+//!   report, the CSC conflict witnesses, the hand-over of an explicit
+//!   graph), with two engines selected by [`Backend`] that each answer it
+//!   natively: the explicit [`StateGraph`] (§1.4, Fig. 4) and the
+//!   resident-BDD [`SymbolicSetSpace`] (§2.2). Synthesis, simulation,
+//!   waveforms and verification take the explicit [`StateGraph`];
+//! * [`encoding`] — USC/CSC conflict detection on a [`StateGraph`]
+//!   (§2.1, §3.1);
+//! * [`persistency`] — output-persistency analysis on a [`StateGraph`]
+//!   (§2.1);
 //! * [`properties`] — the aggregated implementability report;
 //! * [`examples`] — the VME-bus controller specifications of Figs. 3/5/7;
 //! * [`waveform`] — ASCII waveform rendering of firing traces (Fig. 2).
@@ -47,7 +50,7 @@ pub mod waveform;
 
 pub use model::{SignalEdge, SignalId, SignalKind, Stg, StgBuilder, TransitionLabel};
 pub use state_graph::{StateGraph, StgEdit, StgError};
-pub use state_space::{Backend, StateSet, StateSpace, DEFAULT_STATE_BOUND};
+pub use state_space::{Backend, StateSpace, DEFAULT_STATE_BOUND};
 pub use symbolic_set::{SymbolicSetSpace, SymbolicStats};
 
 #[cfg(test)]

@@ -11,7 +11,6 @@ use petri::TransitionId;
 
 use crate::model::{SignalKind, Stg};
 use crate::state_graph::StateGraph;
-use crate::state_space::StateSpace;
 
 /// Classification of a disabling event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -89,16 +88,11 @@ fn classify(stg: &Stg, disabled: TransitionId, by: TransitionId) -> ViolationKin
 /// `true` if the STG is persistent in the paper's sense: the only
 /// disabling events are input-versus-input choices.
 ///
-/// An explicit graph is scanned state by state, stopping at the first
-/// blocking disabling (the CSC sweeps ask this of every candidate; most
-/// fail early). Other backends never enumerate states: each
-/// blocking-classified transition pair is refuted by one set-level
-/// disabling query, with an early exit on the first violation.
+/// The graph is scanned state by state, stopping at the first blocking
+/// disabling (the CSC sweeps ask this of every candidate; most fail
+/// early).
 #[must_use]
-pub fn is_persistent<S: StateSpace + ?Sized>(stg: &Stg, sg: &S) -> bool {
-    let Some(sg) = sg.as_state_graph() else {
-        return blocking_pairs(stg).all(|(t, u)| sg.disabling_count(t, u) == 0);
-    };
+pub fn is_persistent(stg: &Stg, sg: &StateGraph) -> bool {
     let ts = sg.ts();
     let mut enabled: Vec<(TransitionId, usize)> = Vec::new();
     for s in 0..sg.num_states() {
@@ -119,23 +113,15 @@ pub fn is_persistent<S: StateSpace + ?Sized>(stg: &Stg, sg: &S) -> bool {
 }
 
 /// Number of blocking disabling occurrences (`(state, disabled, by)`
-/// triples), the count [`blocking_violations`] would enumerate — but
-/// phrased per transition pair so set-level backends answer it by
-/// counting, never by materialising states.
+/// triples): the length of [`blocking_violations`].
 #[must_use]
-pub fn blocking_violation_count<S: StateSpace + ?Sized>(stg: &Stg, sg: &S) -> usize {
-    if let Some(sg) = sg.as_state_graph() {
-        return blocking_violations(stg, sg).len();
-    }
-    let total: u128 = blocking_pairs(stg)
-        .map(|(t, u)| sg.disabling_count(t, u))
-        .sum();
-    usize::try_from(total).expect("violation count fits usize")
+pub fn blocking_violation_count(stg: &Stg, sg: &StateGraph) -> usize {
+    blocking_violations(stg, sg).len()
 }
 
 /// The ordered transition pairs whose disabling would block
 /// implementability (everything but input-disables-input).
-fn blocking_pairs(stg: &Stg) -> impl Iterator<Item = (TransitionId, TransitionId)> + '_ {
+pub(crate) fn blocking_pairs(stg: &Stg) -> impl Iterator<Item = (TransitionId, TransitionId)> + '_ {
     let transitions: Vec<TransitionId> = stg.net().transitions().collect();
     let pairs: Vec<(TransitionId, TransitionId)> = transitions
         .iter()

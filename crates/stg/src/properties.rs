@@ -5,9 +5,7 @@
 
 use std::fmt;
 
-use crate::encoding::{csc_conflict_pair_count, has_usc};
 use crate::model::Stg;
-use crate::persistency::blocking_violation_count;
 use crate::state_graph::StgError;
 use crate::state_space::{Backend, StateSpace};
 
@@ -39,6 +37,29 @@ pub struct ImplementabilityReport {
 }
 
 impl ImplementabilityReport {
+    /// The report of a space that built: bounded and consistent, with the
+    /// engine's verdicts on the rest.
+    pub(crate) fn of_built_space(
+        num_states: usize,
+        usc: bool,
+        csc_pairs: usize,
+        violations: usize,
+        deadlock: bool,
+    ) -> Self {
+        ImplementabilityReport {
+            bounded: true,
+            consistent: true,
+            error: None,
+            num_states,
+            unique_state_coding: usc,
+            complete_state_coding: csc_pairs == 0,
+            csc_conflict_pairs: csc_pairs,
+            persistent: violations == 0,
+            persistency_violations: violations,
+            deadlock_free: !deadlock,
+        }
+    }
+
     /// `true` if a speed-independent implementation exists without further
     /// transformation (all of §2.1's properties hold).
     #[must_use]
@@ -111,31 +132,10 @@ pub fn failure_report(e: StgError) -> ImplementabilityReport {
     }
 }
 
-/// The report for an already-built state space (any backend).
-///
-/// Every verdict and count is a set-level query — code/marking counting,
-/// excitation-class refinement, per-pair disabling counts, a symbolic
-/// deadlock check — so the resident-BDD backend produces the full report
-/// without enumerating a single state.
+/// The report for an already-built state space (any backend): the
+/// engine's own [`StateSpace::report`]. The resident-BDD backend produces
+/// it without enumerating a single state.
 #[must_use]
 pub fn report_from_sg<S: StateSpace + ?Sized>(stg: &Stg, sg: &S) -> ImplementabilityReport {
-    let usc = has_usc(stg, sg);
-    let csc_pairs = if usc {
-        0
-    } else {
-        csc_conflict_pair_count(stg, sg)
-    };
-    let violations = blocking_violation_count(stg, sg);
-    ImplementabilityReport {
-        bounded: true,
-        consistent: true,
-        error: None,
-        num_states: sg.num_states(),
-        unique_state_coding: usc,
-        complete_state_coding: csc_pairs == 0,
-        csc_conflict_pairs: csc_pairs,
-        persistent: violations == 0,
-        persistency_violations: violations,
-        deadlock_free: !sg.has_deadlock(),
-    }
+    sg.report(stg)
 }

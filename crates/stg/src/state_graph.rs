@@ -15,7 +15,6 @@ use petri::reach::ReachError;
 use petri::{Marking, PlaceId, TransitionId, TransitionSystem};
 
 use crate::model::{SignalEdge, SignalId, Stg};
-use crate::state_space::StateSpace;
 
 /// Errors raised while building a state graph.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -452,22 +451,38 @@ impl StateGraph {
         out
     }
 
-    // The rendering helpers delegate to the `StateSpace` defaults so the
-    // logic exists exactly once and every backend renders identically;
-    // the inherent copies survive only so callers need not import the
-    // trait.
-
     /// The paper's state rendering: binary code with `*` after each excited
     /// signal, e.g. `10.11*.0` — here without grouping dots: `1011*0`.
     #[must_use]
     pub fn code_string(&self, stg: &Stg, i: usize) -> String {
-        StateSpace::code_string(self, stg, i)
+        let excited: Vec<SignalId> = self
+            .excitations(stg, i)
+            .iter()
+            .map(|&(_, s, _)| s)
+            .collect();
+        let mut out = String::new();
+        for s in stg.signals() {
+            out.push(if self.value(i, s) { '1' } else { '0' });
+            if excited.contains(&s) {
+                out.push('*');
+            }
+        }
+        out
     }
 
     /// The plain binary code of state `i` as a `0`/`1` string.
     #[must_use]
     pub fn plain_code_string(&self, i: usize) -> String {
-        StateSpace::plain_code_string(self, i)
+        self.code(i)
+            .iter()
+            .map(|&b| if b { '1' } else { '0' })
+            .collect()
+    }
+
+    /// `true` when some reachable state enables no transition.
+    #[must_use]
+    pub fn has_deadlock(&self) -> bool {
+        !self.ts.deadlocks().is_empty()
     }
 
     /// Successor state along a given transition, if enabled.
@@ -477,7 +492,8 @@ impl StateGraph {
     }
 
     /// States whose code equals `code`, ascending: a binary search of
-    /// the code index (see [`StateGraph::code_classes`]).
+    /// the code index, the states sorted by code words (built on first
+    /// use).
     #[must_use]
     pub fn states_with_code(&self, code: &[bool]) -> Vec<usize> {
         if code.len() != self.num_signals {

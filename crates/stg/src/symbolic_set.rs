@@ -17,17 +17,21 @@
 //!   specification pays for a second, place-only fixed point: it decides
 //!   the state limit and safeness first, the precedence the explicit
 //!   builder has;
-//! * excitation regions, code lookups, USC/CSC verdicts, persistency
-//!   and deadlock checks are cube intersections, projections and
+//! * the space answers the check itself ([`crate::StateSpace::report`]):
+//!   excitation regions, code lookups, USC/CSC verdicts, persistency and
+//!   deadlock checks are cube intersections, projections and
 //!   satisfying-assignment counts over that one function — no state is
-//!   ever enumerated;
-//! * when a consumer genuinely needs a *witness* (a conflict pair, an
+//!   ever enumerated. Sets of states are plain [`Bdd`]s over this
+//!   space's place variables; the methods that take or return them
+//!   belong to this type, so no other engine can be handed one;
+//! * when the check genuinely needs a *witness* (a conflict pair, an
 //!   error state), individual states are decoded on demand by BDD
-//!   unranking, served from a small LRU of materialised blocks — that is
-//!   how the per-state queries (`decode_code`, `decode_marking`,
-//!   `excitations`) work at any scale. Everything past the check (CSC
-//!   sweeps, logic synthesis, simulation) runs on a [`crate::StateGraph`]
-//!   instead.
+//!   unranking, served from a small LRU of materialised blocks
+//!   ([`SymbolicSetSpace::decode_code`] and
+//!   [`SymbolicSetSpace::decode_marking`] work at any scale). Everything
+//!   past the check (CSC sweeps, logic synthesis, simulation,
+//!   verification) runs on a [`crate::StateGraph`] instead, which
+//!   [`crate::StateSpace::into_state_graph`] builds.
 //!
 //! State numbering: index 0 is the initial marking, the rest follow the
 //! lexicographic order of the BDD enumeration (with the initial
@@ -41,9 +45,12 @@ use petri::reach::ReachError;
 use petri::symbolic::{self, TransitionImage};
 use petri::{Marking, PetriNet, TransitionId};
 
+use crate::encoding::{self, EncodingConflict};
 use crate::model::{SignalEdge, SignalId, Stg};
-use crate::state_graph::StgError;
-use crate::state_space::{Backend, StateSet, StateSpace, DEFAULT_STATE_BOUND};
+use crate::persistency;
+use crate::properties::ImplementabilityReport;
+use crate::state_graph::{StateGraph, StgError};
+use crate::state_space::{Backend, StateSpace, DEFAULT_STATE_BOUND};
 
 /// Statistics of the symbolic traversal that produced a state space.
 #[derive(Debug, Clone, Copy)]
@@ -382,22 +389,332 @@ impl SymbolicSetSpace {
         self.cache.lock().expect("cache poisoned").decoded_states
     }
 
+    /// The (possibly inferred) initial signal values.
+    #[must_use]
+    pub fn initial_values(&self) -> &[bool] {
+        &self.initial_values
+    }
+
+    /// The initial marking (state `0`'s), straight from the net: no
+    /// decode.
+    #[must_use]
+    pub fn initial_marking(&self) -> Marking {
+        self.net.initial_marking()
+    }
+
+    /// The binary code of state `i`, indexed by [`SignalId`], decoded
+    /// through the witness block cache.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `i` is not a state index of this space.
+    #[must_use]
+    pub fn decode_code(&self, i: usize) -> Vec<bool> {
+        self.decode(i).1
+    }
+
+    /// The net marking of state `i`, decoded like
+    /// [`SymbolicSetSpace::decode_code`].
+    ///
+    /// # Panics
+    ///
+    /// Panics when `i` is not a state index of this space.
+    #[must_use]
+    pub fn decode_marking(&self, i: usize) -> Marking {
+        self.decode(i).0
+    }
+
+    // -----------------------------------------------------------------
+    // Set-level queries. A set of states is a BDD over the place
+    // variables of this space's manager: the characteristic function of
+    // its markings (each reachable marking carries one code). The sets
+    // mean nothing outside the space that made them.
+    // -----------------------------------------------------------------
+
+    /// The set of all reachable states.
+    #[must_use]
+    pub fn all_states(&self) -> Bdd {
+        self.markings
+    }
+
+    /// Number of states in a set.
+    #[must_use]
+    pub fn set_count(&self, set: Bdd) -> u128 {
+        let mut cache = self.cache.lock().expect("cache poisoned");
+        let m = self.mgr();
+        self.count_markings(&m, &mut cache.suffix_counts, set)
+    }
+
+    /// The distinct binary codes of a set's states, in lexicographic
+    /// order.
+    #[must_use]
+    pub fn set_codes(&self, set: Bdd) -> Vec<Vec<bool>> {
+        let mut m = self.mgr();
+        let codes = self.codes_of(&mut m, set);
+        let mut out = enumerate_codes(&m, codes, &self.vars);
+        out.sort_unstable();
+        out
+    }
+
+    /// The three excitation classes of `signal`: the states where a
+    /// rising edge of it is enabled (`ER(z+)`), where a falling edge is,
+    /// and the rest.
+    #[must_use]
+    pub fn excitation_classes(&self, stg: &Stg, signal: SignalId) -> [Bdd; 3] {
+        let mut cache = self.cache.lock().expect("cache poisoned");
+        let mut m = self.mgr();
+        self.excitation_classes_in(&mut m, &mut cache, stg, signal)
+    }
+
+    /// States whose code equals `code`, ascending.
+    #[must_use]
+    pub fn states_with_code(&self, code: &[bool]) -> Vec<usize> {
+        let set = self.states_with_code_set(code);
+        let mut cache = self.cache.lock().expect("cache poisoned");
+        let m = self.mgr();
+        self.set_states(&m, &mut cache.suffix_counts, set)
+    }
+
+    /// States whose code equals `code`, as a set.
+    #[must_use]
+    pub fn states_with_code_set(&self, code: &[bool]) -> Bdd {
+        let mut m = self.mgr();
+        self.code_set(&mut m, code)
+    }
+
+    /// `true` if the space has *Unique State Coding*: the number of
+    /// distinct codes equals the number of states (two BDD counts).
+    #[must_use]
+    pub fn has_usc(&self) -> bool {
+        self.distinct_code_count() == self.num_markings
+    }
+
+    /// `true` if the space has *Complete State Coding*: no two of a
+    /// non-input signal's three excitation classes (rising, falling,
+    /// unexcited) share a code.
+    #[must_use]
+    pub fn has_csc(&self, stg: &Stg) -> bool {
+        if self.has_usc() {
+            return true;
+        }
+        let mut cache = self.cache.lock().expect("cache poisoned");
+        let mut m = self.mgr();
+        for s in stg.non_input_signals() {
+            let classes = self.excitation_classes_in(&mut m, &mut cache, stg, s);
+            let [rise, fall, none] = classes.map(|set| self.codes_of(&mut m, set));
+            if !m.and(rise, fall).is_zero()
+                || !m.and(rise, none).is_zero()
+                || !m.and(fall, none).is_zero()
+            {
+                return false;
+            }
+        }
+        true
+    }
+
+    /// `true` if the space is persistent (see
+    /// [`crate::persistency::is_persistent`]): each blocking-classified
+    /// transition pair is refuted by one disabling count, with an early
+    /// exit on the first violation.
+    #[must_use]
+    pub fn is_persistent(&self, stg: &Stg) -> bool {
+        persistency::blocking_pairs(stg).all(|(t, u)| self.disabling_count(t, u) == 0)
+    }
+
+    /// `true` when some reachable state enables no transition.
+    #[must_use]
+    pub fn has_deadlock(&self) -> bool {
+        let mut cache = self.cache.lock().expect("cache poisoned");
+        let mut m = self.mgr();
+        if let Some(d) = cache.deadlock {
+            return d;
+        }
+        let mut dead = self.markings;
+        for t in self.net.transitions() {
+            if dead.is_zero() {
+                break;
+            }
+            let en = self.enabled_set_bdd(&mut m, &mut cache, t);
+            dead = m.diff(dead, en);
+        }
+        let d = !dead.is_zero();
+        cache.deadlock = Some(d);
+        d
+    }
+
+    /// Number of distinct codes across the whole space.
+    fn distinct_code_count(&self) -> u128 {
+        let mut m = self.mgr();
+        let codes = m.exists(self.reached, &self.vars.place);
+        let mut sig_sorted = self.vars.sig.clone();
+        sig_sorted.sort_unstable();
+        count_over(&m, codes, &sig_sorted)
+    }
+
+    /// Number of CSC-violating state pairs, counted per duplicated code
+    /// by refining its state set against the excitation classes of every
+    /// non-input signal: pairs inside one refined part agree everywhere,
+    /// so `C(total, 2) − Σ C(part, 2)` is the code's conflict count. Set
+    /// counts only; no witness is decoded.
+    fn csc_conflict_pair_count(&self, stg: &Stg) -> usize {
+        let mut guard = self.cache.lock().expect("cache poisoned");
+        let cache = &mut *guard;
+        let mut m = self.mgr();
+        let classes: Vec<[Bdd; 3]> = stg
+            .non_input_signals()
+            .into_iter()
+            .map(|s| self.excitation_classes_in(&mut m, cache, stg, s))
+            .collect();
+        let pairs_of = |n: u128| n * n.saturating_sub(1) / 2;
+        let mut conflicts = 0u128;
+        // Codes come from the projection and only the duplicated ones are
+        // refined — states stay symbolic.
+        let all_codes = self.codes_of(&mut m, self.markings);
+        let mut codes = enumerate_codes(&m, all_codes, &self.vars);
+        codes.sort_unstable();
+        for code in codes {
+            let set = self.code_set(&mut m, &code);
+            let total = self.count_markings(&m, &mut cache.suffix_counts, set);
+            if total < 2 {
+                continue;
+            }
+            // Refine the code's states by excitation profile.
+            let mut parts = vec![set];
+            for class3 in &classes {
+                let mut next = Vec::with_capacity(parts.len());
+                for &part in &parts {
+                    if self.count_markings(&m, &mut cache.suffix_counts, part) < 2 {
+                        next.push(part);
+                        continue;
+                    }
+                    for &class in class3 {
+                        let piece = m.and(part, class);
+                        if !piece.is_zero() {
+                            next.push(piece);
+                        }
+                    }
+                }
+                parts = next;
+            }
+            let agreeing: u128 = parts
+                .iter()
+                .map(|&p| pairs_of(self.count_markings(&m, &mut cache.suffix_counts, p)))
+                .sum();
+            conflicts += pairs_of(total) - agreeing;
+        }
+        usize::try_from(conflicts).expect("conflict pair count fits usize")
+    }
+
+    /// Number of blocking disabling occurrences, the count
+    /// [`crate::persistency::blocking_violation_count`] gives explicitly,
+    /// phrased per transition pair so it is counted, never enumerated.
+    fn blocking_violation_count(&self, stg: &Stg) -> usize {
+        let total: u128 = persistency::blocking_pairs(stg)
+            .map(|(t, u)| self.disabling_count(t, u))
+            .sum();
+        usize::try_from(total).expect("violation count fits usize")
+    }
+
+    /// Number of states where `t` and `u` are both enabled and firing `u`
+    /// disables `t` — the persistency primitive.
+    fn disabling_count(&self, t: TransitionId, u: TransitionId) -> u128 {
+        if t == u {
+            return 0;
+        }
+        let mut cache = self.cache.lock().expect("cache poisoned");
+        let mut m = self.mgr();
+        let en_t = self.enabled_set_bdd(&mut m, &mut cache, t);
+        let en_u = self.enabled_set_bdd(&mut m, &mut cache, u);
+        let mut both = m.and(en_t, en_u);
+        if both.is_zero() {
+            return 0;
+        }
+        // `t` still enabled after firing `u`: each preset place of `t`
+        // must be marked in the successor — produced by `u`, or marked
+        // now and not consumed by `u`.
+        let pre_u = self.net.preset(u);
+        let post_u = self.net.postset(u);
+        let mut after = Manager::one();
+        for &p in self.net.preset(t) {
+            if post_u.contains(&p) {
+                continue; // marked after u regardless
+            }
+            if pre_u.contains(&p) {
+                after = Manager::zero(); // consumed: t disabled for sure
+                break;
+            }
+            let v = m.var(self.vars.place[p.index()]);
+            after = m.and(after, v);
+        }
+        both = m.diff(both, after);
+        self.count_markings(&m, &mut cache.suffix_counts, both)
+    }
+
+    /// Codes shared by two or more states, each with its ascending state
+    /// list, sorted by code. Only the (typically few) genuinely
+    /// duplicated codes have their states decoded to indices.
+    fn duplicate_code_classes(&self) -> Vec<(Vec<bool>, Vec<usize>)> {
+        let mut cache = self.cache.lock().expect("cache poisoned");
+        let mut m = self.mgr();
+        let codes_bdd = m.exists(self.reached, &self.vars.place);
+        let mut out = Vec::new();
+        for code in enumerate_codes(&m, codes_bdd, &self.vars) {
+            let set = self.code_set(&mut m, &code);
+            if self.count_markings(&m, &mut cache.suffix_counts, set) > 1 {
+                let states = self.set_states(&m, &mut cache.suffix_counts, set);
+                out.push((code, states));
+            }
+        }
+        out.sort();
+        out
+    }
+
+    /// The signal edges enabled in state `i`, as `(transition, signal,
+    /// edge)` triples sorted by transition; dummies are skipped.
+    fn excitations(&self, stg: &Stg, i: usize) -> Vec<(TransitionId, SignalId, SignalEdge)> {
+        let (marking, _) = self.decode(i);
+        self.net
+            .transitions()
+            .filter(|&t| self.net.is_enabled(&marking, t))
+            .filter_map(|t| stg.label(t).map(|l| (t, l.signal, l.edge)))
+            .collect()
+    }
+
+    /// The codes of a set's states, as a BDD over the signal variables.
+    fn codes_of(&self, m: &mut Manager, set: Bdd) -> Bdd {
+        let pairs = m.and(self.reached, set);
+        m.exists(pairs, &self.vars.place)
+    }
+
+    /// The states whose code equals `code`.
+    fn code_set(&self, m: &mut Manager, code: &[bool]) -> Bdd {
+        let literals: Vec<(VarId, bool)> = (0..self.num_signals)
+            .map(|j| (self.vars.sig[j], code[j]))
+            .collect();
+        let cube = m.cube(&literals);
+        m.and_exists(self.reached, cube, &self.vars.sig)
+    }
+
+    /// The state indices of a set, ascending. A witness extractor: the
+    /// check calls it only on the states of one duplicated code.
+    fn set_states(&self, m: &Manager, suffix_counts: &mut SuffixCounts, set: Bdd) -> Vec<usize> {
+        let m0 = self.net.initial_marking();
+        let mut out = Vec::new();
+        let mut counts = vec![0u32; self.num_places()];
+        descend_markings(m, set, &self.vars, 0, &mut counts, &mut |marking| {
+            let rank = lex_rank(m, self.markings, &self.vars, &marking, suffix_counts);
+            out.push(state_index_of_rank(rank, self.initial_rank, &marking, &m0));
+        });
+        out.sort_unstable();
+        out
+    }
+
     fn mgr(&self) -> MutexGuard<'_, Manager> {
         self.manager.lock().expect("BDD manager poisoned")
     }
 
     fn num_places(&self) -> usize {
         self.net.num_places()
-    }
-
-    /// The symbolic handle inside a [`StateSet`] owned by this space.
-    fn bdd_of(&self, set: &StateSet) -> Bdd {
-        match set {
-            StateSet::Symbolic(b) => *b,
-            StateSet::Indices(_) => {
-                panic!("explicit state-set handle used with the resident-BDD backend")
-            }
-        }
     }
 
     /// `markings ∧ preset-cube(t)` — the enabled set of a transition.
@@ -453,6 +770,20 @@ impl SymbolicSetSpace {
         }
         cache.excitation.insert(key, b);
         b
+    }
+
+    fn excitation_classes_in(
+        &self,
+        m: &mut Manager,
+        cache: &mut QueryCache,
+        stg: &Stg,
+        signal: SignalId,
+    ) -> [Bdd; 3] {
+        let rise = self.excitation_bdd(m, cache, stg, signal, SignalEdge::Rise);
+        let fall = self.excitation_bdd(m, cache, stg, signal, SignalEdge::Fall);
+        let excited = m.or(rise, fall);
+        let none = m.diff(self.markings, excited);
+        [rise, fall, none]
     }
 
     /// Count of markings in a place-variable set, through the space's
@@ -528,20 +859,39 @@ impl SymbolicSetSpace {
 }
 
 impl StateSpace for SymbolicSetSpace {
+    fn backend(&self) -> Backend {
+        Backend::SymbolicSet
+    }
+
     fn num_states(&self) -> usize {
         usize::try_from(self.num_markings).unwrap_or(usize::MAX)
     }
 
-    fn num_signals(&self) -> usize {
-        self.num_signals
+    fn report(&self, stg: &Stg) -> ImplementabilityReport {
+        let usc = self.has_usc();
+        let csc_pairs = if usc {
+            0
+        } else {
+            self.csc_conflict_pair_count(stg)
+        };
+        ImplementabilityReport::of_built_space(
+            self.num_states(),
+            usc,
+            csc_pairs,
+            self.blocking_violation_count(stg),
+            self.has_deadlock(),
+        )
     }
 
-    fn initial_values(&self) -> &[bool] {
-        &self.initial_values
+    fn csc_conflicts(&self, stg: &Stg) -> Vec<EncodingConflict> {
+        let classes = self.duplicate_code_classes();
+        let mut out = encoding::conflicts_in_classes(stg, classes, |i| self.excitations(stg, i));
+        out.retain(EncodingConflict::is_csc);
+        out
     }
 
-    fn backend(&self) -> Backend {
-        Backend::SymbolicSet
+    fn duplication_excess(&self) -> u128 {
+        self.num_markings - self.distinct_code_count()
     }
 
     fn bdd_node_count(&self) -> Option<usize> {
@@ -552,243 +902,8 @@ impl StateSpace for SymbolicSetSpace {
         Some(self.decoded_states())
     }
 
-    fn value(&self, i: usize, sig: SignalId) -> bool {
-        self.decode(i).1[sig.index()]
-    }
-
-    fn decode_code(&self, i: usize) -> Vec<bool> {
-        self.decode(i).1
-    }
-
-    fn decode_marking(&self, i: usize) -> Marking {
-        self.decode(i).0
-    }
-
-    fn initial_marking(&self) -> Marking {
-        // Straight from the net — no decode:
-        // this is what lets composed verification anchor on a resident
-        // space of any size.
-        self.net.initial_marking()
-    }
-
-    fn excitations(&self, stg: &Stg, i: usize) -> Vec<(TransitionId, SignalId, SignalEdge)> {
-        let (marking, _) = self.decode(i);
-        let mut out = Vec::new();
-        for t in self.net.transitions() {
-            if self.net.is_enabled(&marking, t) {
-                if let Some(l) = stg.label(t) {
-                    out.push((t, l.signal, l.edge));
-                }
-            }
-        }
-        out
-    }
-
-    fn marking_count(&self) -> u128 {
-        self.num_markings
-    }
-
-    fn all_states(&self) -> StateSet {
-        StateSet::Symbolic(self.markings)
-    }
-
-    fn set_count(&self, set: &StateSet) -> u128 {
-        let b = self.bdd_of(set);
-        let mut cache = self.cache.lock().expect("cache poisoned");
-        let m = self.mgr();
-        self.count_markings(&m, &mut cache.suffix_counts, b)
-    }
-
-    fn set_is_empty(&self, set: &StateSet) -> bool {
-        self.bdd_of(set).is_zero()
-    }
-
-    fn set_union(&self, a: &StateSet, b: &StateSet) -> StateSet {
-        let (a, b) = (self.bdd_of(a), self.bdd_of(b));
-        let mut m = self.mgr();
-        StateSet::Symbolic(m.or(a, b))
-    }
-
-    fn set_intersect(&self, a: &StateSet, b: &StateSet) -> StateSet {
-        let (a, b) = (self.bdd_of(a), self.bdd_of(b));
-        let mut m = self.mgr();
-        StateSet::Symbolic(m.and(a, b))
-    }
-
-    fn set_minus(&self, a: &StateSet, b: &StateSet) -> StateSet {
-        let (a, b) = (self.bdd_of(a), self.bdd_of(b));
-        let mut m = self.mgr();
-        StateSet::Symbolic(m.diff(a, b))
-    }
-
-    fn set_states(&self, set: &StateSet, limit: usize) -> Vec<usize> {
-        let b = self.bdd_of(set);
-        if b.is_zero() || limit == 0 {
-            return Vec::new();
-        }
-        let mut cache = self.cache.lock().expect("cache poisoned");
-        let m = self.mgr();
-        let m0 = self.net.initial_marking();
-        let mut out = Vec::new();
-        // The initial marking maps to index 0 wherever it sits in the
-        // lexicographic order, so test its membership directly; every
-        // other marking's index is its (swap-adjusted) rank, ascending
-        // with the enumeration, so the first `limit` non-initial
-        // markings plus a possible swap target suffice.
-        let mut m0_assignment = vec![false; m.var_count() as usize];
-        for p in self.net.places() {
-            if m0.is_marked(p) {
-                m0_assignment[self.vars.place[p.index()] as usize] = true;
-            }
-        }
-        if m.eval(b, &m0_assignment) {
-            out.push(0);
-        }
-        let want = limit.saturating_add(1);
-        let mut scratch: Vec<Marking> = Vec::new();
-        let mut counts = vec![0u32; self.num_places()];
-        descend_markings(
-            &m,
-            b,
-            &self.vars,
-            self.num_places(),
-            0,
-            &mut counts,
-            &mut |marking| {
-                scratch.push(marking);
-                scratch.len() < want
-            },
-        );
-        for marking in scratch {
-            if marking == m0 {
-                continue; // already covered as index 0
-            }
-            let rank = lex_rank(
-                &m,
-                self.markings,
-                &self.vars,
-                &marking,
-                &mut cache.suffix_counts,
-            );
-            let idx = state_index_of_rank_u128(rank, self.initial_rank, &marking, &m0);
-            out.push(usize::try_from(idx).expect("materialised index fits usize"));
-        }
-        out.sort_unstable();
-        out.dedup();
-        out.truncate(limit);
-        out
-    }
-
-    fn set_codes(&self, set: &StateSet) -> Vec<Vec<bool>> {
-        let b = self.bdd_of(set);
-        let mut m = self.mgr();
-        let pairs = m.and(self.reached, b);
-        let codes_bdd = m.exists(pairs, &self.vars.place);
-        let mut out = enumerate_codes(&m, codes_bdd, &self.vars);
-        out.sort_unstable();
-        out
-    }
-
-    fn distinct_code_count(&self) -> u128 {
-        let mut m = self.mgr();
-        let codes = m.exists(self.reached, &self.vars.place);
-        let mut sig_sorted = self.vars.sig.clone();
-        sig_sorted.sort_unstable();
-        count_over(&m, codes, &sig_sorted)
-    }
-
-    fn sets_share_code(&self, a: &StateSet, b: &StateSet) -> bool {
-        let (a, b) = (self.bdd_of(a), self.bdd_of(b));
-        let mut m = self.mgr();
-        let pa = m.and(self.reached, a);
-        let ca = m.exists(pa, &self.vars.place);
-        let pb = m.and(self.reached, b);
-        let cb = m.exists(pb, &self.vars.place);
-        !m.and(ca, cb).is_zero()
-    }
-
-    fn states_with_code_set(&self, code: &[bool]) -> StateSet {
-        let mut m = self.mgr();
-        let literals: Vec<(VarId, bool)> = (0..self.num_signals)
-            .map(|j| (self.vars.sig[j], code[j]))
-            .collect();
-        let cube = m.cube(&literals);
-        StateSet::Symbolic(m.and_exists(self.reached, cube, &self.vars.sig))
-    }
-
-    fn duplicate_code_classes(&self) -> Vec<(Vec<bool>, Vec<usize>)> {
-        let codes = {
-            let mut m = self.mgr();
-            let codes_bdd = m.exists(self.reached, &self.vars.place);
-            enumerate_codes(&m, codes_bdd, &self.vars)
-        };
-        let mut out = Vec::new();
-        for code in codes {
-            let set = self.states_with_code_set(&code);
-            if self.set_count(&set) > 1 {
-                out.push((code, self.set_states(&set, usize::MAX)));
-            }
-        }
-        out.sort();
-        out
-    }
-
-    fn excitation_region(&self, stg: &Stg, signal: SignalId, edge: SignalEdge) -> StateSet {
-        let mut cache = self.cache.lock().expect("cache poisoned");
-        let mut m = self.mgr();
-        StateSet::Symbolic(self.excitation_bdd(&mut m, &mut cache, stg, signal, edge))
-    }
-
-    fn has_deadlock(&self) -> bool {
-        let mut cache = self.cache.lock().expect("cache poisoned");
-        let mut m = self.mgr();
-        if let Some(d) = cache.deadlock {
-            return d;
-        }
-        let mut dead = self.markings;
-        for t in self.net.transitions() {
-            if dead.is_zero() {
-                break;
-            }
-            let en = self.enabled_set_bdd(&mut m, &mut cache, t);
-            dead = m.diff(dead, en);
-        }
-        let d = !dead.is_zero();
-        cache.deadlock = Some(d);
-        d
-    }
-
-    fn disabling_count(&self, t: TransitionId, u: TransitionId) -> u128 {
-        if t == u {
-            return 0;
-        }
-        let mut cache = self.cache.lock().expect("cache poisoned");
-        let mut m = self.mgr();
-        let en_t = self.enabled_set_bdd(&mut m, &mut cache, t);
-        let en_u = self.enabled_set_bdd(&mut m, &mut cache, u);
-        let mut both = m.and(en_t, en_u);
-        if both.is_zero() {
-            return 0;
-        }
-        // `t` still enabled after firing `u`: each preset place of `t`
-        // must be marked in the successor — produced by `u`, or marked
-        // now and not consumed by `u`.
-        let pre_u = self.net.preset(u);
-        let post_u = self.net.postset(u);
-        let mut after = Manager::one();
-        for &p in self.net.preset(t) {
-            if post_u.contains(&p) {
-                continue; // marked after u regardless
-            }
-            if pre_u.contains(&p) {
-                after = Manager::zero(); // consumed: t disabled for sure
-                break;
-            }
-            let v = m.var(self.vars.place[p.index()]);
-            after = m.and(after, v);
-        }
-        both = m.diff(both, after);
-        self.count_markings(&m, &mut cache.suffix_counts, both)
+    fn into_state_graph(self: Box<Self>, stg: &Stg) -> Result<StateGraph, StgError> {
+        StateGraph::build(stg)
     }
 }
 
@@ -1024,43 +1139,33 @@ fn lex_unrank(
 
 /// Maps a lexicographic rank to a state index under the initial-marking
 /// swap (index 0 ↔ the initial marking's lexicographic slot).
-fn state_index_of_rank_u128(
-    rank: u128,
-    initial_rank: u128,
-    marking: &Marking,
-    m0: &Marking,
-) -> u128 {
-    if marking == m0 {
+fn state_index_of_rank(rank: u128, initial_rank: u128, marking: &Marking, m0: &Marking) -> usize {
+    let index = if marking == m0 {
         0
     } else if rank == 0 {
         initial_rank
     } else {
         rank
-    }
+    };
+    usize::try_from(index).expect("witness index fits usize")
 }
 
-fn state_index_of_rank(rank: u128, initial_rank: u128, marking: &Marking, m0: &Marking) -> usize {
-    usize::try_from(state_index_of_rank_u128(rank, initial_rank, marking, m0))
-        .expect("witness index fits usize")
-}
-
-/// Shared recursive descent for the enumerators; returns `false` to
-/// abort.
+/// Visits every marking of a place-variable set, in lexicographic order.
 fn descend_markings(
     m: &Manager,
     f: Bdd,
     vars: &VarMap,
-    num_places: usize,
     pos: usize,
     counts: &mut Vec<u32>,
-    visit: &mut impl FnMut(Marking) -> bool,
-) -> bool {
+    visit: &mut impl FnMut(Marking),
+) {
     if f.is_zero() {
-        return true;
+        return;
     }
-    if pos == num_places {
+    if pos == counts.len() {
         debug_assert!(f.is_one(), "support is the current place variables");
-        return visit(Marking::from_counts(counts.clone()));
+        visit(Marking::from_counts(counts.clone()));
+        return;
     }
     let v = vars.place[pos];
     let (lo, hi) = if m.root_var(f) == Some(v) {
@@ -1069,13 +1174,10 @@ fn descend_markings(
         (f, f)
     };
     counts[pos] = 0;
-    if !descend_markings(m, lo, vars, num_places, pos + 1, counts, visit) {
-        return false;
-    }
+    descend_markings(m, lo, vars, pos + 1, counts, visit);
     counts[pos] = 1;
-    let keep = descend_markings(m, hi, vars, num_places, pos + 1, counts, visit);
+    descend_markings(m, hi, vars, pos + 1, counts, visit);
     counts[pos] = 0;
-    keep
 }
 
 /// Enumerates the codes of a signal-variable set (indexed by signal id,

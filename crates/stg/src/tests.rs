@@ -360,21 +360,15 @@ mod state_space_backends {
         ] {
             let explicit = StateGraph::build(&spec).unwrap();
             let symbolic = SymbolicSetSpace::build(&spec).unwrap();
-            assert_eq!(StateSpace::num_states(&explicit), symbolic.num_states());
-            assert_eq!(
-                symbolic.stats().num_markings,
-                StateSpace::num_states(&explicit) as u128
-            );
+            assert_eq!(symbolic.num_states(), explicit.num_states());
+            assert_eq!(symbolic.stats().num_markings, explicit.num_states() as u128);
             // Same initial state and code multiset.
-            assert_eq!(
-                StateSpace::plain_code_string(&explicit, 0),
-                symbolic.plain_code_string(0)
-            );
-            let mut a: Vec<String> = (0..StateSpace::num_states(&explicit))
-                .map(|i| StateSpace::plain_code_string(&explicit, i))
+            assert_eq!(explicit.code(0), symbolic.decode_code(0));
+            let mut a: Vec<Vec<bool>> = (0..explicit.num_states())
+                .map(|i| explicit.code(i))
                 .collect();
-            let mut b: Vec<String> = (0..symbolic.num_states())
-                .map(|i| symbolic.plain_code_string(i))
+            let mut b: Vec<Vec<bool>> = (0..symbolic.num_states())
+                .map(|i| symbolic.decode_code(i))
                 .collect();
             a.sort();
             b.sort();
@@ -388,14 +382,17 @@ mod state_space_backends {
             let explicit = Backend::Explicit.build(&spec).unwrap();
             let symbolic = Backend::SymbolicSet.build(&spec).unwrap();
             assert_eq!(
-                csc_conflicts(&spec, &*explicit).len(),
-                csc_conflicts(&spec, &*symbolic).len()
+                explicit.csc_conflicts(&spec).len(),
+                symbolic.csc_conflicts(&spec).len()
             );
-            assert_eq!(
-                is_persistent(&spec, &*explicit),
-                is_persistent(&spec, &*symbolic)
-            );
-            assert_eq!(has_usc(&spec, &*explicit), has_usc(&spec, &*symbolic));
+            let (e, s) = (explicit.report(&spec), symbolic.report(&spec));
+            assert_eq!(e.persistent, s.persistent);
+            assert_eq!(e.unique_state_coding, s.unique_state_coding);
+            let sg = StateGraph::build(&spec).unwrap();
+            let resident = SymbolicSetSpace::build(&spec).unwrap();
+            assert_eq!(is_persistent(&spec, &sg), resident.is_persistent(&spec));
+            assert_eq!(has_usc(&spec, &sg), resident.has_usc());
+            assert_eq!(has_csc(&spec, &sg), resident.has_csc(&spec));
         }
     }
 

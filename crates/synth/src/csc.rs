@@ -57,7 +57,7 @@ use std::sync::OnceLock;
 
 use petri::reach::ReachError;
 use petri::TransitionId;
-use stg::{SignalEdge, SignalKind, StateGraph, StateSpace, Stg, StgEdit, StgError};
+use stg::{SignalEdge, SignalKind, StateGraph, Stg, StgEdit, StgError};
 
 use crate::par;
 
@@ -814,7 +814,7 @@ pub fn resolve_mixed_sweep(
     let mut descriptions: Vec<String> = Vec::new();
     let mut sg: Cow<'_, StateGraph> = Cow::Borrowed(base);
     for _ in 0..=max_steps {
-        let conflicts = stg::encoding::csc_conflict_pair_count(&current, &*sg);
+        let conflicts = stg::encoding::csc_conflict_pair_count(&current, &sg);
         if conflicts == 0 {
             return (
                 Some(CscResolutionWithSpace {

@@ -4,7 +4,7 @@
 
 use std::fmt;
 
-use stg::{StateSpace, Stg};
+use stg::{StateGraph, Stg};
 use synth::{NetId, Netlist};
 
 use crate::engine::{verify_with, VerifyOptions};
@@ -173,9 +173,9 @@ impl VerificationReport {
 ///
 /// Panics if `signal_nets` is shorter than the STG's signal count.
 #[must_use]
-pub fn verify_circuit<S: StateSpace + ?Sized>(
+pub fn verify_circuit(
     stg: &Stg,
-    sg: &S,
+    sg: &StateGraph,
     netlist: &Netlist,
     signal_nets: &[NetId],
 ) -> VerificationReport {

@@ -5,11 +5,9 @@
 //! representation — bit-packed net values plus an interned spec-state
 //! id. The specification side of each composed state is tracked as a
 //! `(marking, code)` pair: markings are interned on the fly and
-//! successors come from replaying the Petri-net token game, so the
-//! engine runs against *any* backend — including resident
-//! [`stg::SymbolicSetSpace`] spaces of any size, which only contribute
-//! their [`StateSpace::initial_marking`] and
-//! [`StateSpace::initial_values`]. (The code half of the pair needs no
+//! successors come from replaying the Petri-net token game, so of the
+//! specification's [`StateGraph`] the engine reads only the initial
+//! marking and the initial values. (The code half of the pair needs no
 //! storage of its own: along every composed path the values of the
 //! signal nets *are* the spec code, by the consistency invariant.)
 //!
@@ -20,7 +18,7 @@
 use std::collections::{HashMap, VecDeque};
 
 use petri::{Marking, TransitionId};
-use stg::{SignalId, SignalKind, StateSpace, Stg};
+use stg::{SignalId, SignalKind, StateGraph, Stg};
 use synth::{NetId, Netlist};
 
 use crate::circuit::{HazardWitness, VerificationReport, Violation, WitnessState};
@@ -66,7 +64,7 @@ impl VerifyOptions {
 /// engine-level entry point behind [`crate::verify_circuit`]; see that
 /// function for the contract on `signal_nets`.
 ///
-/// The initial composed state takes the signal nets from the space's
+/// The initial composed state takes the signal nets from the graph's
 /// initial code and settles the internal nets to their combinational
 /// fixed point; a circuit whose internals oscillate there is reported
 /// as [`Violation::UnsettledInitialState`].
@@ -75,9 +73,9 @@ impl VerifyOptions {
 ///
 /// Panics if `signal_nets` is shorter than the STG's signal count.
 #[must_use]
-pub fn verify_with<S: StateSpace + ?Sized>(
+pub fn verify_with(
     stg: &Stg,
-    sg: &S,
+    sg: &StateGraph,
     netlist: &Netlist,
     signal_nets: &[NetId],
     options: &VerifyOptions,
@@ -106,7 +104,7 @@ pub fn verify_with<S: StateSpace + ?Sized>(
         signal_nets,
         &net_signal,
         options,
-        sg.initial_marking(),
+        sg.marking(0),
         init,
     )
 }

@@ -145,51 +145,47 @@ fn correct_toggle_accepted() {
 }
 
 // ---------------------------------------------------------------------
-// The verification engine across backends
+// The verification engine under explicit options
 // ---------------------------------------------------------------------
 
 use crate::{verify_with, VerifyOptions};
 
-/// `netlist` verified on the explicit state graph and on the
-/// resident-BDD space of `stg`.
-fn on_every_backend(
+/// `netlist` verified on the state graph of `stg`, twice: the engine is
+/// deterministic, so both runs must report byte-for-byte the same.
+fn verified_twice(
     stg: &stg::Stg,
     netlist: &Netlist,
     nets: &[NetId],
     options: &VerifyOptions,
-) -> Vec<crate::VerificationReport> {
-    let explicit = StateGraph::build(stg).unwrap();
-    let resident = stg::SymbolicSetSpace::build(stg).unwrap();
-    let spaces: [&dyn stg::StateSpace; 2] = [&explicit, &resident];
-    spaces
-        .into_iter()
-        .map(|space| verify_with(stg, space, netlist, nets, options))
-        .collect()
+) -> crate::VerificationReport {
+    let sg = StateGraph::build(stg).unwrap();
+    let report = verify_with(stg, &sg, netlist, nets, options);
+    assert_eq!(verify_with(stg, &sg, netlist, nets, options), report);
+    report
 }
 
 #[test]
 fn strategies_explore_identically_on_passing_and_failing_circuits() {
     // Passing: the complex-gate VME circuit. Failing: its naive
     // decomposition (Fig. 9b). Reports — hazards, violations, decoded
-    // witnesses, states_explored — must be byte-for-byte equal.
+    // witnesses, states_explored — must be byte-for-byte reproducible.
     let stg = vme_read_csc();
     let sg = StateGraph::build(&stg).unwrap();
     let circuit = synthesize_complex_gates(&stg, &sg).unwrap();
     let nets = signal_nets_of(&stg, |s| circuit.signal_net(s), &circuit);
     let options = VerifyOptions::default();
-    let reports = on_every_backend(&stg, circuit.netlist(), &nets, &options);
-    assert!(reports[0].is_speed_independent());
-    for r in &reports[1..] {
-        assert_eq!(r, &reports[0], "passing circuit");
-    }
+    let report = verified_twice(&stg, circuit.netlist(), &nets, &options);
+    assert!(report.is_speed_independent());
+    assert_eq!(
+        report,
+        verify_circuit(&stg, &sg, circuit.netlist(), &nets),
+        "default options"
+    );
 
     let dec = decompose(&stg, &circuit, 2);
     let dnets = signal_nets_of(&stg, |s| dec.signal_net(s), &dec);
-    let reports = on_every_backend(&stg, dec.netlist(), &dnets, &options);
-    assert!(!reports[0].is_speed_independent());
-    for r in &reports[1..] {
-        assert_eq!(r, &reports[0], "failing circuit");
-    }
+    let report = verified_twice(&stg, dec.netlist(), &dnets, &options);
+    assert!(!report.is_speed_independent());
 }
 
 #[test]
@@ -199,13 +195,10 @@ fn bound_hit_is_reported_identically_by_both_strategies() {
     let circuit = synthesize_complex_gates(&stg, &sg).unwrap();
     let nets = signal_nets_of(&stg, |s| circuit.signal_net(s), &circuit);
     let options = VerifyOptions::default().with_bound(5);
-    let reports = on_every_backend(&stg, circuit.netlist(), &nets, &options);
-    for r in &reports[1..] {
-        assert_eq!(r, &reports[0]);
-    }
-    assert!(reports[0].hit_state_limit(), "bound must be hit");
-    assert_eq!(reports[0].states_explored, 5);
-    assert!(reports[0]
+    let report = verified_twice(&stg, circuit.netlist(), &nets, &options);
+    assert!(report.hit_state_limit(), "bound must be hit");
+    assert_eq!(report.states_explored, 5);
+    assert!(report
         .violations
         .iter()
         .any(|v| matches!(v, crate::Violation::StateLimit(5))));

@@ -14,7 +14,7 @@
 //! | [`petri`] | net kernel: token game, reachability, invariants, reductions, unfoldings, BDD traversal |
 //! | `bdd` | hash-consed ROBDD package |
 //! | [`boolmin`] | two-level logic: covers, exact/heuristic minimisation, factoring |
-//! | [`stg`] | Signal Transition Graphs: `.g` parsing, state graphs ([`stg::StateGraph`]) and the check stage's pluggable state spaces ([`stg::StateSpace`]: explicit or resident-BDD [`stg::SymbolicSetSpace`]), consistency, CSC, persistency |
+//! | [`stg`] | Signal Transition Graphs: `.g` parsing, state graphs ([`stg::StateGraph`]), the check stage's contract ([`stg::StateSpace`]) answered natively by the explicit graph or the resident-BDD [`stg::SymbolicSetSpace`], consistency, CSC, persistency |
 //! | [`synth`] | logic synthesis: regions, next-state functions, CSC resolution, latch architectures, decomposition, mapping |
 //! | `regions` | theory of regions: PN extraction / back-annotation |
 //! | [`timing`] | time separation of events, cycle time, relative-timing optimisation |

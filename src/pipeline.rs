@@ -815,12 +815,9 @@ impl Checked {
         // the check's bound. Either way the sweeps and synthesis see the
         // same graph on both backends, and this build is not counted as
         // a `StateSpaceBuilt`: the check already reported the space.
-        let base = match space.into_state_graph() {
-            Some(sg) => sg,
-            None => StateGraph::build(&spec).map_err(|e| {
-                PipelineError::NotImplementable(Box::new(stg::properties::failure_report(e)))
-            })?,
-        };
+        let base = space.into_state_graph(&spec).map_err(|e| {
+            PipelineError::NotImplementable(Box::new(stg::properties::failure_report(e)))
+        })?;
         let candidates: Vec<CscCandidate> = if report.complete_state_coding {
             vec![CscCandidate {
                 spec: spec.clone(),

@@ -2,9 +2,12 @@
 //! through both state-space backends — explicit breadth-first
 //! ([`stg::StateGraph`]) and resident-BDD ([`stg::SymbolicSetSpace`]) —
 //! and every observable
-//! artifact of the check stage is required to agree: state counts, code
-//! sets, excitation-region partitions, USC/CSC verdicts and
-//! conflict-pair counts, persistency and deadlock-freedom. (Past the
+//! artifact of the check stage is required to agree: state counts,
+//! initial states, code sets, excitation-region partitions, USC/CSC
+//! verdicts and conflict-pair counts, conflict witnesses, persistency and
+//! deadlock-freedom. The resident engine's set queries are its own typed
+//! methods; the explicit side of each comparison is a small oracle over
+//! the state graph in this file. (Past the
 //! check both backends synthesise from one explicit graph;
 //! `symbolic_ledger_parity` pins the resulting equations.) Error paths are
 //! differential too: bound-exceeded, unsafe-net and inconsistency
@@ -17,7 +20,7 @@
 
 use proptest::prelude::*;
 use stg::{
-    Backend, SignalEdge, SignalId, SignalKind, StateSet, StateSpace, Stg, StgBuilder, StgError,
+    Backend, SignalEdge, SignalId, SignalKind, StateGraph, StateSpace, Stg, StgBuilder, StgError,
     SymbolicSetSpace,
 };
 
@@ -75,25 +78,51 @@ fn build_all(spec: &Stg) -> Vec<Box<dyn StateSpace>> {
         .collect()
 }
 
-/// The sorted distinct code strings of a state set, via the set-level
-/// API (exercises `set_codes` on every backend).
-fn region_code_set(sg: &dyn StateSpace, set: &StateSet) -> Vec<String> {
-    let mut codes: Vec<String> = sg
-        .set_codes(set)
-        .into_iter()
-        .map(|c| c.iter().map(|&x| if x { '1' } else { '0' }).collect())
-        .collect();
+/// Both engines' spaces of `spec`, typed.
+fn build_both(spec: &Stg) -> (StateGraph, SymbolicSetSpace) {
+    let graph = StateGraph::build(spec)
+        .unwrap_or_else(|e| panic!("explicit build failed on {}: {e}", spec.name()));
+    let symbolic = SymbolicSetSpace::build(spec)
+        .unwrap_or_else(|e| panic!("symbolic-set build failed on {}: {e}", spec.name()));
+    (graph, symbolic)
+}
+
+/// The explicit oracle of [`SymbolicSetSpace::excitation_classes`]: the
+/// states of `sg` where a rising edge of `signal` is enabled, where a
+/// falling edge is, and the rest.
+fn excitation_partition(spec: &Stg, sg: &StateGraph, signal: SignalId) -> [Vec<usize>; 3] {
+    let mut parts: [Vec<usize>; 3] = Default::default();
+    for i in 0..sg.num_states() {
+        let edges: Vec<SignalEdge> = sg
+            .excitations(spec, i)
+            .into_iter()
+            .filter(|&(_, s, _)| s == signal)
+            .map(|(_, _, e)| e)
+            .collect();
+        if edges.contains(&SignalEdge::Rise) {
+            parts[0].push(i);
+        }
+        if edges.contains(&SignalEdge::Fall) {
+            parts[1].push(i);
+        }
+        if edges.is_empty() {
+            parts[2].push(i);
+        }
+    }
+    parts
+}
+
+/// The explicit oracle of [`SymbolicSetSpace::set_codes`]: the distinct
+/// codes of some states of `sg`, sorted.
+fn codes_of(sg: &StateGraph, states: &[usize]) -> Vec<Vec<bool>> {
+    let mut codes: Vec<Vec<bool>> = states.iter().map(|&i| sg.code(i)).collect();
     codes.sort();
+    codes.dedup();
     codes
 }
 
-/// A signal's excitation regions `ER(z+)`, `ER(z−)` and the unexcited
-/// rest of the space, as set handles of `sg`.
-fn excitation_partition(spec: &Stg, sg: &dyn StateSpace, signal: SignalId) -> [StateSet; 3] {
-    let rise = sg.excitation_region(spec, signal, SignalEdge::Rise);
-    let fall = sg.excitation_region(spec, signal, SignalEdge::Fall);
-    let rest = sg.set_minus(&sg.all_states(), &sg.set_union(&rise, &fall));
-    [rise, fall, rest]
+fn code_string(code: &[bool]) -> String {
+    code.iter().map(|&x| if x { '1' } else { '0' }).collect()
 }
 
 // ---------------------------------------------------------------------
@@ -103,49 +132,42 @@ fn excitation_partition(spec: &Stg, sg: &dyn StateSpace, signal: SignalId) -> [S
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(cases()))]
 
-    /// State counts, code multisets and the initial code agree.
+    /// State counts, initial states and code multisets agree.
     #[test]
     fn state_counts_and_codes_agree(spec in any_spec()) {
         let spaces = build_all(&spec);
-        let reference = &spaces[0];
-        for s in &spaces[1..] {
-            prop_assert_eq!(s.num_states(), reference.num_states());
-            prop_assert_eq!(s.marking_count(), reference.marking_count());
-            prop_assert_eq!(s.initial_values(), reference.initial_values());
-            prop_assert_eq!(s.decode_code(0), reference.decode_code(0), "initial code");
-        }
-        let mut expected: Vec<Vec<bool>> = (0..reference.num_states())
-            .map(|i| reference.decode_code(i))
-            .collect();
+        prop_assert_eq!(spaces[1].num_states(), spaces[0].num_states());
+        let (graph, symbolic) = build_both(&spec);
+        prop_assert_eq!(symbolic.num_markings(), graph.num_states() as u128);
+        // The initial state the verification engine anchors on: the
+        // flow hands it the explicit graph whichever engine checked, so
+        // the resident space must start from the same marking and code.
+        prop_assert_eq!(symbolic.initial_marking(), graph.marking(0), "initial marking");
+        prop_assert_eq!(symbolic.initial_values(), graph.initial_values());
+        prop_assert_eq!(symbolic.decode_code(0), graph.code(0), "initial code");
+        let mut expected: Vec<Vec<bool>> = (0..graph.num_states()).map(|i| graph.code(i)).collect();
         expected.sort();
-        for s in &spaces[1..] {
-            let mut got: Vec<Vec<bool>> = (0..s.num_states()).map(|i| s.decode_code(i)).collect();
-            got.sort();
-            prop_assert_eq!(&got, &expected, "code multiset ({})", s.backend());
-        }
+        let mut got: Vec<Vec<bool>> =
+            (0..graph.num_states()).map(|i| symbolic.decode_code(i)).collect();
+        got.sort();
+        prop_assert_eq!(&got, &expected, "code multiset");
     }
 
     /// The excitation-region partition of every signal agrees: same
     /// sizes, same code sets, and the regions partition the space.
     #[test]
     fn region_partitions_agree(spec in any_spec()) {
-        let spaces = build_all(&spec);
-        let reference = &spaces[0];
+        let (graph, symbolic) = build_both(&spec);
         for signal in spec.signals() {
-            let parts0 = excitation_partition(&spec, &**reference, signal);
-            for s in &spaces[1..] {
-                let parts = excitation_partition(&spec, &**s, signal);
-                let mut total = 0u128;
-                for (p0, p) in parts0.iter().zip(&parts) {
-                    prop_assert_eq!(reference.set_count(p0), s.set_count(p));
-                    prop_assert_eq!(
-                        region_code_set(&**reference, p0),
-                        region_code_set(&**s, p)
-                    );
-                    total += s.set_count(p);
-                }
-                prop_assert_eq!(total, s.marking_count(), "regions partition the space");
+            let expected = excitation_partition(&spec, &graph, signal);
+            let parts = symbolic.excitation_classes(&spec, signal);
+            let mut total = 0u128;
+            for (states, &part) in expected.iter().zip(&parts) {
+                prop_assert_eq!(symbolic.set_count(part), states.len() as u128);
+                prop_assert_eq!(symbolic.set_codes(part), codes_of(&graph, states));
+                total += symbolic.set_count(part);
             }
+            prop_assert_eq!(total, symbolic.num_markings(), "regions partition the space");
         }
     }
 
@@ -167,32 +189,32 @@ proptest! {
         }
     }
 
-    /// CSC conflict *witnesses* agree as code classes, and every
-    /// backend's `states_with_code` index returns consistent counts.
+    /// CSC conflict *witnesses* agree as code classes, the duplication
+    /// excess agrees, and the resident `states_with_code` index returns
+    /// the explicit graph's counts.
     #[test]
     fn conflict_witnesses_and_code_index_agree(spec in any_spec()) {
         let spaces = build_all(&spec);
-        let reference = &spaces[0];
-        let mut ref_conflicts: Vec<String> = stg::encoding::csc_conflicts(&spec, &**reference)
-            .into_iter()
-            .map(|c| c.code.iter().map(|&x| if x { '1' } else { '0' }).collect())
-            .collect();
-        ref_conflicts.sort();
-        for s in &spaces[1..] {
-            let mut got: Vec<String> = stg::encoding::csc_conflicts(&spec, &**s)
+        let witness_codes = |space: &dyn StateSpace| {
+            let mut codes: Vec<String> = space
+                .csc_conflicts(&spec)
                 .into_iter()
-                .map(|c| c.code.iter().map(|&x| if x { '1' } else { '0' }).collect())
+                .map(|c| code_string(&c.code))
                 .collect();
-            got.sort();
-            prop_assert_eq!(&got, &ref_conflicts, "conflict code classes ({})", s.backend());
+            codes.sort();
+            codes
+        };
+        let reference = witness_codes(&*spaces[0]);
+        for s in &spaces[1..] {
+            prop_assert_eq!(&witness_codes(&**s), &reference, "conflict code classes ({})", s.backend());
+            prop_assert_eq!(s.duplication_excess(), spaces[0].duplication_excess());
         }
-        for i in 0..reference.num_states() {
-            let code = reference.decode_code(i);
-            let expected = reference.states_with_code(&code).len();
-            for s in &spaces[1..] {
-                prop_assert_eq!(s.states_with_code(&code).len(), expected);
-                prop_assert_eq!(s.set_count(&s.states_with_code_set(&code)), expected as u128);
-            }
+        let (graph, symbolic) = build_both(&spec);
+        for i in 0..graph.num_states() {
+            let code = graph.code(i);
+            let expected = graph.states_with_code(&code).len();
+            prop_assert_eq!(symbolic.states_with_code(&code).len(), expected);
+            prop_assert_eq!(symbolic.set_count(symbolic.states_with_code_set(&code)), expected as u128);
         }
     }
 }
@@ -462,27 +484,26 @@ fn million_state_build_stays_symbolic() {
         "C(24,12) reachable markings"
     );
     assert!(space.num_markings() >= 1_000_000);
-    assert_eq!(space.marking_count(), space.num_markings());
+    assert_eq!(StateSpace::num_states(&space) as u128, space.num_markings());
     assert_eq!(
-        space.set_count(&space.all_states()),
+        space.set_count(space.all_states()),
         space.num_markings(),
         "set-level count of the full space"
     );
+    assert!(
+        space.duplication_excess() >= space.num_markings() - (1 << spec.num_signals()),
+        "at most 2^signals distinct codes"
+    );
 
     // Set-level implementability queries at full scale.
-    assert!(
-        !stg::encoding::has_usc(&spec, &space),
-        "2^12 codes < 2.7M states"
-    );
-    assert!(!stg::encoding::has_csc(&spec, &space));
-    assert!(
-        stg::persistency::is_persistent(&spec, &space),
-        "marked-graph ring"
-    );
+    assert!(!space.has_usc(), "2^12 codes < 2.7M states");
+    assert!(!space.has_csc(&spec));
+    assert!(space.is_persistent(&spec), "marked-graph ring");
     assert!(!space.has_deadlock());
     for signal in spec.signals().take(3) {
-        let total: u128 = excitation_partition(&spec, &space, signal)
-            .iter()
+        let total: u128 = space
+            .excitation_classes(&spec, signal)
+            .into_iter()
             .map(|part| space.set_count(part))
             .sum();
         assert_eq!(total, space.num_markings(), "regions partition the space");

@@ -7,7 +7,7 @@
 use asyncsynth::{Architecture, Backend, PipelineError, Synthesis};
 use stg::examples::{micropipeline, vme_read, vme_read_csc, vme_read_write};
 use stg::properties::check_implementability;
-use stg::{StateGraph, StateSpace, Stg};
+use stg::{StateGraph, Stg};
 
 const ARCHITECTURES: [Architecture; 4] = [
     Architecture::ComplexGate,
@@ -75,20 +75,20 @@ fn state_spaces_carry_identical_codes() {
             stg::SymbolicSetSpace::build(&spec).unwrap_or_else(|e| panic!("{name}: {e}"));
         assert_eq!(
             resident.num_markings(),
-            StateSpace::num_states(&explicit) as u128,
+            explicit.num_states() as u128,
             "{name}: resident marking count"
         );
-        let mut resident_codes: Vec<String> = (0..StateSpace::num_states(&resident))
-            .map(|i| StateSpace::plain_code_string(&resident, i))
-            .collect();
-        resident_codes.sort();
         assert_eq!(
             resident.stats().num_markings,
-            StateSpace::num_states(&explicit) as u128,
+            explicit.num_states() as u128,
             "{name}: BDD marking count"
         );
-        let mut explicit_codes: Vec<String> = (0..StateSpace::num_states(&explicit))
-            .map(|i| StateSpace::plain_code_string(&explicit, i))
+        let mut resident_codes: Vec<Vec<bool>> = (0..explicit.num_states())
+            .map(|i| resident.decode_code(i))
+            .collect();
+        resident_codes.sort();
+        let mut explicit_codes: Vec<Vec<bool>> = (0..explicit.num_states())
+            .map(|i| explicit.code(i))
             .collect();
         explicit_codes.sort();
         assert_eq!(
@@ -97,8 +97,8 @@ fn state_spaces_carry_identical_codes() {
         );
         // Initial state parity, not just the multiset.
         assert_eq!(
-            StateSpace::plain_code_string(&explicit, 0),
-            StateSpace::plain_code_string(&resident, 0),
+            explicit.code(0),
+            resident.decode_code(0),
             "{name}: resident initial code"
         );
     }

@@ -12,7 +12,7 @@
 use asyncsynth::{
     run_cached_with, Backend, FlowEvent, FlowObserver, SweepOptions, Synthesis, SynthesisOptions,
 };
-use stg::{StateGraph, StateSpace, StgEdit};
+use stg::{StateGraph, StgEdit};
 use synth::csc::{
     apply_edit, concurrency_reduction_sweep, greedy_moves, insertion_sweep, resolve_mixed_sweep,
     Sweep,

