@@ -9,11 +9,16 @@
 //! the BDD, not the state count. `queries` measures the post-build
 //! set-level workload (USC/CSC verdicts, persistency, deadlock, an
 //! excitation region) at a state count no enumerating backend could hold.
-//! `report` times the check stage's full property report on the two
-//! heaviest `analysis-scale` specs, micropipeline(5) and token_ring(8, 4)
-//! — where the symbolic check spends most of its time.
+//! `report` times the check stage's full property report, CSC conflict
+//! pairs included, once per freshly built space (the build is untimed,
+//! as the check stage reports once per build): on the two heaviest
+//! `analysis-scale` specs, micropipeline(5) and token_ring(8, 4), and on
+//! the 2.7 M-state token_ring(12, 12). Each report's conflict-pair count
+//! is pinned and must be reached without decoding a state; those
+//! assertions hold under `cargo test --bench symbolic_set` too, the
+//! timings are advisory.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use stg::SymbolicSetSpace;
 
 /// `(half, k)` ring parameters with their `C(2·half, k)` state counts.
@@ -80,17 +85,27 @@ fn bench_resident_queries(c: &mut Criterion) {
 fn bench_report(c: &mut Criterion) {
     let mut group = c.benchmark_group("report");
     group.sample_size(10);
-    for spec in [
-        stg::examples::micropipeline(5),
-        stg::examples::token_ring(8, 4),
+    for (spec, csc_pairs) in [
+        (stg::examples::micropipeline(5), 27_364),
+        (stg::examples::token_ring(8, 4), 26_687),
+        (stg::examples::token_ring(12, 12), 1_019_193_182),
     ] {
-        let space = SymbolicSetSpace::build(&spec).expect("builds");
         group.bench_with_input(
             BenchmarkId::new("report_from_sg", spec.name()),
             &spec,
-            |b, spec| b.iter(|| stg::properties::report_from_sg(spec, &space).num_states),
+            |b, spec| {
+                b.iter_batched(
+                    || SymbolicSetSpace::build_bounded(spec, 5_000_000).expect("builds"),
+                    |space| {
+                        let report = stg::properties::report_from_sg(spec, &space);
+                        assert_eq!(report.csc_conflict_pairs, csc_pairs, "{}", spec.name());
+                        assert_eq!(space.decoded_states(), 0, "the report never decodes states");
+                        space
+                    },
+                    BatchSize::PerIteration,
+                );
+            },
         );
-        assert_eq!(space.decoded_states(), 0, "the report never decodes states");
     }
     group.finish();
 }

@@ -9,7 +9,10 @@
 //!   BDD variable per place *and* per signal, interleaved by a
 //!   structural anchor heuristic so each signal's variable sits next to
 //!   the places of its own handshake (keeping the marking ↔ code
-//!   correlation narrow);
+//!   correlation narrow). One more variable per non-input signal, its
+//!   *excited* variable `xₛ`, sits directly below the deepest preset
+//!   place of `s`'s transitions; the build never touches these, only the
+//!   CSC conflict count does;
 //! * the build is one fixed point over that pair with the
 //!   [`petri::symbolic`] image kernel — a labelled transition's signal
 //!   is its extra literal — checking the state limit and consistency on
@@ -21,7 +24,10 @@
 //!   excitation regions, code lookups, USC/CSC verdicts, persistency and
 //!   deadlock checks are cube intersections, projections and
 //!   satisfying-assignment counts over that one function — no state is
-//!   ever enumerated. Sets of states are plain [`Bdd`]s over this
+//!   ever enumerated. The CSC conflict-pair count is one walk over node
+//!   pairs of `reached ∧ ⋀ₛ (xₛ ↔ s excited)`, counting the pairs of
+//!   states that share a code but not their excited signals, for all
+//!   codes at once. Sets of states are plain [`Bdd`]s over this
 //!   space's place variables; the methods that take or return them
 //!   belong to this type, so no other engine can be handed one;
 //! * when the check genuinely needs a *witness* (a conflict pair, an
@@ -71,11 +77,20 @@ const DECODE_BLOCK: usize = 256;
 const DECODE_LRU_BLOCKS: usize = 32;
 
 /// The variable layout of one build: one variable per place and per
-/// signal, interleaved by structural anchor.
+/// signal, interleaved by structural anchor, plus one "excited" variable
+/// per non-input signal that only the CSC conflict count uses.
 #[derive(Debug, Clone)]
 struct VarMap {
     place: Vec<VarId>,
     sig: Vec<VarId>,
+    /// `(signal, xₛ)` per non-input signal, in signal order: `xₛ` is
+    /// true in a state exactly when an edge of `s` is enabled there. It
+    /// sits directly below the deepest preset place of `s`'s transitions,
+    /// where the places that decide it are already fixed (appended at the
+    /// bottom of the order instead, the conjunction the count walks grows
+    /// 5–57× on micropipelines and token rings). The build's fixed point
+    /// never touches it.
+    excited: Vec<(SignalId, VarId)>,
 }
 
 impl VarMap {
@@ -83,12 +98,14 @@ impl VarMap {
     /// anchored at the smallest place index adjacent to any of its
     /// transitions, so the marking ↔ value correlation stays local in
     /// the variable order (the difference between a linear-sized and an
-    /// exponentially wide reached set).
+    /// exponentially wide reached set). Each non-input signal's excited
+    /// variable follows the deepest preset place of its transitions.
     fn build(stg: &Stg) -> VarMap {
         let net = stg.net();
         let num_places = net.num_places();
         let num_signals = stg.num_signals();
         let mut anchor = vec![usize::MAX; num_signals];
+        let mut deepest: Vec<Option<usize>> = vec![None; num_signals];
         for t in net.transitions() {
             if let Some(l) = stg.label(t) {
                 let near = net
@@ -101,34 +118,47 @@ impl VarMap {
                     let slot = &mut anchor[l.signal.index()];
                     *slot = (*slot).min(a);
                 }
+                let deep = net.preset(t).iter().map(|p| p.index()).max();
+                let slot = &mut deepest[l.signal.index()];
+                *slot = (*slot).max(deep);
             }
         }
-        // Entities sorted by (anchor, places-before-signals, index). The
+        // Entities sorted by (anchor, places-signals-excited, index). The
         // relative order of places is preserved (their anchor is their
         // own index), so lexicographic enumeration by variable id visits
         // places in index order.
         let mut entities: Vec<(usize, u8, usize)> = (0..num_places).map(|i| (i, 0, i)).collect();
         entities.extend((0..num_signals).map(|j| (anchor[j], 1, j)));
+        // Excited variables are indexed by their position among the
+        // non-input signals, which follows signal order.
+        let non_inputs = stg.non_input_signals();
+        entities.extend(non_inputs.iter().enumerate().map(|(k, s)| {
+            let j = s.index();
+            (deepest[j].unwrap_or(anchor[j]), 2, k)
+        }));
         entities.sort_unstable();
         let mut map = VarMap {
             place: vec![0; num_places],
             sig: vec![0; num_signals],
+            excited: non_inputs.into_iter().map(|s| (s, 0)).collect(),
         };
         for (pos, &(_, kind, idx)) in entities.iter().enumerate() {
             let var = u32::try_from(pos).expect("variable id fits u32");
-            if kind == 0 {
-                map.place[idx] = var;
-            } else {
-                map.sig[idx] = var;
+            match kind {
+                0 => map.place[idx] = var,
+                1 => map.sig[idx] = var,
+                _ => map.excited[idx].1 = var,
             }
         }
         map
     }
 
-    /// Every variable, ascending.
+    /// Every place and signal variable, ascending: the variables of a
+    /// state (the excited variables are not among them).
     fn all(&self) -> Vec<VarId> {
-        let n = self.place.len() + self.sig.len();
-        (0..u32::try_from(n).expect("variable id fits u32")).collect()
+        let mut vars: Vec<VarId> = self.place.iter().chain(&self.sig).copied().collect();
+        vars.sort_unstable();
+        vars
     }
 }
 
@@ -551,58 +581,61 @@ impl SymbolicSetSpace {
         count_over(&m, codes, &sig_sorted)
     }
 
-    /// Number of CSC-violating state pairs, counted per duplicated code
-    /// by refining its state set against the excitation classes of every
-    /// non-input signal: pairs inside one refined part agree everywhere,
-    /// so `C(total, 2) − Σ C(part, 2)` is the code's conflict count. Set
-    /// counts only; no witness is decoded.
+    /// Number of CSC-violating state pairs, counted for all codes at once
+    /// without enumerating a code or decoding a state.
+    ///
+    /// Two states of one code are in CSC conflict exactly when some
+    /// non-input signal is excited in one and not in the other: within one
+    /// code an excited signal's edge is fixed by its value, so the excited
+    /// *set* decides the excitation profile. With
+    /// `F = reached ∧ ⋀ₛ (xₛ ↔ ER(s+) ∨ ER(s−))` over the excited
+    /// variables, and `P_K(F)` the number of ordered pairs of satisfying
+    /// assignments of `F` that agree on the variables `K`,
+    ///
+    /// `csc_pairs = (P_sig(F) − P_{sig ∪ x}(F)) / 2`:
+    ///
+    /// `P_sig` counts the ordered pairs sharing a code, `P_{sig ∪ x}` the
+    /// ones that also share an excitation profile (the self-pairs cancel),
+    /// and halving turns ordered pairs into unordered ones.
     fn csc_conflict_pair_count(&self, stg: &Stg) -> usize {
-        let mut guard = self.cache.lock().expect("cache poisoned");
-        let cache = &mut *guard;
         let mut m = self.mgr();
-        let classes: Vec<[Bdd; 3]> = stg
-            .non_input_signals()
-            .into_iter()
-            .map(|s| self.excitation_classes_in(&mut m, cache, stg, s))
-            .collect();
-        let pairs_of = |n: u128| n * n.saturating_sub(1) / 2;
-        let mut conflicts = 0u128;
-        // Codes come from the projection and only the duplicated ones are
-        // refined — states stay symbolic.
-        let all_codes = self.codes_of(&mut m, self.markings);
-        let mut codes = enumerate_codes(&m, all_codes, &self.vars);
-        codes.sort_unstable();
-        for code in codes {
-            let set = self.code_set(&mut m, &code);
-            let total = self.count_markings(&m, &mut cache.suffix_counts, set);
-            if total < 2 {
-                continue;
-            }
-            // Refine the code's states by excitation profile.
-            let mut parts = vec![set];
-            for class3 in &classes {
-                let mut next = Vec::with_capacity(parts.len());
-                for &part in &parts {
-                    if self.count_markings(&m, &mut cache.suffix_counts, part) < 2 {
-                        next.push(part);
-                        continue;
+        // The links are local in the variable order, so their conjunction
+        // stays small and meets `reached` in one AND.
+        let mut links = Manager::one();
+        for &(s, x) in &self.vars.excited {
+            // On reached states, `s` is excited exactly where some
+            // transition of it has its whole preset marked (the build's
+            // safeness check makes a marked preset mean enabled).
+            let mut excited = Manager::zero();
+            for t in self.net.transitions() {
+                if stg.label(t).is_some_and(|l| l.signal == s) {
+                    let mut cube = Manager::one();
+                    for &p in self.net.preset(t) {
+                        let v = m.var(self.vars.place[p.index()]);
+                        cube = m.and(cube, v);
                     }
-                    for &class in class3 {
-                        let piece = m.and(part, class);
-                        if !piece.is_zero() {
-                            next.push(piece);
-                        }
-                    }
+                    excited = m.or(excited, cube);
                 }
-                parts = next;
             }
-            let agreeing: u128 = parts
-                .iter()
-                .map(|&p| pairs_of(self.count_markings(&m, &mut cache.suffix_counts, p)))
-                .sum();
-            conflicts += pairs_of(total) - agreeing;
+            let xv = m.var(x);
+            let link = m.iff(xv, excited);
+            links = m.and(links, link);
         }
-        usize::try_from(conflicts).expect("conflict pair count fits usize")
+        let f = m.and(self.reached, links);
+        // Places are free throughout, signals are keys; the excited
+        // variables are free for `P_sig` and keys for `P_{sig ∪ x}`.
+        let universe = |excited_key: bool| {
+            let places = self.vars.place.iter().map(|&v| (v, false));
+            let mut vars: Vec<(VarId, bool)> = places
+                .chain(self.vars.sig.iter().map(|&v| (v, true)))
+                .chain(self.vars.excited.iter().map(|&(_, v)| (v, excited_key)))
+                .collect();
+            vars.sort_unstable();
+            vars
+        };
+        let same_code = agreeing_pair_count(&m, f, &universe(false));
+        let same_profile = agreeing_pair_count(&m, f, &universe(true));
+        usize::try_from((same_code - same_profile) / 2).expect("conflict pair count fits usize")
     }
 
     /// Number of blocking disabling occurrences, the count
@@ -962,6 +995,95 @@ fn count_vars_from(
     }
     let c = rec(m, f, vars, memo);
     c << (var_pos(m, f, vars) - pos)
+}
+
+/// `P_K(f)`: the number of ordered pairs `(a, b)` of satisfying
+/// assignments of `f` that agree on the key variables `K`. `vars` lists
+/// the counting universe ascending, each variable flagged `true` when it
+/// is a key; it must cover `f`'s support.
+///
+/// One memoised walk over node pairs `(f₁, f₂)` (symmetric, so
+/// canonicalised as `(min, max)`): at the topmost variable of the pair a
+/// key variable sends both sides down the same branch, a free one sums
+/// all four branch combinations. A variable both sides skip multiplies
+/// the count by 2 (key: one shared value) or 4 (free: two independent
+/// values), kept as a shift by the variable's weight, 1 or 2.
+pub(crate) fn agreeing_pair_count(m: &Manager, f: Bdd, vars: &[(VarId, bool)]) -> u128 {
+    struct Walk<'a> {
+        m: &'a Manager,
+        vars: &'a [(VarId, bool)],
+        /// `weight[i]`: summed log2 factors of `vars[..i]`.
+        weight: Vec<u32>,
+        memo: BddMap<(Bdd, Bdd), u128>,
+    }
+    impl Walk<'_> {
+        /// Position of a node's root variable in `vars` (`vars.len()` for
+        /// constants).
+        fn pos(&self, f: Bdd) -> usize {
+            match self.m.root_var(f) {
+                Some(v) => self
+                    .vars
+                    .binary_search_by_key(&v, |&(var, _)| var)
+                    .unwrap_or_else(|_| panic!("variable {v} outside the counting universe")),
+                None => self.vars.len(),
+            }
+        }
+
+        /// Pairs of `(f, g)` over `vars[from..]`.
+        fn from(&mut self, f: Bdd, g: Bdd, from: usize) -> u128 {
+            if f.is_zero() || g.is_zero() {
+                return 0;
+            }
+            let top = self.pos(f).min(self.pos(g));
+            self.at(f, g, top) << (self.weight[top] - self.weight[from])
+        }
+
+        /// Pairs of `(f, g)` over `vars[top..]`, where `top` is the
+        /// topmost root position of the pair.
+        fn at(&mut self, f: Bdd, g: Bdd, top: usize) -> u128 {
+            if top == self.vars.len() {
+                return 1; // both sides are the constant one
+            }
+            let key = (f.min(g), f.max(g));
+            if let Some(&c) = self.memo.get(&key) {
+                return c;
+            }
+            let split = |w: &Self, h: Bdd| {
+                if w.pos(h) == top {
+                    (w.m.low(h), w.m.high(h))
+                } else {
+                    (h, h)
+                }
+            };
+            let (f0, f1) = split(self, f);
+            let (g0, g1) = split(self, g);
+            let next = top + 1;
+            let c = if self.vars[top].1 {
+                self.from(f0, g0, next) + self.from(f1, g1, next)
+            } else {
+                self.from(f0, g0, next)
+                    + self.from(f0, g1, next)
+                    + self.from(f1, g0, next)
+                    + self.from(f1, g1, next)
+            };
+            self.memo.insert(key, c);
+            c
+        }
+    }
+    let mut weight = Vec::with_capacity(vars.len() + 1);
+    let mut total = 0;
+    weight.push(total);
+    for &(_, key) in vars {
+        total += if key { 1 } else { 2 };
+        weight.push(total);
+    }
+    let mut walk = Walk {
+        m,
+        vars,
+        weight,
+        memo: BddMap::default(),
+    };
+    walk.from(f, f, 0)
 }
 
 /// Budgeted explicit first-edge inference: breadth-first token game up

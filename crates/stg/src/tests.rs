@@ -429,6 +429,107 @@ mod state_space_backends {
             Err(StgError::Reach(petri::reach::ReachError::BoundExceeded(_)))
         ));
     }
+
+    /// `P_K(f)` by brute force: every ordered pair of satisfying
+    /// assignments over `vars` that agrees on the key variables.
+    fn brute_force_pairs(m: &bdd::Manager, f: bdd::Bdd, vars: &[(bdd::VarId, bool)]) -> u128 {
+        let width = vars.iter().map(|&(v, _)| v as usize + 1).max().unwrap_or(0);
+        let models: Vec<u32> = (0..1u32 << vars.len())
+            .filter(|&bits| {
+                let mut assignment = vec![false; width];
+                for (i, &(v, _)) in vars.iter().enumerate() {
+                    assignment[v as usize] = bits >> i & 1 == 1;
+                }
+                m.eval(f, &assignment)
+            })
+            .collect();
+        let key_mask: u32 = (vars.iter().enumerate())
+            .filter(|(_, &(_, key))| key)
+            .map(|(i, _)| 1 << i)
+            .sum();
+        let mut pairs = 0;
+        for &a in &models {
+            pairs += models.iter().filter(|&&b| (a ^ b) & key_mask == 0).count() as u128;
+        }
+        pairs
+    }
+
+    #[test]
+    fn agreeing_pair_count_matches_brute_force() {
+        use crate::symbolic_set::agreeing_pair_count;
+        let mut m = bdd::Manager::new();
+
+        // Constants: no pairs of the empty function; every pair that
+        // agrees on the keys for the constant one (2 per key variable,
+        // 4 per free one).
+        let universe = [(0, true), (1, false), (2, false)];
+        assert_eq!(agreeing_pair_count(&m, bdd::Manager::zero(), &universe), 0);
+        assert_eq!(agreeing_pair_count(&m, bdd::Manager::one(), &universe), 32);
+        assert_eq!(agreeing_pair_count(&m, bdd::Manager::one(), &[]), 1);
+
+        // Variables 1 (key) and 3 (free) lie in the universe but outside
+        // the support, so both sides of every pair skip them.
+        let (x0, x2, x4) = (m.var(0), m.var(2), m.var(4));
+        let a = m.and(x0, x2);
+        let f = m.or(a, x4);
+        let universe = [(0, false), (1, true), (2, true), (3, false), (4, true)];
+        assert_eq!(
+            agreeing_pair_count(&m, f, &universe),
+            brute_force_pairs(&m, f, &universe)
+        );
+
+        // Variable 2 is tested on one branch of variable 0 only, so the
+        // pair (x0 = 0, x0 = 1) meets it on one side alone.
+        let nx0 = m.not(x0);
+        let left = m.and(nx0, x4);
+        let f = m.or(a, left);
+        for keys in 0..8u32 {
+            let universe: Vec<(bdd::VarId, bool)> = [0, 2, 4]
+                .iter()
+                .enumerate()
+                .map(|(i, &v)| (v, keys >> i & 1 == 1))
+                .collect();
+            assert_eq!(
+                agreeing_pair_count(&m, f, &universe),
+                brute_force_pairs(&m, f, &universe),
+                "keys {keys:03b}"
+            );
+        }
+
+        // Random functions over up to 10 variables with random key flags
+        // (a fixed-seed xorshift, so the cases are reproducible).
+        let mut seed = 0x9e37_79b9_7f4a_7c15_u64;
+        let mut next = move || {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            seed
+        };
+        for case in 0..200 {
+            let width = 1 + (next() % 10) as usize;
+            let universe: Vec<(bdd::VarId, bool)> = (0..width)
+                .map(|i| (i as bdd::VarId, next() % 2 == 0))
+                .collect();
+            // A sum of random cubes over a random subset of the universe.
+            let mut f = bdd::Manager::zero();
+            for _ in 0..1 + next() % 6 {
+                let mut cube = bdd::Manager::one();
+                for &(v, _) in &universe {
+                    let roll = next() % 3;
+                    if roll < 2 {
+                        let literal = m.literal(v, roll == 0);
+                        cube = m.and(cube, literal);
+                    }
+                }
+                f = m.or(f, cube);
+            }
+            assert_eq!(
+                agreeing_pair_count(&m, f, &universe),
+                brute_force_pairs(&m, f, &universe),
+                "case {case}"
+            );
+        }
+    }
 }
 
 mod canon {

@@ -434,10 +434,11 @@ fn over_limit_and_inconsistent_reports_the_limit() {
 /// counts (`C(2·half, k)` and `4·5ⁿ`).
 #[test]
 fn scale_reports_agree() {
-    let mut specs: Vec<(Stg, Option<usize>)> = [(6, 6, 924), (7, 5, 2002), (8, 4, 1820)]
-        .into_iter()
-        .map(|(half, k, states)| (token_ring(half, k), Some(states)))
-        .collect();
+    let mut specs: Vec<(Stg, Option<usize>)> =
+        [(6, 6, 924), (7, 5, 2002), (8, 4, 1820), (9, 9, 48_620)]
+            .into_iter()
+            .map(|(half, k, states)| (token_ring(half, k), Some(states)))
+            .collect();
     specs.push((stg::examples::micropipeline(4), Some(4 * 625)));
     specs.push((stg::examples::micropipeline(5), Some(4 * 3125)));
     specs.push((generators::paralleliser(6, false), None));
@@ -470,8 +471,8 @@ fn scale_reports_agree() {
 // ---------------------------------------------------------------------
 
 /// `Backend::SymbolicSet` builds a `C(24,12)` ≈ 2.7 M-state token ring
-/// and answers implementability queries while the observer counter
-/// proves that no state was ever decoded. (The explicit backend cannot
+/// and answers implementability queries and the full check-stage report
+/// while the observer counter proves that no state was ever decoded. (The explicit backend cannot
 /// even represent this space within the default bound.)
 #[test]
 fn million_state_build_stays_symbolic() {
@@ -508,6 +509,12 @@ fn million_state_build_stays_symbolic() {
             .sum();
         assert_eq!(total, space.num_markings(), "regions partition the space");
     }
+
+    // The full check-stage report, CSC conflict pairs included, counted
+    // over the whole space at once.
+    let report = space.report(&spec);
+    assert_eq!(report.num_states, 2_704_156);
+    assert_eq!(report.csc_conflict_pairs, 1_019_193_182);
 
     // The memory probe: everything above ran without decoding a single
     // state.
