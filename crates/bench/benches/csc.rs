@@ -36,6 +36,7 @@ fn bench_vme_read_sweep(c: &mut Criterion) {
                 let base = StateGraph::build(&spec).expect("base builds");
                 let sweep = insertion_sweep(&spec, &options, &base);
                 assert_eq!(sweep.stats.accepted, 6);
+                assert_eq!(sweep.candidates.len(), 6);
                 sweep.candidates.len()
             });
         });

@@ -19,22 +19,27 @@
 //! Every search here is a sweep over a candidate grid — `(t⁺, t⁻)`
 //! insertion pairs, `a → b` ordering arcs — where each candidate's state
 //! space is validated in full. That makes the sweeps the flow's dominant
-//! cost, so they run through one engine ([`SweepOptions`]) that
+//! cost, so all three run through one evaluator, configured by
+//! [`SweepOptions`]. The sweeps differ only in their policy: the test a
+//! candidate must pass and how the accepted ones are ranked. Each
+//! returns a [`Sweep`]: at most [`CSC_CANDIDATE_LIMIT`] candidates, best
+//! first, each with the state graph its sweep validated. The evaluator
 //!
 //! * **derives** candidate state graphs: every candidate is an explicit
 //!   [`StateGraph`] computed from the base graph in O(|SG|)
 //!   ([`StateGraph::derive`]) and checked against a label template (the
 //!   base STG for arcs, [`insertion_labels`] for insertions), so no
 //!   candidate STG is built and no token game replayed until a candidate
-//!   is accepted. A derived graph is two flat tables (packed code words,
+//!   wins. A derived graph is two flat tables (packed code words,
 //!   marking counts) written row by row from the base's rows, so a
 //!   candidate costs a few allocations whatever its size, and the
 //!   conflict count sorts its stored code words directly. The sweeps
 //!   take no backend: the pipeline hands them the same base graph
 //!   whichever backend its check stage ran on;
 //! * **parallelises** the grid on scoped work-stealing workers
-//!   ([`crate::par`]), merging per-worker rankings deterministically so
-//!   the output is byte-identical to a serial sweep at any thread count;
+//!   ([`crate::par`]); each worker keeps only its best candidates, and
+//!   the merge orders them by `(key, grid index)`, a total order, so the
+//!   output is byte-identical to a serial sweep at any thread count;
 //! * **prunes** by conflict locality: a pair `(t⁺, t⁻)` whose inserted
 //!   signal provably cannot distinguish a CSC-conflicting state pair is
 //!   skipped before any space is built (see `ConflictPruner`'s
@@ -61,25 +66,31 @@ use stg::{SignalEdge, SignalKind, StateGraph, Stg, StgEdit, StgError};
 
 use crate::par;
 
-/// Outcome of a successful CSC resolution, carrying the candidate's
-/// already-built state graph through to synthesis.
-///
-/// The search routines validate a full state graph for every candidate
-/// they rank; keeping it saves the flow driver a rebuild before
-/// synthesis. Deliberately **not** `Clone`, so the graph is moved, not
-/// duplicated, on its way downstream.
+/// A CSC resolution a sweep accepted, carrying the state graph the sweep
+/// validated through to synthesis, so the flow driver never rebuilds it.
+/// Deliberately **not** `Clone`, so the graph is moved, not duplicated,
+/// on its way downstream.
 #[derive(Debug)]
-pub struct CscResolutionWithSpace {
+pub struct CscResolution {
     /// The transformed STG (CSC holds on its state space).
     pub stg: Stg,
     /// Human-readable description of the applied transformation.
     pub description: String,
     /// State count of the new state space.
     pub num_states: usize,
-    /// The validated state graph of `stg`, when the search still holds
-    /// it (the ranking sweeps keep the graphs of the top
-    /// [`CSC_CANDIDATE_LIMIT`] candidates to bound memory).
-    pub space: Option<StateGraph>,
+    /// The validated state graph of `stg`.
+    pub space: StateGraph,
+}
+
+impl CscResolution {
+    fn new(stg: Stg, description: String, space: StateGraph) -> Self {
+        CscResolution {
+            stg,
+            description,
+            num_states: space.num_states(),
+            space,
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -103,11 +114,14 @@ pub struct SweepOptions {
     pub bound: usize,
 }
 
-/// How many ranked CSC candidates the flow's synthesis stage tries (its
-/// backtracking depth), and therefore how many top-ranked candidates
-/// of a sweep keep their validated state graph, so that no tried
-/// candidate is rebuilt (memory bound: one full graph each).
+/// The most candidates a sweep returns, and so the depth of the flow's
+/// synthesis backtracking per sweep. Each returned candidate holds one
+/// full state graph (the memory bound), so that no tried candidate is
+/// rebuilt.
 pub const CSC_CANDIDATE_LIMIT: usize = 12;
+
+/// The greedy steps the flow lets [`resolve_mixed_sweep`] take.
+pub const MIXED_MAX_STEPS: usize = 5;
 
 /// The default per-candidate state bound of the CSC sweeps.
 ///
@@ -156,13 +170,14 @@ impl SweepStats {
     }
 }
 
-/// Result of [`insertion_sweep`]: the ranked candidates plus the
-/// engine's diagnostics.
+/// What every sweep returns: its candidates, best first (at most
+/// [`CSC_CANDIDATE_LIMIT`], each with its validated state graph), plus
+/// the engine's diagnostics.
 #[derive(Debug)]
 pub struct Sweep {
-    /// Acceptable insertions, best first (see [`insertion_sweep`] for the
+    /// The accepted resolutions, best first (see each sweep for its
     /// ranking).
-    pub candidates: Vec<CscResolutionWithSpace>,
+    pub candidates: Vec<CscResolution>,
     /// What the engine did to the grid.
     pub stats: SweepStats,
 }
@@ -265,66 +280,84 @@ impl<'a> ConflictPruner<'a> {
             || self.connects_avoiding(scratch, pair.1, pair.0, tp, tm)
     }
 
-    /// At least one conflict survives `(tp, tm)` — the insertion can
-    /// never reach full CSC, so the exhaustive sweep may skip it.
-    fn any_unseparated(
+    /// `true` when the insertion `(tp, tm)` cannot meet `goal`: some
+    /// conflict survives it (it can never reach full CSC), or, for
+    /// [`Goal::Progress`], every conflict does (it cannot even reduce the
+    /// conflict count).
+    fn skips(
         &self,
         scratch: &mut PruneScratch,
+        goal: Goal,
         tp: TransitionId,
         tm: TransitionId,
     ) -> bool {
-        self.conflicts
+        let mut unseparated = self
+            .conflicts
             .iter()
-            .any(|&p| self.unseparated(scratch, p, tp, tm))
-    }
-
-    /// *Every* conflict survives `(tp, tm)` — the insertion cannot even
-    /// reduce the conflict count, so the greedy progress-seeking loop
-    /// may skip it.
-    fn all_unseparated(
-        &self,
-        scratch: &mut PruneScratch,
-        tp: TransitionId,
-        tm: TransitionId,
-    ) -> bool {
-        self.conflicts
-            .iter()
-            .all(|&p| self.unseparated(scratch, p, tp, tm))
+            .map(|&p| self.unseparated(scratch, p, tp, tm));
+        match goal {
+            Goal::Csc => unseparated.any(|u| u),
+            Goal::Progress => unseparated.all(|u| u),
+        }
     }
 }
 
 // ---------------------------------------------------------------------
-// Candidate state spaces
+// The candidate evaluator
 // ---------------------------------------------------------------------
 
-/// Derives the state graphs of one base specification's candidates.
+/// What a sweep's accepted moves must achieve, which decides the
+/// insertions the conflict-locality prune may skip.
+#[derive(Clone, Copy)]
+enum Goal {
+    /// Full CSC (the insertion and reduction sweeps).
+    Csc,
+    /// Fewer conflicting pairs than the base (a mixed step).
+    Progress,
+}
+
+/// How a sweep ranks the moves it accepts.
+#[derive(Clone, Copy)]
+enum Rank {
+    /// The `n` smallest `(key, grid index)` over the whole grid.
+    Best(usize),
+    /// The first accepted move in grid order. The scan skips the indices
+    /// past the lowest one accepted so far, and the counters cover only
+    /// the indices up to the winner.
+    First,
+}
+
+/// An accepted move: its ranking key, grid index, the move and its
+/// validated state graph.
+type Ranked<K> = (K, usize, StgEdit, StateGraph);
+
+/// Evaluates the candidates of one base specification.
 ///
 /// Every candidate's graph is derived from the base graph
 /// ([`StateGraph::derive`]) and checked against the step's label
 /// template: arc candidates share the base STG's labels, insertion
 /// candidates share [`insertion_labels`]. The candidate STG is built
-/// ([`apply_edit`]) only for moves that pass.
+/// ([`apply_edit`]) only for the moves a sweep returns.
 struct Candidates<'a> {
     stg: &'a Stg,
     bound: usize,
     base: &'a StateGraph,
+    goal: Goal,
+    /// Built on the first insertion; `None` when the base has no conflict.
+    pruner: OnceLock<Option<ConflictPruner<'a>>>,
     insertion_labels: OnceLock<Stg>,
 }
 
 impl<'a> Candidates<'a> {
-    fn new(stg: &'a Stg, bound: usize, base: &'a StateGraph) -> Self {
+    fn new(stg: &'a Stg, bound: usize, base: &'a StateGraph, goal: Goal) -> Self {
         Candidates {
             stg,
             bound,
             base,
+            goal,
+            pruner: OnceLock::new(),
             insertion_labels: OnceLock::new(),
         }
-    }
-
-    /// The candidate's state graph; a `StateLimit` error means it exceeds
-    /// the sweep bound.
-    fn space(&self, edit: StgEdit) -> Result<StateGraph, StgError> {
-        StateGraph::derive(self.base, self.labels(edit), edit, self.bound)
     }
 
     /// The label template the candidate's checks read.
@@ -335,6 +368,139 @@ impl<'a> Candidates<'a> {
                 .insertion_labels
                 .get_or_init(|| insertion_labels(self.stg)),
         }
+    }
+
+    /// Sweeps `moves` on `threads` workers, returning the moves `rank`
+    /// keeps, best first, with the sweep's counters. `accept` is the
+    /// sweep's test: it reads the candidate's labels and graph and gives
+    /// the ranking key of a move it accepts.
+    ///
+    /// Each worker keeps only its own best entries. Their merge sorts by
+    /// `(key, grid index)`, a total order that does not depend on how the
+    /// workers split the grid, so the result is the serial scan's at any
+    /// thread count.
+    fn evaluate<K: Ord + Copy + Send>(
+        &self,
+        moves: &[StgEdit],
+        threads: usize,
+        rank: Rank,
+        accept: impl Fn(&Stg, &StateGraph) -> Option<K> + Sync,
+    ) -> (Vec<Ranked<K>>, SweepStats) {
+        let (keep, first) = match rank {
+            Rank::Best(n) => (n, false),
+            Rank::First => (1, true),
+        };
+        struct Acc<K> {
+            /// Best first, at most `keep` entries.
+            best: Vec<Ranked<K>>,
+            scratch: PruneScratch,
+            stats: SweepStats,
+            /// [`Rank::First`]'s counters per grid index, cut to the
+            /// winner's prefix at the merge.
+            by_index: Vec<(usize, SweepStats)>,
+        }
+        // [`Rank::First`]'s early exit: the lowest grid index accepted so
+        // far. It only shrinks towards the winner, and no index at or
+        // below the winner is ever skipped, so the winner and its
+        // prefix's counters do not depend on the thread count.
+        let first_accepted = AtomicUsize::new(usize::MAX);
+        let accs = par::par_fold(
+            moves,
+            threads,
+            || Acc {
+                best: Vec::new(),
+                scratch: PruneScratch::default(),
+                stats: SweepStats::default(),
+                by_index: Vec::new(),
+            },
+            |acc, i, &edit| {
+                if first && i > first_accepted.load(Ordering::Relaxed) {
+                    return;
+                }
+                let mut stats = SweepStats::default();
+                let accepted = self.evaluate_move(&mut acc.scratch, &mut stats, edit, &accept);
+                if first {
+                    acc.by_index.push((i, stats));
+                } else {
+                    acc.stats.absorb(stats);
+                }
+                let Some((key, space)) = accepted else {
+                    return;
+                };
+                first_accepted.fetch_min(i, Ordering::Relaxed);
+                let at = acc.best.partition_point(|r| (r.0, r.1) < (key, i));
+                if at < keep {
+                    acc.best.insert(at, (key, i, edit, space));
+                    acc.best.truncate(keep);
+                }
+            },
+        );
+
+        let mut best: Vec<Ranked<K>> = Vec::new();
+        let mut stats = SweepStats::default();
+        let mut by_index = Vec::new();
+        for acc in accs {
+            best.extend(acc.best);
+            stats.absorb(acc.stats);
+            by_index.extend(acc.by_index);
+        }
+        best.sort_by_key(|r| (r.0, r.1));
+        best.truncate(keep);
+        let winner = best.first().map_or(usize::MAX, |r| r.1);
+        for (_, s) in by_index.into_iter().filter(|&(i, _)| i <= winner) {
+            stats.absorb(s);
+        }
+        stats.grid = moves.len();
+        (best, stats)
+    }
+
+    /// One move of a sweep, counted in `stats`: the conflict-locality
+    /// prune (insertions only), the derive, the bound accounting and
+    /// `accept`'s verdict. Returns the accepted move's key and graph.
+    fn evaluate_move<K>(
+        &self,
+        scratch: &mut PruneScratch,
+        stats: &mut SweepStats,
+        edit: StgEdit,
+        accept: impl FnOnce(&Stg, &StateGraph) -> Option<K>,
+    ) -> Option<(K, StateGraph)> {
+        if let StgEdit::Insertion(tp, tm) = edit {
+            let pruner = self
+                .pruner
+                .get_or_init(|| ConflictPruner::new(self.stg, self.base));
+            if pruner
+                .as_ref()
+                .is_some_and(|p| p.skips(scratch, self.goal, tp, tm))
+            {
+                stats.pruned += 1;
+                return None;
+            }
+        }
+        stats.evaluated += 1;
+        let labels = self.labels(edit);
+        let space = match StateGraph::derive(self.base, labels, edit, self.bound) {
+            Ok(space) => space,
+            Err(StgError::Reach(ReachError::StateLimit(_))) => {
+                stats.skipped_by_bound += 1;
+                return None;
+            }
+            Err(_) => return None,
+        };
+        let key = accept(labels, &space)?;
+        stats.accepted += 1;
+        Some((key, space))
+    }
+
+    /// The [`Sweep`] that `evaluate`'s result stands for: each ranked
+    /// move's STG, described, with its graph.
+    fn sweep<K>(&self, (ranked, stats): (Vec<Ranked<K>>, SweepStats)) -> Sweep {
+        let candidates = ranked
+            .into_iter()
+            .map(|(_, _, edit, space)| {
+                CscResolution::new(apply_edit(self.stg, edit), describe(self.stg, edit), space)
+            })
+            .collect();
+        Sweep { candidates, stats }
     }
 }
 
@@ -347,12 +513,33 @@ pub fn apply_edit(stg: &Stg, edit: StgEdit) -> Stg {
     }
 }
 
+/// How every sweep describes the move `edit` on `stg`.
+fn describe(stg: &Stg, edit: StgEdit) -> String {
+    match edit {
+        StgEdit::OrderingArc(a, b) => format!(
+            "concurrency reduction: {} waits for {}",
+            stg.label_string(b),
+            stg.label_string(a)
+        ),
+        StgEdit::Insertion(tp, tm) => format!(
+            "inserted csc signal: + before {}, - before {}",
+            stg.label_string(tp),
+            stg.label_string(tm)
+        ),
+    }
+}
+
+/// The `greedy_moves` of `stg` that `keep` selects, in grid order.
+fn moves_where(stg: &Stg, keep: impl Fn(&StgEdit) -> bool) -> Vec<StgEdit> {
+    greedy_moves(stg).into_iter().filter(keep).collect()
+}
+
 // ---------------------------------------------------------------------
 // Signal-insertion sweep
 // ---------------------------------------------------------------------
 
-/// The single-signal insertion sweep: all acceptable insertions of one
-/// internal state signal, best first.
+/// The single-signal insertion sweep: the best acceptable insertions of
+/// one internal state signal.
 ///
 /// The search space is pairs `(t⁺, t⁻)` of non-input transitions: the new
 /// signal's rising edge is inserted *before* `t⁺` (splitting all of its
@@ -363,12 +550,8 @@ pub fn apply_edit(stg: &Stg, edit: StgEdit) -> Stg {
 /// insertion with the cheapest logic wins. Several rankings can tie up to
 /// signal polarity (the paper's `csc0` and its complement are both
 /// returned); downstream architecture-specific validation picks between
-/// them (see the flow driver).
-///
-/// The best [`CSC_CANDIDATE_LIMIT`] candidates carry their
-/// validated state space ([`CscResolutionWithSpace::space`]) so the flow
-/// driver does not rebuild it before synthesis; the rest carry `None`
-/// (keeping every swept space alive would be O(T²) memory).
+/// them (see the flow driver). The best [`CSC_CANDIDATE_LIMIT`] are
+/// returned; [`SweepStats::accepted`] counts them all.
 ///
 /// `base` is the state graph of `stg`: it feeds the pruner and the
 /// derivations.
@@ -377,117 +560,26 @@ pub fn apply_edit(stg: &Stg, edit: StgEdit) -> Stg {
 /// [`SweepOptions`].
 #[must_use]
 pub fn insertion_sweep(stg: &Stg, options: &SweepOptions, base: &StateGraph) -> Sweep {
-    let pairs: Vec<(TransitionId, TransitionId)> = greedy_moves(stg)
-        .into_iter()
-        .filter_map(|edit| match edit {
-            StgEdit::Insertion(tp, tm) => Some((tp, tm)),
-            StgEdit::OrderingArc(..) => None,
-        })
-        .collect();
-
-    let candidates = Candidates::new(stg, options.bound, base);
-    let pruner = ConflictPruner::new(stg, base);
-
-    type Key = (usize, usize, TransitionId, TransitionId);
-    struct Acc {
-        ranked: Vec<(Key, Stg)>,
-        /// Local best spaces, sorted by key, truncated to `keep`.
-        spaces: Vec<(Key, StateGraph)>,
-        scratch: PruneScratch,
-        stats: SweepStats,
-    }
-    let keep = CSC_CANDIDATE_LIMIT;
-    let accs = par::par_fold(
-        &pairs,
+    let moves = moves_where(stg, |edit| matches!(edit, StgEdit::Insertion(..)));
+    let candidates = Candidates::new(stg, options.bound, base, Goal::Csc);
+    // The grid runs `(tp, tm)` in lexicographic order, so the grid index
+    // breaks ties like the transition ids.
+    candidates.sweep(candidates.evaluate(
+        &moves,
         options.threads,
-        || Acc {
-            ranked: Vec::new(),
-            spaces: Vec::new(),
-            scratch: PruneScratch::default(),
-            stats: SweepStats::default(),
-        },
-        |acc, _i, &(tp, tm)| {
-            if let Some(pruner) = &pruner {
-                if pruner.any_unseparated(&mut acc.scratch, tp, tm) {
-                    acc.stats.pruned += 1;
-                    return;
-                }
+        Rank::Best(CSC_CANDIDATE_LIMIT),
+        |labels, space| {
+            if !stg::encoding::has_csc(labels, space)
+                || space.has_deadlock()
+                || !stg::persistency::is_persistent(labels, space)
+            {
+                return None;
             }
-            acc.stats.evaluated += 1;
-            let edit = StgEdit::Insertion(tp, tm);
-            let space = match candidates.space(edit) {
-                Ok(space) => space,
-                Err(StgError::Reach(ReachError::StateLimit(_))) => {
-                    acc.stats.skipped_by_bound += 1;
-                    return;
-                }
-                Err(_) => return,
-            };
-            let labels = candidates.labels(edit);
-            if !stg::encoding::has_csc(labels, &space) {
-                return;
-            }
-            if space.has_deadlock() {
-                return;
-            }
-            if !stg::persistency::is_persistent(labels, &space) {
-                return;
-            }
-            let states = space.num_states();
-            let Ok(equations) = crate::nextstate::all_equations(labels, &space) else {
-                return;
-            };
+            let equations = crate::nextstate::all_equations(labels, space).ok()?;
             let cost: usize = equations.iter().map(|e| e.cover.literal_count()).sum();
-            let key = (states, cost, tp, tm);
-            acc.stats.accepted += 1;
-            acc.ranked.push((key, apply_edit(stg, edit)));
-            let at = acc.spaces.partition_point(|(k, _)| *k < key);
-            if at < keep {
-                acc.spaces.insert(at, (key, space));
-                acc.spaces.truncate(keep);
-            }
+            Some((space.num_states(), cost))
         },
-    );
-
-    // Deterministic merge: keys embed `(tp, tm)`, so the total order is
-    // independent of how workers split the grid — the concatenated
-    // ranking sorts to exactly the serial sweep's order, and the global
-    // top-`keep` spaces are a subset of the workers' local tops.
-    let mut stats = SweepStats::default();
-    let mut ranked: Vec<(Key, Stg)> = Vec::new();
-    let mut spaces: Vec<(Key, StateGraph)> = Vec::new();
-    for acc in accs {
-        stats.absorb(acc.stats);
-        ranked.extend(acc.ranked);
-        spaces.extend(acc.spaces);
-    }
-    stats.grid = pairs.len();
-    ranked.sort_by_key(|r| r.0);
-    spaces.sort_by_key(|s| s.0);
-    spaces.truncate(keep);
-
-    let mut spaces = VecDeque::from(spaces);
-    let candidates = ranked
-        .into_iter()
-        .map(|((num_states, cost, tp, tm), new_stg)| {
-            let key = (num_states, cost, tp, tm);
-            let space = match spaces.front() {
-                Some((k, _)) if *k == key => spaces.pop_front().map(|(_, s)| s),
-                _ => None,
-            };
-            CscResolutionWithSpace {
-                description: format!(
-                    "inserted csc signal: + before {}, - before {}",
-                    stg.label_string(tp),
-                    stg.label_string(tm)
-                ),
-                num_states,
-                stg: new_stg,
-                space,
-            }
-        })
-        .collect();
-    Sweep { candidates, stats }
+    ))
 }
 
 /// Builds the STG with a fresh internal signal whose rising edge precedes
@@ -591,132 +683,29 @@ fn next_csc_name(stg: &Stg) -> String {
 /// transformed STG is consistent, safe, CSC, deadlock-free,
 /// output-persistent and its state count shrinks.
 ///
-/// Returns the first acceptable candidate in grid order — the same
-/// winner the serial scan finds — along with deterministic sweep
+/// Returns the first acceptable candidate in grid order (if any) — the
+/// same winner the serial scan finds — along with deterministic sweep
 /// diagnostics. The scan keeps the serial search's early exit in
-/// parallel form: once some worker accepts grid index `w`, indices
-/// beyond the best accepted one are skipped (a shared atomic
-/// best-index), and the reported counters cover exactly the indices up
-/// to the winner, so they are identical at any thread count. `base` is
-/// the state graph of `stg`: the derivations start from it and its
-/// state count is the one to beat. The caller is expected to have
-/// already established that CSC fails on the base.
+/// parallel form: indices beyond the lowest accepted one are skipped,
+/// and the counters cover exactly the indices up to the winner, so they
+/// are identical at any thread count. `base` is the state graph of
+/// `stg`: the derivations start from it and its state count is the one
+/// to beat. The caller is expected to have already established that CSC
+/// fails on the base.
 #[must_use]
-pub fn concurrency_reduction_sweep(
-    stg: &Stg,
-    options: &SweepOptions,
-    base: &StateGraph,
-) -> (Option<CscResolutionWithSpace>, SweepStats) {
+pub fn concurrency_reduction_sweep(stg: &Stg, options: &SweepOptions, base: &StateGraph) -> Sweep {
     let base_states = base.num_states();
-    let candidates = Candidates::new(stg, options.bound, base);
-
-    let pairs: Vec<(TransitionId, TransitionId)> = greedy_moves(stg)
-        .into_iter()
-        .filter_map(|edit| match edit {
-            StgEdit::OrderingArc(a, b_t) => Some((a, b_t)),
-            StgEdit::Insertion(..) => None,
-        })
-        .collect();
-
-    /// How one evaluated grid index ended (for deterministic counting).
-    #[derive(Clone, Copy, PartialEq, Eq)]
-    enum Outcome {
-        Rejected,
-        SkippedByBound,
-        Accepted,
-    }
-    struct Acc {
-        /// Lowest grid index accepted by this worker, with its artifacts.
-        best: Option<(usize, CscResolutionWithSpace)>,
-        /// Per-index outcomes; filtered to `index ≤ winner` at merge so
-        /// racy evaluations beyond the winner never leak into stats.
-        outcomes: Vec<(usize, Outcome)>,
-    }
-    // The early-exit signal: the lowest grid index accepted so far. It
-    // only ever shrinks towards the final winner, and every index at or
-    // below the final winner is always evaluated (the skip test can
-    // only fire for indices above some accepted one), so the winner and
-    // the ≤-winner counters are thread-independent.
-    let best_seen = AtomicUsize::new(usize::MAX);
-    let accs = par::par_fold(
-        &pairs,
-        options.threads,
-        || Acc {
-            best: None,
-            outcomes: Vec::new(),
-        },
-        |acc, i, &(a, b_t)| {
-            if i > best_seen.load(Ordering::Relaxed) {
-                return; // a better candidate is already accepted
-            }
-            let edit = StgEdit::OrderingArc(a, b_t);
-            let space = match candidates.space(edit) {
-                Ok(space) => space,
-                Err(StgError::Reach(ReachError::StateLimit(_))) => {
-                    acc.outcomes.push((i, Outcome::SkippedByBound));
-                    return;
-                }
-                Err(_) => {
-                    acc.outcomes.push((i, Outcome::Rejected));
-                    return;
-                }
-            };
-            let labels = candidates.labels(edit);
-            let acceptable = stg::encoding::has_csc(labels, &space)
+    let moves = moves_where(stg, |edit| matches!(edit, StgEdit::OrderingArc(..)));
+    let candidates = Candidates::new(stg, options.bound, base, Goal::Csc);
+    candidates.sweep(
+        candidates.evaluate(&moves, options.threads, Rank::First, |labels, space| {
+            (stg::encoding::has_csc(labels, space)
                 && !space.has_deadlock()
-                && stg::persistency::is_persistent(labels, &space)
-                && space.num_states() < base_states; // must be a reduction
-            if !acceptable {
-                acc.outcomes.push((i, Outcome::Rejected));
-                return;
-            }
-            acc.outcomes.push((i, Outcome::Accepted));
-            best_seen.fetch_min(i, Ordering::Relaxed);
-            if acc.best.as_ref().is_none_or(|(bi, _)| i < *bi) {
-                acc.best = Some((
-                    i,
-                    CscResolutionWithSpace {
-                        description: format!(
-                            "concurrency reduction: {} now waits for {}",
-                            stg.label_string(b_t),
-                            stg.label_string(a)
-                        ),
-                        num_states: space.num_states(),
-                        stg: apply_edit(stg, edit),
-                        space: Some(space),
-                    },
-                ));
-            }
-        },
-    );
-
-    let mut best: Option<(usize, CscResolutionWithSpace)> = None;
-    let mut outcomes: Vec<(usize, Outcome)> = Vec::new();
-    for acc in accs {
-        outcomes.extend(acc.outcomes);
-        if let Some((i, r)) = acc.best {
-            if best.as_ref().is_none_or(|(bi, _)| i < *bi) {
-                best = Some((i, r));
-            }
-        }
-    }
-    let winner_index = best.as_ref().map_or(usize::MAX, |(i, _)| *i);
-    let mut stats = SweepStats {
-        grid: pairs.len(),
-        ..SweepStats::default()
-    };
-    for (i, outcome) in outcomes {
-        if i > winner_index {
-            continue; // evaluated only by losing a race with the winner
-        }
-        stats.evaluated += 1;
-        match outcome {
-            Outcome::Rejected => {}
-            Outcome::SkippedByBound => stats.skipped_by_bound += 1,
-            Outcome::Accepted => stats.accepted += 1,
-        }
-    }
-    (best.map(|(_, r)| r), stats)
+                && stg::persistency::is_persistent(labels, space)
+                && space.num_states() < base_states)
+                .then_some(())
+        }),
+    )
 }
 
 /// Adds an initially empty causal place `a → b`, so every firing of `b`
@@ -732,26 +721,6 @@ pub fn add_ordering_arc(stg: &Stg, a: TransitionId, b_t: TransitionId) -> Stg {
 // ---------------------------------------------------------------------
 // Greedy multi-step search
 // ---------------------------------------------------------------------
-
-/// A greedy move's score: `(remaining conflicts, states)`.
-type MoveKey = (usize, usize);
-
-/// The best greedy move seen so far: `(key, grid index, the move, its
-/// validated state graph)`.
-type BestMove = Option<(MoveKey, usize, StgEdit, StateGraph)>;
-
-/// Keeps the move with the smallest `(key, grid index)`, so the parallel
-/// minimum always reproduces the serial scan's choice.
-fn merge_best_move(best: &mut BestMove, other: BestMove) {
-    if let Some(b) = other {
-        if best
-            .as_ref()
-            .is_none_or(|(bk, bi, ..)| (b.0, b.1) < (*bk, *bi))
-        {
-            *best = Some(b);
-        }
-    }
-}
 
 /// The candidate grid on `stg`, in scan order: every ordering arc
 /// `a → b` with `b` non-input (the environment is never delayed), then
@@ -789,8 +758,11 @@ pub fn greedy_moves(stg: &Stg) -> Vec<StgEdit> {
 
 /// Mixed greedy CSC resolution: at every step considers both concurrency
 /// reductions (ordering arcs) and state-signal insertions, applies the
-/// candidate that removes the most CSC-conflicting pairs, and repeats
-/// until CSC holds (or `max_steps` transformations were applied).
+/// candidate that leaves the fewest CSC-conflicting pairs (then the
+/// fewest states, then the earliest in grid order), and repeats until CSC
+/// holds (or `max_steps` transformations were applied; the flow allows
+/// [`MIXED_MAX_STEPS`]). The result holds one candidate, the final STG
+/// with its state graph, or none.
 ///
 /// This combines the paper's two §2.1 methods; controllers with choice
 /// (the READ+WRITE specification of Fig. 5) typically need a reduction
@@ -801,123 +773,60 @@ pub fn greedy_moves(stg: &Stg) -> Vec<StgEdit> {
 /// insertion moves are pruned by conflict locality, every move is
 /// derived from the step's base graph, and the chosen move's state graph
 /// is carried into the next step instead of being rebuilt. `base` is
-/// the state graph of `stg`, the first step's base.
+/// the state graph of `stg`, the first step's base. The counters sum
+/// over the steps.
 #[must_use]
 pub fn resolve_mixed_sweep(
     stg: &Stg,
     max_steps: usize,
     options: &SweepOptions,
     base: &StateGraph,
-) -> (Option<CscResolutionWithSpace>, SweepStats) {
+) -> Sweep {
     let mut stats = SweepStats::default();
     let mut current = stg.clone();
     let mut descriptions: Vec<String> = Vec::new();
     let mut sg: Cow<'_, StateGraph> = Cow::Borrowed(base);
-    for _ in 0..=max_steps {
+    loop {
         let conflicts = stg::encoding::csc_conflict_pair_count(&current, &sg);
         if conflicts == 0 {
-            return (
-                Some(CscResolutionWithSpace {
-                    num_states: sg.num_states(),
-                    space: Some(sg.into_owned()),
-                    stg: current,
-                    description: if descriptions.is_empty() {
-                        "CSC already holds".to_owned()
-                    } else {
-                        descriptions.join("; ")
-                    },
-                }),
+            let description = if descriptions.is_empty() {
+                "CSC already holds".to_owned()
+            } else {
+                descriptions.join("; ")
+            };
+            let resolution = CscResolution::new(current, description, sg.into_owned());
+            return Sweep {
+                candidates: vec![resolution],
                 stats,
-            );
+            };
         }
         if descriptions.len() == max_steps {
-            return (None, stats);
+            break;
         }
 
-        let moves = greedy_moves(&current);
-        let pruner = ConflictPruner::new(&current, &sg);
-        let candidates = Candidates::new(&current, options.bound, &sg);
-
-        // Ties in the move score fall to the earliest move in scan order,
-        // so the parallel minimum over `(key, grid index)` reproduces the
-        // serial scan exactly.
-        struct Acc {
-            best: BestMove,
-            scratch: PruneScratch,
-            stats: SweepStats,
-        }
-        let accs = par::par_fold(
-            &moves,
+        let candidates = Candidates::new(&current, options.bound, &sg, Goal::Progress);
+        let (mut best, step) = candidates.evaluate(
+            &greedy_moves(&current),
             options.threads,
-            || Acc {
-                best: None,
-                scratch: PruneScratch::default(),
-                stats: SweepStats::default(),
-            },
-            |acc, i, &edit| {
-                if let (StgEdit::Insertion(tp, tm), Some(pruner)) = (edit, &pruner) {
-                    if pruner.all_unseparated(&mut acc.scratch, tp, tm) {
-                        acc.stats.pruned += 1;
-                        return;
-                    }
+            Rank::Best(1),
+            |labels, space| {
+                if space.has_deadlock() || !stg::persistency::is_persistent(labels, space) {
+                    return None;
                 }
-                acc.stats.evaluated += 1;
-                let space = match candidates.space(edit) {
-                    Ok(space) => space,
-                    Err(StgError::Reach(ReachError::StateLimit(_))) => {
-                        acc.stats.skipped_by_bound += 1;
-                        return;
-                    }
-                    Err(_) => return,
-                };
-                let labels = candidates.labels(edit);
-                if space.has_deadlock() {
-                    return;
-                }
-                if !stg::persistency::is_persistent(labels, &space) {
-                    return;
-                }
-                let rem = stg::encoding::csc_conflict_pair_count(labels, &space);
-                if rem >= conflicts {
-                    return;
-                }
-                acc.stats.accepted += 1;
-                let key = (rem, space.num_states());
-                if acc
-                    .best
-                    .as_ref()
-                    .is_none_or(|(bk, bi, ..)| (key, i) < (*bk, *bi))
-                {
-                    acc.best = Some((key, i, edit, space));
-                }
+                let remaining = stg::encoding::csc_conflict_pair_count(labels, space);
+                (remaining < conflicts).then_some((remaining, space.num_states()))
             },
         );
-
-        let mut best: BestMove = None;
-        let mut step_stats = SweepStats::default();
-        for acc in accs {
-            step_stats.absorb(acc.stats);
-            merge_best_move(&mut best, acc.best);
-        }
-        step_stats.grid = moves.len();
-        stats.absorb(step_stats);
-        let Some((_, _, edit, space)) = best else {
-            return (None, stats);
+        stats.absorb(step);
+        let Some((_, _, edit, space)) = best.pop() else {
+            break;
         };
-        descriptions.push(match edit {
-            StgEdit::OrderingArc(a, b_t) => format!(
-                "concurrency reduction: {} waits for {}",
-                current.label_string(b_t),
-                current.label_string(a)
-            ),
-            StgEdit::Insertion(tp, tm) => format!(
-                "inserted csc signal: + before {}, - before {}",
-                current.label_string(tp),
-                current.label_string(tm)
-            ),
-        });
+        descriptions.push(describe(&current, edit));
         current = apply_edit(&current, edit);
         sg = Cow::Owned(space);
     }
-    (None, stats)
+    Sweep {
+        candidates: Vec::new(),
+        stats,
+    }
 }

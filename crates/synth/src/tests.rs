@@ -4,7 +4,10 @@ use stg::examples::{toggle, vme_read, vme_read_csc};
 use stg::StateGraph;
 
 use crate::complex_gate::{circuit_matches_sg, synthesize_complex_gates};
-use crate::csc::{concurrency_reduction_sweep, insertion_sweep, resolve_mixed_sweep, SweepOptions};
+use crate::csc::{
+    concurrency_reduction_sweep, insertion_sweep, resolve_mixed_sweep, SweepOptions,
+    MIXED_MAX_STEPS,
+};
 use crate::decompose::decompose;
 use crate::latch_arch::{
     monotonic_violations, set_reset_covers, synthesize_latch_circuit, LatchStyle,
@@ -123,12 +126,14 @@ fn csc_insertion_fixes_vme_read() {
 fn concurrency_reduction_fixes_vme_read() {
     // §2.1: "signal transition DTACK- can be delayed until LDS- fires".
     let stg = vme_read();
-    let (res, _) = concurrency_reduction_sweep(
+    let res = concurrency_reduction_sweep(
         &stg,
         &SweepOptions::default(),
         &StateGraph::build(&stg).expect("base builds"),
-    );
-    let res = res.expect("a reduction exists");
+    )
+    .candidates
+    .pop()
+    .expect("a reduction exists");
     let sg = StateGraph::build(&res.stg).unwrap();
     assert!(stg::encoding::has_csc(&res.stg, &sg));
     assert!(res.num_states < 14, "reduction removes states");
@@ -142,17 +147,19 @@ fn concurrency_reduction_fixes_vme_read() {
 #[test]
 fn csc_resolution_on_already_clean_stg_is_identity() {
     let stg = vme_read_csc();
-    let (res, stats) = resolve_mixed_sweep(
+    let sweep = resolve_mixed_sweep(
         &stg,
         0,
         &SweepOptions::default(),
         &StateGraph::build(&stg).expect("base builds"),
     );
-    let res = res.expect("a clean spec resolves without a step");
+    assert_eq!(sweep.stats.grid, 0, "no move grid was swept");
+    let [res] = &sweep.candidates[..] else {
+        panic!("a clean spec resolves without a step");
+    };
     assert!(res.description.contains("already holds"));
     assert_eq!(res.num_states, 16);
-    assert_eq!(res.space.map(|s| s.num_states()), Some(16), "space carried");
-    assert_eq!(stats.grid, 0, "no move grid was swept");
+    assert_eq!(res.space.num_states(), 16, "space carried");
 }
 
 #[test]
@@ -291,13 +298,15 @@ fn mixed_resolution_handles_choice_spec() {
     // The READ+WRITE controller (Fig. 5) needs a concurrency reduction
     // plus a state signal; the mixed sweep finds both greedily.
     let spec = stg::examples::vme_read_write();
-    let (r, _) = resolve_mixed_sweep(
+    let r = resolve_mixed_sweep(
         &spec,
-        5,
+        MIXED_MAX_STEPS,
         &SweepOptions::default(),
         &StateGraph::build(&spec).expect("base builds"),
-    );
-    let r = r.expect("mixed strategy resolves Fig. 5");
+    )
+    .candidates
+    .pop()
+    .expect("mixed strategy resolves Fig. 5");
     let sg = StateGraph::build(&r.stg).unwrap();
     assert!(stg::encoding::has_csc(&r.stg, &sg));
     assert!(
@@ -310,13 +319,15 @@ fn mixed_resolution_handles_choice_spec() {
 #[test]
 fn mixed_resolution_identity_on_clean_spec() {
     let spec = vme_read_csc();
-    let (r, _) = resolve_mixed_sweep(
+    let r = resolve_mixed_sweep(
         &spec,
         3,
         &SweepOptions::default(),
         &StateGraph::build(&spec).expect("base builds"),
-    );
-    let r = r.unwrap();
+    )
+    .candidates
+    .pop()
+    .unwrap();
     assert!(r.description.contains("already holds"));
 }
 

@@ -36,7 +36,7 @@ use std::fmt;
 use stg::properties::ImplementabilityReport;
 use stg::{StateGraph, StateSpace, Stg};
 use synth::complex_gate::{synthesize_complex_gates, ComplexGateCircuit};
-use synth::csc::{CscResolutionWithSpace, CSC_CANDIDATE_LIMIT};
+use synth::csc::{CscResolution, MIXED_MAX_STEPS};
 pub use synth::csc::{SweepOptions, SweepStats};
 use synth::decompose::{decompose, resubstitute, DecomposedCircuit};
 use synth::latch_arch::{synthesize_latch_circuit, LatchCircuit, LatchStyle};
@@ -488,7 +488,7 @@ impl fmt::Display for FlowEvent {
                 stats.grid, stats.pruned, stats.evaluated, stats.skipped_by_bound, stats.accepted
             ),
             FlowEvent::CscCandidates { strategy, count } => {
-                write!(f, "csc candidates ({strategy:?}): {count}")
+                write!(f, "csc candidates ({strategy}): {count}")
             }
             FlowEvent::CscApplied(t) => write!(f, "csc applied: {t}"),
             FlowEvent::CandidateRejected { index, reason } => {
@@ -504,7 +504,7 @@ impl fmt::Display for FlowEvent {
             } => {
                 write!(
                     f,
-                    "circuit synthesised ({architecture:?}): {gates} gate(s), {primes} prime(s)"
+                    "circuit synthesised ({architecture}): {gates} gate(s), {primes} prime(s)"
                 )
             }
             FlowEvent::LibraryMapped { cells } => write!(f, "mapped onto {cells} cell(s)"),
@@ -826,52 +826,45 @@ impl Checked {
                 report: Some(report),
             }]
         } else {
+            let kinds: &[CscKind] = match options.csc {
+                CscStrategy::Fail => &[],
+                CscStrategy::SignalInsertion => &[CscKind::SignalInsertion],
+                CscStrategy::ConcurrencyReduction => &[CscKind::ConcurrencyReduction],
+                // The mixed fall-back serves controllers needing several
+                // transformations (e.g. the READ+WRITE spec of Fig. 5
+                // takes a reduction plus a state signal).
+                CscStrategy::Auto => &[
+                    CscKind::SignalInsertion,
+                    CscKind::ConcurrencyReduction,
+                    CscKind::Mixed,
+                ],
+            };
             let mut list: Vec<CscCandidate> = Vec::new();
-            let run_insertions = |list: &mut Vec<CscCandidate>, events: &mut Vec<FlowEvent>| {
-                let sweep = synth::csc::insertion_sweep(&spec, &options.sweep, &base);
+            for &kind in kinds {
+                let sweep = match kind {
+                    CscKind::SignalInsertion => {
+                        synth::csc::insertion_sweep(&spec, &options.sweep, &base)
+                    }
+                    CscKind::ConcurrencyReduction => {
+                        synth::csc::concurrency_reduction_sweep(&spec, &options.sweep, &base)
+                    }
+                    CscKind::Mixed => synth::csc::resolve_mixed_sweep(
+                        &spec,
+                        MIXED_MAX_STEPS,
+                        &options.sweep,
+                        &base,
+                    ),
+                };
                 events.push(FlowEvent::CscSweep {
-                    kind: CscKind::SignalInsertion,
+                    kind,
                     stats: sweep.stats,
                 });
-                for r in sweep.candidates.into_iter().take(CSC_CANDIDATE_LIMIT) {
-                    list.push(CscCandidate::from_resolution(r, CscKind::SignalInsertion));
-                }
-            };
-            let run_reduction = |list: &mut Vec<CscCandidate>, events: &mut Vec<FlowEvent>| {
-                let (r, stats) =
-                    synth::csc::concurrency_reduction_sweep(&spec, &options.sweep, &base);
-                events.push(FlowEvent::CscSweep {
-                    kind: CscKind::ConcurrencyReduction,
-                    stats,
-                });
-                if let Some(r) = r {
-                    list.push(CscCandidate::from_resolution(
-                        r,
-                        CscKind::ConcurrencyReduction,
-                    ));
-                }
-            };
-            match options.csc {
-                CscStrategy::Fail => {}
-                CscStrategy::SignalInsertion => run_insertions(&mut list, &mut events),
-                CscStrategy::ConcurrencyReduction => run_reduction(&mut list, &mut events),
-                CscStrategy::Auto => {
-                    run_insertions(&mut list, &mut events);
-                    run_reduction(&mut list, &mut events);
-                    // Mixed fall-back for controllers needing several
-                    // transformations (e.g. the READ+WRITE spec of Fig. 5
-                    // takes a reduction plus a state signal). The base
-                    // graph seeds its first step.
-                    let (r, stats) =
-                        synth::csc::resolve_mixed_sweep(&spec, 5, &options.sweep, &base);
-                    events.push(FlowEvent::CscSweep {
-                        kind: CscKind::Mixed,
-                        stats,
-                    });
-                    if let Some(r) = r {
-                        list.push(CscCandidate::from_resolution(r, CscKind::Mixed));
-                    }
-                }
+                list.extend(
+                    sweep
+                        .candidates
+                        .into_iter()
+                        .map(|r| CscCandidate::from_resolution(r, kind)),
+                );
             }
             events.push(FlowEvent::CscCandidates {
                 strategy: options.csc,
@@ -908,7 +901,7 @@ pub struct CscCandidate {
 }
 
 impl CscCandidate {
-    fn from_resolution(r: CscResolutionWithSpace, kind: CscKind) -> Self {
+    fn from_resolution(r: CscResolution, kind: CscKind) -> Self {
         CscCandidate {
             spec: r.stg,
             transformation: Some(CscTransformation {
@@ -916,7 +909,7 @@ impl CscCandidate {
                 description: r.description,
                 num_states: r.num_states,
             }),
-            space: r.space,
+            space: Some(r.space),
             report: None,
         }
     }

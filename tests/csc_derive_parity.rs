@@ -15,14 +15,11 @@ use proptest::prelude::*;
 use stg::{SignalEdge, SignalKind, StateGraph, Stg, StgBuilder, StgEdit, StgError};
 use synth::csc::{
     apply_edit, greedy_moves, insertion_labels, resolve_mixed_sweep, SweepOptions,
-    DEFAULT_SWEEP_BOUND,
+    DEFAULT_SWEEP_BOUND, MIXED_MAX_STEPS,
 };
 
 use petri::reach::ReachError;
 use petri::TransitionId;
-
-/// Greedy steps the flow allows `resolve_mixed_sweep`.
-const MAX_STEPS: usize = 5;
 
 /// Derives `edit`'s graph and replays the token game on the edited STG;
 /// `Err` describes the first difference.
@@ -81,12 +78,12 @@ fn replay(spec: &Stg) -> (usize, Vec<String>, Option<Stg>) {
     let Ok(mut base) = StateGraph::build_bounded(&current, DEFAULT_SWEEP_BOUND) else {
         return (0, mismatches, None);
     };
-    for step in 0..=MAX_STEPS {
+    for step in 0..=MIXED_MAX_STEPS {
         let conflicts = stg::encoding::csc_conflict_pair_count(&current, &base);
         if conflicts == 0 {
             return (compared, mismatches, Some(current));
         }
-        if step == MAX_STEPS {
+        if step == MIXED_MAX_STEPS {
             break;
         }
         let insertion = insertion_labels(&current);
@@ -136,9 +133,11 @@ fn corpus_greedy_steps_derive_like_the_token_game() {
                     let (compared, mut mismatches, resolved) = replay(spec);
                     // The replay must be the search it claims to replay.
                     let base = StateGraph::build(spec).expect("filtered to specs that build");
-                    let (swept, _) = resolve_mixed_sweep(spec, MAX_STEPS, options, &base);
+                    let swept = resolve_mixed_sweep(spec, MIXED_MAX_STEPS, options, &base);
                     let digest = |s: &Stg| stg::canon::stg_digest(s).to_hex();
-                    if resolved.as_ref().map(digest) != swept.as_ref().map(|r| digest(&r.stg)) {
+                    if resolved.as_ref().map(digest)
+                        != swept.candidates.first().map(|r| digest(&r.stg))
+                    {
                         mismatches.push(format!(
                             "{family}/{}: the replay ends elsewhere than resolve_mixed_sweep",
                             spec.name()

@@ -15,7 +15,7 @@ use asyncsynth::{
 use stg::{StateGraph, StgEdit};
 use synth::csc::{
     apply_edit, concurrency_reduction_sweep, greedy_moves, insertion_sweep, resolve_mixed_sweep,
-    Sweep,
+    Sweep, CSC_CANDIDATE_LIMIT, MIXED_MAX_STEPS,
 };
 
 /// Specs with CSC conflicts — the raw candidate-grid parity matrix.
@@ -83,21 +83,44 @@ fn reference_insertion_ranking(spec: &stg::Stg, bound: usize) -> Vec<(String, us
         .collect()
 }
 
+/// The reduction sweep's acceptance checks run serially over the
+/// ordering arcs in grid order, every candidate built from scratch
+/// (`apply_edit`, then `StateGraph::build_bounded`): the first arc whose
+/// graph has CSC, no deadlock, persistency and fewer states than the
+/// base, as `(grid index, canonical STG text, state count)`.
+fn reference_reduction(spec: &stg::Stg, bound: usize) -> Option<(usize, String, usize)> {
+    let base_states = StateGraph::build_bounded(spec, bound).ok()?.num_states();
+    greedy_moves(spec)
+        .into_iter()
+        .filter(|edit| matches!(edit, StgEdit::OrderingArc(..)))
+        .enumerate()
+        .find_map(|(i, edit)| {
+            let candidate = apply_edit(spec, edit);
+            let sg = StateGraph::build_bounded(&candidate, bound).ok()?;
+            let accepted = stg::encoding::has_csc(&candidate, &sg)
+                && !sg.has_deadlock()
+                && stg::persistency::is_persistent(&candidate, &sg)
+                && sg.num_states() < base_states;
+            accepted.then(|| (i, stg::canon::canonical_text(&candidate), sg.num_states()))
+        })
+}
+
 /// The full observable outcome of a sweep: every candidate's
 /// description and state count, in rank order, plus the winner's
 /// synthesised equations (from its carried space — no rebuild).
 fn fingerprint(sweep: &Sweep, spec_name: &str) -> Vec<(String, usize)> {
-    let mut out: Vec<(String, usize)> = sweep
-        .candidates
-        .iter()
-        .map(|c| (c.description.clone(), c.num_states))
-        .collect();
+    let mut out: Vec<(String, usize)> = Vec::new();
+    for c in &sweep.candidates {
+        assert_eq!(
+            c.num_states,
+            c.space.num_states(),
+            "{spec_name}: {} carries its own space",
+            c.description
+        );
+        out.push((c.description.clone(), c.num_states));
+    }
     if let Some(winner) = sweep.candidates.first() {
-        let space = winner
-            .space
-            .as_ref()
-            .unwrap_or_else(|| panic!("{spec_name}: winner must carry its space"));
-        let circuit = synth::complex_gate::synthesize_complex_gates(&winner.stg, space)
+        let circuit = synth::complex_gate::synthesize_complex_gates(&winner.stg, &winner.space)
             .unwrap_or_else(|e| panic!("{spec_name}: winner synthesises: {e}"));
         out.push((circuit.display_equations(&winner.stg), usize::MAX));
     }
@@ -141,8 +164,9 @@ fn pruned_sweep_is_identical_and_actually_prunes() {
                 .map(|c| (stg::canon::canonical_text(&c.stg), c.num_states))
                 .collect();
             assert_eq!(
-                ranking, reference,
-                "{name}: the pruned sweep must rank like the unpruned reference"
+                ranking,
+                reference[..reference.len().min(CSC_CANDIDATE_LIMIT)],
+                "{name}: the pruned sweep must return the unpruned reference's best"
             );
             assert_eq!(pruned.stats.accepted, reference.len(), "{name}: accepted");
             assert_eq!(
@@ -161,6 +185,45 @@ fn pruned_sweep_is_identical_and_actually_prunes() {
         ranked_somewhere,
         "a single insertion must resolve at least one controller"
     );
+}
+
+#[test]
+fn reduction_sweep_matches_the_serial_reference() {
+    // Every corpus spec whose base graph builds and has CSC conflicts
+    // (the VME controllers included).
+    let specs: Vec<(&str, stg::Stg)> = corpus::all_specs()
+        .into_iter()
+        .filter(|(_, spec)| {
+            StateGraph::build(spec).is_ok_and(|sg| !stg::encoding::has_csc(spec, &sg))
+        })
+        .collect();
+    assert!(specs.len() > 20, "the corpus has specs without CSC");
+    let bound = SweepOptions::default().bound;
+    let mut resolved = 0;
+    for (family, spec) in &specs {
+        let name = format!("{family}/{}", spec.name());
+        let base = base_graph(&name, spec);
+        let reference = reference_reduction(spec, bound);
+        let sweep = concurrency_reduction_sweep(spec, &opts(1), &base);
+        assert!(sweep.candidates.len() <= 1, "{name}: one winner at most");
+        assert_eq!(
+            sweep
+                .candidates
+                .first()
+                .map(|r| (stg::canon::canonical_text(&r.stg), r.num_states)),
+            reference
+                .as_ref()
+                .map(|(_, text, states)| (text.clone(), *states)),
+            "{name}: the reduction sweep must pick the reference's first arc"
+        );
+        let expected = reference.as_ref().map_or(sweep.stats.grid, |(i, ..)| i + 1);
+        assert_eq!(
+            sweep.stats.evaluated, expected,
+            "{name}: the sweep evaluates exactly the arcs up to the winner"
+        );
+        resolved += usize::from(reference.is_some());
+    }
+    assert!(resolved > 0, "a reduction resolves at least one spec");
 }
 
 #[test]
@@ -235,58 +298,36 @@ fn reduction_and_mixed_sweeps_are_deterministic_across_threads() {
     // search (a reduction plus a state signal).
     let read = stg::examples::vme_read();
     let read_write = stg::examples::vme_read_write();
-    let describe = |r: &Option<synth::csc::CscResolutionWithSpace>| {
-        r.as_ref().map(|r| (r.description.clone(), r.num_states))
-    };
     let base = base_graph("vme_read", &read);
     let reduction_baseline = concurrency_reduction_sweep(&read, &opts(1), &base);
     for threads in [2, 0] {
         let reduction = concurrency_reduction_sweep(&read, &opts(threads), &base);
         assert_eq!(
-            describe(&reduction.0),
-            describe(&reduction_baseline.0),
+            fingerprint(&reduction, "vme_read"),
+            fingerprint(&reduction_baseline, "vme_read"),
             "reduction winner must be scan-order deterministic"
         );
         assert_eq!(
-            reduction.1, reduction_baseline.1,
+            reduction.stats, reduction_baseline.stats,
             "reduction counters must be thread-independent \
              (early exit counts exactly the indices up to the winner)"
         );
     }
     let base = base_graph("vme_read_write", &read_write);
-    let mixed_baseline = resolve_mixed_sweep(&read_write, 5, &opts(1), &base);
+    let mixed_baseline = resolve_mixed_sweep(&read_write, MIXED_MAX_STEPS, &opts(1), &base);
+    assert_eq!(mixed_baseline.candidates.len(), 1, "Fig. 5 resolves");
     for threads in [2, 0] {
-        let mixed = resolve_mixed_sweep(&read_write, 5, &opts(threads), &base);
+        let mixed = resolve_mixed_sweep(&read_write, MIXED_MAX_STEPS, &opts(threads), &base);
         assert_eq!(
-            describe(&mixed.0),
-            describe(&mixed_baseline.0),
+            fingerprint(&mixed, "vme_read_write"),
+            fingerprint(&mixed_baseline, "vme_read_write"),
             "mixed resolution must be deterministic"
         );
         assert_eq!(
-            mixed.1, mixed_baseline.1,
+            mixed.stats, mixed_baseline.stats,
             "mixed counters are thread-independent"
         );
     }
-    let winner = mixed_baseline.0.expect("Fig. 5 resolves");
-    assert!(
-        winner.space.is_some(),
-        "mixed resolution carries its validated space"
-    );
-}
-
-#[test]
-fn insertion_resolution_carries_its_space() {
-    // Regression: the insertion winner once lost its validated space on
-    // the way out of the search, forcing callers to rebuild it.
-    let spec = stg::examples::vme_read();
-    let base = base_graph("vme_read", &spec);
-    let sweep = insertion_sweep(&spec, &SweepOptions::default(), &base);
-    let r = sweep
-        .candidates
-        .first()
-        .expect("an insertion resolves vme_read");
-    let space = r.space.as_ref().expect("the winner carries its space");
-    assert_eq!(r.num_states, space.num_states());
 }
 
 /// Records every stage callback and event — proves which stages built
