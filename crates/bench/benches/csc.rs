@@ -4,20 +4,27 @@
 //! parallelisation of the (always pruned) `(t⁺, t⁻)` insertion grid,
 //! the dominant CSC search cost, base graph build included.
 //!
-//! `csc-candidate` times one candidate state graph three ways over the
+//! `csc-candidate` times one candidate state graph four ways over the
 //! first greedy step of `resolve_mixed_sweep` (every ordering-arc and
-//! insertion move) on counter-4 and micropipeline-3: `token-game` edits
-//! the STG and replays reachability, as every sweep did before
-//! candidates were derived; `derive` computes the same graph from the
-//! base graph ([`stg::StateGraph::derive`]); `evaluate` is one mixed-sweep
-//! evaluation — derive, then the deadlock, persistency and conflict-count
-//! checks that rank the candidate. Each iteration covers the whole step;
-//! the median µs per candidate is printed after each function.
+//! insertion move, none pruned) on counter-4 and micropipeline-3:
+//! `token-game` edits the STG and replays reachability, as every sweep
+//! did before candidates were derived; `derive` computes the same graph
+//! from the base graph ([`stg::StateGraph::derive`]); `evaluate` is one
+//! mixed-sweep evaluation on that complete graph — derive, then the
+//! deadlock, persistency and conflict-count checks that rank the
+//! candidate; `score` is what the sweep runs per candidate, the same
+//! checks on a [`stg::DerivedGraph`] whose marking table is never
+//! written. Each iteration covers the whole step; the median µs per
+//! candidate is printed after each function. `evaluate` and `score`
+//! assert the step's outcome counts (failed derives, deadlocks,
+//! persistency failures, moves not lowering the base's conflict pairs,
+//! accepted moves), so running this bench as a test gates the conflict
+//! kernel's answers.
 
 use std::time::{Duration, Instant};
 
 use criterion::{criterion_group, criterion_main, BenchmarkGroup, Criterion};
-use stg::{StateGraph, StgEdit};
+use stg::{DerivedGraph, StateGraph, Stg, StgEdit};
 use synth::csc::{
     apply_edit, greedy_moves, insertion_labels, insertion_sweep, SweepOptions, DEFAULT_SWEEP_BOUND,
 };
@@ -46,11 +53,11 @@ fn bench_vme_read_sweep(c: &mut Criterion) {
 
 /// Benchmarks `step`, one pass over a greedy step's `moves` candidates,
 /// and prints its median time per candidate.
-fn bench_step(
+fn bench_step<T>(
     group: &mut BenchmarkGroup<'_>,
     id: &str,
     moves: usize,
-    mut step: impl FnMut() -> usize,
+    mut step: impl FnMut() -> T,
 ) {
     let mut runs: Vec<Duration> = Vec::new();
     group.bench_function(id, |b| {
@@ -69,14 +76,70 @@ fn bench_step(
     );
 }
 
+/// How the moves of one greedy step fared under the mixed sweep's test.
+#[derive(Debug, Default, PartialEq, Eq)]
+struct Outcomes {
+    failed: usize,
+    deadlocking: usize,
+    not_persistent: usize,
+    not_lowering: usize,
+    accepted: usize,
+}
+
+impl Outcomes {
+    /// Tallies one move: `space` is its graph (`None` when the derive
+    /// failed), `conflicts` the base's conflict pairs.
+    fn tally(&mut self, labels: &Stg, space: Option<&StateGraph>, conflicts: usize) {
+        let slot = match space {
+            None => &mut self.failed,
+            Some(space) if space.has_deadlock() => &mut self.deadlocking,
+            Some(space) if !stg::persistency::is_persistent(labels, space) => {
+                &mut self.not_persistent
+            }
+            Some(space) if stg::encoding::csc_conflict_pair_count(labels, space) >= conflicts => {
+                &mut self.not_lowering
+            }
+            Some(_) => &mut self.accepted,
+        };
+        *slot += 1;
+    }
+}
+
 fn bench_candidate_build(c: &mut Criterion) {
     let mut group = c.benchmark_group("csc-candidate");
     group.sample_size(10);
-    for (name, spec) in [
-        ("counter-4", corpus::generators::ripple_counter(4)),
-        ("micropipeline-3", stg::examples::micropipeline(3)),
+    for (name, spec, conflicts, expected) in [
+        (
+            "counter-4",
+            corpus::generators::ripple_counter(4),
+            52,
+            Outcomes {
+                failed: 0,
+                deadlocking: 881,
+                not_persistent: 0,
+                not_lowering: 1039,
+                accepted: 780,
+            },
+        ),
+        (
+            "micropipeline-3",
+            stg::examples::micropipeline(3),
+            436,
+            Outcomes {
+                failed: 180,
+                deadlocking: 56,
+                not_persistent: 0,
+                not_lowering: 78,
+                accepted: 78,
+            },
+        ),
     ] {
         let base = StateGraph::build(&spec).expect("base builds");
+        assert_eq!(
+            stg::encoding::csc_conflict_pair_count(&spec, &base),
+            conflicts,
+            "{name}: the base's conflict pairs"
+        );
         let insertion = insertion_labels(&spec);
         let moves = greedy_moves(&spec);
         let labels = |edit: StgEdit| match edit {
@@ -107,18 +170,22 @@ fn bench_candidate_build(c: &mut Criterion) {
                 .count()
         });
         bench_step(&mut group, &format!("{name}/evaluate"), moves.len(), || {
-            moves
-                .iter()
-                .filter_map(|&edit| {
-                    let labels = labels(edit);
-                    let space =
-                        StateGraph::derive(&base, labels, edit, DEFAULT_SWEEP_BOUND).ok()?;
-                    if space.has_deadlock() || !stg::persistency::is_persistent(labels, &space) {
-                        return None;
-                    }
-                    Some(stg::encoding::csc_conflict_pair_count(labels, &space))
-                })
-                .count()
+            let mut outcomes = Outcomes::default();
+            for &edit in &moves {
+                let labels = labels(edit);
+                let space = StateGraph::derive(&base, labels, edit, DEFAULT_SWEEP_BOUND).ok();
+                outcomes.tally(labels, space.as_ref(), conflicts);
+            }
+            assert_eq!(outcomes, expected, "{name}: evaluate's outcomes");
+        });
+        bench_step(&mut group, &format!("{name}/score"), moves.len(), || {
+            let mut outcomes = Outcomes::default();
+            for &edit in &moves {
+                let labels = labels(edit);
+                let derived = DerivedGraph::new(&base, labels, edit, DEFAULT_SWEEP_BOUND).ok();
+                outcomes.tally(labels, derived.as_ref().map(DerivedGraph::graph), conflicts);
+            }
+            assert_eq!(outcomes, expected, "{name}: score's outcomes");
         });
     }
     group.finish();

@@ -58,6 +58,16 @@ impl<L: Clone + Eq + Hash> TransitionSystem<L> {
         }
     }
 
+    /// Reserves room for at least `states` more states and `arcs` more
+    /// arcs, so a system whose size is known in advance is built without
+    /// growing its tables.
+    pub fn reserve(&mut self, states: usize, arcs: usize) {
+        self.first_out.reserve(states);
+        self.last_out.reserve(states);
+        self.arcs.reserve(arcs);
+        self.next_out.reserve(arcs);
+    }
+
     /// Adds a state, returning its index.
     pub fn add_state(&mut self) -> usize {
         self.first_out.push(NO_ARC);

@@ -6,12 +6,14 @@
 //! implementability (CSC) when the states disagree on the excitation of
 //! some non-input signal.
 //!
-//! These functions answer on the explicit [`StateGraph`]: the verdicts
-//! ([`has_usc`], [`has_csc`], [`csc_conflict_pair_count`]) sort or group
-//! the states by code once, and the witness lists ([`encoding_conflicts`],
-//! [`csc_conflicts`]) pair up the states of each duplicated code. The
-//! resident-BDD engine answers the same questions on its own sets (see
-//! [`crate::SymbolicSetSpace`]).
+//! These functions answer on the explicit [`StateGraph`]. [`has_usc`]
+//! counts the distinct codes of the graph's code index. [`has_csc`] and
+//! [`csc_conflict_pair_count`] share one kernel: a packed key per state
+//! (code words, then excited non-input signals, one `u128` for codes of
+//! up to 64 signals), sorted once, with both verdicts read off its runs.
+//! The witness lists ([`encoding_conflicts`], [`csc_conflicts`]) pair up
+//! the states of each duplicated code. The resident-BDD engine answers
+//! the same questions on its own sets (see [`crate::SymbolicSetSpace`]).
 
 use petri::TransitionId;
 
@@ -112,66 +114,83 @@ pub fn has_usc(_stg: &Stg, sg: &StateGraph) -> bool {
 /// synthesis requires).
 #[must_use]
 pub fn has_csc(stg: &Stg, sg: &StateGraph) -> bool {
-    shared_code_groups(stg, sg)
-        .iter()
-        .all(|groups| groups.len() == 1)
+    conflict_pairs(stg, sg, true) == 0
 }
 
 /// Number of CSC-violating state pairs: same-code pairs disagreeing on
-/// some non-input excitation. One sort groups each shared code's states
-/// by their excited non-input signals; pairs inside one group agree
-/// everywhere, so each shared code adds `C(total, 2) − Σ C(group, 2)`.
+/// some non-input excitation.
 #[must_use]
 pub fn csc_conflict_pair_count(stg: &Stg, sg: &StateGraph) -> usize {
-    let pairs_of = |n: usize| n * n.saturating_sub(1) / 2;
-    shared_code_groups(stg, sg)
-        .iter()
-        .map(|groups| {
-            let agreeing: usize = groups.iter().map(|&g| pairs_of(g)).sum();
-            pairs_of(groups.iter().sum()) - agreeing
-        })
-        .sum()
+    conflict_pairs(stg, sg, false)
 }
 
-/// For every code two or more states of an explicit graph share, the
-/// sizes of its states' groups by excited non-input signals.
+/// The conflict kernel behind [`has_csc`] and [`csc_conflict_pair_count`]:
+/// the number of CSC-violating pairs, or, with `first_only`, a non-zero
+/// number as soon as one shared code has any.
 ///
 /// Codes are consistent along arcs (a [`StateGraph`] invariant), so a
-/// signal excited in a state has the edge its code allows: states with one
-/// code agree on every non-input excitation exactly when they excite the
-/// same non-input signals. One sort of the states by (stored code words,
-/// excited-signal words) finds every group, where hashing each state's
-/// code and excitation profile used to (the CSC sweeps ask this of every
-/// candidate).
-fn shared_code_groups(stg: &Stg, sg: &StateGraph) -> Vec<Vec<usize>> {
+/// signal excited in a state has the edge its code allows: states with
+/// one code agree on every non-input excitation exactly when they excite
+/// the same non-input signals. Each state becomes one key, its code words
+/// followed by its excited-non-input words, and one sort of the keys puts
+/// equal codes into runs and, inside them, equal keys into sub-runs: a
+/// shared code adds `C(run, 2) − Σ C(sub-run, 2)`. Codes of at most 64
+/// signals make `u128` keys; wider codes use the same algorithm over
+/// word vectors.
+fn conflict_pairs(stg: &Stg, sg: &StateGraph, first_only: bool) -> usize {
     let words = sg.code_words(0).len();
     let ts = sg.ts();
-    // Per state: `words` code words, then `words` excited-signal words.
-    let mut keys = vec![0u64; sg.num_states() * 2 * words];
-    for (i, key) in keys.chunks_mut(2 * words).enumerate() {
-        key[..words].copy_from_slice(sg.code_words(i));
-        for (&t, _) in ts.successors(i) {
-            if let Some(l) = stg.label(t) {
-                if stg.signal_kind(l.signal).is_non_input() {
-                    let (w, bit) = code_bit(l.signal.index());
-                    key[words + w] |= bit;
-                }
+    // The code word and bit each transition excites: zero for inputs and
+    // dummies.
+    let excites: Vec<(usize, u64)> = stg
+        .net()
+        .transitions()
+        .map(|t| match stg.label(t) {
+            Some(l) if stg.signal_kind(l.signal).is_non_input() => code_bit(l.signal.index()),
+            _ => (0, 0),
+        })
+        .collect();
+    let states = 0..sg.num_states();
+    if words == 1 {
+        let keys = states.map(|i| {
+            let excited = ts
+                .successors(i)
+                .fold(0, |acc, (&t, _)| acc | excites[t.index()].1);
+            u128::from(sg.code_words(i)[0]) << 64 | u128::from(excited)
+        });
+        count_in_runs(keys.collect(), |a, b| a >> 64 == b >> 64, first_only)
+    } else {
+        let keys = states.map(|i| {
+            let mut key = sg.code_words(i).to_vec();
+            key.resize(2 * words, 0);
+            for (&t, _) in ts.successors(i) {
+                let (w, bit) = excites[t.index()];
+                key[words + w] |= bit;
             }
+            key
+        });
+        count_in_runs(keys.collect(), |a, b| a[..words] == b[..words], first_only)
+    }
+}
+
+/// Sorts `keys` and sums, over each run of keys with the same code, the
+/// pairs whose keys differ (see `conflict_pairs`).
+fn count_in_runs<K: Ord>(
+    mut keys: Vec<K>,
+    same_code: impl Fn(&K, &K) -> bool,
+    first_only: bool,
+) -> usize {
+    let pairs_of = |n: usize| n * n.saturating_sub(1) / 2;
+    keys.sort_unstable();
+    let mut total = 0;
+    for run in keys.chunk_by(same_code).filter(|run| run.len() > 1) {
+        let agreeing: usize = run.chunk_by(K::eq).map(|g| pairs_of(g.len())).sum();
+        total += pairs_of(run.len()) - agreeing;
+        if first_only && total > 0 {
+            break;
         }
     }
-    let key = |i: usize| &keys[i * 2 * words..(i + 1) * 2 * words];
-    let mut order: Vec<usize> = (0..sg.num_states()).collect();
-    order.sort_unstable_by(|&a, &b| key(a).cmp(key(b)));
-    order
-        .chunk_by(|&a, &b| key(a)[..words] == key(b)[..words])
-        .filter(|class| class.len() > 1)
-        .map(|class| {
-            class
-                .chunk_by(|&a, &b| key(a) == key(b))
-                .map(<[usize]>::len)
-                .collect()
-        })
-        .collect()
+    total
 }
 
 /// Only the CSC-violating conflicts (witness-producing; see

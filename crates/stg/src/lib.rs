@@ -49,7 +49,7 @@ mod symbolic_set;
 pub mod waveform;
 
 pub use model::{SignalEdge, SignalId, SignalKind, Stg, StgBuilder, TransitionLabel};
-pub use state_graph::{StateGraph, StgEdit, StgError};
+pub use state_graph::{DerivedGraph, StateGraph, StgEdit, StgError};
 pub use state_space::{Backend, StateSpace, DEFAULT_STATE_BOUND};
 pub use symbolic_set::{SymbolicSetSpace, SymbolicStats};
 

@@ -105,8 +105,10 @@ pub enum StgEdit {
 ///
 /// There is no per-state object. The CSC sweeps derive, check and drop
 /// one graph per candidate, thousands per search, so a graph costs the
-/// same few allocations however many states it has. Consistency checks,
-/// conflict grouping and code lookups compare whole words.
+/// same few allocations however many states it has, and a derived one
+/// skips its marking table until a sweep keeps it ([`DerivedGraph`]).
+/// Consistency checks, conflict keys and code lookups compare whole
+/// words.
 #[derive(Debug, Clone)]
 pub struct StateGraph {
     /// Packed codes, `words` per state.
@@ -142,7 +144,7 @@ impl StateGraph {
     /// See [`StateGraph::build`].
     pub fn build_bounded(stg: &Stg, max_states: usize) -> Result<Self, StgError> {
         let (markings, ts) = petri::reach::token_game(stg.net(), 1, max_states)?;
-        Self::from_reachability(stg, ts, stg.net().num_places(), || markings)
+        Self::from_reachability(stg, ts, stg.net().num_places(), markings)
     }
 
     /// The state graph of `base`'s STG after `edit`, computed from `base`
@@ -166,7 +168,8 @@ impl StateGraph {
     /// ends in the same initial-value inference and code propagation as
     /// [`StateGraph::build_bounded`], so the result — markings, codes, arc
     /// order, and the error on failure — equals building the edited STG
-    /// with the same `max_states`.
+    /// with the same `max_states`. The walk's last step writes the
+    /// marking table; [`DerivedGraph::new`] stops before it.
     ///
     /// # Errors
     ///
@@ -181,159 +184,19 @@ impl StateGraph {
         edit: StgEdit,
         max_states: usize,
     ) -> Result<Self, StgError> {
-        /// The edit resolved against the base net. A product state is a
-        /// base state plus `extra`: the arc place's token count, or the
-        /// insertion's pending flags (bit `i` for inserted edge `i`).
-        enum Product {
-            Arc(TransitionId, TransitionId),
-            Insertion {
-                split: [TransitionId; 2],
-                edges: [TransitionId; 2],
-                taken_over: [Vec<PlaceId>; 2],
-            },
-        }
-        let net = labels.net();
-        let product = match edit {
-            StgEdit::OrderingArc(a, b) => Product::Arc(a, b),
-            StgEdit::Insertion(plus, minus) => {
-                assert_ne!(plus, minus, "an insertion splits two distinct transitions");
-                let taken_over = |t: TransitionId| -> Vec<PlaceId> {
-                    net.preset(t)
-                        .iter()
-                        .copied()
-                        .filter(|&p| net.place_postset(p).len() <= 1)
-                        .collect()
-                };
-                let first = net.num_transitions() - 2;
-                Product::Insertion {
-                    split: [plus, minus],
-                    edges: [
-                        TransitionId::from_index(first),
-                        TransitionId::from_index(first + 1),
-                    ],
-                    taken_over: [taken_over(plus), taken_over(minus)],
-                }
-            }
-        };
-        let (copies, extra_places) = match product {
-            Product::Arc(..) => (2, 1),
-            Product::Insertion { .. } => (4, 2),
-        };
-        let num_places = base.num_places + extra_places;
-        // Appends the marking of product state `(s, extra)` to `out`.
-        let write_marking = |out: &mut Vec<u32>, s: usize, extra: u32| {
-            let row = out.len();
-            out.extend_from_slice(base.marking_counts(s));
-            match &product {
-                Product::Arc(..) => out.push(extra),
-                Product::Insertion { taken_over, .. } => {
-                    for (bit, places) in taken_over.iter().enumerate() {
-                        if extra >> bit & 1 == 1 {
-                            for p in places {
-                                out[row + p.index()] -= 1;
-                            }
-                        }
-                    }
-                    out.extend([extra & 1, extra >> 1]);
-                }
-            }
-        };
-        let unsafe_at = |s: usize, extra: u32, place: usize| -> StgError {
-            let mut counts = Vec::with_capacity(num_places);
-            write_marking(&mut counts, s, extra);
-            counts[place] = 2;
-            ReachError::BoundExceeded(Marking::from_counts(counts)).into()
-        };
-
-        // Breadth-first over the product, numbering each state on first
-        // sight as the token game does.
-        let mut states: Vec<(usize, u32)> = vec![(0, 0)];
-        let mut index = vec![u32::MAX; base.num_states() * copies];
-        index[0] = 0;
-        let mut ts = TransitionSystem::new(1, 0);
-        let mut visit = |states: &mut Vec<(usize, u32)>,
-                         from: usize,
-                         t: TransitionId,
-                         s: usize,
-                         extra: u32|
-         -> Result<(), StgError> {
-            let slot = &mut index[s * copies + extra as usize];
-            if *slot == u32::MAX {
-                if states.len() >= max_states {
-                    return Err(ReachError::StateLimit(max_states).into());
-                }
-                *slot = u32::try_from(ts.add_state()).expect("state count fits u32");
-                states.push((s, extra));
-            }
-            ts.add_arc(from, t, *slot as usize);
-            Ok(())
-        };
-        let mut from = 0;
-        while from < states.len() {
-            let (s, extra) = states[from];
-            match &product {
-                &Product::Arc(a, b) => {
-                    for (&t, to) in base.ts.successors(s) {
-                        if t == b && extra == 0 {
-                            continue;
-                        }
-                        let tokens = extra - u32::from(t == b) + u32::from(t == a);
-                        if tokens > 1 {
-                            return Err(unsafe_at(to, extra, net.num_places()));
-                        }
-                        visit(&mut states, from, t, to, tokens)?;
-                    }
-                }
-                Product::Insertion {
-                    split,
-                    edges,
-                    taken_over,
-                } => {
-                    for (&t, to) in base.ts.successors(s) {
-                        let pending = match split.iter().position(|&u| u == t) {
-                            Some(bit) => 1 << bit,
-                            None => 0,
-                        };
-                        if extra & pending == pending {
-                            visit(&mut states, from, t, to, extra & !pending)?;
-                        }
-                    }
-                    let m = base.marking_counts(s);
-                    for bit in 0..2 {
-                        let flag = 1 << bit;
-                        if extra & flag == 0 {
-                            if taken_over[bit].iter().all(|p| m[p.index()] > 0) {
-                                visit(&mut states, from, edges[bit], s, extra | flag)?;
-                            }
-                        } else if taken_over[bit].is_empty() {
-                            // The pending edge has no input place: it fires
-                            // again, putting a second token on its link.
-                            return Err(unsafe_at(s, extra, net.num_places() + bit));
-                        }
-                    }
-                }
-            }
-            from += 1;
-        }
-        Self::from_reachability(labels, ts, num_places, || {
-            let mut markings = Vec::with_capacity(states.len() * num_places);
-            for &(s, extra) in &states {
-                write_marking(&mut markings, s, extra);
-            }
-            markings
-        })
+        DerivedGraph::new(base, labels, edit, max_states).map(DerivedGraph::into_graph)
     }
 
     /// The build's tail shared by the token game and [`StateGraph::derive`]:
     /// initial values (the STG's, or inferred) and consistent codes over
-    /// the transition system. `markings` yields the flat marking table
-    /// (`num_places` counts per state) and is only called once the codes
-    /// are consistent.
+    /// the transition system. `markings` is the flat marking table
+    /// (`num_places` counts per state), or empty for a [`DerivedGraph`]
+    /// that writes it last.
     fn from_reachability(
         stg: &Stg,
         ts: TransitionSystem<TransitionId>,
         num_places: usize,
-        markings: impl FnOnce() -> Vec<u32>,
+        markings: Vec<u32>,
     ) -> Result<Self, StgError> {
         let initial_values = match stg.initial_values() {
             Some(v) => v.to_vec(),
@@ -342,8 +205,6 @@ impl StateGraph {
         let num_signals = stg.num_signals();
         let words = num_signals.div_ceil(64).max(1);
         let codes = propagate_codes(stg, &ts, &initial_values, words)?;
-        let markings = markings();
-        debug_assert_eq!(markings.len(), ts.num_states() * num_places);
         Ok(StateGraph {
             codes,
             words,
@@ -482,7 +343,7 @@ impl StateGraph {
     /// `true` when some reachable state enables no transition.
     #[must_use]
     pub fn has_deadlock(&self) -> bool {
-        !self.ts.deadlocks().is_empty()
+        (0..self.num_states()).any(|s| self.ts.successors(s).next().is_none())
     }
 
     /// Successor state along a given transition, if enabled.
@@ -528,6 +389,218 @@ impl StateGraph {
             order.sort_by(|&a, &b| self.code_words(a).cmp(self.code_words(b)));
             order
         })
+    }
+}
+
+/// A state graph [`StateGraph::derive`] computed, before the last step
+/// of its walk: the marking table.
+///
+/// [`DerivedGraph::graph`] has the states, arcs, initial values and codes
+/// of the derived graph, everything the CSC checks read, but an empty
+/// marking table: [`StateGraph::marking_counts`] and
+/// [`StateGraph::marking`] panic on it. [`DerivedGraph::into_graph`]
+/// writes the table from the walk's product rows and returns the graph
+/// [`StateGraph::derive`] returns. A CSC sweep scores every candidate on
+/// the first and completes only the ones it keeps.
+#[derive(Debug)]
+pub struct DerivedGraph<'a> {
+    base: &'a StateGraph,
+    product: Product,
+    /// Each state's base state and extra tokens, in state order.
+    states: Vec<(usize, u32)>,
+    graph: StateGraph,
+}
+
+/// An [`StgEdit`] resolved against the base net. A product state is a
+/// base state plus `extra`: the arc place's token count, or the
+/// insertion's pending flags (bit `i` for inserted edge `i`).
+#[derive(Debug)]
+enum Product {
+    Arc(TransitionId, TransitionId),
+    Insertion {
+        split: [TransitionId; 2],
+        edges: [TransitionId; 2],
+        taken_over: [Vec<PlaceId>; 2],
+    },
+}
+
+impl Product {
+    /// Appends the marking of product state `(s, extra)` over `base` to
+    /// `out`.
+    fn write_marking(&self, base: &StateGraph, out: &mut Vec<u32>, s: usize, extra: u32) {
+        let row = out.len();
+        out.extend_from_slice(base.marking_counts(s));
+        match self {
+            Product::Arc(..) => out.push(extra),
+            Product::Insertion { taken_over, .. } => {
+                for (bit, places) in taken_over.iter().enumerate() {
+                    if extra >> bit & 1 == 1 {
+                        for p in places {
+                            out[row + p.index()] -= 1;
+                        }
+                    }
+                }
+                out.extend([extra & 1, extra >> 1]);
+            }
+        }
+    }
+}
+
+impl<'a> DerivedGraph<'a> {
+    /// The walk of [`StateGraph::derive`] up to its marking table.
+    ///
+    /// # Errors
+    ///
+    /// As [`StateGraph::derive`].
+    ///
+    /// # Panics
+    ///
+    /// As [`StateGraph::derive`].
+    pub fn new(
+        base: &'a StateGraph,
+        labels: &Stg,
+        edit: StgEdit,
+        max_states: usize,
+    ) -> Result<Self, StgError> {
+        let net = labels.net();
+        let product = match edit {
+            StgEdit::OrderingArc(a, b) => Product::Arc(a, b),
+            StgEdit::Insertion(plus, minus) => {
+                assert_ne!(plus, minus, "an insertion splits two distinct transitions");
+                let taken_over = |t: TransitionId| -> Vec<PlaceId> {
+                    net.preset(t)
+                        .iter()
+                        .copied()
+                        .filter(|&p| net.place_postset(p).len() <= 1)
+                        .collect()
+                };
+                let first = net.num_transitions() - 2;
+                Product::Insertion {
+                    split: [plus, minus],
+                    edges: [
+                        TransitionId::from_index(first),
+                        TransitionId::from_index(first + 1),
+                    ],
+                    taken_over: [taken_over(plus), taken_over(minus)],
+                }
+            }
+        };
+        let (copies, extra_places) = match product {
+            Product::Arc(..) => (2, 1),
+            Product::Insertion { .. } => (4, 2),
+        };
+        let unsafe_at = |s: usize, extra: u32, place: usize| -> StgError {
+            let mut counts = Vec::with_capacity(base.num_places + extra_places);
+            product.write_marking(base, &mut counts, s, extra);
+            counts[place] = 2;
+            ReachError::BoundExceeded(Marking::from_counts(counts)).into()
+        };
+
+        // Breadth-first over the product, numbering each state on first
+        // sight as the token game does. The tables start at the base's
+        // sizes, which a candidate's rarely exceed.
+        let mut states: Vec<(usize, u32)> = Vec::with_capacity(base.num_states());
+        states.push((0, 0));
+        let mut index = vec![u32::MAX; base.num_states() * copies];
+        index[0] = 0;
+        let mut ts = TransitionSystem::new(1, 0);
+        ts.reserve(base.num_states().saturating_sub(1), base.ts.num_arcs());
+        let mut visit = |states: &mut Vec<(usize, u32)>,
+                         from: usize,
+                         t: TransitionId,
+                         s: usize,
+                         extra: u32|
+         -> Result<(), StgError> {
+            let slot = &mut index[s * copies + extra as usize];
+            if *slot == u32::MAX {
+                if states.len() >= max_states {
+                    return Err(ReachError::StateLimit(max_states).into());
+                }
+                *slot = u32::try_from(ts.add_state()).expect("state count fits u32");
+                states.push((s, extra));
+            }
+            ts.add_arc(from, t, *slot as usize);
+            Ok(())
+        };
+        let mut from = 0;
+        while from < states.len() {
+            let (s, extra) = states[from];
+            match &product {
+                &Product::Arc(a, b) => {
+                    for (&t, to) in base.ts.successors(s) {
+                        if t == b && extra == 0 {
+                            continue;
+                        }
+                        let tokens = extra - u32::from(t == b) + u32::from(t == a);
+                        if tokens > 1 {
+                            return Err(unsafe_at(to, extra, net.num_places()));
+                        }
+                        visit(&mut states, from, t, to, tokens)?;
+                    }
+                }
+                Product::Insertion {
+                    split,
+                    edges,
+                    taken_over,
+                } => {
+                    for (&t, to) in base.ts.successors(s) {
+                        let pending = match split.iter().position(|&u| u == t) {
+                            Some(bit) => 1 << bit,
+                            None => 0,
+                        };
+                        if extra & pending == pending {
+                            visit(&mut states, from, t, to, extra & !pending)?;
+                        }
+                    }
+                    let m = base.marking_counts(s);
+                    for bit in 0..2 {
+                        let flag = 1 << bit;
+                        if extra & flag == 0 {
+                            if taken_over[bit].iter().all(|p| m[p.index()] > 0) {
+                                visit(&mut states, from, edges[bit], s, extra | flag)?;
+                            }
+                        } else if taken_over[bit].is_empty() {
+                            // The pending edge has no input place: it fires
+                            // again, putting a second token on its link.
+                            return Err(unsafe_at(s, extra, net.num_places() + bit));
+                        }
+                    }
+                }
+            }
+            from += 1;
+        }
+        let num_places = base.num_places + extra_places;
+        let graph = StateGraph::from_reachability(labels, ts, num_places, Vec::new())?;
+        Ok(DerivedGraph {
+            base,
+            product,
+            states,
+            graph,
+        })
+    }
+
+    /// The derived graph without its marking table (see the type's docs).
+    #[must_use]
+    pub fn graph(&self) -> &StateGraph {
+        &self.graph
+    }
+
+    /// Writes the marking table and returns the complete graph: the one
+    /// [`StateGraph::derive`] returns.
+    #[must_use]
+    pub fn into_graph(self) -> StateGraph {
+        let DerivedGraph {
+            base,
+            product,
+            states,
+            mut graph,
+        } = self;
+        let mut markings = Vec::with_capacity(states.len() * graph.num_places);
+        for (s, extra) in states {
+            product.write_marking(base, &mut markings, s, extra);
+        }
+        graph.markings = markings;
+        graph
     }
 }
 

@@ -49,7 +49,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use bdd::{Bdd, BddMap, Manager, VarId};
 use petri::reach::ReachError;
 use petri::symbolic::{self, TransitionImage};
-use petri::{Marking, PetriNet, TransitionId};
+use petri::{Marking, PetriNet, PlaceId, TransitionId};
 
 use crate::encoding::{self, EncodingConflict};
 use crate::model::{SignalEdge, SignalId, Stg};
@@ -548,7 +548,10 @@ impl SymbolicSetSpace {
     /// exit on the first violation.
     #[must_use]
     pub fn is_persistent(&self, stg: &Stg) -> bool {
-        persistency::blocking_pairs(stg).all(|(t, u)| self.disabling_count(t, u) == 0)
+        let mut cache = self.cache.lock().expect("cache poisoned");
+        let mut m = self.mgr();
+        persistency::blocking_pairs(stg)
+            .all(|(t, u)| self.disabling_count(&mut m, &mut cache, t, u) == 0)
     }
 
     /// `true` when some reachable state enables no transition.
@@ -642,45 +645,38 @@ impl SymbolicSetSpace {
     /// [`crate::persistency::blocking_violation_count`] gives explicitly,
     /// phrased per transition pair so it is counted, never enumerated.
     fn blocking_violation_count(&self, stg: &Stg) -> usize {
+        let mut cache = self.cache.lock().expect("cache poisoned");
+        let mut m = self.mgr();
         let total: u128 = persistency::blocking_pairs(stg)
-            .map(|(t, u)| self.disabling_count(t, u))
+            .map(|(t, u)| self.disabling_count(&mut m, &mut cache, t, u))
             .sum();
         usize::try_from(total).expect("violation count fits usize")
     }
 
     /// Number of states where `t` and `u` are both enabled and firing `u`
-    /// disables `t` — the persistency primitive.
-    fn disabling_count(&self, t: TransitionId, u: TransitionId) -> u128 {
-        if t == u {
+    /// disables `t` — the persistency primitive. The caller holds the
+    /// cache and manager locks for its whole loop of pairs.
+    fn disabling_count(
+        &self,
+        m: &mut Manager,
+        cache: &mut QueryCache,
+        t: TransitionId,
+        u: TransitionId,
+    ) -> u128 {
+        // Firing `u` disables `t` exactly when it takes the token of a
+        // preset place of `t` and does not put it back: every other
+        // preset place stays marked (or is refilled by `u`). With no such
+        // place the count is 0 and no BDD is touched; with one, every
+        // state enabling both is a disabling.
+        let (pre_u, post_u) = (self.net.preset(u), self.net.postset(u));
+        let consumes = |p: &PlaceId| pre_u.contains(p) && !post_u.contains(p);
+        if t == u || !self.net.preset(t).iter().any(consumes) {
             return 0;
         }
-        let mut cache = self.cache.lock().expect("cache poisoned");
-        let mut m = self.mgr();
-        let en_t = self.enabled_set_bdd(&mut m, &mut cache, t);
-        let en_u = self.enabled_set_bdd(&mut m, &mut cache, u);
-        let mut both = m.and(en_t, en_u);
-        if both.is_zero() {
-            return 0;
-        }
-        // `t` still enabled after firing `u`: each preset place of `t`
-        // must be marked in the successor — produced by `u`, or marked
-        // now and not consumed by `u`.
-        let pre_u = self.net.preset(u);
-        let post_u = self.net.postset(u);
-        let mut after = Manager::one();
-        for &p in self.net.preset(t) {
-            if post_u.contains(&p) {
-                continue; // marked after u regardless
-            }
-            if pre_u.contains(&p) {
-                after = Manager::zero(); // consumed: t disabled for sure
-                break;
-            }
-            let v = m.var(self.vars.place[p.index()]);
-            after = m.and(after, v);
-        }
-        both = m.diff(both, after);
-        self.count_markings(&m, &mut cache.suffix_counts, both)
+        let en_t = self.enabled_set_bdd(m, cache, t);
+        let en_u = self.enabled_set_bdd(m, cache, u);
+        let both = m.and(en_t, en_u);
+        self.count_markings(m, &mut cache.suffix_counts, both)
     }
 
     /// Codes shared by two or more states, each with its ascending state

@@ -30,12 +30,14 @@
 //!   ([`StateGraph::derive`]) and checked against a label template (the
 //!   base STG for arcs, [`insertion_labels`] for insertions), so no
 //!   candidate STG is built and no token game replayed until a candidate
-//!   wins. A derived graph is two flat tables (packed code words,
-//!   marking counts) written row by row from the base's rows, so a
-//!   candidate costs a few allocations whatever its size, and the
-//!   conflict count sorts its stored code words directly. The sweeps
-//!   take no backend: the pipeline hands them the same base graph
-//!   whichever backend its check stage ran on;
+//!   wins. A candidate is scored on its [`DerivedGraph`]: transition
+//!   system and packed code words, in tables sized from the base graph,
+//!   with no marking table. Only a candidate a worker keeps in its
+//!   ranked list has its markings written ([`DerivedGraph::into_graph`]),
+//!   so every graph a sweep returns is complete. The conflict count
+//!   sorts one packed key per state (code, then excited non-input
+//!   signals). The sweeps take no backend: the pipeline hands them the
+//!   same base graph whichever backend its check stage ran on;
 //! * **parallelises** the grid on scoped work-stealing workers
 //!   ([`crate::par`]); each worker keeps only its best candidates, and
 //!   the merge orders them by `(key, grid index)`, a total order, so the
@@ -62,7 +64,7 @@ use std::sync::OnceLock;
 
 use petri::reach::ReachError;
 use petri::TransitionId;
-use stg::{SignalEdge, SignalKind, StateGraph, Stg, StgEdit, StgError};
+use stg::{DerivedGraph, SignalEdge, SignalKind, StateGraph, Stg, StgEdit, StgError};
 
 use crate::par;
 
@@ -424,13 +426,13 @@ impl<'a> Candidates<'a> {
                 } else {
                     acc.stats.absorb(stats);
                 }
-                let Some((key, space)) = accepted else {
+                let Some((key, derived)) = accepted else {
                     return;
                 };
                 first_accepted.fetch_min(i, Ordering::Relaxed);
                 let at = acc.best.partition_point(|r| (r.0, r.1) < (key, i));
                 if at < keep {
-                    acc.best.insert(at, (key, i, edit, space));
+                    acc.best.insert(at, (key, i, edit, derived.into_graph()));
                     acc.best.truncate(keep);
                 }
             },
@@ -456,14 +458,15 @@ impl<'a> Candidates<'a> {
 
     /// One move of a sweep, counted in `stats`: the conflict-locality
     /// prune (insertions only), the derive, the bound accounting and
-    /// `accept`'s verdict. Returns the accepted move's key and graph.
+    /// `accept`'s verdict. Returns the accepted move's key and derived
+    /// graph, whose marking table is written only if a worker keeps it.
     fn evaluate_move<K>(
         &self,
         scratch: &mut PruneScratch,
         stats: &mut SweepStats,
         edit: StgEdit,
         accept: impl FnOnce(&Stg, &StateGraph) -> Option<K>,
-    ) -> Option<(K, StateGraph)> {
+    ) -> Option<(K, DerivedGraph<'a>)> {
         if let StgEdit::Insertion(tp, tm) = edit {
             let pruner = self
                 .pruner
@@ -478,17 +481,17 @@ impl<'a> Candidates<'a> {
         }
         stats.evaluated += 1;
         let labels = self.labels(edit);
-        let space = match StateGraph::derive(self.base, labels, edit, self.bound) {
-            Ok(space) => space,
+        let derived = match DerivedGraph::new(self.base, labels, edit, self.bound) {
+            Ok(derived) => derived,
             Err(StgError::Reach(ReachError::StateLimit(_))) => {
                 stats.skipped_by_bound += 1;
                 return None;
             }
             Err(_) => return None,
         };
-        let key = accept(labels, &space)?;
+        let key = accept(labels, derived.graph())?;
         stats.accepted += 1;
-        Some((key, space))
+        Some((key, derived))
     }
 
     /// The [`Sweep`] that `evaluate`'s result stands for: each ranked

@@ -10,12 +10,21 @@
 //! rising edge has no input place of its own, tiny state bounds — through
 //! the same comparison. A padded VME read cycle of more than 64 signals
 //! drives codes that span two words.
+//!
+//! The conflict kernel (`has_csc`, `csc_conflict_pair_count`) is checked
+//! against the definition, pair by pair, on every corpus base graph, on
+//! every candidate of the first greedy step of three controllers (the
+//! markingless graphs the sweeps score) and on the two-word codes. Every
+//! state graph the three sweeps return must equal the token game on the
+//! STG it comes with.
 
 use proptest::prelude::*;
-use stg::{SignalEdge, SignalKind, StateGraph, Stg, StgBuilder, StgEdit, StgError};
+use stg::{
+    DerivedGraph, SignalEdge, SignalId, SignalKind, StateGraph, Stg, StgBuilder, StgEdit, StgError,
+};
 use synth::csc::{
-    apply_edit, greedy_moves, insertion_labels, resolve_mixed_sweep, SweepOptions,
-    DEFAULT_SWEEP_BOUND, MIXED_MAX_STEPS,
+    apply_edit, concurrency_reduction_sweep, greedy_moves, insertion_labels, insertion_sweep,
+    resolve_mixed_sweep, SweepOptions, DEFAULT_SWEEP_BOUND, MIXED_MAX_STEPS,
 };
 
 use petri::reach::ReachError;
@@ -59,6 +68,64 @@ fn compare(
 fn same_states(a: &StateGraph, b: &StateGraph) -> bool {
     a.num_states() == b.num_states()
         && (0..a.num_states()).all(|i| a.marking(i) == b.marking(i) && a.code(i) == b.code(i))
+}
+
+/// The CSC-violating pairs by definition: states `i < j` with the same
+/// code whose sets of excited non-input signals differ.
+fn brute_force_conflict_pairs(stg: &Stg, sg: &StateGraph) -> usize {
+    let n = sg.num_states();
+    let codes: Vec<Vec<bool>> = (0..n).map(|i| sg.code(i)).collect();
+    let excited: Vec<Vec<usize>> = (0..n)
+        .map(|i| {
+            let mut signals: Vec<usize> = sg
+                .excitations(stg, i)
+                .into_iter()
+                .filter(|&(_, s, _)| stg.signal_kind(s).is_non_input())
+                .map(|(_, s, _)| s.index())
+                .collect();
+            signals.sort_unstable();
+            signals.dedup();
+            signals
+        })
+        .collect();
+    (0..n)
+        .flat_map(|i| (i + 1..n).map(move |j| (i, j)))
+        .filter(|&(i, j)| codes[i] == codes[j] && excited[i] != excited[j])
+        .count()
+}
+
+/// Asserts that the conflict kernel's two verdicts agree with
+/// `brute_force_conflict_pairs`; returns the pair count.
+fn check_kernel(stg: &Stg, sg: &StateGraph, what: &str) -> usize {
+    let pairs = brute_force_conflict_pairs(stg, sg);
+    assert_eq!(
+        stg::encoding::csc_conflict_pair_count(stg, sg),
+        pairs,
+        "{what}: conflict pairs"
+    );
+    assert_eq!(
+        stg::encoding::has_csc(stg, sg),
+        pairs == 0,
+        "{what}: has_csc"
+    );
+    pairs
+}
+
+/// Asserts that `space` is the token game's graph of `stg`: the same
+/// states (markings and codes), arcs and initial values.
+fn assert_token_game_graph(stg: &Stg, space: &StateGraph, bound: usize, what: &str) {
+    let built = StateGraph::build_bounded(stg, bound)
+        .unwrap_or_else(|e| panic!("{what}: the returned STG builds: {e}"));
+    assert!(
+        same_states(space, &built),
+        "{what}: markings or codes differ"
+    );
+    assert_eq!(space.ts().arcs(), built.ts().arcs(), "{what}: arcs differ");
+    assert_eq!(
+        space.initial_values(),
+        built.initial_values(),
+        "{what}: initial values differ"
+    );
 }
 
 /// The labels `derive` reads for `edit` on `stg`.
@@ -164,6 +231,90 @@ fn corpus_greedy_steps_derive_like_the_token_game() {
         "the replay covers the corpus's sweeps ({compared})"
     );
     assert!(mismatches.is_empty(), "derive diverges: {mismatches:#?}");
+}
+
+/// The conflict kernel against the definition: on every corpus spec's
+/// base graph, and on every candidate of the first greedy step of three
+/// controllers and of the padded VME read cycle whose non-input signals
+/// sit in the second code word, scored as the sweeps score them (no
+/// marking table).
+#[test]
+fn conflict_kernel_matches_the_definition() {
+    let mut conflicting = 0;
+    for (family, spec) in corpus::all_specs() {
+        if let Ok(sg) = StateGraph::build(&spec) {
+            let what = format!("{family}/{}", spec.name());
+            conflicting += usize::from(check_kernel(&spec, &sg, &what) > 0);
+        }
+    }
+    assert!(conflicting >= 10, "the corpus has specs without CSC");
+
+    for spec in [
+        corpus::generators::ripple_counter(4),
+        stg::examples::micropipeline(3),
+        stg::examples::vme_read_write(),
+        padded_vme_read(true),
+    ] {
+        let base = StateGraph::build(&spec).expect("the controllers build");
+        assert!(
+            check_kernel(&spec, &base, spec.name()) > 0,
+            "{}: the base has CSC conflicts",
+            spec.name()
+        );
+        let insertion = insertion_labels(&spec);
+        let mut scored = 0;
+        for edit in greedy_moves(&spec) {
+            let labels = labels_for(&spec, &insertion, edit);
+            let Ok(derived) = DerivedGraph::new(&base, &labels, edit, DEFAULT_SWEEP_BOUND) else {
+                continue;
+            };
+            check_kernel(
+                &labels,
+                derived.graph(),
+                &format!("{} {edit:?}", spec.name()),
+            );
+            scored += 1;
+        }
+        assert!(scored > 0, "{}: some candidates derive", spec.name());
+    }
+}
+
+/// Every graph the insertion, reduction and mixed sweeps return is the
+/// token game's graph of the STG it comes with, markings included, on
+/// every corpus spec without CSC.
+#[test]
+fn swept_spaces_equal_the_token_game() {
+    let options = SweepOptions::default();
+    let bound = options.bound;
+    let mut returned = 0;
+    for (family, spec) in corpus::all_specs() {
+        let Ok(base) = StateGraph::build_bounded(&spec, bound) else {
+            continue;
+        };
+        if stg::encoding::has_csc(&spec, &base) {
+            continue;
+        }
+        let sweeps = [
+            ("insertion", insertion_sweep(&spec, &options, &base)),
+            (
+                "reduction",
+                concurrency_reduction_sweep(&spec, &options, &base),
+            ),
+            (
+                "mixed",
+                resolve_mixed_sweep(&spec, MIXED_MAX_STEPS, &options, &base),
+            ),
+        ];
+        for (sweep, result) in sweeps {
+            for r in result.candidates {
+                let what = format!("{family}/{} {sweep}: {}", spec.name(), r.description);
+                assert_eq!(r.num_states, r.space.num_states(), "{what}: state count");
+                assert_token_game_graph(&r.stg, &r.space, bound, &what);
+                returned += 1;
+            }
+        }
+    }
+    assert!(returned > 10, "the sweeps return candidates ({returned})");
 }
 
 /// How an edit's build ended, for the coverage tally.
@@ -272,17 +423,31 @@ const PADS: usize = 67;
 /// signals that rise one after another and then fall one after another
 /// between `DTACK-` and the next `DSr+`: 72 signals, so codes take two
 /// words. The pads settle back to 0 before the cycle's CSC conflict, which
-/// stays; the codes they repeat differ only in input excitations.
-fn padded_vme_read() -> Stg {
+/// stays; the codes they repeat differ only in input excitations. The
+/// pads are declared after the cycle's signals, or with `pads_first`
+/// before them, which puts every non-input signal in the second word.
+fn padded_vme_read(pads_first: bool) -> Stg {
+    let add_pads = |b: &mut StgBuilder| -> Vec<SignalId> {
+        (0..PADS)
+            .map(|i| b.add_signal(format!("pad{i}"), SignalKind::Input))
+            .collect()
+    };
     let mut b = StgBuilder::new("vme-read-padded");
+    let early_pads = if pads_first {
+        add_pads(&mut b)
+    } else {
+        Vec::new()
+    };
     let dsr = b.add_signal("DSr", SignalKind::Input);
     let dtack = b.add_signal("DTACK", SignalKind::Output);
     let ldtack = b.add_signal("LDTACK", SignalKind::Input);
     let lds = b.add_signal("LDS", SignalKind::Output);
     let d = b.add_signal("D", SignalKind::Output);
-    let pads: Vec<_> = (0..PADS)
-        .map(|i| b.add_signal(format!("pad{i}"), SignalKind::Input))
-        .collect();
+    let pads = if pads_first {
+        early_pads
+    } else {
+        add_pads(&mut b)
+    };
     let mut edges = |s| {
         (
             b.add_edge(s, SignalEdge::Rise),
@@ -325,11 +490,11 @@ fn padded_vme_read() -> Stg {
 
 /// Codes wider than one word: edits on signals 63, 64 and the last one
 /// derive like the token game, bit tests agree with the unpacked code
-/// across the word boundary, and the sorted conflict count agrees with
-/// the witness path.
+/// across the word boundary, and the conflict kernel agrees with the
+/// definition and with the witness path.
 #[test]
 fn codes_wider_than_one_word_derive_like_the_token_game() {
-    let spec = padded_vme_read();
+    let spec = padded_vme_read(false);
     let last = spec.num_signals() - 1;
     assert!(last >= 64, "the spec's codes span two words");
     let base = StateGraph::build(&spec).expect("the padded spec builds");
@@ -340,7 +505,7 @@ fn codes_wider_than_one_word_derive_like_the_token_game() {
                 assert_eq!(sg.value(i, s), code[s.index()], "state {i} signal {s:?}");
             }
         }
-        let pairs = stg::encoding::csc_conflict_pair_count(stg, sg);
+        let pairs = check_kernel(stg, sg, "padded VME read");
         assert_eq!(pairs, stg::encoding::csc_conflicts(stg, sg).len());
         pairs
     };
