@@ -3,7 +3,7 @@
 
 use std::fmt;
 
-use crate::cube::{Cube, Literal};
+use crate::cube::{field_indices, Cube, Literal, FIELDS};
 
 /// A sum (union) of [`Cube`]s over a fixed variable count.
 ///
@@ -187,11 +187,15 @@ impl Cover {
     /// Cofactor of the cover with respect to a cube (Shannon generalised).
     #[must_use]
     pub fn cofactor_cube(&self, cube: &Cube) -> Cover {
-        let mut out = self.clone();
-        for (var, lit) in cube.literals() {
-            out = out.cofactor_literal(var, lit == Literal::One);
+        let cubes = self
+            .cubes
+            .iter()
+            .filter_map(|c| c.cofactor_cube(cube))
+            .collect();
+        Cover {
+            num_vars: self.num_vars,
+            cubes,
         }
-        out
     }
 
     /// `true` if the cover is a tautology (covers every minterm).
@@ -292,22 +296,38 @@ impl Cover {
 
     /// The variable appearing most often in both phases, or `None` if the
     /// cover is unate.
+    ///
+    /// Ties go to the highest such variable. The phases are read word by
+    /// word: a first pass ORs each word's positive and negative fields
+    /// over the cubes, and only the binate fields of a word are counted.
     #[must_use]
     pub fn most_binate_var(&self) -> Option<usize> {
-        let mut pos = vec![0usize; self.num_vars];
-        let mut neg = vec![0usize; self.num_vars];
-        for c in &self.cubes {
-            for (var, lit) in c.literals() {
-                match lit {
-                    Literal::One => pos[var] += 1,
-                    Literal::Zero => neg[var] += 1,
-                    Literal::DontCare => {}
+        let first = self.cubes.first()?;
+        // (occurrences, var) of the best binate variable so far.
+        let mut best: Option<(u32, usize)> = None;
+        for w in 0..first.num_words() {
+            let (pos, neg) = self.cubes.iter().fold((0, 0), |(pos, neg), c| {
+                let (p, n) = c.phases(w);
+                (pos | p, neg | n)
+            });
+            let binate = pos & neg;
+            if binate == 0 {
+                continue;
+            }
+            let mut counts = [0u32; FIELDS];
+            for c in &self.cubes {
+                let (p, n) = c.phases(w);
+                for k in field_indices((p | n) & binate) {
+                    counts[k] += 1;
+                }
+            }
+            for k in field_indices(binate) {
+                if best.is_none_or(|(b, _)| counts[k] >= b) {
+                    best = Some((counts[k], w * FIELDS + k));
                 }
             }
         }
-        (0..self.num_vars)
-            .filter(|&v| pos[v] > 0 && neg[v] > 0)
-            .max_by_key(|&v| pos[v] + neg[v])
+        best.map(|(_, var)| var)
     }
 
     /// `true` if the cover is unate (no variable appears in both phases).

@@ -16,6 +16,23 @@
 //!   minimised cover into a fan-in-bounded expression tree, used by the
 //!   hazard-free decomposition step (§3.4).
 //!
+//! # Representation
+//!
+//! A [`Cube`] is a positional cube, as in Espresso: two bits per
+//! variable (`Zero = 01`, `One = 10`, `DontCare = 11`, unused fields
+//! `00`), variable 0 in the top bits of the first 64-bit word. Up to 64
+//! variables the words are stored inline, with no heap allocation;
+//! wider cubes (a spec with more than 64 signals, or a resubstitution
+//! over more than 64 signals and internal nets) keep the rest in a
+//! boxed tail. Cube operations are word operations, and
+//! [`Cover::most_binate_var`] counts phases word by word.
+//!
+//! The derived order on cubes is the lexicographic order of their
+//! literal sequences (`Zero < One < DontCare`). Prime generation sorts
+//! by it and the exact covering's tie-breaks follow from it, so the
+//! chosen primes — and every equation and netlist the flow prints —
+//! depend on this order staying fixed.
+//!
 //! # Example
 //!
 //! ```

@@ -2,7 +2,7 @@
 //! covering) and heuristic (espresso-style expand/irredundant).
 
 use std::cell::Cell;
-use std::collections::HashMap;
+use std::collections::HashSet;
 
 use crate::cover::Cover;
 use crate::cube::{Cube, Literal};
@@ -262,7 +262,7 @@ pub fn minimize_heuristic(f: &IncompleteFunction) -> Cover {
 }
 
 fn intersects_cover(cube: &Cube, cover: &Cover) -> bool {
-    cover.cubes().iter().any(|c| c.intersect(cube).is_some())
+    cover.cubes().iter().any(|c| c.intersects(cube))
 }
 
 /// Rewrites a cover as a union of pairwise-disjoint cubes.
@@ -290,14 +290,12 @@ fn fragment_rows(rows: Vec<Cube>, primes: &[Cube]) -> Vec<Cube> {
     let mut work = rows;
     'rows: while let Some(r) = work.pop() {
         for p in primes {
-            if p.intersect(&r).is_some() && !p.covers(&r) {
+            if p.intersects(&r) && !p.covers(&r) {
                 // p straddles r: split r on a variable constrained in p but
                 // free in r. Such a variable exists because the cubes
                 // intersect (no conflicting literals) yet p does not cover r.
-                let var = (0..r.num_vars())
-                    .find(|&v| {
-                        p.literal(v) != Literal::DontCare && r.literal(v) == Literal::DontCare
-                    })
+                let var = r
+                    .first_var_free_but_constrained_in(p)
                     .expect("straddling prime constrains a variable free in the row");
                 work.push(r.with(var, Literal::Zero));
                 work.push(r.with(var, Literal::One));
@@ -307,7 +305,7 @@ fn fragment_rows(rows: Vec<Cube>, primes: &[Cube]) -> Vec<Cube> {
         out.push(r);
     }
     // Deduplicate: identical fragments can arise from overlapping on-cubes.
-    let mut seen: HashMap<String, ()> = HashMap::new();
-    out.retain(|c| seen.insert(c.to_string(), ()).is_none());
+    let mut seen: HashSet<Cube> = HashSet::with_capacity(out.len());
+    out.retain(|c| seen.insert(c.clone()));
     out
 }

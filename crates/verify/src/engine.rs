@@ -113,8 +113,55 @@ pub fn verify_with(
 /// decoding.
 struct RawHazard {
     state: u32,
-    gate: usize,
-    caused_by: String,
+    gate: u32,
+    cause: Cause,
+}
+
+/// The event that disabled a hazard's gate; rendered as text only once
+/// per distinct cause, after exploration.
+#[derive(Clone, Copy)]
+enum Cause {
+    /// An environment (input) transition fired.
+    Input(TransitionId),
+    /// The gate with this index fired.
+    Gate(u32),
+}
+
+impl Cause {
+    /// A dense index over all possible causes: the transitions, then the
+    /// gates.
+    fn index(self, num_transitions: usize) -> usize {
+        match self {
+            Cause::Input(t) => t.index(),
+            Cause::Gate(g) => num_transitions + g as usize,
+        }
+    }
+
+    /// The report's `caused_by` text.
+    fn text(self, stg: &Stg, netlist: &Netlist) -> String {
+        match self {
+            Cause::Input(t) => format!("input {}", stg.label_string(t)),
+            Cause::Gate(g) => format!(
+                "gate {}",
+                netlist.net_name(netlist.gates()[g as usize].output)
+            ),
+        }
+    }
+}
+
+/// The rank of each key in sorted order, equal keys sharing a rank, so
+/// sorting by rank sorts by key.
+fn ranks(keys: &[&str]) -> Vec<u32> {
+    let mut order: Vec<usize> = (0..keys.len()).collect();
+    order.sort_unstable_by_key(|&i| keys[i]);
+    let mut rank = vec![0u32; keys.len()];
+    for (k, &i) in order.iter().enumerate() {
+        rank[i] = match k.checked_sub(1).map(|p| order[p]) {
+            Some(prev) if keys[prev] == keys[i] => rank[prev],
+            _ => k as u32,
+        };
+    }
+    rank
 }
 
 /// A violation recorded during exploration, before witness decoding.
@@ -175,23 +222,21 @@ fn explore(
 
         // Semimodularity for one applied event: every gate excited
         // before it (other than the one that fired) must stay excited.
-        let check_hazards = |hazards: &mut Vec<RawHazard>,
-                             fired: Option<usize>,
-                             next: &[bool],
-                             cause: &dyn Fn() -> String| {
-            for &g in &excited {
-                if Some(g) == fired {
-                    continue;
+        let check_hazards =
+            |hazards: &mut Vec<RawHazard>, fired: Option<usize>, next: &[bool], cause: Cause| {
+                for &g in &excited {
+                    if Some(g) == fired {
+                        continue;
+                    }
+                    if !netlist.gate_excited(next, g) {
+                        hazards.push(RawHazard {
+                            state: si,
+                            gate: g as u32,
+                            cause,
+                        });
+                    }
                 }
-                if !netlist.gate_excited(next, g) {
-                    hazards.push(RawHazard {
-                        state: si,
-                        gate: g,
-                        caused_by: cause(),
-                    });
-                }
-            }
-        };
+            };
 
         // Environment events first, then gates — both in id order, so
         // states are discovered in a deterministic order.
@@ -202,9 +247,7 @@ fn explore(
             }
             let mut next = values.clone();
             next[signal_nets[label.signal.index()].index()] = label.edge.value_after();
-            check_hazards(&mut hazards, None, &next, &|| {
-                format!("input {}", stg.label_string(t))
-            });
+            check_hazards(&mut hazards, None, &next, Cause::Input(t));
             if !enqueue(
                 &mut arena,
                 &mut queue,
@@ -242,9 +285,7 @@ fn explore(
                     }
                 }
             };
-            check_hazards(&mut hazards, Some(g), &next, &|| {
-                format!("gate {}", netlist.net_name(out))
-            });
+            check_hazards(&mut hazards, Some(g), &next, Cause::Gate(g as u32));
             if !enqueue(
                 &mut arena,
                 &mut queue,
@@ -258,23 +299,38 @@ fn explore(
         }
     }
 
-    // Deduplicate hazards by (gate, cause) — the first (lowest-state)
-    // witness of each class survives — then decode witnesses once per
-    // surviving entry.
-    hazards.sort_by(|a, b| {
-        let an = netlist.net_name(netlist.gates()[a.gate].output);
-        let bn = netlist.net_name(netlist.gates()[b.gate].output);
-        (an, &a.caused_by, a.state).cmp(&(bn, &b.caused_by, b.state))
-    });
-    hazards.dedup_by(|a, b| a.gate == b.gate && a.caused_by == b.caused_by);
+    // Deduplicate hazards by (gate, cause text) — the first
+    // (lowest-state) witness of each class survives — then decode
+    // witnesses once per surviving entry. Hazards sort by (gate name,
+    // cause text, state); each distinct gate and cause is rendered once
+    // and replaced by its rank in that text order.
+    let gate_name = |g: usize| netlist.net_name(netlist.gates()[g].output);
+    let gate_rank = ranks(&(0..netlist.num_gates()).map(gate_name).collect::<Vec<_>>());
+    let num_transitions = stg.net().num_transitions();
+    let mut texts: Vec<Option<String>> = vec![None; num_transitions + netlist.num_gates()];
+    for h in &hazards {
+        texts[h.cause.index(num_transitions)].get_or_insert_with(|| h.cause.text(stg, netlist));
+    }
+    // Causes that never occurred rank as "", below every rendered text.
+    let text_rank = ranks(
+        &texts
+            .iter()
+            .map(|t| t.as_deref().unwrap_or(""))
+            .collect::<Vec<_>>(),
+    );
+    let cause_rank = |c: Cause| text_rank[c.index(num_transitions)];
+    hazards.sort_by_key(|h| (gate_rank[h.gate as usize], cause_rank(h.cause), h.state));
+    hazards.dedup_by(|a, b| a.gate == b.gate && cause_rank(a.cause) == cause_rank(b.cause));
     let witness = |state: u32| arena.witness(stg, netlist, signal_nets, state);
     VerificationReport {
         hazards: hazards
             .into_iter()
             .map(|h| HazardWitness {
                 state: h.state as usize,
-                gate_output: netlist.net_name(netlist.gates()[h.gate].output).to_owned(),
-                caused_by: h.caused_by,
+                gate_output: gate_name(h.gate as usize).to_owned(),
+                caused_by: texts[h.cause.index(num_transitions)]
+                    .clone()
+                    .expect("every recorded cause is rendered"),
                 witness: witness(h.state),
             })
             .collect(),
