@@ -101,8 +101,4 @@ impl ComputedTable {
             self.slots[i] = (key, r);
         }
     }
-
-    pub(crate) fn clear(&mut self) {
-        self.slots.fill((EMPTY, Bdd(0)));
-    }
 }

@@ -272,10 +272,4 @@ impl Manager {
         assert!(!b.is_const(), "constants have no cofactors");
         self.node(b).hi
     }
-
-    /// Empties the computed table (the unique table is kept, so canonicity
-    /// and handles are unaffected).
-    pub fn clear_caches(&mut self) {
-        self.computed.clear();
-    }
 }

@@ -23,7 +23,7 @@ use timing::{
     apply_assumptions, cycle_time, max_separation, retime_trigger, SeparationQuery,
     TimedMarkedGraph, TimingAssumption,
 };
-use verify::verify_circuit;
+use verify::{verify_with, VerifyOptions};
 
 fn heading(tag: &str, title: &str) {
     println!("\n================================================================");
@@ -236,6 +236,7 @@ fn f8_latch_implementations() -> Result<(), Box<dyn std::error::Error>> {
     heading("F8", "Fig. 8 — C-element and RS-latch implementations");
     let spec = vme_read_csc();
     let sg = StateGraph::build(&spec)?;
+    let options = VerifyOptions::default();
     for (style, name) in [
         (LatchStyle::CElement, "Fig. 8a (C-element)"),
         (LatchStyle::RsLatch, "Fig. 8b (RS latch)"),
@@ -245,7 +246,7 @@ fn f8_latch_implementations() -> Result<(), Box<dyn std::error::Error>> {
         print!("{}", circ.netlist().describe());
         let violations = synth::latch_arch::monotonic_violations(&spec, &sg, &circ.covers);
         let (atomic, nets) = circ.atomic_netlist(&spec);
-        let v = verify_circuit(&spec, &sg, &atomic, &nets);
+        let v = verify_with(&spec, &sg, &atomic, &nets, &options);
         println!(
             "monotonous covers: {}   speed-independent: {}",
             violations.is_empty(),
@@ -265,7 +266,8 @@ fn f9_decomposition() -> Result<(), Box<dyn std::error::Error>> {
     let circuit = synthesize_complex_gates(&spec, &sg)?;
     let naive = decompose(&spec, &circuit, 2);
     let nets: Vec<NetId> = spec.signals().map(|s| naive.signal_net(s)).collect();
-    let naive_report = verify_circuit(&spec, &sg, naive.netlist(), &nets);
+    let options = VerifyOptions::default();
+    let naive_report = verify_with(&spec, &sg, naive.netlist(), &nets, &options);
     println!("--- naive decomposition (the paper's hazardous Fig. 9b shape) ---");
     print!("{}", naive.netlist().describe());
     println!("verdict: {}", naive_report.summary());
@@ -277,7 +279,7 @@ fn f9_decomposition() -> Result<(), Box<dyn std::error::Error>> {
     }
     let resub = resubstitute(&spec, &sg, &naive);
     let rnets: Vec<NetId> = spec.signals().map(|s| resub.signal_net(s)).collect();
-    let resub_report = verify_circuit(&spec, &sg, resub.netlist(), &rnets);
+    let resub_report = verify_with(&spec, &sg, resub.netlist(), &rnets, &options);
     println!("--- after resubstitution (the paper's Fig. 9a, multiple acknowledgment) ---");
     print!("{}", resub.netlist().describe());
     println!("verdict: {}", resub_report.summary());

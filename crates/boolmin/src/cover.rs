@@ -330,12 +330,6 @@ impl Cover {
         best.map(|(_, var)| var)
     }
 
-    /// `true` if the cover is unate (no variable appears in both phases).
-    #[must_use]
-    pub fn is_unate(&self) -> bool {
-        self.most_binate_var().is_none()
-    }
-
     /// Enumerates all covered minterms (deduplicated, sorted).
     ///
     /// Cost is exponential in the don't-care positions; intended for the

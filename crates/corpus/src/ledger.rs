@@ -67,7 +67,7 @@ pub struct LedgerRecord {
     pub netlist_digest: Option<String>,
     /// Gate count, when synthesised.
     pub num_gates: Option<usize>,
-    /// Verification verdict (`passed`, `skipped`, `not_run`), when the
+    /// Verification verdict (`passed` or `skipped`), when the
     /// flow reached it.
     pub verification: Option<String>,
     /// Composed states the verifier explored, when it ran.

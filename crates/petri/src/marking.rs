@@ -38,16 +38,6 @@ impl Marking {
         Marking { counts: vec![0; n] }
     }
 
-    /// Builds a safe marking from the set of marked places.
-    #[must_use]
-    pub fn from_marked_places(n: usize, marked: &[PlaceId]) -> Self {
-        let mut counts = vec![0; n];
-        for p in marked {
-            counts[p.index()] = 1;
-        }
-        Marking { counts }
-    }
-
     /// Number of places.
     #[must_use]
     pub fn num_places(&self) -> usize {

@@ -196,15 +196,6 @@ impl PetriNet {
             .map(|i| TransitionId(i as u32))
     }
 
-    /// Looks a place up by name.
-    #[must_use]
-    pub fn place_by_name(&self, name: &str) -> Option<PlaceId> {
-        self.places
-            .iter()
-            .position(|p| p.name == name)
-            .map(|i| PlaceId(i as u32))
-    }
-
     /// Preset of a transition (its input places).
     #[must_use]
     pub fn preset(&self, t: TransitionId) -> &[PlaceId] {
@@ -250,14 +241,6 @@ impl PetriNet {
     #[must_use]
     pub fn is_enabled(&self, m: &Marking, t: TransitionId) -> bool {
         self.preset(t).iter().all(|&p| m.tokens(p) > 0)
-    }
-
-    /// All transitions enabled at `m`.
-    #[must_use]
-    pub fn enabled_transitions(&self, m: &Marking) -> Vec<TransitionId> {
-        self.transitions()
-            .filter(|&t| self.is_enabled(m, t))
-            .collect()
     }
 
     /// Fires `t` at `m`, returning the successor marking, or `None` if `t`

@@ -2,7 +2,6 @@
 //! one can generate a Transition System").
 
 use std::collections::hash_map::RandomState;
-use std::collections::HashMap;
 use std::fmt;
 use std::hash::BuildHasher;
 
@@ -41,7 +40,6 @@ impl std::error::Error for ReachError {}
 #[derive(Debug, Clone)]
 pub struct ReachabilityGraph {
     markings: Vec<Marking>,
-    index: HashMap<Marking, usize>,
     ts: TransitionSystem<TransitionId>,
 }
 
@@ -76,16 +74,7 @@ impl ReachabilityGraph {
         let markings: Vec<Marking> = (0..ts.num_states())
             .map(|s| Marking::from_counts(counts[s * places..(s + 1) * places].to_vec()))
             .collect();
-        let index = markings
-            .iter()
-            .enumerate()
-            .map(|(i, m)| (m.clone(), i))
-            .collect();
-        Ok(ReachabilityGraph {
-            markings,
-            index,
-            ts,
-        })
+        Ok(ReachabilityGraph { markings, ts })
     }
 
     /// Number of reachable markings.
@@ -108,12 +97,6 @@ impl ReachabilityGraph {
     #[must_use]
     pub fn markings(&self) -> &[Marking] {
         &self.markings
-    }
-
-    /// The state index of a marking, if reachable.
-    #[must_use]
-    pub fn state_of(&self, m: &Marking) -> Option<usize> {
-        self.index.get(m).copied()
     }
 
     /// The underlying transition system (state 0 is the initial marking).

@@ -201,12 +201,6 @@ impl<L: Clone + Eq + Hash> TransitionSystem<L> {
         seen
     }
 
-    /// The set of labels occurring on any arc.
-    #[must_use]
-    pub fn alphabet(&self) -> HashSet<L> {
-        self.arcs.iter().map(|(_, l, _)| l.clone()).collect()
-    }
-
     /// Checks whether two deterministic systems accept the same language
     /// when viewed as automata with all states accepting, by a simultaneous
     /// walk. Returns `false` for nondeterministic inputs.

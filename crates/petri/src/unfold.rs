@@ -6,7 +6,7 @@
 //! relations between places and transitions (concurrency, conflict and
 //! preceding)."*
 
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeSet, HashSet};
 
 use crate::marking::Marking;
 use crate::net::{PetriNet, PlaceId, TransitionId};
@@ -369,15 +369,6 @@ impl Unfolding {
         (0..self.events.len()).map(|i| EventId(i as u32))
     }
 
-    /// The set of distinct markings represented by local-configuration cuts
-    /// (every reachable marking of the net is represented by the cut of
-    /// *some* configuration of a complete prefix; the local cuts are the
-    /// cheap certificate we expose).
-    #[must_use]
-    pub fn cut_markings(&self) -> HashSet<Marking> {
-        self.events.iter().map(|e| e.cut_marking.clone()).collect()
-    }
-
     /// Ordering relation between two events (§2.2: concurrency, conflict
     /// and preceding).
     ///
@@ -465,37 +456,4 @@ impl Unfolding {
         }
         m
     }
-}
-
-/// Per-net summary used by the unfolding-vs-reachability ablation (A2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct UnfoldingStats {
-    /// Events in the complete prefix.
-    pub events: usize,
-    /// Conditions in the complete prefix.
-    pub conditions: usize,
-    /// Cutoff events.
-    pub cutoffs: usize,
-}
-
-/// Builds an unfolding and reports its size.
-///
-/// # Errors
-///
-/// Propagates the event-limit error from [`Unfolding::build`].
-pub fn unfolding_stats(net: &PetriNet, max_events: usize) -> Result<UnfoldingStats, String> {
-    let u = Unfolding::build(net, max_events)?;
-    Ok(UnfoldingStats {
-        events: u.num_events(),
-        conditions: u.num_conditions(),
-        cutoffs: u.num_cutoffs(),
-    })
-}
-
-/// Maps a `HashMap` keyed by events to transition names, for reporting.
-#[must_use]
-pub fn event_names(net: &PetriNet, u: &Unfolding) -> HashMap<EventId, String> {
-    u.events()
-        .map(|e| (e, net.transition_name(u.event_transition(e)).to_owned()))
-        .collect()
 }

@@ -166,15 +166,6 @@ impl Stg {
         self.labels[t.index()]
     }
 
-    /// All transitions labelled with edges of signal `s`.
-    #[must_use]
-    pub fn transitions_of_signal(&self, s: SignalId) -> Vec<TransitionId> {
-        self.net
-            .transitions()
-            .filter(|&t| self.labels[t.index()].is_some_and(|l| l.signal == s))
-            .collect()
-    }
-
     /// Renders a transition label as text (`dsr+`, `d-/2`, or the raw
     /// transition name for dummies).
     #[must_use]
@@ -196,14 +187,6 @@ impl Stg {
     #[must_use]
     pub fn initial_values(&self) -> Option<&[bool]> {
         self.initial_values.as_deref()
-    }
-
-    /// Signals of a given kind, ascending.
-    #[must_use]
-    pub fn signals_of_kind(&self, kind: SignalKind) -> Vec<SignalId> {
-        self.signals()
-            .filter(|&s| self.signal_kind(s) == kind)
-            .collect()
     }
 
     /// The non-input (output + internal) signals.

@@ -103,6 +103,14 @@ pub enum StgEdit {
 ///   Read them with [`StateGraph::marking_counts`] or
 ///   [`StateGraph::marking`].
 ///
+/// Every graph has one state per reachable marking, and
+/// [`StateGraph::ts`] lists each state's outgoing arcs in transition-id
+/// order: the token game tries transitions in id order, and
+/// [`StateGraph::derive`] keeps that order (base arcs by id, then an
+/// insertion's two edges, the highest ids). Readers may rely on it; the
+/// composed verification (`verify::verify_with`) takes a state's spec
+/// moves in this order, which fixes its exploration order and reports.
+///
 /// There is no per-state object. The CSC sweeps derive, check and drop
 /// one graph per candidate, thousands per search, so a graph costs the
 /// same few allocations however many states it has, and a derived one

@@ -190,15 +190,6 @@ impl Netlist {
         self.by_name.get(name).copied()
     }
 
-    /// All primary input nets.
-    #[must_use]
-    pub fn primary_inputs(&self) -> Vec<NetId> {
-        (0..self.nets.len())
-            .filter(|&i| self.nets[i].driver.is_none())
-            .map(|i| NetId(i as u32))
-            .collect()
-    }
-
     /// Index of the gate driving `net`, or `None` for primary inputs.
     #[must_use]
     pub fn driver_of(&self, net: NetId) -> Option<usize> {

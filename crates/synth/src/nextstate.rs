@@ -7,7 +7,7 @@
 
 use std::fmt;
 
-use boolmin::{minimize_exact, minimize_heuristic, Cover, Cube, IncompleteFunction};
+use boolmin::{minimize_exact, Cover, Cube, IncompleteFunction};
 use stg::{SignalId, StateGraph, Stg};
 
 use crate::regions::signal_regions;
@@ -136,26 +136,6 @@ pub fn equation_exact(
 ) -> Result<Equation, SynthesisError> {
     let function = derive_function(stg, sg, signal)?;
     let cover = minimize_exact(&function);
-    Ok(Equation {
-        signal,
-        cover,
-        function,
-    })
-}
-
-/// Derives and heuristically minimises the equation of one signal (for
-/// larger controllers where exact covering is too slow).
-///
-/// # Errors
-///
-/// See [`derive_function`].
-pub fn equation_heuristic(
-    stg: &Stg,
-    sg: &StateGraph,
-    signal: SignalId,
-) -> Result<Equation, SynthesisError> {
-    let function = derive_function(stg, sg, signal)?;
-    let cover = minimize_heuristic(&function);
     Ok(Equation {
         signal,
         cover,

@@ -5,7 +5,7 @@
 //! concurrency reduction does not introduce new dependencies between
 //! signals since it is fully based on timing not on logic ordering."*
 
-use stg::{StateGraph, Stg, StgError};
+use stg::{StateGraph, Stg};
 
 /// A relative-timing assumption `sep(earlier, later) < 0`: in every
 /// execution, `earlier` fires before the corresponding occurrence of
@@ -171,16 +171,4 @@ pub fn retime_trigger(
             "retiming breaks consistency: {e}"
         ))),
     }
-}
-
-/// Convenience: state counts before/after assumptions — the "fewer states,
-/// more don't-cares" effect of §5.
-///
-/// # Errors
-///
-/// Propagates [`StgError`] from state-graph construction.
-pub fn state_count_effect(before: &Stg, after: &Stg) -> Result<(usize, usize), StgError> {
-    let a = StateGraph::build(before)?;
-    let b = StateGraph::build(after)?;
-    Ok((a.num_states(), b.num_states()))
 }

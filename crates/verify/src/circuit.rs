@@ -1,13 +1,7 @@
-//! Report types of the Muller-model composition checker, plus the
-//! classic `verify_circuit` entry points (thin wrappers over
-//! [`crate::engine`]).
+//! Report types of the Muller-model composition checker; the checker
+//! itself is [`crate::verify_with`].
 
 use std::fmt;
-
-use stg::{StateGraph, Stg};
-use synth::{NetId, Netlist};
-
-use crate::engine::{verify_with, VerifyOptions};
 
 /// A decoded composed state, attached to every hazard and conformance
 /// witness so reports are actionable straight from the CLI/JSON output
@@ -37,7 +31,7 @@ impl fmt::Display for WitnessState {
 }
 
 /// A semimodularity (hazard) witness: gate `gate_output` was excited,
-/// the event in `caused_by` fired, and the gate lost its excitation
+/// the event in `caused_by` occurred, and the gate lost its excitation
 /// without switching.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HazardWitness {
@@ -158,26 +152,4 @@ impl VerificationReport {
             )
         }
     }
-}
-
-/// Verifies a netlist against its STG specification by exhaustive
-/// exploration of the composed state space, under the default
-/// [`VerifyOptions`] (composed spec tracking, 500 000-state bound).
-///
-/// `signal_nets[i]` must be the net carrying signal `i` of the STG;
-/// non-input signals must be gate outputs, inputs must be primary inputs.
-/// Additional nets (decomposition internals) are unconstrained by the
-/// spec but participate in the semimodularity check.
-///
-/// # Panics
-///
-/// Panics if `signal_nets` is shorter than the STG's signal count.
-#[must_use]
-pub fn verify_circuit(
-    stg: &Stg,
-    sg: &StateGraph,
-    netlist: &Netlist,
-    signal_nets: &[NetId],
-) -> VerificationReport {
-    verify_with(stg, sg, netlist, signal_nets, &VerifyOptions::default())
 }

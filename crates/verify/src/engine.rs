@@ -2,12 +2,11 @@
 //!
 //! One breadth-first core explores the Muller-model composition of a
 //! gate netlist with its STG environment over a *packed* state
-//! representation — bit-packed net values plus an interned spec-state
-//! id. The specification side of each composed state is tracked as a
-//! `(marking, code)` pair: markings are interned on the fly and
-//! successors come from replaying the Petri-net token game, so of the
-//! specification's [`StateGraph`] the engine reads only the initial
-//! marking and the initial values. (The code half of the pair needs no
+//! representation — bit-packed net values plus the specification's
+//! [`StateGraph`] state index. The specification side is read straight
+//! from the graph: a composed state's spec moves are the arcs of its
+//! graph state, which every [`StateGraph`] lists in transition-id order,
+//! starting from the graph's initial state. (The code half needs no
 //! storage of its own: along every composed path the values of the
 //! signal nets *are* the spec code, by the consistency invariant.)
 //!
@@ -17,18 +16,14 @@
 
 use std::collections::{HashMap, VecDeque};
 
-use petri::{Marking, TransitionId};
+use petri::TransitionId;
 use stg::{SignalId, SignalKind, StateGraph, Stg};
 use synth::{NetId, Netlist};
 
 use crate::circuit::{HazardWitness, VerificationReport, Violation, WitnessState};
 
-/// One spec state's enabled `(transition, successor)` arcs, sorted by
-/// transition id.
-type SpecArcs = Box<[(TransitionId, u32)]>;
-
-/// The default composed-state limit of [`crate::verify_circuit`] (the
-/// seed's hard-coded `500_000`, now configurable per run through
+/// The default composed-state limit of [`VerifyOptions`] (the seed's
+/// hard-coded `500_000`, now configurable per run through
 /// [`VerifyOptions::bound`] and salted into the flow's result-cache
 /// key).
 pub const DEFAULT_VERIFY_BOUND: usize = 500_000;
@@ -60,9 +55,14 @@ impl VerifyOptions {
     }
 }
 
-/// Verifies `netlist` against `stg` under explicit options. The
-/// engine-level entry point behind [`crate::verify_circuit`]; see that
-/// function for the contract on `signal_nets`.
+/// Verifies a netlist against its STG specification by exhaustive
+/// exploration of the composed state space of `netlist` and `sg`, the
+/// specification's state graph.
+///
+/// `signal_nets[i]` must be the net carrying signal `i` of the STG;
+/// non-input signals must be gate outputs, inputs must be primary inputs.
+/// Additional nets (decomposition internals) are unconstrained by the
+/// spec but participate in the semimodularity check.
 ///
 /// The initial composed state takes the signal nets from the graph's
 /// initial code and settles the internal nets to their combinational
@@ -98,15 +98,7 @@ pub fn verify_with(
             states_explored: 0,
         };
     }
-    explore(
-        stg,
-        netlist,
-        signal_nets,
-        &net_signal,
-        options,
-        sg.marking(0),
-        init,
-    )
+    explore(stg, sg, netlist, signal_nets, &net_signal, options, init)
 }
 
 /// A hazard recorded during exploration, before dedup and witness
@@ -121,9 +113,9 @@ struct RawHazard {
 /// per distinct cause, after exploration.
 #[derive(Clone, Copy)]
 enum Cause {
-    /// An environment (input) transition fired.
+    /// An environment (input) transition occurred.
     Input(TransitionId),
-    /// The gate with this index fired.
+    /// The gate with this index switched.
     Gate(u32),
 }
 
@@ -176,14 +168,13 @@ enum RawViolation {
 /// every other signal must be driven by a gate of `netlist`.
 fn explore(
     stg: &Stg,
+    sg: &StateGraph,
     netlist: &Netlist,
     signal_nets: &[NetId],
     net_signal: &[Option<SignalId>],
     options: &VerifyOptions,
-    initial_marking: Marking,
     init: Vec<bool>,
 ) -> VerificationReport {
-    let mut tracker = SpecTracker::new(initial_marking);
     let mut hazards: Vec<RawHazard> = Vec::new();
     let mut violations: Vec<RawViolation> = Vec::new();
     let env: Vec<bool> = stg
@@ -192,21 +183,22 @@ fn explore(
         .collect();
 
     let mut arena = StateArena::new(netlist.num_nets());
-    let start = arena.intern(0, &init);
+    let start = arena.intern(sg.ts().initial(), &init);
     debug_assert_eq!(start, 0);
     let mut queue: VecDeque<u32> = VecDeque::new();
     queue.push_back(0);
 
     'bfs: while let Some(si) = queue.pop_front() {
         let (spec, values) = arena.unpack(si);
-        let arcs = tracker.arcs(stg, spec);
+        // The spec state's `(transition, successor)` arcs, in
+        // transition-id order.
+        let arcs = || sg.ts().successors(spec);
         let excited = netlist.excited_gates(&values);
 
         // Conformance: stability vs expected (gate-tracked) activity.
         if excited.is_empty() {
-            let expected: Vec<String> = arcs
-                .iter()
-                .filter_map(|&(t, _)| {
+            let expected: Vec<String> = arcs()
+                .filter_map(|(&t, _)| {
                     stg.label(t)
                         .filter(|l| !env[l.signal.index()])
                         .map(|_| stg.label_string(t))
@@ -221,11 +213,11 @@ fn explore(
         }
 
         // Semimodularity for one applied event: every gate excited
-        // before it (other than the one that fired) must stay excited.
+        // before it (other than the one that switched) must stay excited.
         let check_hazards =
-            |hazards: &mut Vec<RawHazard>, fired: Option<usize>, next: &[bool], cause: Cause| {
+            |hazards: &mut Vec<RawHazard>, switched: Option<usize>, next: &[bool], cause: Cause| {
                 for &g in &excited {
-                    if Some(g) == fired {
+                    if Some(g) == switched {
                         continue;
                     }
                     if !netlist.gate_excited(next, g) {
@@ -240,7 +232,7 @@ fn explore(
 
         // Environment events first, then gates — both in id order, so
         // states are discovered in a deterministic order.
-        for &(t, succ) in arcs {
+        for (&t, succ) in arcs() {
             let Some(label) = stg.label(t) else { continue };
             if !env[label.signal.index()] {
                 continue;
@@ -269,12 +261,12 @@ fn explore(
                 Some(sig) => {
                     // The spec must allow this edge here (first matching
                     // transition in id order).
-                    let arc = arcs.iter().find(|&&(t, _)| {
+                    let arc = arcs().find(|&(&t, _)| {
                         stg.label(t)
                             .is_some_and(|l| l.signal == sig && l.edge.value_after() == new_value)
                     });
                     match arc {
-                        Some(&(_, succ)) => succ,
+                        Some((_, succ)) => succ,
                         None => {
                             violations.push(RawViolation::UnexpectedOutput {
                                 signal: netlist.net_name(out).to_owned(),
@@ -360,7 +352,7 @@ fn enqueue(
     arena: &mut StateArena,
     queue: &mut VecDeque<u32>,
     violations: &mut Vec<RawViolation>,
-    spec: u32,
+    spec: usize,
     values: &[bool],
     bound: usize,
 ) -> bool {
@@ -407,8 +399,8 @@ fn settle_internals(
 // ---------------------------------------------------------------------
 
 /// Interned composed states: each state is one boxed `[u64]` of
-/// `1 + ⌈nets/64⌉` words — the spec-state id followed by the bit-packed
-/// net values. No per-state `Vec<bool>` survives the exploration.
+/// `1 + ⌈nets/64⌉` words — the spec's graph state followed by the
+/// bit-packed net values. No per-state `Vec<bool>` survives the exploration.
 struct StateArena {
     num_nets: usize,
     words: usize,
@@ -426,9 +418,9 @@ impl StateArena {
         }
     }
 
-    fn key(&self, spec: u32, values: &[bool]) -> Box<[u64]> {
+    fn key(&self, spec: usize, values: &[bool]) -> Box<[u64]> {
         let mut key = vec![0u64; 1 + self.words];
-        key[0] = u64::from(spec);
+        key[0] = spec as u64;
         for (i, &v) in values.iter().enumerate() {
             if v {
                 key[1 + i / 64] |= 1u64 << (i % 64);
@@ -438,7 +430,7 @@ impl StateArena {
     }
 
     /// Interns the (always fresh) start state.
-    fn intern(&mut self, spec: u32, values: &[bool]) -> u32 {
+    fn intern(&mut self, spec: usize, values: &[bool]) -> u32 {
         self.intern_bounded(spec, values, usize::MAX)
             .expect("no bound")
             .expect("start state is fresh")
@@ -450,7 +442,7 @@ impl StateArena {
     /// would exceed `bound`.
     fn intern_bounded(
         &mut self,
-        spec: u32,
+        spec: usize,
         values: &[bool],
         bound: usize,
     ) -> Result<Option<u32>, ()> {
@@ -471,10 +463,10 @@ impl StateArena {
         self.states.len()
     }
 
-    /// The spec id and unpacked net values of state `i`.
-    fn unpack(&self, i: u32) -> (u32, Vec<bool>) {
+    /// The spec's graph state and unpacked net values of state `i`.
+    fn unpack(&self, i: u32) -> (usize, Vec<bool>) {
         let key = &self.states[i as usize];
-        let spec = u32::try_from(key[0]).expect("spec id fits u32");
+        let spec = key[0] as usize;
         let mut values = Vec::with_capacity(self.num_nets);
         for n in 0..self.num_nets {
             values.push(key[1 + n / 64] >> (n % 64) & 1 == 1);
@@ -502,64 +494,5 @@ impl StateArena {
             })
             .collect();
         WitnessState { nets, spec_code }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Spec tracker
-// ---------------------------------------------------------------------
-
-/// The specification side of the composed exploration: dense spec-state
-/// ids interning reachable markings in discovery order (id 0 is the
-/// initial marking) plus, per id, the enabled `(transition, successor)`
-/// arcs sorted by transition id, replayed from the token game lazily,
-/// one spec state at a time.
-#[derive(Debug)]
-struct SpecTracker {
-    index: HashMap<Marking, u32>,
-    markings: Vec<Marking>,
-    arcs: Vec<Option<SpecArcs>>,
-}
-
-impl SpecTracker {
-    /// A fresh tracker anchored at the initial marking.
-    fn new(initial: Marking) -> Self {
-        let mut index = HashMap::new();
-        index.insert(initial.clone(), 0);
-        SpecTracker {
-            index,
-            markings: vec![initial],
-            arcs: vec![None],
-        }
-    }
-
-    /// The enabled arcs of spec state `s`, sorted by transition id
-    /// (computed once per spec state, then served from the cache).
-    fn arcs(&mut self, stg: &Stg, s: u32) -> &[(TransitionId, u32)] {
-        if self.arcs[s as usize].is_none() {
-            let net = stg.net();
-            let marking = self.markings[s as usize].clone();
-            let mut out = Vec::new();
-            for t in net.transitions() {
-                // The canonical firing rule — the same token game every
-                // other consumer replays.
-                let Some(next) = net.fire(&marking, t) else {
-                    continue;
-                };
-                let succ = match self.index.get(&next) {
-                    Some(&id) => id,
-                    None => {
-                        let id = u32::try_from(self.markings.len()).expect("spec state fits u32");
-                        self.index.insert(next.clone(), id);
-                        self.markings.push(next);
-                        self.arcs.push(None);
-                        id
-                    }
-                };
-                out.push((t, succ));
-            }
-            self.arcs[s as usize] = Some(out.into_boxed_slice());
-        }
-        self.arcs[s as usize].as_ref().expect("just filled")
     }
 }

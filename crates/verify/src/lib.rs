@@ -18,15 +18,17 @@
 //! environment. The Fig. 9 experiment (accepting decomposition (a),
 //! rejecting (b)) runs on this checker.
 //!
-//! The checker is an engine over packed composed states that tracks
-//! the specification as backend-agnostic `(marking, code)` pairs, so it
-//! runs against resident symbolic state spaces of any size. Every
+//! The checker is an engine over packed composed states whose
+//! specification half is a state of the specification's [`StateGraph`]:
+//! it reads the graph's arcs and never replays the token game. Every
 //! verification is one full exploration through [`verify_with`].
+//!
+//! [`StateGraph`]: stg::StateGraph
 
 mod circuit;
 mod engine;
 
-pub use circuit::{verify_circuit, HazardWitness, VerificationReport, Violation, WitnessState};
+pub use circuit::{HazardWitness, VerificationReport, Violation, WitnessState};
 pub use engine::{verify_with, VerifyOptions, DEFAULT_VERIFY_BOUND};
 
 #[cfg(test)]

@@ -9,7 +9,7 @@ use synth::decompose::{decompose, resubstitute};
 use synth::latch_arch::{synthesize_latch_circuit, LatchStyle};
 use synth::{GateKind, NetId, Netlist};
 
-use crate::verify_circuit;
+use crate::{verify_with, VerifyOptions};
 
 fn signal_nets_of<C>(
     stg: &stg::Stg,
@@ -25,7 +25,13 @@ fn complex_gate_vme_is_speed_independent() {
     let sg = StateGraph::build(&stg).unwrap();
     let circuit = synthesize_complex_gates(&stg, &sg).unwrap();
     let nets = signal_nets_of(&stg, |s| circuit.signal_net(s), &circuit);
-    let report = verify_circuit(&stg, &sg, circuit.netlist(), &nets);
+    let report = verify_with(
+        &stg,
+        &sg,
+        circuit.netlist(),
+        &nets,
+        &VerifyOptions::default(),
+    );
     assert!(report.is_speed_independent(), "{}", report.summary());
 }
 
@@ -40,7 +46,7 @@ fn latch_architectures_are_speed_independent() {
     for style in [LatchStyle::CElement, LatchStyle::RsLatch] {
         let circ = synthesize_latch_circuit(&stg, &sg, style).unwrap();
         let (atomic, nets) = circ.atomic_netlist(&stg);
-        let report = verify_circuit(&stg, &sg, &atomic, &nets);
+        let report = verify_with(&stg, &sg, &atomic, &nets, &VerifyOptions::default());
         assert!(
             report.is_speed_independent(),
             "style {style:?}: {}",
@@ -61,7 +67,7 @@ fn naive_decomposition_is_hazardous_fig9b() {
     let circuit = synthesize_complex_gates(&stg, &sg).unwrap();
     let dec = decompose(&stg, &circuit, 2);
     let nets = signal_nets_of(&stg, |s| dec.signal_net(s), &dec);
-    let report = verify_circuit(&stg, &sg, dec.netlist(), &nets);
+    let report = verify_with(&stg, &sg, dec.netlist(), &nets, &VerifyOptions::default());
     assert!(
         !report.hazards.is_empty(),
         "expected a hazard: {}",
@@ -83,7 +89,7 @@ fn resubstituted_decomposition_is_speed_independent_fig9a() {
     let dec = decompose(&stg, &circuit, 2);
     let resub = resubstitute(&stg, &sg, &dec);
     let nets = signal_nets_of(&stg, |s| resub.signal_net(s), &resub);
-    let report = verify_circuit(&stg, &sg, resub.netlist(), &nets);
+    let report = verify_with(&stg, &sg, resub.netlist(), &nets, &VerifyOptions::default());
     assert!(report.is_speed_independent(), "{}", report.summary());
     // The D gate now reads map0.
     let d_net = resub.signal_net(stg.signal_by_name("D").unwrap());
@@ -109,7 +115,7 @@ fn wrong_gate_is_rejected() {
     let a = n.add_input("a");
     let not = Expr::not(Expr::Var(0));
     let x = n.add_gate("x", GateKind::Complex(not), vec![a]);
-    let report = verify_circuit(&stg, &sg, &n, &[a, x]);
+    let report = verify_with(&stg, &sg, &n, &[a, x], &VerifyOptions::default());
     assert!(!report.is_speed_independent());
     assert!(report
         .violations
@@ -126,7 +132,7 @@ fn stuck_circuit_is_rejected() {
     let mut n = Netlist::new();
     let a = n.add_input("a");
     let x = n.add_gate("x", GateKind::Complex(Expr::Const(false)), vec![]);
-    let report = verify_circuit(&stg, &sg, &n, &[a, x]);
+    let report = verify_with(&stg, &sg, &n, &[a, x], &VerifyOptions::default());
     assert!(!report.is_speed_independent());
     assert!(report
         .violations
@@ -140,15 +146,19 @@ fn correct_toggle_accepted() {
     let sg = StateGraph::build(&stg).unwrap();
     let circuit = synthesize_complex_gates(&stg, &sg).unwrap();
     let nets: Vec<NetId> = stg.signals().map(|s| circuit.signal_net(s)).collect();
-    let report = verify_circuit(&stg, &sg, circuit.netlist(), &nets);
+    let report = verify_with(
+        &stg,
+        &sg,
+        circuit.netlist(),
+        &nets,
+        &VerifyOptions::default(),
+    );
     assert!(report.is_speed_independent(), "{}", report.summary());
 }
 
 // ---------------------------------------------------------------------
 // The verification engine under explicit options
 // ---------------------------------------------------------------------
-
-use crate::{verify_with, VerifyOptions};
 
 /// `netlist` verified on the state graph of `stg`, twice: the engine is
 /// deterministic, so both runs must report byte-for-byte the same.
@@ -178,7 +188,13 @@ fn strategies_explore_identically_on_passing_and_failing_circuits() {
     assert!(report.is_speed_independent());
     assert_eq!(
         report,
-        verify_circuit(&stg, &sg, circuit.netlist(), &nets),
+        verify_with(
+            &stg,
+            &sg,
+            circuit.netlist(),
+            &nets,
+            &VerifyOptions::default()
+        ),
         "default options"
     );
 
@@ -215,7 +231,7 @@ fn witnesses_decode_the_offending_state() {
     let a = n.add_input("a");
     let not = Expr::not(Expr::Var(0));
     let x = n.add_gate("x", GateKind::Complex(not), vec![a]);
-    let report = verify_circuit(&stg, &sg, &n, &[a, x]);
+    let report = verify_with(&stg, &sg, &n, &[a, x], &VerifyOptions::default());
     let witness = report
         .violations
         .iter()

@@ -23,7 +23,7 @@
 //! its artifacts (implementability report, candidate CSC transformations,
 //! equations, netlist, verification outcome) and the accumulated
 //! [`FlowEvent`] log, and hands its state graph, report and verification
-//! probe forward for reuse. The check stage's space is checked once; CSC
+//! outcome forward for reuse. The check stage's space is checked once; CSC
 //! resolution moves its graph on (the explicit backend) or builds the
 //! one explicit graph the flow needs (after a resident check). That
 //! graph is the CSC-clean candidate and the base every CSC sweep derives
@@ -165,6 +165,9 @@ pub struct SynthesisOptions {
     /// two-input library of Fig. 9).
     pub max_fanin: Option<usize>,
     /// Skip the final speed-independence verification (it is exhaustive).
+    /// [`Architecture::Decomposed`] still runs the composed verification
+    /// of its naive decomposition, under [`SynthesisOptions::verify`],
+    /// because that verdict decides whether resubstitution repairs it.
     pub skip_verification: bool,
     /// Verification engine configuration: the composed-state bound,
     /// which participates in cache keys (a limit hit changes results).
@@ -336,9 +339,10 @@ impl fmt::Display for CscTransformation {
     }
 }
 
-/// Outcome of the verification stage — three-valued so callers can
-/// distinguish "checked and passed" from "deliberately skipped" from
-/// "not reached yet".
+/// Outcome of the verification stage, decided when the circuit is
+/// synthesised: a circuit that fails verification never leaves
+/// [`Synthesis`]'s synthesis stage, so "checked and passed" and
+/// "deliberately skipped" are the only outcomes.
 #[derive(Debug, Clone)]
 pub enum Verification {
     /// Verification ran and the circuit is speed-independent.
@@ -346,10 +350,6 @@ pub enum Verification {
     /// Verification was skipped on request
     /// ([`SynthesisOptions::skip_verification`]).
     Skipped,
-    /// Verification has not run (yet): the outcome of querying a
-    /// [`Synthesized`] stage whose probe was skipped, before
-    /// [`Synthesized::verify`] finalises it.
-    NotRun,
 }
 
 impl Verification {
@@ -690,13 +690,6 @@ impl Synthesis {
         self
     }
 
-    /// Configures the verification engine (composed-state bound).
-    #[must_use]
-    pub fn verify_options(mut self, verify: VerifyOptions) -> Self {
-        self.options.verify = verify;
-        self
-    }
-
     /// Stage 1 (§2.1): builds the state space and checks boundedness,
     /// consistency, persistency and deadlock-freedom.
     ///
@@ -1022,7 +1015,7 @@ fn run_verify(
     report
 }
 
-/// Synthesises and (unless skipped) verification-probes one candidate.
+/// Synthesises and (unless skipped) verifies one candidate.
 /// Errors carry the events accumulated up to the failure, so rejected
 /// candidates keep their diagnostics in the flow log.
 fn synthesize_candidate(
@@ -1073,8 +1066,11 @@ fn synthesize_candidate(
         count: complex.equations().len(),
     });
 
-    // Architecture mapping (§3.4).
+    // Architecture mapping (§3.4). A naive decomposition that passes
+    // its verification carries that report, the verdict on this very
+    // netlist.
     let max_fanin = options.max_fanin.unwrap_or(2);
+    let mut passed_naive = None;
     let circuit = match options.architecture {
         Architecture::ComplexGate => Circuit::Complex(complex.clone()),
         Architecture::CElement => {
@@ -1096,10 +1092,14 @@ fn synthesize_candidate(
             let nets: Vec<NetId> = spec.signals().map(|s| naive.signal_net(s)).collect();
             let naive_report =
                 run_verify(&spec, &space, naive.netlist(), &nets, options, &mut events);
-            if naive_report.is_speed_independent() {
-                Circuit::Decomposed(naive)
-            } else {
-                Circuit::Decomposed(resubstitute(&spec, &space, &naive))
+            // A failing report is dropped here: only its verdict
+            // matters, and resubstitution need not keep it alive.
+            match naive_report.is_speed_independent().then_some(naive_report) {
+                Some(report) => {
+                    passed_naive = Some(report);
+                    Circuit::Decomposed(naive)
+                }
+                None => Circuit::Decomposed(resubstitute(&spec, &space, &naive)),
             }
         }
     };
@@ -1122,12 +1122,14 @@ fn synthesize_candidate(
         });
     }
 
-    // Verification probe (§2.1 "implementation verification"). Latch
+    // Verification (§2.1 "implementation verification"). Latch
     // architectures are certified via their atomic equivalent plus the
     // monotonous-cover condition (§3.4); gate-level netlists go through
     // the strict Muller-model checker directly.
-    let probe = if options.skip_verification {
-        None
+    let verification = if options.skip_verification {
+        Verification::Skipped
+    } else if let Some(report) = passed_naive {
+        Verification::Passed(report)
     } else {
         let v = match &circuit {
             Circuit::Latch(latch) => {
@@ -1160,20 +1162,19 @@ fn synthesize_candidate(
         if !v.is_speed_independent() {
             return fail(PipelineError::VerificationFailed(Box::new(v)), events);
         }
-        Some(v)
+        Verification::Passed(v)
     };
 
     Ok((
         Synthesized {
             spec,
-            options: options.clone(),
             space,
             transformation,
             report,
             circuit,
             equations_text,
             mapping,
-            probe,
+            verification,
             events: Vec::new(),
             advisory: telemetry::Counters::new(),
         },
@@ -1182,18 +1183,17 @@ fn synthesize_candidate(
 }
 
 /// Stage 3 artifact: a synthesised circuit with its equations, mapping
-/// and (unless skipped) a passed verification probe.
+/// and verification outcome (passed, or skipped on request).
 #[derive(Debug)]
 pub struct Synthesized {
     spec: Stg,
-    options: SynthesisOptions,
     space: StateGraph,
     transformation: Option<CscTransformation>,
     report: ImplementabilityReport,
     circuit: Circuit,
     equations_text: String,
     mapping: Option<Mapping>,
-    probe: Option<VerificationReport>,
+    verification: Verification,
     events: Vec<FlowEvent>,
     advisory: telemetry::Counters,
 }
@@ -1247,24 +1247,13 @@ impl Synthesized {
         &self.events
     }
 
-    /// The verification outcome at this stage: [`Verification::Passed`]
-    /// when the candidate-selection probe ran, [`Verification::NotRun`]
-    /// when verification was skipped and has not happened yet.
-    #[must_use]
-    pub fn verification(&self) -> Verification {
-        match &self.probe {
-            Some(v) => Verification::Passed(v.clone()),
-            None => Verification::NotRun,
-        }
-    }
-
-    /// Stage 4: finalises the verification outcome.
+    /// Stage 4: records the verification outcome in the event log.
     ///
-    /// When verification was enabled the probe already ran during
-    /// candidate selection (a candidate whose circuit fails verification
-    /// never reaches this stage) and its report is reused — nothing is
-    /// recomputed. With [`SynthesisOptions::skip_verification`] the
-    /// outcome is [`Verification::Skipped`].
+    /// The verification itself ran during candidate selection (a
+    /// candidate whose circuit fails it never reaches this stage), so
+    /// nothing is recomputed. With
+    /// [`SynthesisOptions::skip_verification`] the outcome is
+    /// [`Verification::Skipped`].
     ///
     /// # Errors
     ///
@@ -1273,31 +1262,22 @@ impl Synthesized {
     pub fn verify(self) -> Result<Verified, PipelineError> {
         let Synthesized {
             spec,
-            options,
             space,
             transformation,
             report,
             circuit,
             equations_text,
             mapping,
-            probe,
+            verification,
             mut events,
             advisory,
         } = self;
-        let verification = if options.skip_verification {
-            events.push(FlowEvent::VerificationSkipped);
-            Verification::Skipped
-        } else {
-            // The probe runs during candidate selection whenever
-            // verification is enabled, so it is always present here (and
-            // already latch-aware: latch circuits were certified via
-            // their atomic equivalent plus the monotonous-cover check).
-            let v = probe.expect("verification probe runs when not skipped");
-            events.push(FlowEvent::VerificationPassed {
+        events.push(match &verification {
+            Verification::Passed(v) => FlowEvent::VerificationPassed {
                 states_explored: v.states_explored,
-            });
-            Verification::Passed(v)
-        };
+            },
+            Verification::Skipped => FlowEvent::VerificationSkipped,
+        });
         Ok(Verified {
             spec,
             transformation,
@@ -1328,7 +1308,7 @@ pub struct Verified {
     pub equations_text: String,
     /// Library mapping of the final netlist.
     pub mapping: Option<Mapping>,
-    /// The verification outcome (three-valued).
+    /// The verification outcome.
     pub verification: Verification,
     space: StateGraph,
     events: Vec<FlowEvent>,
@@ -1452,8 +1432,10 @@ pub fn cache_key(spec: &Stg, options: &SynthesisOptions, stage: CacheStage) -> D
         extras.push(options.csc.name());
         extras.push(&sweep_bound);
     }
-    // The verify bound salts the Full key: a bounded run can fail where
-    // a bigger budget would pass.
+    // The verify bound salts every Full key: a bounded run can fail
+    // where a bigger budget would pass, and the Decomposed architecture
+    // runs its naive verification under the bound even when the final
+    // verification is skipped (the verdict decides the repair).
     let verify_bound = options.verify.bound.to_string();
     if matches!(stage, CacheStage::Full) {
         extras.push(options.architecture.name());
@@ -1463,11 +1445,7 @@ pub fn cache_key(spec: &Stg, options: &SynthesisOptions, stage: CacheStage) -> D
         } else {
             "verify"
         });
-        // The bound only matters when verification actually runs — a
-        // no-verify cache entry serves every bound.
-        if !options.skip_verification {
-            extras.push(&verify_bound);
-        }
+        extras.push(&verify_bound);
     }
     stg::canon::keyed_digest(spec, &extras)
 }

@@ -45,7 +45,7 @@ pub struct SynthesisSummary {
     pub mapping_cells: Option<usize>,
     /// Library-mapping area estimate.
     pub mapping_area: Option<usize>,
-    /// Verification outcome: `passed`, `skipped` or `not_run`.
+    /// Verification outcome: `passed` or `skipped`.
     pub verification: String,
     /// Composed states explored by the verifier, when it ran.
     pub composed_states: Option<usize>,
@@ -68,7 +68,6 @@ impl SynthesisSummary {
         let (verification, composed_states) = match &v.verification {
             Verification::Passed(r) => ("passed".to_owned(), Some(r.states_explored)),
             Verification::Skipped => ("skipped".to_owned(), None),
-            Verification::NotRun => ("not_run".to_owned(), None),
         };
         SynthesisSummary {
             model: v.spec.name().to_owned(),

@@ -270,3 +270,64 @@ fn stale_csc_checkpoint_falls_back_to_the_full_search() {
     assert_eq!(again.outcome, CacheOutcome::CscResumed);
     assert_eq!(again.summary.equations, run.summary.equations);
 }
+
+/// The Decomposed architecture runs its naive verification under the
+/// verify bound even when the final verification is skipped, and that
+/// verdict decides the repair. So the bound salts the Full key of an
+/// unverified run too: two bounds get two entries, and each run is
+/// served its own summary from a shared cache.
+#[test]
+fn unverified_decomposed_runs_are_keyed_by_the_verify_bound() {
+    let cache = temp_cache("unverified-bound");
+    for spec in [
+        stg::examples::toggle(),
+        stg::examples::vme_read_csc(),
+        stg::examples::token_ring(2, 1),
+    ] {
+        let options = |bound: usize| SynthesisOptions {
+            architecture: asyncsynth::Architecture::Decomposed,
+            skip_verification: true,
+            verify: asyncsynth::VerifyOptions::default().with_bound(bound),
+            ..SynthesisOptions::default()
+        };
+        let (wide, tight) = (options(500_000), options(2));
+        let wide_key = cache_key(&spec, &wide, CacheStage::Full);
+        let tight_key = cache_key(&spec, &tight, CacheStage::Full);
+        assert_ne!(
+            wide_key,
+            tight_key,
+            "{}: the bound salts the key",
+            spec.name()
+        );
+
+        let cold_wide = run_cached(&spec, &wide, &cache).expect("wide run");
+        let cold_tight = run_cached(&spec, &tight, &cache).expect("tight run");
+        assert_eq!(cold_tight.key, Some(tight_key));
+        assert_ne!(
+            cold_tight.outcome,
+            CacheOutcome::Hit,
+            "{}: the tight run is not served the wide run's entry",
+            spec.name()
+        );
+        assert!(
+            cold_tight
+                .summary
+                .events
+                .iter()
+                .any(|e| e.contains("verification bounded")),
+            "{}: the tight run's naive verification is bounded: {:?}",
+            spec.name(),
+            cold_tight.summary.events
+        );
+        for (options, cold) in [(&wide, &cold_wide), (&tight, &cold_tight)] {
+            let warm = run_cached(&spec, options, &cache).expect("warm run");
+            assert_eq!(warm.outcome, CacheOutcome::Hit, "{}", spec.name());
+            assert_eq!(
+                warm.summary.to_json().render(),
+                cold.summary.to_json().render(),
+                "{}: each bound is served its own summary",
+                spec.name()
+            );
+        }
+    }
+}

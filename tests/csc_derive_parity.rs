@@ -16,7 +16,9 @@
 //! every candidate of the first greedy step of three controllers (the
 //! markingless graphs the sweeps score) and on the two-word codes. Every
 //! state graph the three sweeps return must equal the token game on the
-//! STG it comes with.
+//! STG it comes with, list its arcs in transition-id order (as every
+//! corpus graph must) and give the composed verification the same report
+//! as the token game's graph.
 
 use proptest::prelude::*;
 use stg::{
@@ -29,6 +31,9 @@ use synth::csc::{
 
 use petri::reach::ReachError;
 use petri::TransitionId;
+use synth::complex_gate::synthesize_complex_gates;
+use synth::NetId;
+use verify::{verify_with, VerifyOptions};
 
 /// Derives `edit`'s graph and replays the token game on the edited STG;
 /// `Err` describes the first difference.
@@ -112,8 +117,9 @@ fn check_kernel(stg: &Stg, sg: &StateGraph, what: &str) -> usize {
 }
 
 /// Asserts that `space` is the token game's graph of `stg`: the same
-/// states (markings and codes), arcs and initial values.
-fn assert_token_game_graph(stg: &Stg, space: &StateGraph, bound: usize, what: &str) {
+/// states (markings and codes), arcs and initial values. Returns the
+/// token game's graph.
+fn assert_token_game_graph(stg: &Stg, space: &StateGraph, bound: usize, what: &str) -> StateGraph {
     let built = StateGraph::build_bounded(stg, bound)
         .unwrap_or_else(|e| panic!("{what}: the returned STG builds: {e}"));
     assert!(
@@ -126,6 +132,44 @@ fn assert_token_game_graph(stg: &Stg, space: &StateGraph, bound: usize, what: &s
         built.initial_values(),
         "{what}: initial values differ"
     );
+    built
+}
+
+/// Asserts that every state of `space` lists its arcs in transition-id
+/// order, the order in which the composed verification reads a spec
+/// state's moves.
+fn assert_arcs_in_id_order(space: &StateGraph, what: &str) {
+    for s in 0..space.num_states() {
+        let ids: Vec<TransitionId> = space.ts().successors(s).map(|(&t, _)| t).collect();
+        assert!(
+            ids.windows(2).all(|w| w[0] < w[1]),
+            "{what}: state {s} lists its arcs out of transition-id order: {ids:?}"
+        );
+    }
+}
+
+/// Verifies `stg`'s complex-gate circuit on `space` and on `built`, the
+/// token game's graph of `stg`, and asserts the same report. `false`
+/// when the circuit does not synthesise (the STG still has CSC
+/// conflicts).
+fn verifies_like_the_token_game(
+    stg: &Stg,
+    space: &StateGraph,
+    built: &StateGraph,
+    what: &str,
+) -> bool {
+    let Ok(circuit) = synthesize_complex_gates(stg, space) else {
+        return false;
+    };
+    let nets: Vec<NetId> = stg.signals().map(|s| circuit.signal_net(s)).collect();
+    let options = VerifyOptions::default();
+    let report = verify_with(stg, space, circuit.netlist(), &nets, &options);
+    assert_eq!(
+        report,
+        verify_with(stg, built, circuit.netlist(), &nets, &options),
+        "{what}: verification report"
+    );
+    true
 }
 
 /// The labels `derive` reads for `edit` on `stg`.
@@ -281,16 +325,21 @@ fn conflict_kernel_matches_the_definition() {
 
 /// Every graph the insertion, reduction and mixed sweeps return is the
 /// token game's graph of the STG it comes with, markings included, on
-/// every corpus spec without CSC.
+/// every corpus spec without CSC. Every corpus and swept graph lists its
+/// arcs in transition-id order, and verifying a swept candidate's
+/// complex-gate circuit on its graph reports what it reports on the
+/// token game's.
 #[test]
 fn swept_spaces_equal_the_token_game() {
     let options = SweepOptions::default();
     let bound = options.bound;
     let mut returned = 0;
+    let mut verified = 0;
     for (family, spec) in corpus::all_specs() {
         let Ok(base) = StateGraph::build_bounded(&spec, bound) else {
             continue;
         };
+        assert_arcs_in_id_order(&base, &format!("{family}/{}", spec.name()));
         if stg::encoding::has_csc(&spec, &base) {
             continue;
         }
@@ -309,12 +358,17 @@ fn swept_spaces_equal_the_token_game() {
             for r in result.candidates {
                 let what = format!("{family}/{} {sweep}: {}", spec.name(), r.description);
                 assert_eq!(r.num_states, r.space.num_states(), "{what}: state count");
-                assert_token_game_graph(&r.stg, &r.space, bound, &what);
+                let built = assert_token_game_graph(&r.stg, &r.space, bound, &what);
+                assert_arcs_in_id_order(&r.space, &what);
+                if verifies_like_the_token_game(&r.stg, &r.space, &built, &what) {
+                    verified += 1;
+                }
                 returned += 1;
             }
         }
     }
     assert!(returned > 10, "the sweeps return candidates ({returned})");
+    assert!(verified > 10, "swept candidates are verified ({verified})");
 }
 
 /// How an edit's build ended, for the coverage tally.

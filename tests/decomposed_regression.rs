@@ -12,7 +12,7 @@ use stg::StateGraph;
 use synth::complex_gate::synthesize_complex_gates;
 use synth::decompose::{decompose, resubstitute};
 use synth::NetId;
-use verify::verify_circuit;
+use verify::{verify_with, VerifyOptions};
 
 /// The `(de-excited gate, causing event)` classes of the repaired
 /// (resubstituted) two-stage micropipeline's verification failure.
@@ -90,7 +90,8 @@ fn naive_decomposition_baseline_is_pinned() {
     let circuit = synthesize_complex_gates(&cand_spec, &sg).unwrap();
     let naive = decompose(&cand_spec, &circuit, 2);
     let nets: Vec<NetId> = cand_spec.signals().map(|s| naive.signal_net(s)).collect();
-    let report = verify_circuit(&cand_spec, &sg, naive.netlist(), &nets);
+    let options = VerifyOptions::default();
+    let report = verify_with(&cand_spec, &sg, naive.netlist(), &nets, &options);
     assert_eq!(report.states_explored, 276);
     assert_eq!(report.hazards.len(), 7);
     assert_eq!(report.violations.len(), 76);
@@ -98,7 +99,7 @@ fn naive_decomposition_baseline_is_pinned() {
     // And resubstitution, today, does not repair it.
     let resub = resubstitute(&cand_spec, &sg, &naive);
     let rnets: Vec<NetId> = cand_spec.signals().map(|s| resub.signal_net(s)).collect();
-    let repaired = verify_circuit(&cand_spec, &sg, resub.netlist(), &rnets);
+    let repaired = verify_with(&cand_spec, &sg, resub.netlist(), &rnets, &options);
     assert!(
         !repaired.is_speed_independent(),
         "if this starts passing, the ROADMAP decomposition item is done: {}",

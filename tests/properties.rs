@@ -59,7 +59,8 @@ proptest! {
             let circuit = synth::complex_gate::synthesize_complex_gates(&spec, &sg).unwrap();
             let nets: Vec<synth::NetId> =
                 spec.signals().map(|s| circuit.signal_net(s)).collect();
-            let v = verify::verify_circuit(&spec, &sg, circuit.netlist(), &nets);
+            let options = verify::VerifyOptions::default();
+            let v = verify::verify_with(&spec, &sg, circuit.netlist(), &nets, &options);
             prop_assert!(v.is_speed_independent(), "{}", v.summary());
         }
     }

@@ -386,7 +386,7 @@ fn wide_circuit(spec: &Stg) -> (Netlist, Vec<NetId>) {
 }
 
 /// A 131 072-state specification verifies from its state graph's
-/// initial state: the engine replays the token game, so the composed
+/// initial state: the engine follows the graph's arcs, so the composed
 /// exploration covers `2 · 4⁸` states.
 #[test]
 fn verification_runs_on_a_large_state_graph() {
